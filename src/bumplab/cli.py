@@ -5,8 +5,8 @@ win. Every report embeds the fully resolved configuration it ran with, and
 --config accepts a previously emitted report (the embedded config is used),
 so any run can be reproduced byte-for-byte from its own artifact.
 
-Exit codes: 0 success, 1 usage error, 2 validation error, 3 numerical
-non-convergence.
+Exit codes: 0 success, 1 usage error, 2 validation error (including a run
+too large for memory), 3 numerical non-convergence.
 """
 
 from __future__ import annotations
@@ -576,8 +576,8 @@ def main(argv: list[str] | None = None) -> int:
     except _NONCONVERGENCE as exc:
         print(f"error: numerical non-convergence: {exc}", file=sys.stderr)
         return _NUMERICAL_EXIT
-    except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
+    except (ValueError, MemoryError) as exc:  # MemoryError: a grid too large for memory
+        print(f"error: {str(exc) or 'out of memory'}", file=sys.stderr)
         return _VALIDATION_EXIT
 
 

@@ -28,8 +28,9 @@ from .operators import (
     KernelSpec,
     TruncationSpec,
     apply_truncated,
+    check_dense_fits,
+    commutator,
     commutator_matrix,
-    truncated_kernel_matrix,
 )
 from .orlicz import bmo_norm
 
@@ -158,9 +159,8 @@ def sample_unit_ball(v: GridFunction, p: float, count: int, seed: int) -> UnitBa
 def _commutator_images(sample: UnitBallSample, b: GridFunction, trunc: TruncationSpec,
                        kernel: KernelSpec | None) -> np.ndarray:
     """[b, T_eta] f for every sample member, as columns of an (m, count) array."""
-    C = commutator_matrix(b, trunc, kernel)
-    F = np.stack([f.values for f in sample.functions], axis=1)
-    return C @ F
+    return np.stack([commutator(b, f, trunc, kernel).values for f in sample.functions],
+                    axis=1)
 
 
 def _weighted_norms(columns: np.ndarray, u: GridFunction, p: float,
@@ -173,13 +173,30 @@ def _weighted_norms(columns: np.ndarray, u: GridFunction, p: float,
     return np.sum(g**p * w[:, None], axis=0) ** (1.0 / p)
 
 
+def _bounded(G: np.ndarray, u: GridFunction, p: float) -> float:
+    if np.any(u.values < 0):
+        raise ValueError("u must be nonnegative")
+    return float(np.max(_weighted_norms(G, u, p)))
+
+
 def kr_bounded(sample: UnitBallSample, b: GridFunction, trunc: TruncationSpec,
                u: GridFunction, p: float, kernel: KernelSpec | None = None) -> float:
     """Condition (a): sup over the sample of ||[b,T_eta] f||_{L^p(u)}."""
-    if np.any(u.values < 0):
-        raise ValueError("u must be nonnegative")
-    G = _commutator_images(sample, b, trunc, kernel)
-    return float(np.max(_weighted_norms(G, u, p)))
+    return _bounded(_commutator_images(sample, b, trunc, kernel), u, p)
+
+
+def _tail(G: np.ndarray, u: GridFunction, p: float,
+          N_list: list[float]) -> list[tuple[float, float]]:
+    grid = u.grid
+    for N in N_list:
+        if N >= grid.half_width:
+            raise ValueError(f"N = {N} must be < the grid half-width {grid.half_width}")
+    x = grid.centers
+    curve = []
+    for N in N_list:
+        vals = _weighted_norms(G, u, p, row_mask=np.abs(x) > N)
+        curve.append((float(N), float(np.max(vals))))
+    return curve
 
 
 def kr_tail(sample: UnitBallSample, b: GridFunction, trunc: TruncationSpec,
@@ -187,17 +204,7 @@ def kr_tail(sample: UnitBallSample, b: GridFunction, trunc: TruncationSpec,
             kernel: KernelSpec | None = None) -> list[tuple[float, float]]:
     """Condition (b): for each N, sup over the sample of the L^p(u) mass
     of [b,T_eta] f outside |x| > N."""
-    grid = u.grid
-    for N in N_list:
-        if N >= grid.half_width:
-            raise ValueError(f"N = {N} must be < the grid half-width {grid.half_width}")
-    G = _commutator_images(sample, b, trunc, kernel)
-    x = grid.centers
-    curve = []
-    for N in N_list:
-        vals = _weighted_norms(G, u, p, row_mask=np.abs(x) > N)
-        curve.append((float(N), float(np.max(vals))))
-    return curve
+    return _tail(_commutator_images(sample, b, trunc, kernel), u, p, N_list)
 
 
 def _shift_columns(G: np.ndarray, k: int) -> np.ndarray:
@@ -209,18 +216,9 @@ def _shift_columns(G: np.ndarray, k: int) -> np.ndarray:
     return out
 
 
-def kr_equicontinuity(sample: UnitBallSample, b: GridFunction, trunc: TruncationSpec,
-                      u: GridFunction, p: float, shift_cells: list[int],
-                      kernel: KernelSpec | None = None,
-                      allow_large_shifts: bool = False) -> tuple[list[tuple[float, float]], float]:
-    """Condition (c): translation modulus of the commutator images.
-
-    For each shift h = k*h_cell, the sup over the sample of
-    ||[b,T_eta]f(.+h) - [b,T_eta]f||_{L^p(u)}, plus the least-squares slope
-    of log(modulus) against log|h|. Shifts must stay below eta/4 (the regime
-    where the kernel-difference estimate applies) unless explicitly
-    overridden.
-    """
+def _modulus(G: np.ndarray, trunc: TruncationSpec, u: GridFunction, p: float,
+             shift_cells: list[int],
+             allow_large_shifts: bool) -> tuple[list[tuple[float, float]], float]:
     grid = u.grid
     for k in shift_cells:
         if k == 0:
@@ -230,7 +228,6 @@ def kr_equicontinuity(sample: UnitBallSample, b: GridFunction, trunc: Truncation
                 f"shift {k} cells = {abs(k) * grid.h} is outside |h| < eta/4 = "
                 f"{trunc.eta / 4.0}; pass allow_large_shifts=True to probe anyway"
             )
-    G = _commutator_images(sample, b, trunc, kernel)
     curve = []
     for k in shift_cells:
         diff = _shift_columns(G, k) - G
@@ -245,13 +242,30 @@ def kr_equicontinuity(sample: UnitBallSample, b: GridFunction, trunc: Truncation
     return curve, slope
 
 
+def kr_equicontinuity(sample: UnitBallSample, b: GridFunction, trunc: TruncationSpec,
+                      u: GridFunction, p: float, shift_cells: list[int],
+                      kernel: KernelSpec | None = None,
+                      allow_large_shifts: bool = False) -> tuple[list[tuple[float, float]], float]:
+    """Condition (c): translation modulus of the commutator images.
+
+    For each shift h = k*h_cell, the sup over the sample of
+    ||[b,T_eta]f(.+h) - [b,T_eta]f||_{L^p(u)}, plus the least-squares slope
+    of log(modulus) against log|h|. Shifts must stay below eta/4 (the regime
+    where the kernel-difference estimate applies) unless explicitly
+    overridden.
+    """
+    G = _commutator_images(sample, b, trunc, kernel)
+    return _modulus(G, trunc, u, p, shift_cells, allow_large_shifts)
+
+
 def kr_probe(sample: UnitBallSample, b: GridFunction, trunc: TruncationSpec,
              u: GridFunction, p: float, N_list: list[float], shift_cells: list[int],
              kernel: KernelSpec | None = None) -> KRReport:
-    """All three Kolmogorov-Riesz condition values in one report."""
-    bound = kr_bounded(sample, b, trunc, u, p, kernel)
-    tail = kr_tail(sample, b, trunc, u, p, N_list, kernel)
-    modulus, slope = kr_equicontinuity(sample, b, trunc, u, p, shift_cells, kernel)
+    """All three Kolmogorov-Riesz condition values, from one set of commutator images."""
+    G = _commutator_images(sample, b, trunc, kernel)
+    bound = _bounded(G, u, p)
+    tail = _tail(G, u, p, N_list)
+    modulus, slope = _modulus(G, trunc, u, p, shift_cells, allow_large_shifts=False)
     return KRReport(bound_sup=bound, tail_curve=tail, modulus_curve=modulus, slope=slope)
 
 
@@ -274,10 +288,10 @@ def shift_decomposition(b: GridFunction, f: GridFunction, trunc: TruncationSpec,
     Tf = apply_truncated(f, trunc, kernel)
     A = (b_sh.values - b.values) * Tf.values
 
-    K = truncated_kernel_matrix(grid, trunc, kernel)
-    K_sh = _shift_columns(K, k)  # row i -> row of x_{i+k}, zero-filled
-    fh = f.values * grid.h
-    B = ((b.values[None, :] - b_sh.values[:, None]) * (K - K_sh)) @ fh
+    # Bf as two convolutions, T(b'f) - T(b'f)(.+h) - (b(x+h) - b_0)(Tf - Tf(.+h))
+    # with b' = b - b_0, so that a constant symbol gives exact zeros
+    Tbf = apply_truncated(GridFunction(grid, b.values - b.values[0]) * f, trunc, kernel)
+    B = (Tbf - shift(Tbf, k)).values - (b_sh.values - b.values[0]) * (Tf - shift(Tf, k)).values
     return ShiftDecomposition(
         Af=GridFunction(grid, A),
         Bf=GridFunction(grid, B),
@@ -326,8 +340,10 @@ def operator_matrix(b: GridFunction, trunc: TruncationSpec, u: GridFunction,
         raise ValueError("v must be positive everywhere")
     if np.any(u.values < 0):
         raise ValueError("u must be nonnegative")
-    C = commutator_matrix(b, trunc, kernel)
-    return np.sqrt(u.values)[:, None] * C * (1.0 / np.sqrt(v.values))[None, :]
+    A = commutator_matrix(b, trunc, kernel)
+    A *= np.sqrt(u.values)[:, None]
+    A *= (1.0 / np.sqrt(v.values))[None, :]
+    return A
 
 
 def singular_values(matrix: np.ndarray) -> np.ndarray:
@@ -340,6 +356,8 @@ def singular_values(matrix: np.ndarray) -> np.ndarray:
     matrix = np.asarray(matrix, dtype=float)
     if not np.all(np.isfinite(matrix)):
         raise ValueError("matrix entries must be finite")
+    # U, Vt, LAPACK's working copy and the reconstruction residual
+    check_dense_fits(4 * matrix.nbytes, f"the SVD of a {matrix.shape} matrix")
     U, s, Vt = np.linalg.svd(matrix, full_matrices=False)
     resid = float(np.linalg.norm(matrix - (U * s) @ Vt))
     if s.size and s[0] > 0 and resid > 1e-8 * s[0]:

@@ -6,18 +6,24 @@ smooth truncation multiplies K by psi(|x - y| / eta) where psi is a C^1
 smoothstep ramp: the truncated kernel vanishes inside radius eta, agrees
 with K outside radius 2*eta, and keeps the size and gradient bounds of K up
 to a fixed multiple. Every operator evaluated here stays away from the
-diagonal, so plain midpoint quadrature is adequate; no principal-value
-scheme is needed.
+diagonal, so plain midpoint quadrature is adequate.
+
+On the uniform grid x_i - x_j = (i - j) h, so the m x m kernel matrix is the
+Toeplitz matrix of one vector of 2m - 1 offsets (``kernel_offsets``). T_eta,
+[b, T_eta] and each radius of T# are direct convolutions with it, in O(m)
+memory; direct rather than FFT so that a kernel vanishing on the support of
+f gives exactly 0. Dense matrices are read off the vector by indexing.
 """
 
 from __future__ import annotations
 
 import math
+import os
 from dataclasses import dataclass, field
 from typing import Callable
 
 import numpy as np
-from scipy.ndimage import maximum_filter1d
+from numpy.lib.stride_tricks import sliding_window_view
 
 from .grid import Grid, GridFunction
 
@@ -26,6 +32,7 @@ __all__ = [
     "TruncationSpec",
     "hilbert_kernel",
     "cutoff_psi",
+    "kernel_offsets",
     "truncated_kernel_matrix",
     "maximal_fn",
     "apply_truncated",
@@ -34,9 +41,8 @@ __all__ = [
     "commutator",
     "commutator_matrix",
     "measured_regularity_constant",
+    "check_dense_fits",
 ]
-
-_BLOCK_ROWS = 512
 
 
 @dataclass(frozen=True)
@@ -93,34 +99,41 @@ class TruncationSpec:
             )
 
 
-def truncated_kernel_block(kernel: KernelSpec, trunc: TruncationSpec,
-                           x_rows: np.ndarray, x_cols: np.ndarray) -> np.ndarray:
-    """K_eta sampled on a block of (row, column) center pairs."""
-    dx = x_rows[:, None] - x_cols[None, :]
-    r = np.abs(dx)
-    w = trunc.cutoff(r / trunc.eta)
+def check_dense_fits(nbytes: int, what: str) -> None:
+    """Raise ValueError if nbytes of dense arrays would not fit in physical memory."""
+    total = os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
+    if nbytes > total:
+        raise ValueError(f"{what} needs about {nbytes / 2**30:.3g} GiB, more than the "
+                         f"{total / 2**30:.3g} GiB of physical memory; use a smaller grid")
+
+
+def kernel_offsets(grid: Grid, trunc: TruncationSpec,
+                   kernel: KernelSpec | None = None) -> np.ndarray:
+    """K_eta at every cell offset: entry d + m - 1 is K_eta(x_i, x_j) for i - j = d,
+    psi(|d h| / eta) * K(d h, 0), and exactly 0 wherever the cutoff vanishes."""
+    if kernel is None:
+        kernel = hilbert_kernel()
+    trunc.check_resolved(grid)
+    dx = np.arange(1 - grid.cells, grid.cells) * grid.h
+    w = trunc.cutoff(np.abs(dx) / trunc.eta)
     out = np.zeros_like(dx)
     mask = w > 0.0
-    if np.any(mask):
-        xr = np.broadcast_to(x_rows[:, None], dx.shape)[mask]
-        xc = np.broadcast_to(x_cols[None, :], dx.shape)[mask]
-        out[mask] = w[mask] * kernel.fn(xr, xc)
+    out[mask] = w[mask] * kernel.fn(dx[mask], 0.0)
     return out
+
+
+def _toeplitz(kvec: np.ndarray) -> np.ndarray:
+    """Read-only m x m view M of the offset vector with M[i, j] = kvec[i - j + m - 1]."""
+    m = (kvec.size + 1) // 2
+    return sliding_window_view(kvec, m)[:, ::-1]
 
 
 def truncated_kernel_matrix(grid: Grid, trunc: TruncationSpec,
                             kernel: KernelSpec | None = None) -> np.ndarray:
     """Dense m x m sample of K_eta at all center pairs."""
-    if kernel is None:
-        kernel = hilbert_kernel()
-    trunc.check_resolved(grid)
-    x = grid.centers
     m = grid.cells
-    out = np.empty((m, m))
-    for lo in range(0, m, _BLOCK_ROWS):
-        hi = min(lo + _BLOCK_ROWS, m)
-        out[lo:hi] = truncated_kernel_block(kernel, trunc, x[lo:hi], x)
-    return out
+    check_dense_fits(8 * m * m, f"the {m} x {m} kernel matrix")
+    return np.array(_toeplitz(kernel_offsets(grid, trunc, kernel)))
 
 
 def maximal_fn(f: GridFunction) -> GridFunction:
@@ -130,6 +143,9 @@ def maximal_fn(f: GridFunction) -> GridFunction:
     cell (all widths, all offsets), via prefix sums and a running-maximum
     filter per width: O(m^2) work overall.
     """
+    # imported here: only this function needs scipy, the bulk of import time
+    from scipy.ndimage import maximum_filter1d
+
     m = f.grid.cells
     af = np.abs(f.values)
     prefix = np.concatenate(([0.0], np.cumsum(af)))
@@ -149,16 +165,8 @@ def maximal_fn(f: GridFunction) -> GridFunction:
 def apply_truncated(f: GridFunction, trunc: TruncationSpec,
                     kernel: KernelSpec | None = None) -> GridFunction:
     """(T_eta f)(x_i) = sum_j K_eta(x_i, x_j) f_j h."""
-    if kernel is None:
-        kernel = hilbert_kernel()
-    trunc.check_resolved(f.grid)
-    x = f.grid.centers
-    fh = f.values * f.grid.h
-    out = np.empty(f.grid.cells)
-    for lo in range(0, f.grid.cells, _BLOCK_ROWS):
-        hi = min(lo + _BLOCK_ROWS, f.grid.cells)
-        out[lo:hi] = truncated_kernel_block(kernel, trunc, x[lo:hi], x) @ fh
-    return GridFunction(f.grid, out)
+    kvec = kernel_offsets(f.grid, trunc, kernel)
+    return GridFunction(f.grid, np.convolve(kvec, f.values * f.grid.h, mode="valid"))
 
 
 def default_eta_grid(grid: Grid) -> list[float]:
@@ -172,30 +180,16 @@ def maximal_truncation(f: GridFunction, eta_grid: list[float] | None = None,
 
     Sharp cutoff per the definition: the sum runs over |x_i - x_j| > eta.
     """
-    if kernel is None:
-        kernel = hilbert_kernel()
     if eta_grid is None:
         eta_grid = default_eta_grid(f.grid)
     if not eta_grid:
         raise ValueError("eta grid must be nonempty")
-    for eta in eta_grid:
-        if eta < 2.0 * f.grid.h - 1e-12 * f.grid.h:
-            raise ValueError("every eta must be >= 2h")
-    x = f.grid.centers
+    kvecs = [kernel_offsets(f.grid, TruncationSpec(eta, lambda r: (r > 1.0) * 1.0), kernel)
+             for eta in eta_grid]
     fh = f.values * f.grid.h
     out = np.zeros(f.grid.cells)
-    for lo in range(0, f.grid.cells, _BLOCK_ROWS):
-        hi = min(lo + _BLOCK_ROWS, f.grid.cells)
-        dx = x[lo:hi, None] - x[None, :]
-        r = np.abs(dx)
-        kblock = np.zeros_like(dx)
-        off = r > 0.0
-        xr = np.broadcast_to(x[lo:hi, None], dx.shape)[off]
-        xc = np.broadcast_to(x[None, :], dx.shape)[off]
-        kblock[off] = kernel.fn(xr, xc)
-        for eta in eta_grid:
-            vals = np.abs(np.where(r > eta, kblock, 0.0) @ fh)
-            np.maximum(out[lo:hi], vals, out=out[lo:hi])
+    for kvec in kvecs:
+        np.maximum(out, np.abs(np.convolve(kvec, fh, mode="valid")), out=out)
     return GridFunction(f.grid, out)
 
 
@@ -203,41 +197,29 @@ def commutator(b: GridFunction, f: GridFunction, trunc: TruncationSpec,
                kernel: KernelSpec | None = None) -> GridFunction:
     """([b, T_eta] f)(x_i) = sum_j (b_i - b_j) K_eta(x_i, x_j) f_j h.
 
-    Direct kernel sum; agrees with b * T_eta(f) - T_eta(b f) as an algebraic
-    identity of the quadrature.
+    Evaluated as b' T_eta(f) - T_eta(b' f) with b' = b - b_0 (the commutator
+    ignores constants), so a constant symbol gives b' = 0 and exactly 0.
     """
-    if kernel is None:
-        kernel = hilbert_kernel()
     if b.grid != f.grid:
         raise ValueError("b and f must share a grid")
-    trunc.check_resolved(f.grid)
-    x = f.grid.centers
-    fh = f.values * f.grid.h
-    bv = b.values
-    out = np.empty(f.grid.cells)
-    for lo in range(0, f.grid.cells, _BLOCK_ROWS):
-        hi = min(lo + _BLOCK_ROWS, f.grid.cells)
-        kblock = truncated_kernel_block(kernel, trunc, x[lo:hi], x)
-        kblock *= bv[lo:hi, None] - bv[None, :]
-        out[lo:hi] = kblock @ fh
-    return GridFunction(f.grid, out)
+    kvec = kernel_offsets(f.grid, trunc, kernel)
+    h = f.grid.h
+    bp = b.values - b.values[0]
+    Tf = np.convolve(kvec, f.values * h, mode="valid")
+    Tbf = np.convolve(kvec, bp * f.values * h, mode="valid")
+    # + 0.0 turns the -0.0 of 0 * (negative Tf) into 0.0 and changes nothing else
+    return GridFunction(f.grid, bp * Tf - Tbf + 0.0)
 
 
 def commutator_matrix(b: GridFunction, trunc: TruncationSpec,
                       kernel: KernelSpec | None = None) -> np.ndarray:
     """Dense matrix C with C_ij = (b_i - b_j) K_eta(x_i, x_j) h, so that
     C @ f.values evaluates [b, T_eta] f on the grid."""
-    if kernel is None:
-        kernel = hilbert_kernel()
-    trunc.check_resolved(b.grid)
-    x = b.grid.centers
     m = b.grid.cells
-    bv = b.values
-    out = np.empty((m, m))
-    for lo in range(0, m, _BLOCK_ROWS):
-        hi = min(lo + _BLOCK_ROWS, m)
-        kblock = truncated_kernel_block(kernel, trunc, x[lo:hi], x)
-        out[lo:hi] = kblock * (bv[lo:hi, None] - bv[None, :]) * b.grid.h
+    check_dense_fits(2 * 8 * m * m, f"the {m} x {m} commutator matrix")
+    out = np.array(_toeplitz(kernel_offsets(b.grid, trunc, kernel)))
+    out *= b.values[:, None] - b.values[None, :]
+    out *= b.grid.h
     return out
 
 
@@ -248,18 +230,17 @@ def measured_regularity_constant(kernel: KernelSpec, trunc: TruncationSpec,
     over grid pairs with |x - y| >= 2|s|, fixed per (kernel, eta, grid)."""
     x = grid.centers
     m = grid.cells
+    K = _toeplitz(kernel_offsets(grid, trunc, kernel))
     best = 0.0
     step = max(1, m // 512)  # sample rows on large grids
     rows = np.arange(0, m, step)
     for k in shifts_cells:
         s = k * grid.h
         valid_rows = rows[rows + k < m]
-        k0 = truncated_kernel_block(kernel, trunc, x[valid_rows], x)
-        k1 = truncated_kernel_block(kernel, trunc, x[valid_rows + k], x)
         r = np.abs(x[valid_rows, None] - x[None, :])
         mask = r >= 2.0 * s
         if not np.any(mask):
             continue
-        ratio = np.abs(k1 - k0)[mask] * r[mask] ** 2 / s
+        ratio = np.abs(K[valid_rows + k] - K[valid_rows])[mask] * r[mask] ** 2 / s
         best = max(best, float(ratio.max()))
     return best

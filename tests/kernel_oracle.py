@@ -1,0 +1,105 @@
+"""Dense reference evaluators for the kernel operators in bumplab.operators.
+
+Each function evaluates K_eta(x_i, x_j) entry by entry at the grid centers,
+as an m x m array, and applies it with a matrix product. This is the
+evaluator the package used before it built every operator from one vector
+of kernel offsets; the property tests compare the offset-vector layer
+against it. Test grids stay small (m <= 512), so no row blocking is needed.
+"""
+
+from __future__ import annotations
+
+import numpy as np
+
+from bumplab.grid import Grid, GridFunction
+from bumplab.operators import KernelSpec, TruncationSpec, default_eta_grid, hilbert_kernel
+
+
+def kernel_block(kernel: KernelSpec, trunc: TruncationSpec,
+                 x_rows: np.ndarray, x_cols: np.ndarray) -> np.ndarray:
+    """K_eta sampled on a block of (row, column) center pairs."""
+    dx = x_rows[:, None] - x_cols[None, :]
+    r = np.abs(dx)
+    w = trunc.cutoff(r / trunc.eta)
+    out = np.zeros_like(dx)
+    mask = w > 0.0
+    if np.any(mask):
+        xr = np.broadcast_to(x_rows[:, None], dx.shape)[mask]
+        xc = np.broadcast_to(x_cols[None, :], dx.shape)[mask]
+        out[mask] = w[mask] * kernel.fn(xr, xc)
+    return out
+
+
+def truncated_kernel_matrix(grid: Grid, trunc: TruncationSpec,
+                            kernel: KernelSpec | None = None) -> np.ndarray:
+    x = grid.centers
+    return kernel_block(kernel or hilbert_kernel(), trunc, x, x)
+
+
+def apply_truncated(f: GridFunction, trunc: TruncationSpec) -> np.ndarray:
+    return truncated_kernel_matrix(f.grid, trunc) @ (f.values * f.grid.h)
+
+
+def commutator(b: GridFunction, f: GridFunction, trunc: TruncationSpec) -> np.ndarray:
+    """Direct kernel sum: sum_j (b_i - b_j) K_eta(x_i, x_j) f_j h."""
+    K = truncated_kernel_matrix(f.grid, trunc)
+    K *= b.values[:, None] - b.values[None, :]
+    return K @ (f.values * f.grid.h)
+
+
+def commutator_matrix(b: GridFunction, trunc: TruncationSpec) -> np.ndarray:
+    K = truncated_kernel_matrix(b.grid, trunc)
+    return K * (b.values[:, None] - b.values[None, :]) * b.grid.h
+
+
+def maximal_truncation(f: GridFunction, eta_grid: list[float] | None = None) -> np.ndarray:
+    """max over radii of |sum_{|x_i - x_j| > eta} K(x_i, x_j) f_j h|."""
+    kernel = hilbert_kernel()
+    if eta_grid is None:
+        eta_grid = default_eta_grid(f.grid)
+    x = f.grid.centers
+    dx = x[:, None] - x[None, :]
+    r = np.abs(dx)
+    K = np.zeros_like(dx)
+    off = r > 0.0
+    K[off] = kernel.fn(np.broadcast_to(x[:, None], dx.shape)[off],
+                       np.broadcast_to(x[None, :], dx.shape)[off])
+    fh = f.values * f.grid.h
+    out = np.zeros(f.grid.cells)
+    for eta in eta_grid:
+        np.maximum(out, np.abs(np.where(r > eta, K, 0.0) @ fh), out=out)
+    return out
+
+
+def measured_regularity_constant(kernel: KernelSpec, trunc: TruncationSpec, grid: Grid,
+                                 shifts_cells: tuple[int, ...] = (1, 2, 4)) -> float:
+    x = grid.centers
+    m = grid.cells
+    best = 0.0
+    rows = np.arange(0, m, max(1, m // 512))
+    for k in shifts_cells:
+        s = k * grid.h
+        valid_rows = rows[rows + k < m]
+        k0 = kernel_block(kernel, trunc, x[valid_rows], x)
+        k1 = kernel_block(kernel, trunc, x[valid_rows + k], x)
+        r = np.abs(x[valid_rows, None] - x[None, :])
+        mask = r >= 2.0 * s
+        if not np.any(mask):
+            continue
+        best = max(best, float((np.abs(k1 - k0)[mask] * r[mask] ** 2 / s).max()))
+    return best
+
+
+def shift_decomposition_B(b: GridFunction, f: GridFunction, trunc: TruncationSpec,
+                          k: int) -> np.ndarray:
+    """sum_j (b_j - b(x_i + kh)) (K_eta(x_i, x_j) - K_eta(x_i + kh, x_j)) f_j h,
+    with b(x_i + kh) and the row of x_i + kh zero past the grid edge."""
+    m = f.grid.cells
+    K = truncated_kernel_matrix(f.grid, trunc)
+    K_sh = np.zeros_like(K)
+    b_sh = np.zeros(m)
+    if k >= 0:
+        K_sh[: m - k], b_sh[: m - k] = K[k:], b.values[k:]
+    else:
+        K_sh[-k:], b_sh[-k:] = K[: m + k], b.values[: m + k]
+    return ((b.values[None, :] - b_sh[:, None]) * (K - K_sh)) @ (f.values * f.grid.h)

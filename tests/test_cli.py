@@ -1,16 +1,26 @@
 import csv
 import json
+import os
+import subprocess
+import sys
+import time
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from bumplab import iterate_maximal, make_grid
+import bumplab
+from bumplab import compactness, iterate_maximal, make_grid
 from bumplab.cli import main, parse_function_spec
 from bumplab.io import read_grid_function_csv
 
 
 def run(args):
     return main([str(a) for a in args])
+
+
+def _env():
+    return dict(os.environ, PYTHONPATH=str(Path(bumplab.__file__).parents[1]))
 
 
 def test_unknown_subcommand_exits_1(capsys):
@@ -131,3 +141,38 @@ def test_parse_function_spec_grammar():
         parse_function_spec(g, "gaussian:0")
     with pytest.raises(ValueError):
         parse_function_spec(g, "")
+
+
+def test_cli_import_does_not_load_scipy():
+    code = ("import sys, bumplab.cli; "
+            "print(sorted(k for k in sys.modules if k.split('.')[0] == 'scipy'))")
+    out = subprocess.run([sys.executable, "-c", code], env=_env(), capture_output=True,
+                         text=True, timeout=120, check=True)
+    assert out.stdout.strip() == "[]"
+
+
+def test_oversized_dense_run_exits_2_before_allocating(tmp_path):
+    argv = ["probe", "svd", "--b", "bump:0,0.5", "--u", "const:1+gaussian:0,0.3",
+            "--v", "const:2", "--L", "8", "--m", str(2**20), "--out", tmp_path]
+    start = time.perf_counter()
+    proc = subprocess.Popen(
+        [sys.executable, "-c", "import sys; from bumplab.cli import main; sys.exit(main())",
+         *map(str, argv)], env=_env(), stdin=subprocess.DEVNULL, stdout=subprocess.DEVNULL,
+        stderr=subprocess.PIPE, text=True)
+    err = proc.stderr.read()
+    proc.stderr.close()
+    _, status, usage = os.wait4(proc.pid, 0)
+    assert os.waitstatus_to_exitcode(status) == 2
+    assert "physical memory" in err and "Traceback" not in err
+    assert time.perf_counter() - start < 30.0
+    assert usage.ru_maxrss < 512 * 1024  # KiB: O(m) vectors only, no m x m array
+
+
+def test_memory_error_exits_2(tmp_path, monkeypatch, capsys):
+    def exhausted(*args, **kwargs):
+        raise MemoryError()
+
+    monkeypatch.setattr(compactness, "operator_matrix", exhausted)
+    assert run(["probe", "svd", "--b", "bump:0,0.5", "--u", "const:1", "--v", "const:1",
+                "--L", "1", "--m", "16", "--out", tmp_path]) == 2
+    assert "out of memory" in capsys.readouterr().err
