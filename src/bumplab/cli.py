@@ -348,14 +348,10 @@ def _cmd_bump(res: Resolved) -> int:
         left = None if a_left in (None, "avg") else float(a_left)
         res.record(("bump", "a_left"), left)
         spec = weights.BumpSpec.custom(p, left, float(a_right), delta)
-    elif preset == "max":
-        spec = weights.BumpSpec.maximal(p, delta)
-    elif preset == "czo":
-        spec = weights.BumpSpec.czo(p, delta)
-    elif preset == "comm":
-        spec = weights.BumpSpec.commutator(p, delta)
-    else:
+    elif preset == "custom":
         raise ValueError("--preset custom requires --a-left and --a-right")
+    else:
+        spec = weights.BumpSpec.from_preset(preset, p, delta)
     family, cubes = _cubes_of(res, grid)
     report = weights.bump_constant(weights.WeightPair(u, v), spec, cubes, family=family)
     _emit(res, _outdir(res), "bump", "bump_constant", io.bump_report_dict(report, grid))

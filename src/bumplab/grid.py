@@ -7,6 +7,7 @@ exactly with cell boundaries and all cell centers avoid the origin.
 
 from __future__ import annotations
 
+from collections.abc import Callable
 from dataclasses import dataclass
 
 import numpy as np
@@ -19,6 +20,7 @@ __all__ = [
     "dyadic_cubes",
     "shifted_dyadic_cubes",
     "cube_family",
+    "per_cube",
     "average",
     "lp_norm_weighted",
     "shift",
@@ -186,6 +188,27 @@ def cube_family(grid: Grid, name: str, min_cells: int = 1, max_cells: int | None
             grid, min_cells, max_cells
         )
     raise ValueError(f"unknown cube family {name!r}")
+
+
+def per_cube(fn: Callable[..., np.ndarray], grid: Grid, cubes: list[Cube],
+             *arrays: np.ndarray) -> np.ndarray:
+    """fn's per-row values for every cube of the family, in family order.
+
+    Cubes of one length are reduced together: each array (one value per grid
+    cell) is gathered into an (n_cubes, n_cells) block array, and
+    fn(*blocks) returns one value per row.
+    """
+    if not cubes:
+        raise ValueError("cube family must be nonempty")
+    groups: dict[int, list[int]] = {}
+    for pos, q in enumerate(cubes):
+        q.check(grid)
+        groups.setdefault(q.n_cells, []).append(pos)
+    out = np.empty(len(cubes))
+    for n, positions in groups.items():
+        rows = np.array([cubes[pos].i0 for pos in positions])[:, None] + np.arange(n)
+        out[positions] = fn(*(a[rows] for a in arrays))
+    return out
 
 
 def average(f: GridFunction, cube: Cube) -> float:

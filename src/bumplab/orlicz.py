@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .grid import Cube, GridFunction, average
+from .grid import Cube, GridFunction, per_cube
 
 __all__ = [
     "YoungFunction",
@@ -201,13 +201,9 @@ def orlicz_average(f: GridFunction, cube: Cube, phi: YoungFunction,
 
 def bmo_norm(b: GridFunction, cubes: list[Cube]) -> float:
     """sup over the cube family of the mean oscillation avg_Q |b - avg_Q b|."""
-    if not cubes:
-        raise ValueError("cube family must be nonempty")
-    best = 0.0
-    for q in cubes:
-        mean = average(b, q)
-        block = b.values[q.i0 : q.i0 + q.n_cells]
-        osc = float(np.mean(np.abs(block - mean)))
-        if osc > best:
-            best = osc
-    return best
+
+    def oscillation(blocks: np.ndarray) -> np.ndarray:
+        means = np.sum(blocks, axis=1) / blocks.shape[1]
+        return np.mean(np.abs(blocks - means[:, None]), axis=1)
+
+    return float(np.max(per_cube(oscillation, b.grid, cubes, b.values)))

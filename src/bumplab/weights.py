@@ -12,7 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .grid import Cube, GridFunction
+from .grid import Cube, GridFunction, per_cube
 from .operators import maximal_fn
 from .orlicz import YoungFunction, orlicz_average_values
 
@@ -45,6 +45,22 @@ class WeightPair:
             raise ValueError("v must be positive everywhere")
 
 
+def _preset_exponents(preset: str, p: float, delta: float) -> tuple[float | None, float]:
+    """(a_left, a_right) of a named preset; a_left None is the plain average of u."""
+    if not p > 1:
+        raise ValueError("p must be > 1")
+    if preset not in ("max", "czo", "comm"):
+        raise ValueError(f"unknown preset {preset!r}")
+    if delta is None or delta <= 0:
+        raise ValueError("presets require delta > 0")
+    pc = p / (p - 1.0)
+    return {
+        "max": (None, pc - 1.0 + delta),
+        "czo": (p - 1.0 + delta, pc - 1.0 + delta),
+        "comm": (2.0 * p - 1.0 + delta, 2.0 * pc - 1.0 + delta),
+    }[preset]
+
+
 @dataclass(frozen=True)
 class BumpSpec:
     """Exponents of the bumped product norm.
@@ -63,35 +79,28 @@ class BumpSpec:
     def __post_init__(self) -> None:
         if not self.p > 1:
             raise ValueError("p must be > 1")
-        if self.preset not in ("max", "czo", "comm", "custom"):
-            raise ValueError(f"unknown preset {self.preset!r}")
         if self.preset != "custom":
-            if self.delta is None or self.delta <= 0:
-                raise ValueError("presets require delta > 0")
-            pc = self.p / (self.p - 1.0)
-            expected = {
-                "max": (None, pc - 1.0 + self.delta),
-                "czo": (self.p - 1.0 + self.delta, pc - 1.0 + self.delta),
-                "comm": (2.0 * self.p - 1.0 + self.delta, 2.0 * pc - 1.0 + self.delta),
-            }[self.preset]
+            expected = _preset_exponents(self.preset, self.p, self.delta)
             if (self.a_left, self.a_right) != expected:
                 raise ValueError(f"exponents {self.a_left, self.a_right} do not "
                                  f"match preset {self.preset!r}")
 
     @classmethod
+    def from_preset(cls, name: str, p: float, delta: float = 1.0) -> "BumpSpec":
+        """The "max", "czo" or "comm" exponents at (p, delta)."""
+        return cls(p, delta, name, *_preset_exponents(name, p, delta))
+
+    @classmethod
     def maximal(cls, p: float, delta: float = 1.0) -> "BumpSpec":
-        pc = p / (p - 1.0)
-        return cls(p, delta, "max", None, pc - 1.0 + delta)
+        return cls.from_preset("max", p, delta)
 
     @classmethod
     def czo(cls, p: float, delta: float = 1.0) -> "BumpSpec":
-        pc = p / (p - 1.0)
-        return cls(p, delta, "czo", p - 1.0 + delta, pc - 1.0 + delta)
+        return cls.from_preset("czo", p, delta)
 
     @classmethod
     def commutator(cls, p: float, delta: float = 1.0) -> "BumpSpec":
-        pc = p / (p - 1.0)
-        return cls(p, delta, "comm", 2.0 * p - 1.0 + delta, 2.0 * pc - 1.0 + delta)
+        return cls.from_preset("comm", p, delta)
 
     @classmethod
     def custom(cls, p: float, a_left: float | None, a_right: float,
@@ -110,19 +119,6 @@ class BumpReport:
     per_cube: np.ndarray | None = None
 
 
-def _group_by_length(cubes: list[Cube]) -> dict[int, list[int]]:
-    groups: dict[int, list[int]] = {}
-    for pos, q in enumerate(cubes):
-        groups.setdefault(q.n_cells, []).append(pos)
-    return groups
-
-
-def _gather_blocks(values: np.ndarray, cubes: list[Cube], positions: list[int],
-                   n: int) -> np.ndarray:
-    starts = np.array([cubes[p].i0 for p in positions])
-    return values[starts[:, None] + np.arange(n)[None, :]]
-
-
 def _sup_report(per_cube: np.ndarray, cubes: list[Cube], family: str, p: float,
                 keep_values: bool, **meta) -> BumpReport:
     k = int(np.argmax(per_cube))
@@ -136,6 +132,17 @@ def _sup_report(per_cube: np.ndarray, cubes: list[Cube], family: str, p: float,
     )
 
 
+def _ap_report(u: GridFunction, v: GridFunction, p: float, cubes: list[Cube],
+               family: str, keep_values: bool, preset: str) -> BumpReport:
+    pc = p / (p - 1.0)
+
+    def product(blocks_u: np.ndarray, blocks_d: np.ndarray) -> np.ndarray:
+        return blocks_u.mean(axis=1) * blocks_d.mean(axis=1) ** (p - 1.0)
+
+    values = per_cube(product, u.grid, cubes, u.values, v.values ** (1.0 - pc))
+    return _sup_report(values, cubes, family, p, keep_values, preset=preset)
+
+
 def ap_constant(w: GridFunction, p: float, cubes: list[Cube],
                 family: str = "custom", keep_values: bool = False) -> BumpReport:
     """sup over cubes of (avg_Q w) (avg_Q w^(1-p')) ^ (p-1)."""
@@ -143,16 +150,7 @@ def ap_constant(w: GridFunction, p: float, cubes: list[Cube],
         raise ValueError("p must be > 1")
     if np.min(w.values) <= 0:
         raise ValueError("A_p requires w > 0 on every cell")
-    if not cubes:
-        raise ValueError("cube family must be nonempty")
-    pc = p / (p - 1.0)
-    dual = w.values ** (1.0 - pc)
-    per_cube = np.empty(len(cubes))
-    for n, positions in _group_by_length(cubes).items():
-        blocks_w = _gather_blocks(w.values, cubes, positions, n)
-        blocks_d = _gather_blocks(dual, cubes, positions, n)
-        per_cube[positions] = blocks_w.mean(axis=1) * blocks_d.mean(axis=1) ** (p - 1.0)
-    return _sup_report(per_cube, cubes, family, p, keep_values, preset="ap")
+    return _ap_report(w, w, p, cubes, family, keep_values, "ap")
 
 
 def two_weight_ap(pair: WeightPair, p: float, cubes: list[Cube],
@@ -160,16 +158,7 @@ def two_weight_ap(pair: WeightPair, p: float, cubes: list[Cube],
     """sup over cubes of (avg_Q u) (avg_Q v^(1-p')) ^ (p-1)."""
     if not p > 1:
         raise ValueError("p must be > 1")
-    if not cubes:
-        raise ValueError("cube family must be nonempty")
-    pc = p / (p - 1.0)
-    dual = pair.v.values ** (1.0 - pc)
-    per_cube = np.empty(len(cubes))
-    for n, positions in _group_by_length(cubes).items():
-        blocks_u = _gather_blocks(pair.u.values, cubes, positions, n)
-        blocks_d = _gather_blocks(dual, cubes, positions, n)
-        per_cube[positions] = blocks_u.mean(axis=1) * blocks_d.mean(axis=1) ** (p - 1.0)
-    return _sup_report(per_cube, cubes, family, p, keep_values, preset="two_weight_ap")
+    return _ap_report(pair.u, pair.v, p, cubes, family, keep_values, "two_weight_ap")
 
 
 def bump_constant(pair: WeightPair, spec: BumpSpec, cubes: list[Cube],
@@ -181,26 +170,20 @@ def bump_constant(pair: WeightPair, spec: BumpSpec, cubes: list[Cube],
     F_left is the plain average of u for the maximal preset, and otherwise
     the Orlicz average of u^(1/p) with exponents (p, a_left).
     """
-    if not cubes:
-        raise ValueError("cube family must be nonempty")
     p = spec.p
-    u_root = pair.u.values ** (1.0 / p)
-    v_root = pair.v.values ** (-1.0 / p)
     phi_right = YoungFunction(p / (p - 1.0), spec.a_right)
     phi_left = None if spec.a_left is None else YoungFunction(p, spec.a_left)
 
-    per_cube = np.empty(len(cubes))
-    for n, positions in _group_by_length(cubes).items():
-        blocks_r = _gather_blocks(v_root, cubes, positions, n)
+    def product(blocks_l: np.ndarray, blocks_r: np.ndarray) -> np.ndarray:
         right, _, _ = orlicz_average_values(blocks_r, phi_right, rel_tol)
         if phi_left is None:
-            blocks_u = _gather_blocks(pair.u.values, cubes, positions, n)
-            left = blocks_u.mean(axis=1)
-        else:
-            blocks_l = _gather_blocks(u_root, cubes, positions, n)
-            left, _, _ = orlicz_average_values(blocks_l, phi_left, rel_tol)
-        per_cube[positions] = left * right
-    return _sup_report(per_cube, cubes, family, p, keep_values,
+            return blocks_l.mean(axis=1) * right
+        left, _, _ = orlicz_average_values(blocks_l, phi_left, rel_tol)
+        return left * right
+
+    left_values = pair.u.values if phi_left is None else pair.u.values ** (1.0 / p)
+    values = per_cube(product, pair.u.grid, cubes, left_values, pair.v.values ** (-1.0 / p))
+    return _sup_report(values, cubes, family, p, keep_values,
                        preset=spec.preset, delta=spec.delta)
 
 

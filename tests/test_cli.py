@@ -37,6 +37,8 @@ def test_validation_error_exits_2(tmp_path):
     assert run(["bump", "--u", "const:1", "--v", "const:1", "--preset", "comm",
                 "--a-left", "0", "--a-right", "0", "--L", "1", "--m", "16",
                 "--out", tmp_path]) == 2  # overrides demand preset custom
+    assert run(["bump", "--u", "const:1", "--v", "const:1", "--preset", "max", "--p", "1",
+                "--L", "1", "--m", "16", "--out", tmp_path]) == 2  # p' would divide by 0
 
 
 def test_nonconvergence_exits_3(tmp_path):
