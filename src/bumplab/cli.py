@@ -5,6 +5,11 @@ win. Every report embeds the fully resolved configuration it ran with, and
 --config accepts a previously emitted report (the embedded config is used),
 so any run can be reproduced byte-for-byte from its own artifact.
 
+Every option is declared once, as an ``Opt`` in the table of the
+(sub)command that reads it (``_COMMANDS``). The tables generate the argparse
+flags, the config validator (``validate_config``) and the resolution of each
+option (``Resolved.get``).
+
 Exit codes: 0 success, 1 usage error, 2 validation error (including a run
 too large for memory), 3 numerical non-convergence.
 """
@@ -15,6 +20,7 @@ import argparse
 import json
 import re
 import sys
+from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
@@ -44,81 +50,6 @@ _NONCONVERGENCE = (
     np.linalg.LinAlgError,
     FloatingPointError,
 )
-
-CONFIG_SCHEMA = {
-    "type": "object",
-    "properties": {
-        "grid": {
-            "type": "object",
-            "properties": {"L": {"type": "number", "exclusiveMinimum": 0},
-                           "m": {"type": "integer", "minimum": 4}},
-        },
-        "weights": {
-            "type": "object",
-            "properties": {"u": {"type": "string"}, "v": {"type": "string"},
-                           "w": {"type": "string"}, "k": {"type": "integer", "minimum": 1}},
-        },
-        "function": {
-            "type": "object",
-            "properties": {"f": {"type": "string"}},
-        },
-        "bump": {
-            "type": "object",
-            "properties": {
-                "p": {"type": "number", "exclusiveMinimum": 1},
-                "delta": {"type": "number", "exclusiveMinimum": 0},
-                "preset": {"enum": ["max", "czo", "comm", "custom"]},
-                "a_left": {"type": ["number", "string", "null"]},
-                "a_right": {"type": ["number", "null"]},
-            },
-        },
-        "operator": {
-            "type": "object",
-            "properties": {"kernel": {"enum": ["hilbert"]},
-                           "eta_cells": {"type": "integer", "minimum": 2},
-                           "op": {"enum": ["M", "Teta", "Tsharp", "commutator"]}},
-        },
-        "symbol": {
-            "type": "object",
-            "properties": {"b": {"type": "string"}, "b_cmo": {"type": "string"},
-                           "b_bmo": {"type": "string"}},
-        },
-        "orlicz": {
-            "type": "object",
-            "properties": {
-                "p": {"type": "number", "exclusiveMinimum": 1},
-                "a": {"type": "number", "minimum": 0},
-                "cube": {"type": "string"},
-                "rel_tol": {"type": "number", "exclusiveMinimum": 0},
-            },
-        },
-        "cubes": {"enum": ["dyadic", "dyadic+shifted"]},
-        "probes": {
-            "type": "object",
-            "properties": {
-                "kr": {
-                    "type": "object",
-                    "properties": {
-                        "count": {"type": "integer", "minimum": 1},
-                        "seed": {"type": "integer"},
-                        "N_list": {"type": "array", "items": {"type": "number"}},
-                        "shift_list": {"type": "array", "items": {"type": "integer"}},
-                    },
-                },
-                "spectral": {
-                    "type": "object",
-                    "properties": {"K_list": {"type": "array",
-                                              "items": {"type": "integer", "minimum": 1}}},
-                },
-            },
-        },
-        "output": {
-            "type": "object",
-            "properties": {"dir": {"type": "string"},
-                           "formats": {"type": "array", "items": {"enum": ["json", "csv"]}}},
-        },
-    },
-}
 
 
 class UsageError(Exception):
@@ -191,42 +122,384 @@ def parse_function_spec(grid: Grid, spec: str,
     return GridFunction(grid, total)
 
 
+def _list_of(convert):
+    """Conversion of a JSON list, or of comma-separated text, to a list of ``convert``."""
+    def to_list(val) -> list:
+        items = val if isinstance(val, list) else [v for v in str(val).split(",") if v != ""]
+        return [convert(v) for v in items]
+    return to_list
+
+
+# JSON type -> membership test as JSON Schema defines it: a bool is no number,
+# an integral float is an integer
+_IS_TYPE = {
+    "number": lambda v: isinstance(v, (int, float)) and not isinstance(v, bool),
+    "integer": lambda v: (isinstance(v, int) and not isinstance(v, bool)
+                          or isinstance(v, float) and v.is_integer()),
+    "string": lambda v: isinstance(v, str),
+    "null": lambda v: v is None,
+}
+# first JSON type -> a flag's argparse type; a list flag stays text until it is
+# resolved, so a malformed list is a validation error (exit 2), not a usage error
+_FLAG_TYPES = {"number": float, "integer": int}
+# first JSON type -> conversion of a resolved value
+_CONVERT = {**_FLAG_TYPES, "number[]": _list_of(float), "integer[]": _list_of(int)}
+
+
+@dataclass(frozen=True)
+class Opt:
+    """One option: dotted config ``path``, JSON type, bound, default and help.
+
+    Its flag is ``--`` plus the last key of ``path`` (``dest`` if given), with
+    ``-`` for ``_``. ``type`` is "number", "integer" or "string"; a union
+    such as "string|number|null", whose first member sets the flag's type and
+    the conversion; or "number[]" / "integer[]", a list (comma-separated as a
+    flag). ``gt`` / ``ge`` bound a number, or each list entry, from below.
+    ``default`` may be a callable of the grid; an option with no default is
+    required unless its type allows null. ``help=None`` declares a
+    config-only option, with no flag.
+    """
+
+    path: str
+    type: str
+    default: object = None
+    gt: float | None = None
+    ge: float | None = None
+    choices: tuple[str, ...] = ()
+    help: str | None = ""
+    dest: str | None = None
+
+    @property
+    def name(self) -> str:
+        return self.dest or self.path.rpartition(".")[2]
+
+    @property
+    def flag(self) -> str:
+        return "--" + self.name.replace("_", "-")
+
+    def check(self, val, what: str) -> None:
+        """Raise ValueError unless ``val`` has this option's type, choices and bound."""
+        kind = self.type.removesuffix("[]")
+        if kind != self.type and not isinstance(val, list):
+            raise ValueError(f"{what} must be a list, got {val!r}")
+        for item in val if kind != self.type else [val]:
+            if not any(_IS_TYPE[t](item) for t in kind.split("|")):
+                raise ValueError(f"{what} must be {kind.replace('|', ' or ')}, got {item!r}")
+            if self.choices and item not in self.choices:
+                raise ValueError(f"{what} must be one of {', '.join(self.choices)}, "
+                                 f"got {item!r}")
+            if self.gt is not None and not item > self.gt:
+                raise ValueError(f"{what} must be > {self.gt:g}, got {item!r}")
+            if self.ge is not None and not item >= self.ge:
+                raise ValueError(f"{what} must be >= {self.ge:g}, got {item!r}")
+
+
 class Resolved:
     """Merged view of config file and flags; flags win.
 
-    Records every config path actually consumed so reports can embed the
-    fully resolved configuration they ran with.
+    Resolves the options of one command from their table entries, and records
+    every config path actually consumed, scalars as given and lists converted,
+    so reports can embed the fully resolved configuration they ran with.
     """
 
-    def __init__(self, config: dict, args: argparse.Namespace):
+    def __init__(self, config: dict, args: argparse.Namespace, options: tuple[Opt, ...]):
         self.config = config
         self.args = args
+        self.options = {opt.name: opt for opt in options}
         self.used: dict = {}
+        self._grid: Grid | None = None
 
-    def record(self, path: tuple[str, ...], val) -> None:
+    def record(self, name: str, val) -> None:
+        *path, last = self.options[name].path.split(".")
         node = self.used
-        for key in path[:-1]:
+        for key in path:
             node = node.setdefault(key, {})
-        node[path[-1]] = val
+        node[last] = val
 
-    def get(self, flag: str, path: tuple[str, ...], default=None, required=False):
-        val = getattr(self.args, flag, None)
+    def get(self, name: str):
+        opt = self.options[name]
+        val = getattr(self.args, name, None)
         if val is None:
-            node = self.config
-            for key in path:
-                if not isinstance(node, dict) or key not in node:
-                    node = None
-                    break
-                node = node[key]
-            val = default if node is None else node
-        if val is None and required:
-            raise ValueError(f"missing required option --{flag.replace('_', '-')} "
-                             f"(config {'.'.join(path)})")
-        self.record(path, val)
-        return val
+            val = self.config
+            for key in opt.path.split("."):
+                val = val.get(key) if isinstance(val, dict) else None
+        if val is None:
+            val = opt.default(self.grid()) if callable(opt.default) else opt.default
+        if val is None and "null" not in opt.type:
+            raise ValueError(f"missing required option {opt.flag} (config {opt.path})")
+        convert = _CONVERT.get(opt.type.split("|")[0])
+        out = val if val is None or convert is None else convert(val)
+        if out is not None:
+            opt.check(out, name)
+        self.record(name, out if opt.type.endswith("[]") else val)
+        return out
+
+    def grid(self) -> Grid:
+        if self._grid is None:
+            self._grid = Grid(self.get("L"), self.get("m"))
+        return self._grid
 
     def snapshot(self) -> dict:
         return json.loads(json.dumps(self.used))
+
+
+def _cubes_of(res: Resolved, grid: Grid) -> tuple[str, list[Cube]]:
+    name = res.get("cubes")
+    return name, cube_family(grid, name)
+
+
+def _trunc_of(res: Resolved, grid: Grid) -> operators.TruncationSpec:
+    res.get("kernel")  # read to be recorded; "hilbert" is its only value
+    return operators.TruncationSpec(res.get("eta_cells") * grid.h)
+
+
+def _weight_pair(res: Resolved, grid: Grid) -> tuple[GridFunction, GridFunction]:
+    u = parse_function_spec(grid, res.get("u"))
+    v = parse_function_spec(grid, res.get("v"), env={"u": u})
+    return u, v
+
+
+def _emit(res: Resolved, name: str, kind: str, result: dict) -> None:
+    io.write_json(Path(res.get("out")) / f"{name}.json",
+                  {"kind": kind, "result": result, "config": res.snapshot()})
+
+
+def _write_sigma(res: Resolved, name: str, singular_values) -> None:
+    io.write_curve_csv(Path(res.get("out")) / name, ("k", "sigma"),
+                       [(float(i + 1), float(s)) for i, s in enumerate(singular_values)])
+
+
+# subcommands
+
+def _cmd_orlicz(res: Resolved) -> int:
+    grid = res.grid()
+    f = parse_function_spec(grid, res.get("f"))
+    p, a, cube_arg = res.get("p"), res.get("a"), res.get("cube")
+    bounds = _CONVERT["integer[]"](cube_arg)
+    if len(bounds) != 2:
+        raise ValueError(f"--cube takes i0,n_cells (two integers), got {cube_arg!r}")
+    result = orlicz.orlicz_average(f, Cube(*bounds), orlicz.YoungFunction(p, a),
+                                   res.get("rel_tol"))
+    _emit(res, "orlicz", "orlicz_average", {"value": result.value, "iterations": result.iterations,
+                                             "bracket": list(result.bracket)})
+    return 0
+
+
+def _cmd_bmo(res: Resolved) -> int:
+    grid = res.grid()
+    b = parse_function_spec(grid, res.get("b"))
+    family, cubes = _cubes_of(res, grid)
+    _emit(res, "bmo", "bmo_norm", {"norm": orlicz.bmo_norm(b, cubes), "family": family})
+    return 0
+
+
+def _cmd_ap(res: Resolved) -> int:
+    grid = res.grid()
+    w, p = parse_function_spec(grid, res.get("w")), res.get("p")
+    family, cubes = _cubes_of(res, grid)
+    report = weights.ap_constant(w, p, cubes, family=family)
+    _emit(res, "ap", "ap_constant", io.bump_report_dict(report, grid))
+    return 0
+
+
+def _cmd_bump(res: Resolved) -> int:
+    grid = res.grid()
+    u, v = _weight_pair(res, grid)
+    p, delta, preset = res.get("p"), res.get("delta"), res.get("preset")
+    a_left, a_right = res.get("a_left"), res.get("a_right")
+    if a_left is not None or a_right is not None:
+        if preset != "custom":
+            raise ValueError("explicit a_left/a_right require --preset custom")
+        if a_right is None:
+            raise ValueError("--preset custom requires --a-right")
+        left = None if a_left in (None, "avg") else float(a_left)
+        res.record("a_left", left)
+        spec = weights.BumpSpec.custom(p, left, a_right, delta)
+    elif preset == "custom":
+        raise ValueError("--preset custom requires --a-left and --a-right")
+    else:
+        spec = weights.BumpSpec.from_preset(preset, p, delta)
+    family, cubes = _cubes_of(res, grid)
+    report = weights.bump_constant(weights.WeightPair(u, v), spec, cubes, family=family)
+    _emit(res, "bump", "bump_constant", io.bump_report_dict(report, grid))
+    return 0
+
+
+def _cmd_weights_gen(res: Resolved) -> int:
+    grid = res.grid()
+    u = parse_function_spec(grid, res.get("u"))
+    k = res.get("k")
+    v = weights.iterate_maximal(u, k)
+    outdir = Path(res.get("out"))
+    io.write_grid_function_csv(u, outdir / "weights_u.csv")
+    io.write_grid_function_csv(v, outdir / "weights_v.csv")
+    _emit(res, "weights", "weights_gen", {
+        "k": k, "u_csv": "weights_u.csv", "v_csv": "weights_v.csv",
+        "v_min": float(np.min(v.values)), "v_max": float(np.max(v.values))})
+    return 0
+
+
+def _cmd_op_apply(res: Resolved) -> int:
+    grid = res.grid()
+    op = res.get("op")
+    f = parse_function_spec(grid, res.get("f"))
+    if op == "M":
+        out = operators.maximal_fn(f)
+    elif op == "Teta":
+        out = operators.apply_truncated(f, _trunc_of(res, grid))
+    elif op == "Tsharp":
+        res.get("kernel")
+        out = operators.maximal_truncation(f)
+    else:  # "commutator": the option's choices allow nothing else
+        b = parse_function_spec(grid, res.get("b"))
+        out = operators.commutator(b, f, _trunc_of(res, grid))
+    io.write_grid_function_csv(out, Path(res.get("out")) / "op_apply.csv")
+    _emit(res, "op_apply", "op_apply", {"op": op, "csv": "op_apply.csv",
+                                        "max_abs": float(np.max(np.abs(out.values)))})
+    return 0
+
+
+def _cmd_probe_kr(res: Resolved) -> int:
+    grid = res.grid()
+    u, v = _weight_pair(res, grid)
+    b = parse_function_spec(grid, res.get("b"))
+    p, trunc = res.get("p"), _trunc_of(res, grid)
+    count, seed = res.get("count"), res.get("seed")
+    N_list, shifts = res.get("N_list"), res.get("shift_list")
+    sample = compactness.sample_unit_ball(v, p, count, seed)
+    report = compactness.kr_probe(sample, b, trunc, u, p, N_list, shifts)
+    outdir = Path(res.get("out"))
+    io.write_curve_csv(outdir / "probe_kr_tail.csv", ("N", "tail"), report.tail_curve)
+    io.write_curve_csv(outdir / "probe_kr_modulus.csv", ("h", "modulus"),
+                       report.modulus_curve)
+    _emit(res, "probe_kr", "kr_probe", io.kr_report_dict(report))
+    return 0
+
+
+def _cmd_probe_svd(res: Resolved) -> int:
+    grid = res.grid()
+    u, v = _weight_pair(res, grid)
+    b = parse_function_spec(grid, res.get("b"))
+    trunc, K_list = _trunc_of(res, grid), res.get("K_list")
+    matrix = compactness.operator_matrix(b, trunc, u, v)
+    report = compactness.spectral_report(matrix, K_list, grid.cells)
+    _write_sigma(res, "probe_svd_sigma.csv", report.singular_values)
+    _emit(res, "probe_svd", "spectral_probe", io.spectral_report_dict(report))
+    return 0
+
+
+def _cmd_compare(res: Resolved) -> int:
+    grid = res.grid()
+    u, v = _weight_pair(res, grid)
+    b_cmo = parse_function_spec(grid, res.get("b_cmo"))
+    b_bmo = parse_function_spec(grid, res.get("b_bmo"))
+    trunc, K_list = _trunc_of(res, grid), res.get("K_list")
+    cmp = compactness.decay_compare(b_cmo, b_bmo, trunc, u, v, K_list)
+    for tag, rep in (("smooth", cmp.smooth), ("spike", cmp.spike)):
+        _write_sigma(res, f"compare_sigma_{tag}.csv", rep.singular_values)
+    _emit(res, "compare", "decay_compare", io.decay_comparison_dict(cmp))
+    return 0
+
+
+# option tables: every option of every (sub)command, declared once
+
+_COMMON = (
+    Opt("grid.L", "number", gt=0, help="grid half-width"),
+    Opt("grid.m", "integer", ge=4, help="grid cells (power of two)"),
+    Opt("output.dir", "string", default=".", dest="out", help="output directory"),
+)
+_U = Opt("weights.u", "string", help="u weight spec")
+_V = Opt("weights.v", "string", help="v weight spec (supports M<k>:u)")
+_B = Opt("symbol.b", "string", help="symbol spec")
+_F = Opt("function.f", "string", help="function spec")
+_P = Opt("bump.p", "number", default=2.0, gt=1)
+_CUBES = Opt("cubes", "string", default="dyadic+shifted", choices=("dyadic", "dyadic+shifted"))
+_ETA = Opt("operator.eta_cells", "integer", default=8, ge=2)
+_KERNEL = Opt("operator.kernel", "string", default="hilbert", choices=("hilbert",), help=None)
+_K_LIST = Opt("probes.spectral.K_list", "integer[]", default=lambda grid: [grid.cells // 8],
+              ge=1, help="comma-separated spectral indices")
+
+# command -> (help, {action word (None: the command takes none) -> (handler, options)})
+_COMMANDS = {
+    "orlicz": ("one Orlicz average", {None: (_cmd_orlicz, (
+        _F,
+        Opt("orlicz.p", "number", default=2.0, gt=1),
+        Opt("orlicz.a", "number", default=0.0, ge=0),
+        Opt("orlicz.cube", "string", default=lambda grid: f"0,{grid.cells}",
+            help="i0,n_cells (default: whole grid)"),
+        Opt("orlicz.rel_tol", "number", default=1e-10, gt=0),
+    ))}),
+    "bmo": ("BMO norm over a cube family", {None: (_cmd_bmo, (_B, _CUBES))}),
+    "ap": ("A_p constant", {None: (_cmd_ap, (
+        Opt("weights.w", "string", help="weight spec"), _P, _CUBES,
+    ))}),
+    "bump": ("two-weight bump constant", {None: (_cmd_bump, (
+        _U, _V, _P,
+        Opt("bump.delta", "number", default=1.0, gt=0),
+        Opt("bump.preset", "string", default="comm", choices=("max", "czo", "comm", "custom")),
+        Opt("bump.a_left", "string|number|null", help="custom left exponent or 'avg'"),
+        Opt("bump.a_right", "number|null"),
+        _CUBES,
+    ))}),
+    "weights": ("emit u and M^k u as CSV", {"gen": (_cmd_weights_gen, (
+        _U, Opt("weights.k", "integer", default=5, ge=1, help="maximal iterations"),
+    ))}),
+    "op": ("apply an operator to a function", {"apply": (_cmd_op_apply, (
+        Opt("operator.op", "string", choices=("M", "Teta", "Tsharp", "commutator")),
+        _F, _B, _ETA, _KERNEL,
+    ))}),
+    "probe": ("kr or svd probes", {
+        "kr": (_cmd_probe_kr, (
+            _B, _U, _V, _P, _ETA, _KERNEL,
+            Opt("probes.kr.count", "integer", default=32, ge=1),
+            Opt("probes.kr.seed", "integer", default=0),
+            Opt("probes.kr.N_list", "number[]", help="comma-separated radii",
+                default=lambda grid: [grid.half_width / 4, grid.half_width / 2]),
+            Opt("probes.kr.shift_list", "integer[]", default=[1, 2, 4],
+                help="comma-separated cell shifts"),
+        )),
+        "svd": (_cmd_probe_svd, (_B, _U, _V, _ETA, _KERNEL, _K_LIST)),
+    }),
+    "compare": ("paired singular-value decay", {None: (_cmd_compare, (
+        Opt("symbol.b_cmo", "string", default="bump:0,0.5", help="smooth symbol spec"),
+        Opt("symbol.b_bmo", "string", default="logspike:0.01", help="rough symbol spec"),
+        _U, _V, _ETA, _KERNEL, _K_LIST,
+    ))}),
+}
+
+
+def _command_options(actions: dict) -> list[Opt]:
+    """The common options, then each action's options, first declaration first."""
+    merged = {opt.name: opt for opt in _COMMON}
+    for _, options in actions.values():
+        for opt in options:
+            merged.setdefault(opt.name, opt)
+    return list(merged.values())
+
+
+_CONFIG_OPTIONS = {opt.path: opt for _, actions in _COMMANDS.values()
+                   for opt in _command_options(actions)}
+
+
+def validate_config(data) -> None:
+    """Raise ValueError unless ``data`` is a valid config.
+
+    A config is a JSON object. Each option path it holds must lead through
+    JSON objects to a value of that option's type, choices and bound. Keys
+    that name no option are ignored.
+    """
+    if not isinstance(data, dict):
+        raise ValueError("config must be a JSON object")
+    for path, opt in _CONFIG_OPTIONS.items():
+        node, keys = data, path.split(".")
+        for depth, key in enumerate(keys):
+            if not isinstance(node, dict):
+                raise ValueError(f"{'.'.join(keys[:depth])} must be a JSON object")
+            if key not in node:
+                break
+            node = node[key]
+        else:
+            opt.check(node, path)
 
 
 def _load_config(path: str | None) -> dict:
@@ -234,238 +507,10 @@ def _load_config(path: str | None) -> dict:
         return {}
     with open(path) as fh:
         data = json.load(fh)
-    if "config" in data and isinstance(data["config"], dict):
+    if isinstance(data, dict) and isinstance(data.get("config"), dict):
         data = data["config"]  # accept a previously emitted report
-    import jsonschema
-
-    jsonschema.validate(data, CONFIG_SCHEMA)
+    validate_config(data)
     return data
-
-
-def _int_list(text) -> list[int]:
-    if isinstance(text, list):
-        return [int(v) for v in text]
-    return [int(v) for v in str(text).split(",") if v != ""]
-
-
-def _float_list(text) -> list[float]:
-    if isinstance(text, list):
-        return [float(v) for v in text]
-    return [float(v) for v in str(text).split(",") if v != ""]
-
-
-def _grid_of(res: Resolved) -> Grid:
-    L = float(res.get("L", ("grid", "L"), required=True))
-    m = int(res.get("m", ("grid", "m"), required=True))
-    return Grid(L, m)
-
-
-def _outdir(res: Resolved) -> Path:
-    return Path(res.get("out", ("output", "dir"), default="."))
-
-
-def _cubes_of(res: Resolved, grid: Grid) -> tuple[str, list[Cube]]:
-    name = res.get("cubes", ("cubes",), default="dyadic+shifted")
-    return name, cube_family(grid, name)
-
-
-def _trunc_of(res: Resolved, grid: Grid) -> operators.TruncationSpec:
-    eta_cells = int(res.get("eta_cells", ("operator", "eta_cells"), default=8))
-    if eta_cells < 2:
-        raise ValueError("eta_cells must be >= 2")
-    res.record(("operator", "kernel"), "hilbert")
-    return operators.TruncationSpec(eta_cells * grid.h)
-
-
-def _weight_pair(res: Resolved, grid: Grid) -> tuple[GridFunction, GridFunction]:
-    u_spec = res.get("u", ("weights", "u"), required=True)
-    v_spec = res.get("v", ("weights", "v"), required=True)
-    u = parse_function_spec(grid, u_spec)
-    v = parse_function_spec(grid, v_spec, env={"u": u})
-    return u, v
-
-
-def _emit(res: Resolved, outdir: Path, name: str, kind: str, result: dict) -> None:
-    io.write_json(outdir / f"{name}.json",
-                  {"kind": kind, "result": result, "config": res.snapshot()})
-
-
-# ---------------------------------------------------------------------------
-# subcommands
-
-
-def _cmd_orlicz(res: Resolved) -> int:
-    grid = _grid_of(res)
-    f = parse_function_spec(grid, res.get("f", ("function", "f"), required=True))
-    p = float(res.get("p", ("orlicz", "p"), default=2.0))
-    a = float(res.get("a", ("orlicz", "a"), default=0.0))
-    cube_arg = res.get("cube", ("orlicz", "cube"), default=f"0,{grid.cells}")
-    i0, n = _int_list(cube_arg)
-    rel_tol = float(res.get("rel_tol", ("orlicz", "rel_tol"), default=1e-10))
-    result = orlicz.orlicz_average(f, Cube(i0, n), orlicz.YoungFunction(p, a), rel_tol)
-    _emit(res, _outdir(res), "orlicz", "orlicz_average", {
-        "value": result.value,
-        "iterations": result.iterations,
-        "bracket": list(result.bracket),
-    })
-    return 0
-
-
-def _cmd_bmo(res: Resolved) -> int:
-    grid = _grid_of(res)
-    b = parse_function_spec(grid, res.get("b", ("symbol", "b"), required=True))
-    family, cubes = _cubes_of(res, grid)
-    _emit(res, _outdir(res), "bmo", "bmo_norm", {
-        "norm": orlicz.bmo_norm(b, cubes),
-        "family": family,
-    })
-    return 0
-
-
-def _cmd_ap(res: Resolved) -> int:
-    grid = _grid_of(res)
-    w = parse_function_spec(grid, res.get("w", ("weights", "w"), required=True))
-    p = float(res.get("p", ("bump", "p"), default=2.0))
-    family, cubes = _cubes_of(res, grid)
-    report = weights.ap_constant(w, p, cubes, family=family)
-    _emit(res, _outdir(res), "ap", "ap_constant", io.bump_report_dict(report, grid))
-    return 0
-
-
-def _cmd_bump(res: Resolved) -> int:
-    grid = _grid_of(res)
-    u, v = _weight_pair(res, grid)
-    p = float(res.get("p", ("bump", "p"), default=2.0))
-    delta = float(res.get("delta", ("bump", "delta"), default=1.0))
-    preset = res.get("preset", ("bump", "preset"), default="comm")
-    a_left = res.get("a_left", ("bump", "a_left"))
-    a_right = res.get("a_right", ("bump", "a_right"))
-    if a_left is not None or a_right is not None:
-        if preset != "custom":
-            raise ValueError("explicit a_left/a_right require --preset custom")
-        if a_right is None:
-            raise ValueError("--preset custom requires --a-right")
-        left = None if a_left in (None, "avg") else float(a_left)
-        res.record(("bump", "a_left"), left)
-        spec = weights.BumpSpec.custom(p, left, float(a_right), delta)
-    elif preset == "custom":
-        raise ValueError("--preset custom requires --a-left and --a-right")
-    else:
-        spec = weights.BumpSpec.from_preset(preset, p, delta)
-    family, cubes = _cubes_of(res, grid)
-    report = weights.bump_constant(weights.WeightPair(u, v), spec, cubes, family=family)
-    _emit(res, _outdir(res), "bump", "bump_constant", io.bump_report_dict(report, grid))
-    return 0
-
-
-def _cmd_weights_gen(res: Resolved) -> int:
-    grid = _grid_of(res)
-    u = parse_function_spec(grid, res.get("u", ("weights", "u"), required=True))
-    k = int(res.get("k", ("weights", "k"), default=5))
-    v = weights.iterate_maximal(u, k)
-    outdir = _outdir(res)
-    io.write_grid_function_csv(u, outdir / "weights_u.csv")
-    io.write_grid_function_csv(v, outdir / "weights_v.csv")
-    _emit(res, outdir, "weights", "weights_gen", {
-        "k": k,
-        "u_csv": "weights_u.csv",
-        "v_csv": "weights_v.csv",
-        "v_min": float(np.min(v.values)),
-        "v_max": float(np.max(v.values)),
-    })
-    return 0
-
-
-def _cmd_op_apply(res: Resolved) -> int:
-    grid = _grid_of(res)
-    op = res.get("op", ("operator", "op"), required=True)
-    f = parse_function_spec(grid, res.get("f", ("function", "f"), required=True))
-    outdir = _outdir(res)
-    if op == "M":
-        out = operators.maximal_fn(f)
-    elif op == "Teta":
-        out = operators.apply_truncated(f, _trunc_of(res, grid))
-    elif op == "Tsharp":
-        res.record(("operator", "kernel"), "hilbert")
-        out = operators.maximal_truncation(f)
-    elif op == "commutator":
-        b = parse_function_spec(grid, res.get("b", ("symbol", "b"), required=True))
-        out = operators.commutator(b, f, _trunc_of(res, grid))
-    else:
-        raise ValueError(f"unknown operator {op!r} (M, Teta, Tsharp, commutator)")
-    io.write_grid_function_csv(out, outdir / "op_apply.csv")
-    _emit(res, outdir, "op_apply", "op_apply", {
-        "op": op,
-        "csv": "op_apply.csv",
-        "max_abs": float(np.max(np.abs(out.values))),
-    })
-    return 0
-
-
-def _cmd_probe_kr(res: Resolved) -> int:
-    grid = _grid_of(res)
-    u, v = _weight_pair(res, grid)
-    b = parse_function_spec(grid, res.get("b", ("symbol", "b"), required=True))
-    p = float(res.get("p", ("bump", "p"), default=2.0))
-    trunc = _trunc_of(res, grid)
-    count = int(res.get("count", ("probes", "kr", "count"), default=32))
-    seed = int(res.get("seed", ("probes", "kr", "seed"), default=0))
-    N_list = _float_list(res.get("N_list", ("probes", "kr", "N_list"),
-                                 default=[grid.half_width / 4, grid.half_width / 2]))
-    shifts = _int_list(res.get("shift_list", ("probes", "kr", "shift_list"),
-                               default=[1, 2, 4]))
-    res.record(("probes", "kr", "N_list"), N_list)
-    res.record(("probes", "kr", "shift_list"), shifts)
-    sample = compactness.sample_unit_ball(v, p, count, seed)
-    report = compactness.kr_probe(sample, b, trunc, u, p, N_list, shifts)
-    outdir = _outdir(res)
-    io.write_curve_csv(outdir / "probe_kr_tail.csv", ("N", "tail"), report.tail_curve)
-    io.write_curve_csv(outdir / "probe_kr_modulus.csv", ("h", "modulus"),
-                       report.modulus_curve)
-    _emit(res, outdir, "probe_kr", "kr_probe", io.kr_report_dict(report))
-    return 0
-
-
-def _cmd_probe_svd(res: Resolved) -> int:
-    grid = _grid_of(res)
-    u, v = _weight_pair(res, grid)
-    b = parse_function_spec(grid, res.get("b", ("symbol", "b"), required=True))
-    trunc = _trunc_of(res, grid)
-    K_list = _int_list(res.get("K_list", ("probes", "spectral", "K_list"),
-                               default=[grid.cells // 8]))
-    res.record(("probes", "spectral", "K_list"), K_list)
-    matrix = compactness.operator_matrix(b, trunc, u, v)
-    report = compactness.spectral_report(matrix, K_list, grid.cells)
-    outdir = _outdir(res)
-    io.write_curve_csv(outdir / "probe_svd_sigma.csv", ("k", "sigma"),
-                       [(float(i + 1), float(s))
-                        for i, s in enumerate(report.singular_values)])
-    _emit(res, outdir, "probe_svd", "spectral_probe", io.spectral_report_dict(report))
-    return 0
-
-
-def _cmd_compare(res: Resolved) -> int:
-    grid = _grid_of(res)
-    u, v = _weight_pair(res, grid)
-    b_cmo = parse_function_spec(grid, res.get("b_cmo", ("symbol", "b_cmo"),
-                                              default="bump:0,0.5"))
-    b_bmo = parse_function_spec(grid, res.get("b_bmo", ("symbol", "b_bmo"),
-                                              default="logspike:0.01"))
-    trunc = _trunc_of(res, grid)
-    K_list = _int_list(res.get("K_list", ("probes", "spectral", "K_list"),
-                               default=[grid.cells // 8]))
-    res.record(("probes", "spectral", "K_list"), K_list)
-    cmp = compactness.decay_compare(b_cmo, b_bmo, trunc, u, v, K_list)
-    outdir = _outdir(res)
-    for tag, rep in (("smooth", cmp.smooth), ("spike", cmp.spike)):
-        io.write_curve_csv(outdir / f"compare_sigma_{tag}.csv", ("k", "sigma"),
-                           [(float(i + 1), float(s))
-                            for i, s in enumerate(rep.singular_values)])
-    _emit(res, outdir, "compare", "decay_compare", io.decay_comparison_dict(cmp))
-    return 0
-
-
-# ---------------------------------------------------------------------------
 
 
 def build_parser() -> _Parser:
@@ -473,100 +518,51 @@ def build_parser() -> _Parser:
                      description="Two-weight bump constants and compactness probes")
     parser.add_argument("--config", help="JSON config file (or a previous report)")
     sub = parser.add_subparsers(dest="command")
-
-    def add(name, func, **kwargs):
-        p = sub.add_parser(name, **kwargs)
-        p.set_defaults(func=func)
-        p.add_argument("--L", type=float, help="grid half-width")
-        p.add_argument("--m", type=int, help="grid cells (power of two)")
-        p.add_argument("--out", help="output directory")
-        return p
-
-    p = add("orlicz", _cmd_orlicz, help="one Orlicz average")
-    p.add_argument("--f", help="function spec")
-    p.add_argument("--p", type=float)
-    p.add_argument("--a", type=float)
-    p.add_argument("--cube", help="i0,n_cells (default: whole grid)")
-    p.add_argument("--rel-tol", dest="rel_tol", type=float)
-
-    p = add("bmo", _cmd_bmo, help="BMO norm over a cube family")
-    p.add_argument("--b", help="symbol spec")
-    p.add_argument("--cubes", choices=["dyadic", "dyadic+shifted"])
-
-    p = add("ap", _cmd_ap, help="A_p constant")
-    p.add_argument("--w", help="weight spec")
-    p.add_argument("--p", type=float)
-    p.add_argument("--cubes", choices=["dyadic", "dyadic+shifted"])
-
-    p = add("bump", _cmd_bump, help="two-weight bump constant")
-    p.add_argument("--u", help="u weight spec")
-    p.add_argument("--v", help="v weight spec (supports M<k>:u)")
-    p.add_argument("--p", type=float)
-    p.add_argument("--delta", type=float)
-    p.add_argument("--preset", choices=["max", "czo", "comm", "custom"])
-    p.add_argument("--a-left", dest="a_left", help="custom left exponent or 'avg'")
-    p.add_argument("--a-right", dest="a_right", type=float)
-    p.add_argument("--cubes", choices=["dyadic", "dyadic+shifted"])
-
-    p = add("weights", _cmd_weights_gen, help="emit u and M^k u as CSV")
-    p.add_argument("action", choices=["gen"])
-    p.add_argument("--u", help="u weight spec")
-    p.add_argument("--k", type=int, help="maximal iterations")
-
-    p = add("op", _cmd_op_apply, help="apply an operator to a function")
-    p.add_argument("action", choices=["apply"])
-    p.add_argument("--op", choices=["M", "Teta", "Tsharp", "commutator"])
-    p.add_argument("--f", help="function spec")
-    p.add_argument("--b", help="symbol spec (commutator only)")
-    p.add_argument("--eta-cells", dest="eta_cells", type=int)
-
-    p = add("probe", None, help="kr or svd probes")
-    p.add_argument("action", choices=["kr", "svd"])
-    p.add_argument("--b", help="symbol spec")
-    p.add_argument("--u", help="u weight spec")
-    p.add_argument("--v", help="v weight spec (supports M<k>:u)")
-    p.add_argument("--p", type=float)
-    p.add_argument("--eta-cells", dest="eta_cells", type=int)
-    p.add_argument("--count", type=int)
-    p.add_argument("--seed", type=int)
-    p.add_argument("--N-list", dest="N_list", help="comma-separated radii")
-    p.add_argument("--shift-list", dest="shift_list", help="comma-separated cell shifts")
-    p.add_argument("--K-list", dest="K_list", help="comma-separated spectral indices")
-
-    p = add("compare", _cmd_compare, help="paired singular-value decay")
-    p.add_argument("--b-cmo", dest="b_cmo", help="smooth symbol spec")
-    p.add_argument("--b-bmo", dest="b_bmo", help="rough symbol spec")
-    p.add_argument("--u", help="u weight spec")
-    p.add_argument("--v", help="v weight spec (supports M<k>:u)")
-    p.add_argument("--eta-cells", dest="eta_cells", type=int)
-    p.add_argument("--K-list", dest="K_list", help="comma-separated spectral indices")
-
+    for name, (help_text, actions) in _COMMANDS.items():
+        p = sub.add_parser(name, help=help_text)
+        p.set_defaults(command_parser=p)
+        if None not in actions:
+            p.add_argument("action", choices=list(actions))
+        for opt in _command_options(actions):
+            if opt.help is not None:
+                p.add_argument(opt.flag, dest=opt.name, help=opt.help or None,
+                               type=_FLAG_TYPES.get(opt.type.split("|")[0]),
+                               choices=opt.choices or None)
     return parser
+
+
+def _action_of(args: argparse.Namespace):
+    """The handler and options of the parsed command; a flag it never reads is a usage error."""
+    actions = _COMMANDS[args.command][1]
+    action = getattr(args, "action", None)
+    func, options = actions[action]
+    for opt in _command_options(actions):
+        if opt not in (*_COMMON, *options) and getattr(args, opt.name) is not None:
+            args.command_parser.error(f"{args.command} {action} does not read {opt.flag}")
+    return func, (*_COMMON, *options)
 
 
 def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     try:
         args = parser.parse_args(argv)
-    except UsageError:
+        if args.command is None:
+            parser.error("a subcommand is required")
+        func, options = _action_of(args)
+    except UsageError as exc:
+        print(f"error: {exc}", file=sys.stderr)
         return _USAGE_EXIT
-    if args.command is None:
-        parser.print_usage(sys.stderr)
-        return _USAGE_EXIT
-    func = args.func
-    if args.command == "probe":
-        func = _cmd_probe_kr if args.action == "kr" else _cmd_probe_svd
 
     try:
         config = _load_config(args.config)
     except (OSError, json.JSONDecodeError) as exc:
         print(f"error: cannot read config: {exc}", file=sys.stderr)
         return _VALIDATION_EXIT
-    except Exception as exc:  # jsonschema.ValidationError
+    except ValueError as exc:
         print(f"error: invalid config: {exc}", file=sys.stderr)
         return _VALIDATION_EXIT
 
-    res = Resolved(config, args)
+    res = Resolved(config, args, options)
     try:
         return func(res)
     except _NONCONVERGENCE as exc:

@@ -1,3 +1,4 @@
+import copy
 import csv
 import json
 import os
@@ -8,11 +9,13 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import bumplab
 from bumplab import compactness, iterate_maximal, make_grid
-from bumplab.cli import main, parse_function_spec
+from bumplab.cli import main, parse_function_spec, validate_config
 from bumplab.io import read_grid_function_csv
+from config_oracle import CONFIG_SCHEMA
 
 
 def run(args):
@@ -29,7 +32,7 @@ def test_unknown_subcommand_exits_1(capsys):
     assert "usage" in capsys.readouterr().err
 
 
-def test_validation_error_exits_2(tmp_path):
+def test_validation_error_exits_2(tmp_path, capsys):
     assert run(["ap", "--w", "power:0.5", "--p", "2", "--L", "1", "--m", "13",
                 "--out", tmp_path]) == 2
     assert run(["ap", "--w", "nosuch:1", "--p", "2", "--L", "1", "--m", "16",
@@ -39,6 +42,43 @@ def test_validation_error_exits_2(tmp_path):
                 "--out", tmp_path]) == 2  # overrides demand preset custom
     assert run(["bump", "--u", "const:1", "--v", "const:1", "--preset", "max", "--p", "1",
                 "--L", "1", "--m", "16", "--out", tmp_path]) == 2  # p' would divide by 0
+    capsys.readouterr()
+    for cube in ("5", "0,16,3"):  # --cube takes exactly i0,n_cells
+        assert run(["orlicz", "--f", "const:1", "--cube", cube, "--L", "1", "--m", "16",
+                    "--out", tmp_path]) == 2
+        err = capsys.readouterr().err
+        assert "--cube" in err and "i0,n_cells" in err and "unpack" not in err
+
+
+_KR = ["probe", "kr", "--b", "bump:0,0.5", "--u", "const:1", "--v", "const:1", "--p", "2",
+       "--count", "2", "--N-list", "0.5", "--shift-list", "1", "--eta-cells", "8",
+       "--L", "1", "--m", "16"]
+
+
+@pytest.mark.parametrize("flag, value, cfg", [
+    ("--eta-cells", 1, {"operator": {"eta_cells": 1}}),
+    ("--m", 2, {"grid": {"m": 2}}),
+    ("--count", 0, {"probes": {"kr": {"count": 0}}}),
+    ("--p", 1, {"bump": {"p": 1}}),
+    ("--L", 0, {"grid": {"L": 0}}),
+])
+def test_out_of_bounds_exits_2_from_flag_or_config(tmp_path, flag, value, cfg):
+    i = _KR.index(flag)
+    assert run([*_KR[:i + 1], value, *_KR[i + 2:], "--out", tmp_path]) == 2
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps(cfg))
+    assert run(["--config", cfg_path, *_KR[:i], *_KR[i + 2:], "--out", tmp_path]) == 2
+
+
+@pytest.mark.parametrize("action, flag, value", [
+    ("svd", "--count", "3"), ("svd", "--seed", "1"), ("svd", "--N-list", "0.5"),
+    ("svd", "--shift-list", "1"), ("svd", "--p", "2"), ("kr", "--K-list", "2"),
+])
+def test_probe_action_rejects_unread_flag_exits_1(tmp_path, capsys, action, flag, value):
+    assert run(["probe", action, flag, value, "--b", "bump:0,0.5", "--u", "const:1",
+                "--v", "const:1", "--L", "1", "--m", "16", "--out", tmp_path]) == 1
+    assert f"probe {action} does not read {flag}" in capsys.readouterr().err
+    assert not list(tmp_path.iterdir())
 
 
 def test_nonconvergence_exits_3(tmp_path):
@@ -81,17 +121,48 @@ def test_probe_kr_rerun_is_byte_identical(tmp_path):
         assert (tmp_path / name).read_bytes() == data
 
 
-def test_report_config_roundtrip(tmp_path):
-    args = ["probe", "kr", "--seed", "3", "--b", "bump:0,0.5",
-            "--u", "const:1", "--v", "const:1",
-            "--L", "4", "--m", "128", "--eta-cells", "16",
-            "--N-list", "1.5", "--shift-list", "1", "--out", tmp_path]
-    assert run(args) == 0
-    report_path = tmp_path / "probe_kr.json"
-    first = report_path.read_bytes()
+_UV = ("--u", "const:1+gaussian:0,0.3", "--v", "M2:u")
+_ROUNDTRIP = {
+    "orlicz": ["orlicz", "--f", "const:1+gaussian:0,0.3", "--cube", "4,8", "--a", "1"],
+    "bmo": ["bmo", "--b", "logspike:0.01", "--cubes", "dyadic"],
+    "ap": ["ap", "--w", "power:0.5", "--p", "3"],
+    "bump-preset": ["bump", "--preset", "czo", "--delta", "0.5", *_UV],
+    "bump-custom": ["bump", "--preset", "custom", "--a-left", "avg", "--a-right", "1.5", *_UV],
+    "weights-gen": ["weights", "gen", "--u", "indicator:-1,1", "--k", "2"],
+    "op-apply-M": ["op", "apply", "--op", "M", "--f", "indicator:0,1"],
+    "op-apply-Teta": ["op", "apply", "--op", "Teta", "--f", "indicator:0,1", "--eta-cells", "4"],
+    "op-apply-Tsharp": ["op", "apply", "--op", "Tsharp", "--f", "indicator:0,1"],
+    "op-apply-commutator": ["op", "apply", "--op", "commutator", "--b", "bump:0,0.5",
+                            "--f", "indicator:0,1", "--eta-cells", "4"],
+    "probe-kr": ["probe", "kr", "--seed", "3", "--b", "bump:0,0.5", "--u", "const:1",
+                 "--v", "const:1", "--eta-cells", "16", "--N-list", "1.5", "--shift-list", "1"],
+    "probe-svd": ["probe", "svd", "--b", "bump:0,0.5", *_UV, "--eta-cells", "8",
+                  "--K-list", "4,8"],
+    "compare": ["compare", "--b-bmo", "logspike:0.02", *_UV, "--K-list", "8"],
+}
+
+
+@pytest.mark.parametrize("case", list(_ROUNDTRIP))
+def test_report_config_roundtrip(tmp_path, case):
+    argv = _ROUNDTRIP[case]
+    assert run([*argv, "--L", "4", "--m", "64", "--out", tmp_path]) == 0
+    first = {f.name: f.read_bytes() for f in tmp_path.iterdir()}
+    (report_path,) = [tmp_path / name for name in first if name.endswith(".json")]
+    words = argv[:2] if argv[0] in ("weights", "op", "probe") else argv[:1]
     # feed the emitted report back as the config; no flags beyond the path
-    assert run(["--config", report_path, "probe", "kr"]) == 0
-    assert report_path.read_bytes() == first
+    assert run(["--config", report_path, *words]) == 0
+    assert {f.name: f.read_bytes() for f in tmp_path.iterdir()} == first
+
+
+def test_hand_written_config_records_scalars_as_given(tmp_path):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"grid": {"L": 1, "m": 16}, "bump": {"p": 2}}))
+    out = tmp_path / "out"
+    assert run(["--config", cfg, "ap", "--w", "power:0.5", "--out", out]) == 0
+    text = (out / "ap.json").read_text()
+    assert '"L": 1,' in text and '"p": 2\n' in text
+    assert run(["--config", out / "ap.json", "ap"]) == 0
+    assert (out / "ap.json").read_text() == text
 
 
 def test_config_schema_rejects_bad_file(tmp_path):
@@ -100,6 +171,121 @@ def test_config_schema_rejects_bad_file(tmp_path):
     assert run(["--config", bad, "bmo", "--b", "const:1"]) == 2
     bad.write_text("{not json")
     assert run(["--config", bad, "bmo", "--b", "const:1"]) == 2
+
+
+@pytest.mark.parametrize("text", ["3", "[1]", '"grid"', "null"])
+def test_non_object_config_exits_2(tmp_path, capsys, text):
+    bad = tmp_path / "cfg.json"
+    bad.write_text(text)
+    assert run(["--config", bad, "bmo", "--b", "const:1", "--L", "1", "--m", "16",
+                "--out", tmp_path]) == 2
+    assert "config must be a JSON object" in capsys.readouterr().err
+
+
+# Wrong values of every JSON kind: the probes' background, and the junk that
+# replaces a section or the whole config.
+_LEAVES = st.one_of(
+    st.none(), st.booleans(), st.integers(-2, 6),
+    st.floats(-2, 6, allow_nan=False, allow_infinity=False),
+    st.sampled_from([0.0, 1.0, 2.0, 4.0, 3.5]),
+    st.sampled_from(["", "x", "avg", "hilbert", "dyadic", "max", "custom", "Teta", "0,16"]),
+)
+_JUNK = st.one_of(_LEAVES, st.lists(_LEAVES, max_size=3),
+                  st.dictionaries(st.sampled_from(["L", "p", "zz"]), _LEAVES, max_size=2))
+
+
+def _schema_paths(schema, prefix=()):
+    """(sections, leaves): the object paths of ``schema``, and (path, schema) per leaf."""
+    sections, leaves = [], []
+    for key, sub in schema["properties"].items():
+        if "properties" in sub:
+            more = _schema_paths(sub, prefix + (key,))
+            sections += [prefix + (key,), *more[0]]
+            leaves += more[1]
+        else:
+            leaves.append((prefix + (key,), sub))
+    return sections, leaves
+
+
+def _valid(leaf):
+    if "enum" in leaf:
+        return st.sampled_from(leaf["enum"])
+    types = leaf["type"] if isinstance(leaf["type"], list) else [leaf["type"]]
+    if types == ["array"]:
+        return st.lists(_valid(leaf["items"]), max_size=3)
+    strict = "exclusiveMinimum" in leaf
+    low = leaf.get("minimum", leaf.get("exclusiveMinimum", -3))
+    kinds = {"integer": st.integers(low + strict, low + 6),
+             "number": st.floats(low, low + 6, exclude_min=strict),
+             "string": st.sampled_from(["x", "const:1"]), "null": st.none()}
+    return st.one_of([kinds[t] for t in types])
+
+
+def _probe(leaf):
+    """Values on or just off a leaf's bound and type, including bools, nulls,
+    integral floats and lists with one bad entry."""
+    low = leaf.get("minimum", leaf.get("exclusiveMinimum"))
+    options = [_LEAVES]
+    if low is not None:
+        options.append(st.sampled_from([low, float(low), low - 1, low + 1, low - 1e-9,
+                                        low + 1e-9, low + 0.5]))
+    if leaf.get("type") == "array":
+        options.append(st.builds(lambda good, bad: [*good, bad],
+                                 st.lists(_valid(leaf["items"]), max_size=2),
+                                 _probe(leaf["items"])))
+    return st.one_of(options)
+
+
+def _put(cfg, path, value):
+    for key in path[:-1]:
+        cfg = cfg.setdefault(key, {})
+    cfg[path[-1]] = value
+
+
+@st.composite
+def _configs(draw, schema):
+    """A valid config over random known paths, with at most one change: a
+    probed leaf, a section or the whole config replaced by junk, or an
+    unknown key."""
+    sections, leaves = _schema_paths(schema)
+    cfg = {}
+    for path, leaf in draw(st.lists(st.sampled_from(leaves), max_size=6)):
+        _put(cfg, path, draw(_valid(leaf)))
+    change = draw(st.sampled_from(["none", "leaf", "leaf", "leaf", "section", "unknown", "all"]))
+    if change == "leaf":
+        path, leaf = draw(st.sampled_from(leaves))
+        _put(cfg, path, draw(_probe(leaf)))
+    elif change == "section":
+        _put(cfg, draw(st.sampled_from(sections)), draw(_JUNK))
+    elif change == "unknown":
+        parent = draw(st.sampled_from([(), *sections]))
+        _put(cfg, (*parent, draw(st.sampled_from(["zz", "extra"]))), draw(_JUNK))
+    elif change == "all":
+        return draw(_JUNK)
+    return cfg
+
+
+def test_validator_matches_jsonschema_oracle():
+    jsonschema = pytest.importorskip("jsonschema")
+    schema = copy.deepcopy(CONFIG_SCHEMA)
+    del schema["properties"]["output"]["properties"]["formats"]  # dropped on purpose
+
+    @settings(max_examples=500, deadline=None)
+    @given(_configs(schema))
+    def check(cfg):
+        try:
+            jsonschema.validate(cfg, schema)
+            want = True
+        except jsonschema.ValidationError:
+            want = False
+        try:
+            validate_config(cfg)
+            got = True
+        except ValueError:
+            got = False
+        assert got == want, cfg
+
+    check()
 
 
 def test_weights_gen_outputs(tmp_path):
