@@ -155,7 +155,8 @@ class Opt:
     such as "string|number|null", whose first member sets the flag's type and
     the conversion; or "number[]" / "integer[]", a list (comma-separated as a
     flag). ``gt`` / ``ge`` bound a number, or each list entry, from below.
-    ``default`` may be a callable of the grid; an option with no default is
+    ``default`` may be a callable of the ``Resolved`` view, for a default
+    that follows the grid or other options; an option with no default is
     required unless its type allows null. ``help=None`` declares a
     config-only option, with no flag.
     """
@@ -224,7 +225,7 @@ class Resolved:
             for key in opt.path.split("."):
                 val = val.get(key) if isinstance(val, dict) else None
         if val is None:
-            val = opt.default(self.grid()) if callable(opt.default) else opt.default
+            val = opt.default(self) if callable(opt.default) else opt.default
         if val is None and "null" not in opt.type:
             raise ValueError(f"missing required option {opt.flag} (config {opt.path})")
         convert = _CONVERT.get(opt.type.split("|")[0])
@@ -401,6 +402,16 @@ def _cmd_compare(res: Resolved) -> int:
     return 0
 
 
+def _default_shifts(res: Resolved) -> list[int]:
+    """The shifts of 1, 2 and 4 cells below eta/4, where the KR modulus applies."""
+    eta_cells = res.get("eta_cells")
+    shifts = [k for k in (1, 2, 4) if 4 * k < eta_cells]
+    if not shifts:
+        raise ValueError(f"--eta-cells {eta_cells} leaves no default shift below eta/4; "
+                         f"pass --shift-list or --eta-cells >= 5")
+    return shifts
+
+
 # option tables: every option of every (sub)command, declared once
 
 _COMMON = (
@@ -416,7 +427,7 @@ _P = Opt("bump.p", "number", default=2.0, gt=1)
 _CUBES = Opt("cubes", "string", default="dyadic+shifted", choices=("dyadic", "dyadic+shifted"))
 _ETA = Opt("operator.eta_cells", "integer", default=8, ge=2)
 _KERNEL = Opt("operator.kernel", "string", default="hilbert", choices=("hilbert",), help=None)
-_K_LIST = Opt("probes.spectral.K_list", "integer[]", default=lambda grid: [grid.cells // 8],
+_K_LIST = Opt("probes.spectral.K_list", "integer[]", default=lambda res: [res.grid().cells // 8],
               ge=1, help="comma-separated spectral indices")
 
 # command -> (help, {action word (None: the command takes none) -> (handler, options)})
@@ -425,7 +436,7 @@ _COMMANDS = {
         _F,
         Opt("orlicz.p", "number", default=2.0, gt=1),
         Opt("orlicz.a", "number", default=0.0, ge=0),
-        Opt("orlicz.cube", "string", default=lambda grid: f"0,{grid.cells}",
+        Opt("orlicz.cube", "string", default=lambda res: f"0,{res.grid().cells}",
             help="i0,n_cells (default: whole grid)"),
         Opt("orlicz.rel_tol", "number", default=1e-10, gt=0),
     ))}),
@@ -454,9 +465,11 @@ _COMMANDS = {
             Opt("probes.kr.count", "integer", default=32, ge=1),
             Opt("probes.kr.seed", "integer", default=0),
             Opt("probes.kr.N_list", "number[]", help="comma-separated radii",
-                default=lambda grid: [grid.half_width / 4, grid.half_width / 2]),
-            Opt("probes.kr.shift_list", "integer[]", default=[1, 2, 4],
-                help="comma-separated cell shifts"),
+                default=lambda res: [res.grid().half_width / 4,
+                                     res.grid().half_width / 2]),
+            Opt("probes.kr.shift_list", "integer[]", default=_default_shifts,
+                help="comma-separated cell shifts (default: those of 1,2,4 below "
+                     "eta-cells/4)"),
         )),
         "svd": (_cmd_probe_svd, (_B, _U, _V, _ETA, _KERNEL, _K_LIST)),
     }),

@@ -1,0 +1,38 @@
+"""Per-width reference for bumplab.operators.maximal_fn.
+
+This is the scan the package used before its dyadic divide and conquer: for
+each width n, the averages (P[a + n] - P[a]) / n over every start a, then for
+each cell the max over the starts whose window covers it. The running max is
+numpy alone (a doubling window max over the -inf-padded averages) where the
+package used a scipy filter; a ``sliding_window_view(...).max(axis=1)`` does
+the same in O(m n) per width and took 5.3 s against 0.21 s at m = 4096. The
+oracle evaluates the same floats as maximal_fn, so the two agree bit for bit.
+"""
+
+from __future__ import annotations
+
+import numpy as np
+
+from bumplab.grid import GridFunction
+
+
+def _window_max(x: np.ndarray, n: int) -> np.ndarray:
+    """max(x[a : a + n]) for every a, by doubling the window: O(len(x) log n)."""
+    w = 1
+    while 2 * w <= n:
+        x = np.maximum(x[:-w], x[w:])  # x[a] is now the max over a window of 2w
+        w *= 2
+    return np.maximum(x[: x.size - (n - w)], x[n - w:])
+
+
+def maximal_fn(f: GridFunction) -> np.ndarray:
+    m = f.grid.cells
+    af = np.abs(f.values)
+    prefix = np.concatenate(([0.0], np.cumsum(af)))
+    out = af.copy()  # width-1 intervals
+    for n in range(2, m + 1):
+        avgs = (prefix[n:] - prefix[:-n]) / n  # avgs[a]: cells [a, a + n)
+        pad = np.full(n - 1, -np.inf)
+        # window i of the padded averages holds the starts a in [i - n + 1, i]
+        np.maximum(out, _window_max(np.concatenate((pad, avgs, pad)), n), out=out)
+    return out

@@ -13,7 +13,7 @@ from hypothesis import given, settings, strategies as st
 
 import bumplab
 from bumplab import compactness, iterate_maximal, make_grid
-from bumplab.cli import main, parse_function_spec, validate_config
+from bumplab.cli import _COMMANDS, main, parse_function_spec, validate_config
 from bumplab.io import read_grid_function_csv
 from config_oracle import CONFIG_SCHEMA
 
@@ -119,6 +119,21 @@ def test_probe_kr_rerun_is_byte_identical(tmp_path):
     assert run(args) == 0
     for name, data in first.items():
         assert (tmp_path / name).read_bytes() == data
+
+
+def test_probe_kr_runs_on_its_default_shifts(tmp_path, capsys):
+    args = ["probe", "kr", "--b", "bump:0,0.5", "--u", "const:1+gaussian:0,0.3",
+            "--v", "M2:u", "--L", "1", "--m", "32", "--out", tmp_path]
+    assert run(args) == 0  # eta_cells defaults to 8: only shift 1 lies below eta/4
+    report = json.loads((tmp_path / "probe_kr.json").read_text())
+    assert report["config"]["probes"]["kr"]["shift_list"] == [1]
+    assert run([*args, "--eta-cells", "17", "--count", "2"]) == 0
+    report = json.loads((tmp_path / "probe_kr.json").read_text())
+    assert report["config"]["probes"]["kr"]["shift_list"] == [1, 2, 4]
+    capsys.readouterr()
+    assert run([*args, "--eta-cells", "4"]) == 2
+    err = capsys.readouterr().err
+    assert "--eta-cells 4 leaves no default shift" in err and "--shift-list" in err
 
 
 _UV = ("--u", "const:1+gaussian:0,0.3", "--v", "M2:u")
@@ -339,6 +354,20 @@ def test_cli_import_does_not_load_scipy():
     assert out.stdout.strip() == "[]"
 
 
+def test_every_subcommand_runs_without_scipy(tmp_path):
+    covered = {tuple(argv[:2]) if argv[0] in ("op", "probe", "weights") else (argv[0],)
+               for argv in _ROUNDTRIP.values()}
+    assert covered == {(name,) if None in actions else (name, action)
+                       for name, (_, actions) in _COMMANDS.items() for action in actions}
+    code = ("import json, sys; sys.modules['scipy'] = None; from bumplab.cli import main; "
+            "sys.exit(max(main([*argv, '--L', '4', '--m', '64', '--out', sys.argv[2]]) "
+            "for argv in json.loads(sys.argv[1])))")
+    out = subprocess.run([sys.executable, "-c", code, json.dumps(list(_ROUNDTRIP.values())),
+                          str(tmp_path)], env=_env(), capture_output=True, text=True,
+                         timeout=300)
+    assert out.returncode == 0, out.stderr
+
+
 def test_oversized_dense_run_exits_2_before_allocating(tmp_path):
     argv = ["probe", "svd", "--b", "bump:0,0.5", "--u", "const:1+gaussian:0,0.3",
             "--v", "const:2", "--L", "8", "--m", str(2**20), "--out", tmp_path]
@@ -354,6 +383,19 @@ def test_oversized_dense_run_exits_2_before_allocating(tmp_path):
     assert "physical memory" in err and "Traceback" not in err
     assert time.perf_counter() - start < 30.0
     assert usage.ru_maxrss < 512 * 1024  # KiB: O(m) vectors only, no m x m array
+
+
+def test_oversized_maximal_run_exits_2_quickly(tmp_path):
+    argv = ["weights", "gen", "--u", "const:1+gaussian:0,0.3", "--L", "8",
+            "--m", str(2**20), "--out", tmp_path]
+    start = time.perf_counter()
+    proc = subprocess.run(
+        [sys.executable, "-c", "import sys; from bumplab.cli import main; sys.exit(main())",
+         *map(str, argv)], env=_env(), capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 2
+    assert "capped at 65536 cells" in proc.stderr and "Traceback" not in proc.stderr
+    assert time.perf_counter() - start < 30.0
+    assert not list(tmp_path.iterdir())
 
 
 def test_memory_error_exits_2(tmp_path, monkeypatch, capsys):

@@ -1,4 +1,5 @@
-"""Smoke test: the demos that call the sup-over-cubes constants run to the end."""
+"""Smoke test: the demos that call the sup-over-cubes constants and the maximal
+function run to the end and write nothing to their working directory."""
 
 import os
 import subprocess
@@ -12,7 +13,8 @@ import bumplab
 DEMOS = Path(__file__).parents[1] / "demos"
 
 
-@pytest.mark.parametrize("script", ["01_orlicz_and_bmo.py", "02_weight_constants.py"])
+@pytest.mark.parametrize("script", ["01_orlicz_and_bmo.py", "02_weight_constants.py",
+                                    "03_hilbert_operators.py"])
 def test_demo_runs(script, tmp_path):
     env = dict(os.environ, PYTHONPATH=str(Path(bumplab.__file__).parents[1]))
     proc = subprocess.run([sys.executable, str(DEMOS / script)], cwd=tmp_path, env=env,

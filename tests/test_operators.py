@@ -104,12 +104,13 @@ def test_maximal_fn_matches_brute_force():
         got = maximal_fn(f).values
         af = np.abs(f.values)
         prefix = np.concatenate(([0.0], np.cumsum(af)))
+        # one cell averages to |f_i| itself; a prefix difference would round it
         want = np.array([
-            max((prefix[b] - prefix[a]) / (b - a)
-                for a in range(i + 1) for b in range(i + 1, m + 1))
+            max(af[i], *((prefix[b] - prefix[a]) / (b - a)
+                         for a in range(i + 1) for b in range(i + 1, m + 1) if b - a > 1))
             for i in range(m)
         ])
-        assert np.allclose(got, want, rtol=1e-13, atol=0)
+        assert np.array_equal(got, want)  # the same floats, and maxima are exact
 
 
 def test_maximal_fn_basic_properties():

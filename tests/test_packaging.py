@@ -28,4 +28,4 @@ def test_declared_dependencies_match_imports():
     declared = {re.match(r"[A-Za-z0-9_.-]+", dep).group(0).lower().replace("-", "_")
                 for dep in project["dependencies"]}
     assert declared == _imported_third_party()
-    assert declared == {"numpy", "scipy"}
+    assert declared == {"numpy"}
