@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import csv
 import json
+import math
 import os
 import tempfile
 from pathlib import Path
@@ -116,7 +117,8 @@ def kr_report_dict(report: KRReport) -> dict:
         "bound_sup": float(report.bound_sup),
         "tail_curve": [[float(n), float(v)] for n, v in report.tail_curve],
         "modulus_curve": [[float(h), float(v)] for h, v in report.modulus_curve],
-        "slope": float(report.slope),
+        # NaN (fewer than two positive modulus points) is not JSON: write null
+        "slope": float(report.slope) if math.isfinite(report.slope) else None,
     }
 
 

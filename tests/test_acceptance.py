@@ -310,11 +310,11 @@ def test_criterion_11_tail():
 
 
 def test_criterion_12_spectral_contrast():
-    # The singular values are certified by the factorization contract to
-    # 1e-8 * sigma_1, so relative tail energies are determined only down to
-    # (1e-8)^2 = 1e-16; the monotonicity clause is asserted at that
-    # resolution (the smooth symbol's tails sit far below it, at the
-    # rounding floor of the factorization).
+    # The values-only SVD is backward stable, so each sigma_k is accurate
+    # only to about eps * sigma_1, and relative tail energies below about
+    # m * eps^2 (some 1e-29 here) are rounding noise. The monotonicity
+    # clause allows a slack of 1e-16, far above that floor; the smooth
+    # symbol's tails sit at the floor itself.
     t0 = time.perf_counter()
     tails_smooth, tails_spike = [], []
     for m in (256, 512, 1024):

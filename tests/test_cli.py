@@ -169,6 +169,23 @@ def test_report_config_roundtrip(tmp_path, case):
     assert {f.name: f.read_bytes() for f in tmp_path.iterdir()} == first
 
 
+def _reject_constant(name):
+    raise ValueError(f"{name} is not JSON")
+
+
+@pytest.mark.parametrize("argv", [
+    *_ROUNDTRIP.values(),
+    ["probe", "kr", "--b", "bump:0,0.5", "--u", "const:1+gaussian:0,0.3", "--v", "M2:u",
+     "--shift-list", "1"],
+], ids=[*_ROUNDTRIP, "probe-kr-one-shift"])
+def test_reports_are_strict_json(tmp_path, argv):
+    assert run([*argv, "--L", "4", "--m", "64", "--out", tmp_path]) == 0
+    (report_path,) = tmp_path.glob("*.json")
+    report = json.loads(report_path.read_text(), parse_constant=_reject_constant)
+    if argv[:2] == ["probe", "kr"]:  # one shift: too few points for a slope
+        assert report["result"]["slope"] is None
+
+
 def test_hand_written_config_records_scalars_as_given(tmp_path):
     cfg = tmp_path / "cfg.json"
     cfg.write_text(json.dumps({"grid": {"L": 1, "m": 16}, "bump": {"p": 2}}))
