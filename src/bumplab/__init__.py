@@ -11,6 +11,7 @@ singular-value decay.
 
 from .grid import (
     Cube,
+    CubeFamily,
     Grid,
     GridFunction,
     average,

@@ -28,6 +28,7 @@ import numpy as np
 from . import compactness, io, operators, orlicz, weights
 from .grid import (
     Cube,
+    CubeFamily,
     Grid,
     GridFunction,
     constant,
@@ -244,7 +245,7 @@ class Resolved:
         return json.loads(json.dumps(self.used))
 
 
-def _cubes_of(res: Resolved, grid: Grid) -> tuple[str, list[Cube]]:
+def _cubes_of(res: Resolved, grid: Grid) -> tuple[str, CubeFamily]:
     name = res.get("cubes")
     return name, cube_family(grid, name)
 

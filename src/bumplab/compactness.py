@@ -18,6 +18,7 @@ trends across samples, radii, and grid refinements carry information):
 from __future__ import annotations
 
 import math
+from collections.abc import Sequence
 from dataclasses import dataclass
 
 import numpy as np
@@ -426,7 +427,7 @@ def spectral_report(matrix: np.ndarray, K_list: list[int], grid_cells: int) -> S
 def decay_compare(b_cmo: GridFunction, b_bmo: GridFunction, trunc: TruncationSpec,
                   u: GridFunction, v: GridFunction, K_list: list[int],
                   kernel: KernelSpec | None = None,
-                  match_cubes: list[Cube] | None = None) -> DecayComparison:
+                  match_cubes: Sequence[Cube] | None = None) -> DecayComparison:
     """Paired singular-value decay of the commutator for two symbols.
 
     b_bmo is rescaled so its BMO norm matches b_cmo's before comparison,

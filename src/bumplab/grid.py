@@ -7,7 +7,7 @@ exactly with cell boundaries and all cell centers avoid the origin.
 
 from __future__ import annotations
 
-from collections.abc import Callable
+from collections.abc import Callable, Sequence
 from dataclasses import dataclass
 
 import numpy as np
@@ -16,11 +16,14 @@ __all__ = [
     "Grid",
     "GridFunction",
     "Cube",
+    "CubeFamily",
+    "LengthGroup",
     "make_grid",
     "dyadic_cubes",
     "shifted_dyadic_cubes",
     "cube_family",
     "per_cube",
+    "gather_rows",
     "average",
     "lp_norm_weighted",
     "shift",
@@ -134,7 +137,68 @@ class GridFunction:
         return GridFunction(self.grid, np.abs(self.values))
 
 
-def dyadic_cubes(grid: Grid, min_cells: int = 1, max_cells: int | None = None) -> list[Cube]:
+class CubeFamily(Sequence):
+    """Cubes [i0[k], i0[k] + n_cells[k]) held as two int arrays, in family order.
+
+    It reads like a list of cubes: len(), iteration, and indexing, which gives
+    a Cube (a CubeFamily for a slice). It equals any sequence of the same cubes
+    in the same order.
+    """
+
+    __hash__ = None
+
+    def __init__(self, i0, n_cells) -> None:
+        self.i0 = np.asarray(i0, dtype=np.int64).reshape(-1)
+        self.n_cells = np.asarray(n_cells, dtype=np.int64).reshape(-1)
+        if self.i0.shape != self.n_cells.shape:
+            raise ValueError("i0 and n_cells must have the same length")
+        if np.any(self.n_cells < 1):
+            raise ValueError("cube must contain at least one cell")
+        if np.any(self.i0 < 0):
+            raise ValueError("cube left index must be nonnegative")
+
+    def __len__(self) -> int:
+        return len(self.i0)
+
+    def __getitem__(self, k):
+        if isinstance(k, slice):
+            return CubeFamily(self.i0[k], self.n_cells[k])
+        return Cube(int(self.i0[k]), int(self.n_cells[k]))
+
+    def __eq__(self, other) -> bool:
+        if isinstance(other, CubeFamily):
+            return bool(np.array_equal(self.i0, other.i0)
+                        and np.array_equal(self.n_cells, other.n_cells))
+        if isinstance(other, Sequence) and not isinstance(other, str):
+            return len(other) == len(self) and all(a == b for a, b in zip(self, other))
+        return NotImplemented
+
+    def __repr__(self) -> str:
+        return f"CubeFamily({len(self)} cubes)"
+
+
+def _checked_family(cubes: Sequence[Cube], grid: Grid) -> CubeFamily:
+    """cubes (a CubeFamily or a list of Cube) as a CubeFamily, which must be
+    nonempty and lie inside the grid."""
+    if not isinstance(cubes, CubeFamily):
+        cubes = CubeFamily([q.i0 for q in cubes], [q.n_cells for q in cubes])
+    if not len(cubes):
+        raise ValueError("cube family must be nonempty")
+    outside = np.flatnonzero(cubes.i0 + cubes.n_cells > grid.cells)
+    if len(outside):
+        cubes[int(outside[0])].check(grid)
+    return cubes
+
+
+def _levels(m: int, sizes: list[int], shifted: bool) -> CubeFamily:
+    """Every cube of length n in sizes, level by level, spaced n apart from
+    0 (or from n/2 when shifted) while it fits in m cells."""
+    starts = [np.arange(n // 2 if shifted else 0, m - n + 1, n) for n in sizes]
+    return CubeFamily(np.concatenate([np.zeros(0, np.int64), *starts]),
+                      np.repeat(sizes, [len(s) for s in starts]))
+
+
+def dyadic_cubes(grid: Grid, min_cells: int = 1, max_cells: int | None = None) -> CubeFamily:
     """All dyadic cubes with min_cells <= n_cells <= max_cells.
 
     A dyadic cube of n_cells = 2^j starts at a multiple of 2^j; the cubes at
@@ -148,15 +212,15 @@ def dyadic_cubes(grid: Grid, min_cells: int = 1, max_cells: int | None = None) -
             raise ValueError(f"cube sizes must be powers of two, got {n}")
     if max_cells > m:
         raise ValueError("max_cells exceeds grid size")
-    cubes: list[Cube] = []
+    sizes = []
     n = min_cells
     while n <= max_cells:
-        cubes.extend(Cube(i0, n) for i0 in range(0, m, n))
+        sizes.append(n)
         n *= 2
-    return cubes
+    return _levels(m, sizes, shifted=False)
 
 
-def shifted_dyadic_cubes(grid: Grid, min_cells: int = 1, max_cells: int | None = None) -> list[Cube]:
+def shifted_dyadic_cubes(grid: Grid, min_cells: int = 1, max_cells: int | None = None) -> CubeFamily:
     """Dyadic cubes offset by half their length, where they fit in the domain.
 
     The left- and right-shifted copies of a dyadic level coincide inside
@@ -166,15 +230,15 @@ def shifted_dyadic_cubes(grid: Grid, min_cells: int = 1, max_cells: int | None =
     m = grid.cells
     if max_cells is None:
         max_cells = m
-    cubes: list[Cube] = []
+    sizes = []
     n = max(min_cells, 2)
     while n <= max_cells:
-        cubes.extend(Cube(i0, n) for i0 in range(n // 2, m - n + 1, n))
+        sizes.append(n)
         n *= 2
-    return cubes
+    return _levels(m, sizes, shifted=True)
 
 
-def cube_family(grid: Grid, name: str, min_cells: int = 1, max_cells: int | None = None) -> list[Cube]:
+def cube_family(grid: Grid, name: str, min_cells: int = 1, max_cells: int | None = None) -> CubeFamily:
     """Named finite cube family standing in for the sup over all cubes.
 
     "dyadic" is the plain dyadic family; "dyadic+shifted" adds the
@@ -184,31 +248,54 @@ def cube_family(grid: Grid, name: str, min_cells: int = 1, max_cells: int | None
     if name == "dyadic":
         return dyadic_cubes(grid, min_cells, max_cells)
     if name == "dyadic+shifted":
-        return dyadic_cubes(grid, min_cells, max_cells) + shifted_dyadic_cubes(
-            grid, min_cells, max_cells
-        )
+        plain = dyadic_cubes(grid, min_cells, max_cells)
+        shifted = shifted_dyadic_cubes(grid, min_cells, max_cells)
+        return CubeFamily(np.concatenate([plain.i0, shifted.i0]),
+                          np.concatenate([plain.n_cells, shifted.n_cells]))
     raise ValueError(f"unknown cube family {name!r}")
 
 
-def per_cube(fn: Callable[..., np.ndarray], grid: Grid, cubes: list[Cube],
+@dataclass(frozen=True)
+class LengthGroup:
+    """The cubes of one length: left ends i0, each n_cells long."""
+
+    n_cells: int
+    i0: np.ndarray
+
+    def rows(self) -> np.ndarray:
+        """(len(i0), n_cells) cell indices, one row per cube."""
+        return self.i0[:, None] + np.arange(self.n_cells)
+
+
+def per_cube(fn: Callable[..., np.ndarray], grid: Grid, cubes: Sequence[Cube],
              *arrays: np.ndarray) -> np.ndarray:
     """fn's per-row values for every cube of the family, in family order.
 
-    Cubes of one length are reduced together: each array (one value per grid
-    cell) is gathered into an (n_cubes, n_cells) block array, and
-    fn(*blocks) returns one value per row.
+    The family (a CubeFamily or a list of Cube) is split into length groups,
+    in order of first appearance, each holding its cubes in family order.
+    fn(groups, *arrays) gets every group at once, with the arrays (one value
+    per grid cell), and returns one value per cube, group after group.
+    Raises FloatingPointError if any value is not finite.
     """
-    if not cubes:
-        raise ValueError("cube family must be nonempty")
-    groups: dict[int, list[int]] = {}
-    for pos, q in enumerate(cubes):
-        q.check(grid)
-        groups.setdefault(q.n_cells, []).append(pos)
-    out = np.empty(len(cubes))
-    for n, positions in groups.items():
-        rows = np.array([cubes[pos].i0 for pos in positions])[:, None] + np.arange(n)
-        out[positions] = fn(*(a[rows] for a in arrays))
+    fam = _checked_family(cubes, grid)
+    order = np.argsort(fam.n_cells, kind="stable")
+    runs = np.split(order, np.flatnonzero(np.diff(fam.n_cells[order])) + 1)
+    runs.sort(key=lambda pos: pos[0])  # one run of family positions per length
+    groups = [LengthGroup(int(fam.n_cells[pos[0]]), fam.i0[pos]) for pos in runs]
+    out = np.empty(len(fam))
+    with np.errstate(over="ignore", invalid="ignore"):
+        out[np.concatenate(runs)] = fn(groups, *arrays)
+    if not np.all(np.isfinite(out)):
+        raise FloatingPointError(
+            "a per-cube value is not finite (the reduction overflowed); rescale the input")
     return out
+
+
+def gather_rows(fn: Callable[..., np.ndarray], groups: list[LengthGroup],
+                *arrays: np.ndarray) -> np.ndarray:
+    """fn(*blocks) of every length group, concatenated: each array (one value
+    per grid cell) is gathered into an (n_cubes, n_cells) block per group."""
+    return np.concatenate([fn(*(a[g.rows()] for a in arrays)) for g in groups])
 
 
 def average(f: GridFunction, cube: Cube) -> float:

@@ -8,13 +8,14 @@ the family it was computed on.
 
 from __future__ import annotations
 
+from collections.abc import Sequence
 from dataclasses import dataclass
 
 import numpy as np
 
-from .grid import Cube, GridFunction, per_cube
+from .grid import Cube, GridFunction, gather_rows, per_cube
 from .operators import maximal_fn
-from .orlicz import YoungFunction, orlicz_average_values
+from .orlicz import YoungFunction, orlicz_average_groups
 
 __all__ = [
     "WeightPair",
@@ -119,7 +120,7 @@ class BumpReport:
     per_cube: np.ndarray | None = None
 
 
-def _sup_report(per_cube: np.ndarray, cubes: list[Cube], family: str, p: float,
+def _sup_report(per_cube: np.ndarray, cubes: Sequence[Cube], family: str, p: float,
                 keep_values: bool, **meta) -> BumpReport:
     k = int(np.argmax(per_cube))
     return BumpReport(
@@ -132,18 +133,19 @@ def _sup_report(per_cube: np.ndarray, cubes: list[Cube], family: str, p: float,
     )
 
 
-def _ap_report(u: GridFunction, v: GridFunction, p: float, cubes: list[Cube],
+def _ap_report(u: GridFunction, v: GridFunction, p: float, cubes: Sequence[Cube],
                family: str, keep_values: bool, preset: str) -> BumpReport:
     pc = p / (p - 1.0)
 
     def product(blocks_u: np.ndarray, blocks_d: np.ndarray) -> np.ndarray:
         return blocks_u.mean(axis=1) * blocks_d.mean(axis=1) ** (p - 1.0)
 
-    values = per_cube(product, u.grid, cubes, u.values, v.values ** (1.0 - pc))
+    values = per_cube(lambda groups, *cells: gather_rows(product, groups, *cells),
+                      u.grid, cubes, u.values, v.values ** (1.0 - pc))
     return _sup_report(values, cubes, family, p, keep_values, preset=preset)
 
 
-def ap_constant(w: GridFunction, p: float, cubes: list[Cube],
+def ap_constant(w: GridFunction, p: float, cubes: Sequence[Cube],
                 family: str = "custom", keep_values: bool = False) -> BumpReport:
     """sup over cubes of (avg_Q w) (avg_Q w^(1-p')) ^ (p-1)."""
     if not p > 1:
@@ -153,7 +155,7 @@ def ap_constant(w: GridFunction, p: float, cubes: list[Cube],
     return _ap_report(w, w, p, cubes, family, keep_values, "ap")
 
 
-def two_weight_ap(pair: WeightPair, p: float, cubes: list[Cube],
+def two_weight_ap(pair: WeightPair, p: float, cubes: Sequence[Cube],
                   family: str = "custom", keep_values: bool = False) -> BumpReport:
     """sup over cubes of (avg_Q u) (avg_Q v^(1-p')) ^ (p-1)."""
     if not p > 1:
@@ -161,7 +163,7 @@ def two_weight_ap(pair: WeightPair, p: float, cubes: list[Cube],
     return _ap_report(pair.u, pair.v, p, cubes, family, keep_values, "two_weight_ap")
 
 
-def bump_constant(pair: WeightPair, spec: BumpSpec, cubes: list[Cube],
+def bump_constant(pair: WeightPair, spec: BumpSpec, cubes: Sequence[Cube],
                   family: str = "custom", rel_tol: float = 1e-10,
                   keep_values: bool = False) -> BumpReport:
     """sup over cubes of F_left(Q) * F_right(Q).
@@ -174,11 +176,11 @@ def bump_constant(pair: WeightPair, spec: BumpSpec, cubes: list[Cube],
     phi_right = YoungFunction(p / (p - 1.0), spec.a_right)
     phi_left = None if spec.a_left is None else YoungFunction(p, spec.a_left)
 
-    def product(blocks_l: np.ndarray, blocks_r: np.ndarray) -> np.ndarray:
-        right, _, _ = orlicz_average_values(blocks_r, phi_right, rel_tol)
+    def product(groups, cells_l: np.ndarray, cells_r: np.ndarray) -> np.ndarray:
+        right, _, _ = orlicz_average_groups(cells_r, groups, phi_right, rel_tol)
         if phi_left is None:
-            return blocks_l.mean(axis=1) * right
-        left, _, _ = orlicz_average_values(blocks_l, phi_left, rel_tol)
+            return gather_rows(lambda blocks: blocks.mean(axis=1), groups, cells_l) * right
+        left, _, _ = orlicz_average_groups(cells_l, groups, phi_left, rel_tol)
         return left * right
 
     left_values = pair.u.values if phi_left is None else pair.u.values ** (1.0 / p)

@@ -1,19 +1,60 @@
-"""Cube-by-cube reference evaluators for the sup-over-cubes constants.
+"""Cube-by-cube reference evaluators for the sup-over-cubes constants, and
+the cube families as lists of `Cube`.
 
-Each function walks the cube family one cube at a time and reduces that
-cube's block with the one-cube public functions (`grid.average`,
-`orlicz.orlicz_average`). This is how `bmo_norm` computed its norm before
-every constant went through the grouped gather `grid.per_cube`; the property
-tests compare the grouped path against these loops.
+Each evaluator walks the cube family one cube at a time and reduces that
+cube's block with `grid.average` or the reference bisection in
+`orlicz_oracle`. This is how `bmo_norm` computed its norm before every
+constant went through the grouped gather `grid.per_cube`; the property tests
+compare the grouped path against these loops. The family builders are the
+list-building loops `grid.cube_family` ran before families became index
+arrays.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from bumplab.grid import Cube, GridFunction, average
-from bumplab.orlicz import YoungFunction, orlicz_average
+import orlicz_oracle
+from bumplab.grid import Cube, Grid, GridFunction, average
+from bumplab.orlicz import YoungFunction
 from bumplab.weights import BumpSpec, WeightPair
+
+
+def dyadic_cubes(grid: Grid, min_cells: int = 1, max_cells: int | None = None) -> list[Cube]:
+    m = grid.cells
+    if max_cells is None:
+        max_cells = m
+    cubes: list[Cube] = []
+    n = min_cells
+    while n <= max_cells:
+        cubes.extend(Cube(i0, n) for i0 in range(0, m, n))
+        n *= 2
+    return cubes
+
+
+def shifted_dyadic_cubes(grid: Grid, min_cells: int = 1, max_cells: int | None = None) -> list[Cube]:
+    m = grid.cells
+    if max_cells is None:
+        max_cells = m
+    cubes: list[Cube] = []
+    n = max(min_cells, 2)
+    while n <= max_cells:
+        cubes.extend(Cube(i0, n) for i0 in range(n // 2, m - n + 1, n))
+        n *= 2
+    return cubes
+
+
+def cube_family(grid: Grid, name: str, min_cells: int = 1, max_cells: int | None = None) -> list[Cube]:
+    if name == "dyadic":
+        return dyadic_cubes(grid, min_cells, max_cells)
+    return dyadic_cubes(grid, min_cells, max_cells) + shifted_dyadic_cubes(
+        grid, min_cells, max_cells)
+
+
+def orlicz_average(f: GridFunction, cube: Cube, phi: YoungFunction,
+                   rel_tol: float = 1e-10) -> float:
+    block = np.abs(f.values[cube.i0 : cube.i0 + cube.n_cells])
+    return float(orlicz_oracle.orlicz_average_values(block[None, :], phi, rel_tol)[0][0])
 
 
 def bmo_norm(b: GridFunction, cubes: list[Cube]) -> float:
@@ -45,10 +86,10 @@ def bump_per_cube(pair: WeightPair, spec: BumpSpec, cubes: list[Cube],
     phi_right = YoungFunction(p / (p - 1.0), spec.a_right)
     out = []
     for q in cubes:
-        right = orlicz_average(v_root, q, phi_right, rel_tol).value
+        right = orlicz_average(v_root, q, phi_right, rel_tol)
         if spec.a_left is None:
             left = average(pair.u, q)
         else:
-            left = orlicz_average(u_root, q, YoungFunction(p, spec.a_left), rel_tol).value
+            left = orlicz_average(u_root, q, YoungFunction(p, spec.a_left), rel_tol)
         out.append(left * right)
     return np.array(out)

@@ -5,6 +5,7 @@ import os
 import subprocess
 import sys
 import time
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -423,3 +424,16 @@ def test_memory_error_exits_2(tmp_path, monkeypatch, capsys):
     assert run(["probe", "svd", "--b", "bump:0,0.5", "--u", "const:1", "--v", "const:1",
                 "--L", "1", "--m", "16", "--out", tmp_path]) == 2
     assert "out of memory" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("argv", [["bmo", "--b", "const:1e308"], ["ap", "--w", "const:1e308"]],
+                         ids=["bmo", "ap"])
+def test_non_finite_constant_exits_3_without_report(tmp_path, capsys, argv):
+    """A cube sum that overflows ends the run with exit 3, not an Infinity
+    in the report, and numpy warns of nothing."""
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        rc = run([*argv, "--L", "1", "--m", "64", "--out", tmp_path])
+    assert rc == 3
+    assert "not finite" in capsys.readouterr().err
+    assert not list(tmp_path.iterdir())

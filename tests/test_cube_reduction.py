@@ -38,7 +38,7 @@ def problems(draw):
     m = 2 ** draw(st.integers(2, 10))
     grid = make_grid(draw(st.sampled_from((1.0, 1.7))), m)
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
-    cubes = cube_family(grid, "dyadic+shifted")
+    cubes = list(cube_family(grid, "dyadic+shifted"))
     for _ in range(draw(st.integers(0, 32))):
         n = int(rng.integers(1, m + 1))
         cubes.append(Cube(int(rng.integers(0, m - n + 1)), n))

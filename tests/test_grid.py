@@ -1,8 +1,10 @@
 import numpy as np
 import pytest
 
+import cube_oracle
 from bumplab import (
     Cube,
+    CubeFamily,
     GridFunction,
     average,
     constant,
@@ -19,6 +21,7 @@ from bumplab import (
     shifted_dyadic_cubes,
     smooth_bump,
 )
+from bumplab.grid import per_cube
 
 
 def test_make_grid_basic():
@@ -197,3 +200,52 @@ def test_cube_validation():
         Cube(-1, 4)
     a, b = Cube(4, 8).endpoints(g)
     assert (a, b) == (-0.5, 0.5)
+
+
+def _size_bounds(m):
+    sizes = [2**j for j in range(m.bit_length())]
+    return [(lo, hi) for lo in sizes for hi in sizes if lo <= hi] + [(4, 2), (1, None)]
+
+
+@pytest.mark.parametrize("m", [4, 64, 1024])
+@pytest.mark.parametrize("name", ["dyadic", "dyadic+shifted"])
+def test_cube_families_equal_list_builders(name, m):
+    g = make_grid(1.0, m)
+    for min_cells, max_cells in _size_bounds(m):
+        fam = cube_family(g, name, min_cells, max_cells)
+        want = cube_oracle.cube_family(g, name, min_cells, max_cells)
+        assert len(fam) == len(want)
+        assert fam == want and list(fam) == want
+        assert [(q.i0, q.n_cells) for q in want] == list(zip(fam.i0.tolist(), fam.n_cells.tolist()))
+        if want:
+            assert fam[-1] == want[-1] and fam[len(want) // 2] == want[len(want) // 2]
+            assert fam[1:4] == want[1:4] and isinstance(fam[1:4], CubeFamily)
+    assert shifted_dyadic_cubes(g) == cube_oracle.shifted_dyadic_cubes(g)
+
+
+def test_cube_family_reads_like_a_list():
+    g = make_grid(1.0, 8)
+    fam = dyadic_cubes(g, 4, 8)
+    assert fam == [Cube(0, 4), Cube(4, 4), Cube(0, 8)]
+    assert fam != [Cube(0, 4), Cube(4, 4)] and fam != [Cube(0, 4), Cube(4, 4), Cube(0, 4)]
+    assert Cube(4, 4) in fam and fam.index(Cube(0, 8)) == 2
+    with pytest.raises(IndexError):
+        fam[3]
+    with pytest.raises(ValueError, match="at least one cell"):
+        CubeFamily([0], [0])
+
+
+def test_per_cube_hands_length_groups_in_order_of_first_appearance():
+    g = make_grid(1.0, 8)
+    cubes = [Cube(0, 4), Cube(0, 1), Cube(4, 4), Cube(1, 1)]
+    seen = []
+
+    def first_cell(groups, values):
+        seen.extend((group.n_cells, group.i0.tolist()) for group in groups)
+        return np.concatenate([values[group.i0] for group in groups])
+
+    out = per_cube(first_cell, g, cubes, np.arange(8.0))
+    assert seen == [(4, [0, 4]), (1, [0, 1])]
+    assert out.tolist() == [0.0, 0.0, 4.0, 1.0]  # back in family order
+    with pytest.raises(FloatingPointError, match="not finite"):
+        per_cube(first_cell, g, cubes, np.full(8, np.inf))
