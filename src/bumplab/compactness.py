@@ -369,19 +369,52 @@ def _sigma1_lower_bound(matrix: np.ndarray) -> float:
     return best
 
 
+def _row_compressed(matrix: np.ndarray) -> np.ndarray:
+    """Z with Z^T Z = A^T A up to the QR's rounding and fewer than min(m, n)
+    rows, or A itself when A's zero pattern allows no such Z.
+
+    The rows with at most n/2 nonzeros (the sparse rows) become the R of a
+    QR of their block on the columns where any of them is nonzero; the
+    other rows are kept as they are.
+    """
+    m, n = matrix.shape
+    nonzero = matrix != 0.0
+    sparse = np.count_nonzero(nonzero, axis=1) <= n // 2
+    cols = np.flatnonzero(np.any(nonzero[sparse], axis=0))
+    n_dense = m - int(np.count_nonzero(sparse))
+    rows = n_dense + min(m - n_dense, cols.size)
+    if rows >= min(m, n):
+        return matrix
+    Z = np.zeros((rows, n))
+    Z[:n_dense] = matrix[~sparse]
+    Z[n_dense:, cols] = np.linalg.qr(matrix[np.ix_(sparse, cols)], mode="r")
+    return Z
+
+
 def singular_values(matrix: np.ndarray) -> np.ndarray:
     """All singular values, nonincreasing, computed without singular vectors.
 
-    LAPACK's values-only path (bidiagonal reduction, then dqds) is backward
-    stable: the values are exact for some A + E with ||E|| a modest multiple
-    of eps * ||A||, so each sigma_k is within about that of the true value,
-    and values near eps * sigma_1 are rounding noise. Two checks catch gross
-    failure, each to 1e-12 relative: sum(sigma^2) must match ||A||_F^2, and
-    sigma_1 must not fall below the best ||A x|| from a few power
-    iterations. Neither certifies each sigma_k to a fixed fraction of
-    sigma_1: an error in a small sigma_k moves sum(sigma^2) by less than the
-    round-off of ||A||_F^2, and the power bound is loose when sigma_2 is
-    close to sigma_1.
+    The rows are compressed first when the zero pattern allows it. Rows with
+    at most n/2 nonzeros are replaced by the R factor of a Householder QR of
+    the columns they touch, and the other rows are kept. The result Z has
+    Z^T Z = A^T A, so it has the same singular values; its row count bounds
+    the rank. A commutator whose symbol is constant off s cells has at most
+    2s rows left. Values past Z's row count are reported as exact 0.0, not
+    as LAPACK's rounding noise of about eps * sigma_1. When the compression
+    would leave min(m, n) rows or more, Z is A itself.
+
+    The QR and LAPACK's values-only SVD (bidiagonal reduction, then dqds) are
+    both backward stable: the values are exact for some A + E with ||E|| a
+    modest multiple of eps * ||A||, so each sigma_k is within about that of
+    the true value, and values near eps * sigma_1 are rounding noise. The
+    tests hold them to 1e-13 * sigma_1 against the SVD with vectors. Two
+    checks on A itself catch gross failure, of the compression or the SVD,
+    each to 1e-12 relative: sum(sigma^2) must match ||A||_F^2, and sigma_1
+    must not fall below the best ||A x|| from a few power iterations.
+    Neither certifies each sigma_k to a fixed fraction of sigma_1: an error
+    in a small sigma_k moves sum(sigma^2) by less than the round-off of
+    ||A||_F^2, and the power bound is loose when sigma_2 is close to
+    sigma_1.
 
     Raises np.linalg.LinAlgError if the iteration fails to converge and
     FloatingPointError if either check fails.
@@ -391,7 +424,8 @@ def singular_values(matrix: np.ndarray) -> np.ndarray:
         raise ValueError("matrix entries must be finite")
     # the matrix and LAPACK's working copy; the workspace is O(m + n)
     check_dense_fits(2 * matrix.nbytes, f"the SVD of a {matrix.shape} matrix")
-    s = np.linalg.svd(matrix, compute_uv=False)
+    s = np.linalg.svd(_row_compressed(matrix), compute_uv=False)
+    s = np.concatenate([s, np.zeros(min(matrix.shape) - s.size)])
     if s.size:
         fro2 = float(np.linalg.norm(matrix)) ** 2
         energy = float(np.sum(s**2))

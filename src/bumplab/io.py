@@ -32,8 +32,13 @@ __all__ = [
 ]
 
 
-def _fmt(x: float) -> str:
-    return format(float(x), ".17g")
+_CSV_ROW = "{:.17g},{:.17g}\n"
+
+
+def _csv_text(header: str, xs: list[float], ys: list[float]) -> str:
+    """The header line, then one "x,y" line per pair of floats, 17 significant
+    digits each."""
+    return "".join([header + "\n", *map(_CSV_ROW.format, xs, ys)])
 
 
 def _atomic_write_text(path: Path, text: str) -> None:
@@ -52,10 +57,8 @@ def _atomic_write_text(path: Path, text: str) -> None:
 
 def write_grid_function_csv(f: GridFunction, path: str | Path) -> None:
     """One row per cell: center and value, 17 significant digits."""
-    lines = ["x,value"]
-    for x, v in zip(f.grid.centers, f.values):
-        lines.append(f"{_fmt(x)},{_fmt(v)}")
-    _atomic_write_text(Path(path), "\n".join(lines) + "\n")
+    _atomic_write_text(Path(path), _csv_text("x,value", f.grid.centers.tolist(),
+                                             f.values.tolist()))
 
 
 def read_grid_function_csv(path: str | Path) -> GridFunction:
@@ -79,10 +82,8 @@ def read_grid_function_csv(path: str | Path) -> GridFunction:
 
 def write_curve_csv(path: str | Path, header: tuple[str, str],
                     rows: list[tuple[float, float]]) -> None:
-    lines = [f"{header[0]},{header[1]}"]
-    for a, b in rows:
-        lines.append(f"{_fmt(a)},{_fmt(b)}")
-    _atomic_write_text(Path(path), "\n".join(lines) + "\n")
+    xs, ys = np.array(rows, dtype=float).reshape(len(rows), 2).T.tolist()
+    _atomic_write_text(Path(path), _csv_text(f"{header[0]},{header[1]}", xs, ys))
 
 
 def write_json(path: str | Path, obj: dict) -> None:

@@ -39,6 +39,30 @@ def test_curve_csv(tmp_path):
     assert path.read_text() == "N,tail\n1,0.25\n2,0.125\n"
 
 
+def _loop_csv(header: str, pairs) -> bytes:
+    """The writers' original per-value loop, kept as the byte-level reference."""
+    lines = [header] + [f"{format(float(a), '.17g')},{format(float(b), '.17g')}"
+                        for a, b in pairs]
+    return ("\n".join(lines) + "\n").encode()
+
+
+def test_csv_writers_match_the_per_value_loop(tmp_path):
+    tiny = np.finfo(float).smallest_subnormal
+    special = [-0.0, 0.0, tiny, -tiny, 3 * tiny, 2.2250738585072e-308, 1e308, -1e308,
+               1.7976931348623157e308, 1.0, -2.0, 1024.0, 2.0**53, 1e16, 1e-5, 1.0 / 3.0]
+    values = np.concatenate([special, np.random.default_rng(4).standard_normal(4096 - 16)
+                             * 10.0 ** np.random.default_rng(5).uniform(-300, 300, 4080)])
+    f = GridFunction(make_grid(8.0, 4096), values)
+    write_grid_function_csv(f, tmp_path / "f.csv")
+    assert (tmp_path / "f.csv").read_bytes() == _loop_csv("x,value",
+                                                          zip(f.grid.centers, f.values))
+    rows = [(float(i + 1), float(v)) for i, v in enumerate(values)] + [(np.float64(-0.0), 7)]
+    write_curve_csv(tmp_path / "c.csv", ("k", "sigma"), rows)
+    assert (tmp_path / "c.csv").read_bytes() == _loop_csv("k,sigma", rows)
+    write_curve_csv(tmp_path / "e.csv", ("N", "tail"), [])
+    assert (tmp_path / "e.csv").read_bytes() == b"N,tail\n"
+
+
 def test_write_json_deterministic(tmp_path):
     obj = {"b": 1.0 / 3.0, "a": [1, 2], "nested": {"z": 0.1, "y": None}}
     p1, p2 = tmp_path / "a.json", tmp_path / "b.json"

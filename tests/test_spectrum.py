@@ -1,10 +1,12 @@
-"""singular_values' values-only path against the with-vectors oracle.
+"""singular_values' row-compressed, values-only path against the with-vectors oracle.
 
 Both paths are backward stable, so they agree to a small multiple of
 eps * sigma_1 in absolute terms, not bit for bit. The stated tolerance is
 SIGMA_TOL * sigma_1 for every value; the largest gap seen on these inputs, up
 to m = 1024, is 3e-15 * sigma_1.
 """
+
+import json
 
 import numpy as np
 import pytest
@@ -23,6 +25,7 @@ from bumplab import (
     smooth_bump,
 )
 from bumplab import compactness
+from bumplab.cli import main, parse_function_spec
 
 SIGMA_TOL = 1e-13
 
@@ -39,11 +42,25 @@ def _random_matrix(kind: str, m: int, n: int, rng: np.random.Generator) -> np.nd
     if kind == "low_rank":
         r = int(rng.integers(1, min(m, n) + 1))
         return scale * rng.standard_normal((m, r)) @ rng.standard_normal((r, n))
+    if kind == "arrow":
+        dense = int(rng.integers(0, m + 1))
+        cols = rng.choice(n, size=int(rng.integers(0, n // 2 + 1)), replace=False)
+        return scale * rng.permutation(_arrow(m, n, dense, cols, rng))
     # graded: singular values falling geometrically to far below eps * sigma_1
     k = min(m, n)
     Q1, _ = np.linalg.qr(rng.standard_normal((m, k)))
     Q2, _ = np.linalg.qr(rng.standard_normal((n, k)))
     return scale * (Q1 * np.logspace(0, -20, k)) @ Q2.T
+
+
+def _arrow(m: int, n: int, dense: int, cols: np.ndarray,
+           rng: np.random.Generator) -> np.ndarray:
+    """`dense` full rows on top of m - dense rows confined to the columns cols,
+    at a scale of their own."""
+    A = np.zeros((m, n))
+    A[:dense] = rng.standard_normal((dense, n))
+    A[dense:, cols] = 10.0 ** rng.uniform(-3, 3) * rng.standard_normal((m - dense, len(cols)))
+    return A
 
 
 def _operator(m: int, symbol: str, weighted: bool) -> np.ndarray:
@@ -53,12 +70,14 @@ def _operator(m: int, symbol: str, weighted: bool) -> np.ndarray:
         v = iterate_maximal(u, 5)
     else:
         u = v = constant(grid, 1.0)
-    b = smooth_bump(grid, 0.0, 0.5) if symbol == "smooth" else log_spike(grid, 0.01)
+    b = {"smooth": lambda: smooth_bump(grid, 0.0, 0.5),
+         "spike": lambda: log_spike(grid, 0.01),
+         "gaussian": lambda: constant(grid, 1.0) + gaussian(grid, 0.0, 0.3)}[symbol]()
     return operator_matrix(b, TruncationSpec(16 * grid.h), u, v)
 
 
 @settings(max_examples=60, deadline=None)
-@given(kind=st.sampled_from(("gaussian", "low_rank", "graded")), m=st.integers(1, 64),
+@given(kind=st.sampled_from(("gaussian", "low_rank", "graded", "arrow")), m=st.integers(1, 64),
        n=st.integers(1, 64), seed=st.integers(0, 2**32 - 1))
 def test_values_match_oracle_on_random_matrices(kind, m, n, seed):
     A = _random_matrix(kind, m, n, np.random.default_rng(seed))
@@ -73,6 +92,77 @@ def test_values_match_oracle_on_random_matrices(kind, m, n, seed):
 def test_values_match_oracle_on_operator_matrices(log_m, symbol, weighted):
     A = _operator(2**log_m, symbol, weighted)
     _agree(singular_values(A), oracle.singular_values(A))
+
+
+# (m, n, dense rows, columns the sparse rows touch)
+@pytest.mark.parametrize("m, n, dense, touched", [
+    (60, 20, 3, 7),    # tall: 3 + 7 rows left
+    (40, 60, 5, 12),   # wide: 5 + 12 rows left
+    (30, 30, 0, 10),   # no dense rows
+    (40, 60, 20, 30),  # 20 sparse rows, fewer than the 30 columns: nothing saved
+    (60, 20, 10, 10),  # 10 + 10 rows, not fewer than n = 20: nothing saved
+])
+def test_arrow_matrices_compress_and_match_oracle(m, n, dense, touched):
+    rng = np.random.default_rng(m * n + dense)
+    A = rng.permutation(_arrow(m, n, dense, rng.choice(n, touched, replace=False), rng))
+    want = oracle.singular_values(A)
+    got = singular_values(A)
+    _agree(got, want)
+    rank_bound = dense + min(m - dense, touched)
+    if rank_bound < min(m, n):
+        assert np.all(got[rank_bound:] == 0.0)  # exact zeros, not rounding noise
+    else:
+        assert compactness._row_compressed(A) is A
+
+
+@pytest.mark.parametrize("symbol", ["smooth", "spike", "gaussian"])
+def test_values_match_oracle_on_weighted_operators_at_1024(symbol):
+    A = _operator(1024, symbol, weighted=True)
+    _agree(singular_values(A), oracle.singular_values(A))
+
+
+def _svd_rows(monkeypatch) -> list[int]:
+    """Records the row count of every matrix np.linalg.svd receives."""
+    rows, real_svd = [], np.linalg.svd
+
+    def svd(matrix, *args, **kwargs):
+        rows.append(np.shape(matrix)[0])
+        return real_svd(matrix, *args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "svd", svd)
+    return rows
+
+
+@pytest.mark.parametrize("j", [0, 3])
+def test_bench_spectral_commands_svd_only_the_compressed_rows(tmp_path, monkeypatch, j):
+    # the spectral benchmark's probe svd and compare at m = 1024: each SVD must
+    # see at most 2 |supp b| + 2 rows, and every value past them is exactly 0
+    b, spike = f"bump:{-0.15 + 0.1 * j:.2f},0.5", f"logspike:{0.01 * (j + 1):.2f}"
+    common = ["--u", f"const:1+gaussian:{-0.3 + 0.2 * j:.2f},0.3",
+              "--v", f"const:1+gaussian:{0.3 - 0.2 * j:.2f},0.6",
+              "--eta-cells", "16", "--K-list", "64,256", "--L", "8", "--m", "1024",
+              "--out", str(tmp_path)]
+    rows = _svd_rows(monkeypatch)
+    assert main(["probe", "svd", "--b", b, *common]) == 0
+    assert main(["compare", "--b-cmo", b, "--b-bmo", spike, *common]) == 0
+    probe = json.loads((tmp_path / "probe_svd.json").read_text())["result"]
+    compare = json.loads((tmp_path / "compare.json").read_text())["result"]
+
+    grid = make_grid(8.0, 1024)
+
+    def support(spec: str) -> int:  # cells where b differs from its value off them
+        values = parse_function_spec(grid, spec).values
+        return int(np.count_nonzero(values != values[0]))
+
+    supports = [support(b), support(b), support(spike)]
+    assert supports[0] == 64 and 120 <= supports[2] <= 130
+    results = [probe, compare["smooth"], compare["spike"]]
+    assert len(rows) == len(results)
+    for n_rows, s, result in zip(rows, supports, results):
+        assert n_rows <= 2 * s + 2
+        sigma = np.array(result["singular_values"])
+        assert sigma.size == 1024 and sigma[0] > 0.0
+        assert np.all(sigma[n_rows:] == 0.0)
 
 
 @pytest.mark.parametrize("m", [64, 256, 1024])
