@@ -49,13 +49,12 @@ from .weights import (
     two_weight_ap,
 )
 from .operators import (
-    KernelSpec,
+    KERNEL_CONSTANT,
     TruncationSpec,
     apply_truncated,
     commutator,
     cutoff_psi,
     default_eta_grid,
-    hilbert_kernel,
     maximal_fn,
     maximal_truncation,
     measured_regularity_constant,

@@ -384,7 +384,7 @@ def _cmd_probe_svd(res: Resolved) -> int:
     b = parse_function_spec(grid, res.get("b"))
     trunc, K_list = _trunc_of(res, grid), res.get("K_list")
     matrix = compactness.operator_matrix(b, trunc, u, v)
-    report = compactness.spectral_report(matrix, K_list, grid.cells)
+    report = compactness.spectral_report(matrix, K_list)
     _write_sigma(res, "probe_svd_sigma.csv", report.singular_values)
     _emit(res, "probe_svd", "spectral_probe", io.spectral_report_dict(report))
     return 0

@@ -18,15 +18,13 @@ trends across samples, radii, and grid refinements carry information):
 from __future__ import annotations
 
 import math
-from collections.abc import Sequence
 from dataclasses import dataclass
 
 import numpy as np
 
 from ._threads import parallel_map
-from .grid import Cube, GridFunction, dyadic_cubes, haar, lp_norm_weighted, shift
+from .grid import Cube, GridFunction, _shift_rows, dyadic_cubes, haar, lp_norm_weighted, shift
 from .operators import (
-    KernelSpec,
     TruncationSpec,
     apply_truncated,
     check_dense_fits,
@@ -157,15 +155,16 @@ def sample_unit_ball(v: GridFunction, p: float, count: int, seed: int) -> UnitBa
     )
 
 
-def _commutator_images(sample: UnitBallSample, b: GridFunction, trunc: TruncationSpec,
-                       kernel: KernelSpec | None) -> np.ndarray:
+def _commutator_images(sample: UnitBallSample, b: GridFunction,
+                       trunc: TruncationSpec) -> np.ndarray:
     """[b, T_eta] f for every sample member, as columns of an (m, count) array."""
-    return np.stack([commutator(b, f, trunc, kernel).values for f in sample.functions],
-                    axis=1)
+    return np.stack([commutator(b, f, trunc).values for f in sample.functions], axis=1)
 
 
 def _weighted_norms(columns: np.ndarray, u: GridFunction, p: float,
                     row_mask: np.ndarray | None = None) -> np.ndarray:
+    if np.any(u.values < 0):
+        raise ValueError("u must be nonnegative")
     w = u.values * u.grid.h
     g = np.abs(columns)
     if row_mask is not None:
@@ -175,15 +174,13 @@ def _weighted_norms(columns: np.ndarray, u: GridFunction, p: float,
 
 
 def _bounded(G: np.ndarray, u: GridFunction, p: float) -> float:
-    if np.any(u.values < 0):
-        raise ValueError("u must be nonnegative")
     return float(np.max(_weighted_norms(G, u, p)))
 
 
 def kr_bounded(sample: UnitBallSample, b: GridFunction, trunc: TruncationSpec,
-               u: GridFunction, p: float, kernel: KernelSpec | None = None) -> float:
+               u: GridFunction, p: float) -> float:
     """Condition (a): sup over the sample of ||[b,T_eta] f||_{L^p(u)}."""
-    return _bounded(_commutator_images(sample, b, trunc, kernel), u, p)
+    return _bounded(_commutator_images(sample, b, trunc), u, p)
 
 
 def _tail(G: np.ndarray, u: GridFunction, p: float,
@@ -201,20 +198,10 @@ def _tail(G: np.ndarray, u: GridFunction, p: float,
 
 
 def kr_tail(sample: UnitBallSample, b: GridFunction, trunc: TruncationSpec,
-            u: GridFunction, p: float, N_list: list[float],
-            kernel: KernelSpec | None = None) -> list[tuple[float, float]]:
+            u: GridFunction, p: float, N_list: list[float]) -> list[tuple[float, float]]:
     """Condition (b): for each N, sup over the sample of the L^p(u) mass
     of [b,T_eta] f outside |x| > N."""
-    return _tail(_commutator_images(sample, b, trunc, kernel), u, p, N_list)
-
-
-def _shift_columns(G: np.ndarray, k: int) -> np.ndarray:
-    out = np.zeros_like(G)
-    if k >= 0:
-        out[: G.shape[0] - k] = G[k:]
-    else:
-        out[-k:] = G[: G.shape[0] + k]
-    return out
+    return _tail(_commutator_images(sample, b, trunc), u, p, N_list)
 
 
 def _modulus(G: np.ndarray, trunc: TruncationSpec, u: GridFunction, p: float,
@@ -231,7 +218,7 @@ def _modulus(G: np.ndarray, trunc: TruncationSpec, u: GridFunction, p: float,
             )
     curve = []
     for k in shift_cells:
-        diff = _shift_columns(G, k) - G
+        diff = _shift_rows(G, k) - G
         curve.append((abs(k) * grid.h, float(np.max(_weighted_norms(diff, u, p)))))
     positive = [(h, v) for h, v in curve if h > 0 and v > 0]
     if len(positive) >= 2:
@@ -245,7 +232,6 @@ def _modulus(G: np.ndarray, trunc: TruncationSpec, u: GridFunction, p: float,
 
 def kr_equicontinuity(sample: UnitBallSample, b: GridFunction, trunc: TruncationSpec,
                       u: GridFunction, p: float, shift_cells: list[int],
-                      kernel: KernelSpec | None = None,
                       allow_large_shifts: bool = False) -> tuple[list[tuple[float, float]], float]:
     """Condition (c): translation modulus of the commutator images.
 
@@ -255,15 +241,14 @@ def kr_equicontinuity(sample: UnitBallSample, b: GridFunction, trunc: Truncation
     where the kernel-difference estimate applies) unless explicitly
     overridden.
     """
-    G = _commutator_images(sample, b, trunc, kernel)
+    G = _commutator_images(sample, b, trunc)
     return _modulus(G, trunc, u, p, shift_cells, allow_large_shifts)
 
 
 def kr_probe(sample: UnitBallSample, b: GridFunction, trunc: TruncationSpec,
-             u: GridFunction, p: float, N_list: list[float], shift_cells: list[int],
-             kernel: KernelSpec | None = None) -> KRReport:
+             u: GridFunction, p: float, N_list: list[float], shift_cells: list[int]) -> KRReport:
     """All three Kolmogorov-Riesz condition values, from one set of commutator images."""
-    G = _commutator_images(sample, b, trunc, kernel)
+    G = _commutator_images(sample, b, trunc)
     bound = _bounded(G, u, p)
     tail = _tail(G, u, p, N_list)
     modulus, slope = _modulus(G, trunc, u, p, shift_cells, allow_large_shifts=False)
@@ -271,8 +256,7 @@ def kr_probe(sample: UnitBallSample, b: GridFunction, trunc: TruncationSpec,
 
 
 def shift_decomposition(b: GridFunction, f: GridFunction, trunc: TruncationSpec,
-                        shift_cells: int, kernel: KernelSpec | None = None,
-                        allow_large_shifts: bool = False) -> ShiftDecomposition:
+                        shift_cells: int, allow_large_shifts: bool = False) -> ShiftDecomposition:
     """Split [b,T_eta]f(.+h) - [b,T_eta]f into Af + Bf.
 
     Af carries the symbol increment: (b(x+h) - b(x)) * T_eta f(x).
@@ -286,12 +270,12 @@ def shift_decomposition(b: GridFunction, f: GridFunction, trunc: TruncationSpec,
     if abs(k) * grid.h >= trunc.eta / 4.0 and k != 0 and not allow_large_shifts:
         raise ValueError("shift must satisfy |h| < eta/4; pass allow_large_shifts=True")
     b_sh = shift(b, k)
-    Tf = apply_truncated(f, trunc, kernel)
+    Tf = apply_truncated(f, trunc)
     A = (b_sh.values - b.values) * Tf.values
 
     # Bf as two convolutions, T(b'f) - T(b'f)(.+h) - (b(x+h) - b_0)(Tf - Tf(.+h))
     # with b' = b - b_0, so that a constant symbol gives exact zeros
-    Tbf = apply_truncated(GridFunction(grid, b.values - b.values[0]) * f, trunc, kernel)
+    Tbf = apply_truncated(GridFunction(grid, b.values - b.values[0]) * f, trunc)
     B = (Tbf - shift(Tbf, k)).values - (b_sh.values - b.values[0]) * (Tf - shift(Tf, k)).values
     return ShiftDecomposition(
         Af=GridFunction(grid, A),
@@ -301,13 +285,14 @@ def shift_decomposition(b: GridFunction, f: GridFunction, trunc: TruncationSpec,
 
 
 def tail_constant(b: GridFunction, trunc: TruncationSpec, v: GridFunction, p: float,
-                  sample: UnitBallSample, N0: float,
-                  kernel: KernelSpec | None = None) -> TailReport:
+                  sample: UnitBallSample, N0: float) -> TailReport:
     """Measured decay constant sup |[b,T_eta]f(x)| * |x| over |x| > N0.
 
     Also reports the finiteness certificate (integral of v^(-p'/p) over the
     support of b)^(1/p'), which bounds int |f| over supp b for unit-ball f.
     """
+    if np.min(v.values) <= 0:
+        raise ValueError("v must be positive everywhere")
     grid = b.grid
     supp = b.values != 0.0
     if not np.any(supp):
@@ -319,7 +304,7 @@ def tail_constant(b: GridFunction, trunc: TruncationSpec, v: GridFunction, p: fl
     pc = p / (p - 1.0)
     cert = float(np.sum(v.values[supp] ** (-pc / p) * grid.h) ** (1.0 / pc)) if np.any(supp) else 0.0
 
-    G = _commutator_images(sample, b, trunc, kernel)
+    G = _commutator_images(sample, b, trunc)
     x = grid.centers
     far = np.abs(x) > N0
     if not np.any(far):
@@ -329,7 +314,7 @@ def tail_constant(b: GridFunction, trunc: TruncationSpec, v: GridFunction, p: fl
 
 
 def operator_matrix(b: GridFunction, trunc: TruncationSpec, u: GridFunction,
-                    v: GridFunction, kernel: KernelSpec | None = None) -> np.ndarray:
+                    v: GridFunction) -> np.ndarray:
     """[b, T_eta] : L^2(v) -> L^2(u) as a matrix on the plain sequence space.
 
     A_ij = u_i^(1/2) (b_i - b_j) K_eta(x_i, x_j) v_j^(-1/2) h. Under the
@@ -341,7 +326,7 @@ def operator_matrix(b: GridFunction, trunc: TruncationSpec, u: GridFunction,
         raise ValueError("v must be positive everywhere")
     if np.any(u.values < 0):
         raise ValueError("u must be nonnegative")
-    A = commutator_matrix(b, trunc, kernel)
+    A = commutator_matrix(b, trunc)
     A *= np.sqrt(u.values)[:, None]
     A *= (1.0 / np.sqrt(v.values))[None, :]
     return A
@@ -439,7 +424,7 @@ def singular_values(matrix: np.ndarray) -> np.ndarray:
     return s
 
 
-def spectral_report(matrix: np.ndarray, K_list: list[int], grid_cells: int) -> SpectralReport:
+def spectral_report(matrix: np.ndarray, K_list: list[int]) -> SpectralReport:
     s = singular_values(matrix)
     total_energy = float(np.sum(s**2))
     sigma_ratios, energy_tails = [], []
@@ -451,7 +436,7 @@ def spectral_report(matrix: np.ndarray, K_list: list[int], grid_cells: int) -> S
         energy_tails.append(tail / total_energy if total_energy > 0 else 0.0)
     return SpectralReport(
         singular_values=s,
-        grid_cells=grid_cells,
+        grid_cells=matrix.shape[1],
         K_list=list(K_list),
         sigma_ratios=sigma_ratios,
         energy_tails=energy_tails,
@@ -459,28 +444,25 @@ def spectral_report(matrix: np.ndarray, K_list: list[int], grid_cells: int) -> S
 
 
 def decay_compare(b_cmo: GridFunction, b_bmo: GridFunction, trunc: TruncationSpec,
-                  u: GridFunction, v: GridFunction, K_list: list[int],
-                  kernel: KernelSpec | None = None,
-                  match_cubes: Sequence[Cube] | None = None) -> DecayComparison:
+                  u: GridFunction, v: GridFunction, K_list: list[int]) -> DecayComparison:
     """Paired singular-value decay of the commutator for two symbols.
 
     b_bmo is rescaled so its BMO norm matches b_cmo's before comparison,
     removing norm magnitude as a confounder; the reports then differ only
-    through the symbols' oscillation structure.
+    through the symbols' oscillation structure. The BMO norms are taken over
+    the dyadic cubes of the grid.
     """
     grid = b_cmo.grid
-    if match_cubes is None:
-        match_cubes = dyadic_cubes(grid)
-    norm_cmo = bmo_norm(b_cmo, match_cubes)
-    norm_bmo = bmo_norm(b_bmo, match_cubes)
+    cubes = dyadic_cubes(grid)
+    norm_cmo = bmo_norm(b_cmo, cubes)
+    norm_bmo = bmo_norm(b_bmo, cubes)
     if norm_cmo == 0 or norm_bmo == 0:
         raise ValueError("both symbols need nonzero BMO norm for a matched comparison")
     scale = norm_cmo / norm_bmo
     b_spike = GridFunction(grid, b_bmo.values * scale)
 
     def build(symbol: GridFunction) -> SpectralReport:
-        return spectral_report(operator_matrix(symbol, trunc, u, v, kernel),
-                               K_list, grid.cells)
+        return spectral_report(operator_matrix(symbol, trunc, u, v), K_list)
 
     # one after the other: each SVD already runs on every core through BLAS
     return DecayComparison(smooth=build(b_cmo), spike=build(b_spike), K_list=list(K_list),

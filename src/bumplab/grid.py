@@ -111,9 +111,6 @@ class GridFunction:
         if not np.all(np.isfinite(self.values)):
             raise ValueError("grid function values must be finite")
 
-    def with_values(self, values: np.ndarray) -> "GridFunction":
-        return GridFunction(self.grid, values)
-
     def __add__(self, other):
         if isinstance(other, GridFunction):
             return GridFunction(self.grid, self.values + other.values)
@@ -305,31 +302,31 @@ def average(f: GridFunction, cube: Cube) -> float:
     return float(np.sum(block) / cube.n_cells)
 
 
-def lp_norm_weighted(f: GridFunction, w: GridFunction, p: float, region: Cube | None = None) -> float:
-    """(sum |f|^p w h)^(1/p) over the region (whole grid when region is None)."""
+def lp_norm_weighted(f: GridFunction, w: GridFunction, p: float) -> float:
+    """(sum |f|^p w h)^(1/p) over the whole grid."""
     if p < 1:
         raise ValueError("p must be >= 1")
     if np.any(w.values < 0):
         raise ValueError("weight must be nonnegative")
-    fv, wv = f.values, w.values
-    if region is not None:
-        region.check(f.grid)
-        sl = slice(region.i0, region.i0 + region.n_cells)
-        fv, wv = fv[sl], wv[sl]
-    return float(np.sum(np.abs(fv) ** p * wv * f.grid.h) ** (1.0 / p))
+    return float(np.sum(np.abs(f.values) ** p * w.values * f.grid.h) ** (1.0 / p))
+
+
+def _shift_rows(a: np.ndarray, k_cells: int) -> np.ndarray:
+    """out[i] = a[i + k_cells] along axis 0, zero where i + k_cells is off the grid."""
+    m = a.shape[0]
+    if abs(k_cells) >= m:
+        raise ValueError(f"|k_cells| must be < {m}")
+    out = np.zeros_like(a)
+    if k_cells >= 0:
+        out[: m - k_cells] = a[k_cells:]
+    else:
+        out[-k_cells:] = a[: m + k_cells]
+    return out
 
 
 def shift(f: GridFunction, k_cells: int) -> GridFunction:
     """Translate: g_i = f_{i+k}, i.e. g(x) = f(x + k*h), zero outside the grid."""
-    m = f.grid.cells
-    if abs(k_cells) >= m:
-        raise ValueError(f"|k_cells| must be < {m}")
-    out = np.zeros(m)
-    if k_cells >= 0:
-        out[: m - k_cells] = f.values[k_cells:]
-    else:
-        out[-k_cells:] = f.values[: m + k_cells]
-    return GridFunction(f.grid, out)
+    return GridFunction(f.grid, _shift_rows(f.values, k_cells))
 
 
 # ---------------------------------------------------------------------------

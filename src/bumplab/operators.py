@@ -1,12 +1,13 @@
 """The Hardy-Littlewood maximal operator, smoothly truncated singular
 integral operators, the maximal truncation, and commutators.
 
-The reference kernel is the Hilbert kernel K(x, y) = 1/(pi (x - y)). The
-smooth truncation multiplies K by psi(|x - y| / eta) where psi is a C^1
-smoothstep ramp: the truncated kernel vanishes inside radius eta, agrees
-with K outside radius 2*eta, and keeps the size and gradient bounds of K up
-to a fixed multiple. Every operator evaluated here stays away from the
-diagonal, so plain midpoint quadrature is adequate.
+The one kernel is the Hilbert kernel K(x, y) = 1/(pi (x - y)), evaluated
+through its offsets (below); KERNEL_CONSTANT = 1/pi is its size and
+smoothness constant. The smooth truncation multiplies K by psi(|x - y| / eta)
+where psi is a C^1 smoothstep ramp: the truncated kernel vanishes inside
+radius eta, agrees with K outside radius 2*eta, and keeps the size and
+gradient bounds of K up to a fixed multiple. Every operator evaluated here
+stays away from the diagonal, so plain midpoint quadrature is adequate.
 
 The maximal function is exact over every grid-aligned interval: a dyadic
 divide and conquer over prefix-sum slopes, in numpy alone, that maximises the
@@ -32,9 +33,8 @@ from numpy.lib.stride_tricks import sliding_window_view
 from .grid import Grid, GridFunction
 
 __all__ = [
-    "KernelSpec",
+    "KERNEL_CONSTANT",
     "TruncationSpec",
-    "hilbert_kernel",
     "cutoff_psi",
     "kernel_offsets",
     "truncated_kernel_matrix",
@@ -49,28 +49,9 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
-class KernelSpec:
-    """Off-diagonal kernel with its measured size/smoothness constants.
-
-    fn(x, y) evaluates the kernel on broadcastable arrays; it is never called
-    with x == y. size_constant bounds |K| * |x-y| and smooth_constant bounds
-    |dK/dx| * |x-y|^2 on the grid.
-    """
-
-    name: str
-    fn: Callable[[np.ndarray, np.ndarray], np.ndarray]
-    size_constant: float
-    smooth_constant: float
-
-
-def hilbert_kernel() -> KernelSpec:
-    return KernelSpec(
-        name="hilbert",
-        fn=lambda x, y: 1.0 / (math.pi * (x - y)),
-        size_constant=1.0 / math.pi,
-        smooth_constant=1.0 / math.pi,
-    )
+# the Hilbert kernel's size and smoothness constant:
+# |K(x, y)| * |x - y| = |dK/dx (x, y)| * |x - y|^2 = 1/pi
+KERNEL_CONSTANT = 1.0 / math.pi
 
 
 def cutoff_psi(r):
@@ -111,18 +92,15 @@ def check_dense_fits(nbytes: int, what: str) -> None:
                          f"{total / 2**30:.3g} GiB of physical memory; use a smaller grid")
 
 
-def kernel_offsets(grid: Grid, trunc: TruncationSpec,
-                   kernel: KernelSpec | None = None) -> np.ndarray:
+def kernel_offsets(grid: Grid, trunc: TruncationSpec) -> np.ndarray:
     """K_eta at every cell offset: entry d + m - 1 is K_eta(x_i, x_j) for i - j = d,
-    psi(|d h| / eta) * K(d h, 0), and exactly 0 wherever the cutoff vanishes."""
-    if kernel is None:
-        kernel = hilbert_kernel()
+    psi(|d h| / eta) / (pi d h), and exactly 0 wherever the cutoff vanishes."""
     trunc.check_resolved(grid)
     dx = np.arange(1 - grid.cells, grid.cells) * grid.h
     w = trunc.cutoff(np.abs(dx) / trunc.eta)
     out = np.zeros_like(dx)
     mask = w > 0.0
-    out[mask] = w[mask] * kernel.fn(dx[mask], 0.0)
+    out[mask] = w[mask] * (1.0 / (math.pi * dx[mask]))
     return out
 
 
@@ -132,12 +110,11 @@ def _toeplitz(kvec: np.ndarray) -> np.ndarray:
     return sliding_window_view(kvec, m)[:, ::-1]
 
 
-def truncated_kernel_matrix(grid: Grid, trunc: TruncationSpec,
-                            kernel: KernelSpec | None = None) -> np.ndarray:
+def truncated_kernel_matrix(grid: Grid, trunc: TruncationSpec) -> np.ndarray:
     """Dense m x m sample of K_eta at all center pairs."""
     m = grid.cells
     check_dense_fits(8 * m * m, f"the {m} x {m} kernel matrix")
-    return np.array(_toeplitz(kernel_offsets(grid, trunc, kernel)))
+    return np.array(_toeplitz(kernel_offsets(grid, trunc)))
 
 
 # maximal_fn evaluates its slopes in blocks of at most this many floats,
@@ -201,10 +178,9 @@ def maximal_fn(f: GridFunction) -> GridFunction:
     return GridFunction(f.grid, out)
 
 
-def apply_truncated(f: GridFunction, trunc: TruncationSpec,
-                    kernel: KernelSpec | None = None) -> GridFunction:
+def apply_truncated(f: GridFunction, trunc: TruncationSpec) -> GridFunction:
     """(T_eta f)(x_i) = sum_j K_eta(x_i, x_j) f_j h."""
-    kvec = kernel_offsets(f.grid, trunc, kernel)
+    kvec = kernel_offsets(f.grid, trunc)
     return GridFunction(f.grid, np.convolve(kvec, f.values * f.grid.h, mode="valid"))
 
 
@@ -213,8 +189,7 @@ def default_eta_grid(grid: Grid) -> list[float]:
     return [grid.h * 2.0**j for j in range(1, int(math.log2(grid.cells)) + 1)]
 
 
-def maximal_truncation(f: GridFunction, eta_grid: list[float] | None = None,
-                       kernel: KernelSpec | None = None) -> GridFunction:
+def maximal_truncation(f: GridFunction, eta_grid: list[float] | None = None) -> GridFunction:
     """T-sharp: pointwise sup over radii of |sharp-truncated T f|.
 
     Sharp cutoff per the definition: the sum runs over |x_i - x_j| > eta.
@@ -223,7 +198,7 @@ def maximal_truncation(f: GridFunction, eta_grid: list[float] | None = None,
         eta_grid = default_eta_grid(f.grid)
     if not eta_grid:
         raise ValueError("eta grid must be nonempty")
-    kvecs = [kernel_offsets(f.grid, TruncationSpec(eta, lambda r: (r > 1.0) * 1.0), kernel)
+    kvecs = [kernel_offsets(f.grid, TruncationSpec(eta, lambda r: (r > 1.0) * 1.0))
              for eta in eta_grid]
     fh = f.values * f.grid.h
     out = np.zeros(f.grid.cells)
@@ -232,8 +207,7 @@ def maximal_truncation(f: GridFunction, eta_grid: list[float] | None = None,
     return GridFunction(f.grid, out)
 
 
-def commutator(b: GridFunction, f: GridFunction, trunc: TruncationSpec,
-               kernel: KernelSpec | None = None) -> GridFunction:
+def commutator(b: GridFunction, f: GridFunction, trunc: TruncationSpec) -> GridFunction:
     """([b, T_eta] f)(x_i) = sum_j (b_i - b_j) K_eta(x_i, x_j) f_j h.
 
     Evaluated as b' T_eta(f) - T_eta(b' f) with b' = b - b_0 (the commutator
@@ -241,7 +215,7 @@ def commutator(b: GridFunction, f: GridFunction, trunc: TruncationSpec,
     """
     if b.grid != f.grid:
         raise ValueError("b and f must share a grid")
-    kvec = kernel_offsets(f.grid, trunc, kernel)
+    kvec = kernel_offsets(f.grid, trunc)
     h = f.grid.h
     bp = b.values - b.values[0]
     Tf = np.convolve(kvec, f.values * h, mode="valid")
@@ -250,30 +224,27 @@ def commutator(b: GridFunction, f: GridFunction, trunc: TruncationSpec,
     return GridFunction(f.grid, bp * Tf - Tbf + 0.0)
 
 
-def commutator_matrix(b: GridFunction, trunc: TruncationSpec,
-                      kernel: KernelSpec | None = None) -> np.ndarray:
+def commutator_matrix(b: GridFunction, trunc: TruncationSpec) -> np.ndarray:
     """Dense matrix C with C_ij = (b_i - b_j) K_eta(x_i, x_j) h, so that
     C @ f.values evaluates [b, T_eta] f on the grid."""
     m = b.grid.cells
     check_dense_fits(2 * 8 * m * m, f"the {m} x {m} commutator matrix")
-    out = np.array(_toeplitz(kernel_offsets(b.grid, trunc, kernel)))
+    out = np.array(_toeplitz(kernel_offsets(b.grid, trunc)))
     out *= b.values[:, None] - b.values[None, :]
     out *= b.grid.h
     return out
 
 
-def measured_regularity_constant(kernel: KernelSpec, trunc: TruncationSpec,
-                                 grid: Grid, shifts_cells: tuple[int, ...] = (1, 2, 4),
-                                 ) -> float:
+def measured_regularity_constant(trunc: TruncationSpec, grid: Grid) -> float:
     """Measured C with |K_eta(x + s, y) - K_eta(x, y)| <= C |s| / |x-y|^2
-    over grid pairs with |x - y| >= 2|s|, fixed per (kernel, eta, grid)."""
+    over grid pairs with |x - y| >= 2|s|, s = 1, 2 and 4 cells; fixed per (eta, grid)."""
     x = grid.centers
     m = grid.cells
-    K = _toeplitz(kernel_offsets(grid, trunc, kernel))
+    K = _toeplitz(kernel_offsets(grid, trunc))
     best = 0.0
     step = max(1, m // 512)  # sample rows on large grids
     rows = np.arange(0, m, step)
-    for k in shifts_cells:
+    for k in (1, 2, 4):
         s = k * grid.h
         valid_rows = rows[rows + k < m]
         r = np.abs(x[valid_rows, None] - x[None, :])

@@ -9,14 +9,20 @@ against it. Test grids stay small (m <= 512), so no row blocking is needed.
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 
 from bumplab.grid import Grid, GridFunction
-from bumplab.operators import KernelSpec, TruncationSpec, default_eta_grid, hilbert_kernel
+from bumplab.operators import TruncationSpec, default_eta_grid
 
 
-def kernel_block(kernel: KernelSpec, trunc: TruncationSpec,
-                 x_rows: np.ndarray, x_cols: np.ndarray) -> np.ndarray:
+def hilbert(x, y):
+    """The Hilbert kernel 1/(pi (x - y)), pair by pair; never called with x == y."""
+    return 1.0 / (math.pi * (x - y))
+
+
+def kernel_block(trunc: TruncationSpec, x_rows: np.ndarray, x_cols: np.ndarray) -> np.ndarray:
     """K_eta sampled on a block of (row, column) center pairs."""
     dx = x_rows[:, None] - x_cols[None, :]
     r = np.abs(dx)
@@ -26,14 +32,13 @@ def kernel_block(kernel: KernelSpec, trunc: TruncationSpec,
     if np.any(mask):
         xr = np.broadcast_to(x_rows[:, None], dx.shape)[mask]
         xc = np.broadcast_to(x_cols[None, :], dx.shape)[mask]
-        out[mask] = w[mask] * kernel.fn(xr, xc)
+        out[mask] = w[mask] * hilbert(xr, xc)
     return out
 
 
-def truncated_kernel_matrix(grid: Grid, trunc: TruncationSpec,
-                            kernel: KernelSpec | None = None) -> np.ndarray:
+def truncated_kernel_matrix(grid: Grid, trunc: TruncationSpec) -> np.ndarray:
     x = grid.centers
-    return kernel_block(kernel or hilbert_kernel(), trunc, x, x)
+    return kernel_block(trunc, x, x)
 
 
 def apply_truncated(f: GridFunction, trunc: TruncationSpec) -> np.ndarray:
@@ -54,7 +59,6 @@ def commutator_matrix(b: GridFunction, trunc: TruncationSpec) -> np.ndarray:
 
 def maximal_truncation(f: GridFunction, eta_grid: list[float] | None = None) -> np.ndarray:
     """max over radii of |sum_{|x_i - x_j| > eta} K(x_i, x_j) f_j h|."""
-    kernel = hilbert_kernel()
     if eta_grid is None:
         eta_grid = default_eta_grid(f.grid)
     x = f.grid.centers
@@ -62,8 +66,8 @@ def maximal_truncation(f: GridFunction, eta_grid: list[float] | None = None) -> 
     r = np.abs(dx)
     K = np.zeros_like(dx)
     off = r > 0.0
-    K[off] = kernel.fn(np.broadcast_to(x[:, None], dx.shape)[off],
-                       np.broadcast_to(x[None, :], dx.shape)[off])
+    K[off] = hilbert(np.broadcast_to(x[:, None], dx.shape)[off],
+                     np.broadcast_to(x[None, :], dx.shape)[off])
     fh = f.values * f.grid.h
     out = np.zeros(f.grid.cells)
     for eta in eta_grid:
@@ -71,17 +75,16 @@ def maximal_truncation(f: GridFunction, eta_grid: list[float] | None = None) -> 
     return out
 
 
-def measured_regularity_constant(kernel: KernelSpec, trunc: TruncationSpec, grid: Grid,
-                                 shifts_cells: tuple[int, ...] = (1, 2, 4)) -> float:
+def measured_regularity_constant(trunc: TruncationSpec, grid: Grid) -> float:
     x = grid.centers
     m = grid.cells
     best = 0.0
     rows = np.arange(0, m, max(1, m // 512))
-    for k in shifts_cells:
+    for k in (1, 2, 4):
         s = k * grid.h
         valid_rows = rows[rows + k < m]
-        k0 = kernel_block(kernel, trunc, x[valid_rows], x)
-        k1 = kernel_block(kernel, trunc, x[valid_rows + k], x)
+        k0 = kernel_block(trunc, x[valid_rows], x)
+        k1 = kernel_block(trunc, x[valid_rows + k], x)
         r = np.abs(x[valid_rows, None] - x[None, :])
         mask = r >= 2.0 * s
         if not np.any(mask):

@@ -270,7 +270,7 @@ def test_criterion_09_equicontinuity_slope():
 def test_criterion_10_shift_decomposition():
     grid = bl.make_grid(4.0, 512)
     trunc = bl.TruncationSpec(32 * grid.h)
-    C_meas = bl.measured_regularity_constant(bl.hilbert_kernel(), trunc, grid)
+    C_meas = bl.measured_regularity_constant(trunc, grid)
     sample = bl.sample_unit_ball(bl.constant(grid, 1.0), 2.0, 20, seed=11)
     rng = np.random.default_rng(5)
     ident_worst = 0.0

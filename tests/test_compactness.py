@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from bumplab import (
+    KERNEL_CONSTANT,
     GridFunction,
     TruncationSpec,
     apply_truncated,
@@ -9,11 +10,11 @@ from bumplab import (
     constant,
     decay_compare,
     gaussian,
-    hilbert_kernel,
     indicator,
     iterate_maximal,
     kr_bounded,
     kr_equicontinuity,
+    kr_probe,
     kr_tail,
     log_spike,
     lp_norm_weighted,
@@ -119,6 +120,28 @@ def test_kr_equicontinuity_shift_guard(setup):
     assert curve[0][1] >= 0.0
 
 
+@pytest.mark.parametrize("k", [70, -70, 64])
+def test_kr_equicontinuity_rejects_shift_past_grid(k):
+    grid = make_grid(1.0, 64)
+    one = constant(grid, 1.0)
+    sample = sample_unit_ball(one, 2.0, 4, seed=1)
+    with pytest.raises(ValueError, match=r"\|k_cells\| must be < 64"):
+        kr_equicontinuity(sample, smooth_bump(grid, 0.0, 0.5), TruncationSpec(4 * grid.h),
+                          one, 2.0, [k], allow_large_shifts=True)
+
+
+@pytest.mark.parametrize("probe", [
+    lambda sample, b, trunc, u: kr_bounded(sample, b, trunc, u, 2.0),
+    lambda sample, b, trunc, u: kr_tail(sample, b, trunc, u, 2.0, [1.0]),
+    lambda sample, b, trunc, u: kr_equicontinuity(sample, b, trunc, u, 2.0, [1]),
+    lambda sample, b, trunc, u: kr_probe(sample, b, trunc, u, 2.0, [1.0], [1]),
+], ids=["kr_bounded", "kr_tail", "kr_equicontinuity", "kr_probe"])
+def test_kr_entry_points_reject_negative_u(setup, probe):
+    grid, u, v, b, trunc, sample = setup
+    with pytest.raises(ValueError, match="u must be nonnegative"):
+        probe(sample, b, trunc, -1.0 * u)
+
+
 def test_shift_decomposition_identity_and_zero_cases(setup):
     grid, u, v, b, trunc, sample = setup
     rng = np.random.default_rng(15)
@@ -148,7 +171,7 @@ def test_shift_decomposition_identity_and_zero_cases(setup):
 
 def test_shift_decomposition_pointwise_bounds(setup):
     grid, u, v, b, trunc, sample = setup
-    C = measured_regularity_constant(hilbert_kernel(), trunc, grid)
+    C = measured_regularity_constant(trunc, grid)
     rng = np.random.default_rng(30)
     for i in range(5):
         f = sample.functions[i]
@@ -173,13 +196,21 @@ def test_tail_constant(setup):
     assert tail_constant(b, trunc, v, 2.0, bigger, N0=2.0).C_bv >= rep.C_bv
     # numerical re-derivation of the decay chain with measured constants
     radius = 0.5 + grid.h / 2
-    bound = (2 * np.max(np.abs(b.values)) * hilbert_kernel().size_constant
+    bound = (2 * np.max(np.abs(b.values)) * KERNEL_CONSTANT
              * rep.v_certificate * 2.0 / (2.0 - radius))
     assert rep.C_bv <= bound
     with pytest.raises(ValueError):
         tail_constant(b, trunc, v, 2.0, sample, N0=0.9)  # N0 <= 2 * radius
     zero = tail_constant(constant(grid, 0.0), trunc, v, 2.0, sample, N0=1.0)
     assert zero.C_bv == 0.0 and zero.v_certificate == 0.0
+
+
+@pytest.mark.parametrize("on_supp", [-1.0, 0.0])
+def test_tail_constant_rejects_nonpositive_v(setup, on_supp):
+    grid, u, v, b, trunc, sample = setup
+    bad = GridFunction(grid, np.where(b.values != 0.0, on_supp, v.values))
+    with pytest.raises(ValueError, match="v must be positive everywhere"):
+        tail_constant(b, trunc, bad, 2.0, sample, N0=2.0)
 
 
 def test_operator_matrix_structure(setup):
@@ -233,14 +264,14 @@ def test_singular_values_small_cases():
 
 def test_spectral_report_contents():
     A = np.diag([4.0, 2.0, 1.0, 0.5])
-    rep = spectral_report(A, [1, 2], grid_cells=4)
+    rep = spectral_report(A, [1, 2])
     assert np.array_equal(rep.singular_values, [4.0, 2.0, 1.0, 0.5])
     total = 16.0 + 4.0 + 1.0 + 0.25
     assert rep.energy_tails[0] == pytest.approx((4.0 + 1.0 + 0.25) / total)
     assert rep.energy_tails[1] == pytest.approx((1.0 + 0.25) / total)
     assert rep.sigma_ratios == [pytest.approx(1.0), pytest.approx(0.5)]  # sigma_K / sigma_1
     with pytest.raises(ValueError):
-        spectral_report(A, [4], grid_cells=4)
+        spectral_report(A, [4])
 
 
 def test_decay_compare_identical_symbols(setup):

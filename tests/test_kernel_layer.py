@@ -28,7 +28,6 @@ from bumplab import (
     apply_truncated,
     commutator,
     constant,
-    hilbert_kernel,
     make_grid,
     maximal_truncation,
     measured_regularity_constant,
@@ -145,9 +144,8 @@ def test_dense_matrices_bit_identical_on_exact_grids(prob):
     assert K.flags.c_contiguous and K.flags.writeable
     assert np.array_equal(K, oracle.truncated_kernel_matrix(grid, trunc))
     assert np.array_equal(commutator_matrix(b, trunc), oracle.commutator_matrix(b, trunc))
-    kernel = hilbert_kernel()
-    assert (measured_regularity_constant(kernel, trunc, grid)
-            == oracle.measured_regularity_constant(kernel, trunc, grid))
+    assert (measured_regularity_constant(trunc, grid)
+            == oracle.measured_regularity_constant(trunc, grid))
 
 
 @profile
@@ -160,9 +158,8 @@ def test_dense_matrices_close_on_rounded_grids(prob):
     db = np.abs(b.values[:, None] - b.values[None, :])
     assert_close(commutator_matrix(b, trunc), oracle.commutator_matrix(b, trunc),
                  np.max(ring * db) * grid.h)
-    kernel = hilbert_kernel()
-    got = measured_regularity_constant(kernel, trunc, grid)
-    want = oracle.measured_regularity_constant(kernel, trunc, grid)
+    got = measured_regularity_constant(trunc, grid)
+    want = oracle.measured_regularity_constant(trunc, grid)
     assert abs(got - want) <= TOL * want
 
 

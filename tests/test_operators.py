@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from bumplab import (
+    KERNEL_CONSTANT,
     GridFunction,
     TruncationSpec,
     apply_truncated,
@@ -12,7 +13,6 @@ from bumplab import (
     cutoff_psi,
     default_eta_grid,
     gaussian,
-    hilbert_kernel,
     indicator,
     lp_norm_weighted,
     make_grid,
@@ -23,6 +23,7 @@ from bumplab import (
     smooth_bump,
 )
 from bumplab.operators import truncated_kernel_matrix
+from kernel_oracle import hilbert
 
 
 def test_cutoff_psi_values():
@@ -45,19 +46,18 @@ def test_cutoff_psi_c1_matching():
 
 
 def test_hilbert_kernel_bounds():
-    k = hilbert_kernel()
     g = make_grid(2.0, 256)
     x = g.centers
     dx = x[:, None] - x[None, :]
     off = np.abs(dx) > 0
     xr = np.broadcast_to(x[:, None], dx.shape)[off]
     xc = np.broadcast_to(x[None, :], dx.shape)[off]
-    assert np.all(np.abs(k.fn(xr, xc)) * np.abs(dx[off]) <= k.size_constant + 1e-12)
+    assert np.all(np.abs(hilbert(xr, xc)) * np.abs(dx[off]) <= KERNEL_CONSTANT + 1e-12)
     # finite-difference smoothness check on sample pairs
     eps = 1e-6
     for xi, yj in [(0.5, -0.5), (1.3, 0.1), (-1.7, 0.4)]:
-        d = (k.fn(np.array(xi + eps), np.array(yj)) - k.fn(np.array(xi - eps), np.array(yj))) / (2 * eps)
-        assert abs(d) <= k.smooth_constant / abs(xi - yj) ** 2 * (1 + 1e-4)
+        d = (hilbert(xi + eps, yj) - hilbert(xi - eps, yj)) / (2 * eps)
+        assert abs(d) <= KERNEL_CONSTANT / abs(xi - yj) ** 2 * (1 + 1e-4)
 
 
 def test_truncated_kernel_ring_behavior():
@@ -65,7 +65,6 @@ def test_truncated_kernel_ring_behavior():
     eta = 8 * g.h
     trunc = TruncationSpec(eta)
     K = truncated_kernel_matrix(g, trunc)
-    k = hilbert_kernel()
     x = g.centers
     dx = x[:, None] - x[None, :]
     r = np.abs(dx)
@@ -74,9 +73,9 @@ def test_truncated_kernel_ring_behavior():
     assert np.all(K[inside] == 0.0)
     xr = np.broadcast_to(x[:, None], K.shape)[outside]
     xc = np.broadcast_to(x[None, :], K.shape)[outside]
-    assert np.array_equal(K[outside], k.fn(xr, xc))  # bit-for-bit beyond 2*eta
+    assert np.array_equal(K[outside], hilbert(xr, xc))  # bit-for-bit beyond 2*eta
     ring = ~inside & ~outside
-    assert np.all(np.abs(K[ring]) * r[ring] <= k.size_constant + 1e-12)
+    assert np.all(np.abs(K[ring]) * r[ring] <= KERNEL_CONSTANT + 1e-12)
 
 
 def test_truncation_validation():
@@ -90,10 +89,10 @@ def test_truncation_validation():
 def test_regularity_constant_transfer():
     g = make_grid(2.0, 256)
     trunc = TruncationSpec(16 * g.h)
-    c1 = measured_regularity_constant(hilbert_kernel(), trunc, g)
-    c2 = measured_regularity_constant(hilbert_kernel(), trunc, g)
-    assert c1 == c2  # fixed per kernel
-    assert 0 < c1 < 10 * hilbert_kernel().smooth_constant / min(1.0, trunc.eta)
+    c1 = measured_regularity_constant(trunc, g)
+    c2 = measured_regularity_constant(trunc, g)
+    assert c1 == c2  # fixed per (eta, grid)
+    assert 0 < c1 < 10 * KERNEL_CONSTANT / min(1.0, trunc.eta)
 
 
 def test_maximal_fn_matches_brute_force():
