@@ -72,6 +72,7 @@ from .compactness import (
     kr_probe,
     kr_tail,
     operator_matrix,
+    operator_spectral_report,
     sample_unit_ball,
     shift_decomposition,
     singular_values,

@@ -383,8 +383,7 @@ def _cmd_probe_svd(res: Resolved) -> int:
     u, v = _weight_pair(res, grid)
     b = parse_function_spec(grid, res.get("b"))
     trunc, K_list = _trunc_of(res, grid), res.get("K_list")
-    matrix = compactness.operator_matrix(b, trunc, u, v)
-    report = compactness.spectral_report(matrix, K_list)
+    report = compactness.operator_spectral_report(b, trunc, u, v, K_list)
     _write_sigma(res, "probe_svd_sigma.csv", report.singular_values)
     _emit(res, "probe_svd", "spectral_probe", io.spectral_report_dict(report))
     return 0

@@ -22,13 +22,13 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._threads import parallel_map
 from .grid import Cube, GridFunction, _shift_rows, dyadic_cubes, haar, lp_norm_weighted, shift
 from .operators import (
     TruncationSpec,
     apply_truncated,
     check_dense_fits,
     commutator,
+    commutator_block,
     commutator_matrix,
 )
 from .orlicz import bmo_norm
@@ -50,6 +50,7 @@ __all__ = [
     "operator_matrix",
     "singular_values",
     "spectral_report",
+    "operator_spectral_report",
     "decay_compare",
 ]
 
@@ -146,7 +147,7 @@ def sample_unit_ball(v: GridFunction, p: float, count: int, seed: int) -> UnitBa
         raise ValueError("count must be >= 1")
     if np.min(v.values) <= 0:
         raise ValueError("v must be positive everywhere")
-    members = parallel_map(lambda i: _generate_member(v, p, seed, i), range(count))
+    members = [_generate_member(v, p, seed, i) for i in range(count)]
     return UnitBallSample(
         functions=[f for f, _ in members],
         seed=seed,
@@ -290,7 +291,11 @@ def tail_constant(b: GridFunction, trunc: TruncationSpec, v: GridFunction, p: fl
 
     Also reports the finiteness certificate (integral of v^(-p'/p) over the
     support of b)^(1/p'), which bounds int |f| over supp b for unit-ball f.
+    At p = 1 (p' = infinity) it is max of 1/v over supp b, its limit as p
+    falls to 1. Raises ValueError for p < 1.
     """
+    if not p >= 1.0:
+        raise ValueError(f"p = {p} must be >= 1")
     if np.min(v.values) <= 0:
         raise ValueError("v must be positive everywhere")
     grid = b.grid
@@ -301,8 +306,13 @@ def tail_constant(b: GridFunction, trunc: TruncationSpec, v: GridFunction, p: fl
         radius = float(np.max(np.abs(grid.centers[supp])) + grid.h / 2.0)
     if N0 <= 2.0 * radius:
         raise ValueError(f"N0 = {N0} must exceed twice the symbol support radius {radius}")
-    pc = p / (p - 1.0)
-    cert = float(np.sum(v.values[supp] ** (-pc / p) * grid.h) ** (1.0 / pc)) if np.any(supp) else 0.0
+    if not np.any(supp):
+        cert = 0.0
+    elif p == 1.0:
+        cert = float(np.max(1.0 / v.values[supp]))
+    else:
+        pc = p / (p - 1.0)
+        cert = float(np.sum(v.values[supp] ** (-pc / p) * grid.h) ** (1.0 / pc))
 
     G = _commutator_images(sample, b, trunc)
     x = grid.centers
@@ -311,6 +321,13 @@ def tail_constant(b: GridFunction, trunc: TruncationSpec, v: GridFunction, p: fl
         raise ValueError("no grid cells beyond N0; enlarge the domain or reduce N0")
     C_bv = float(np.max(np.abs(G[far]) * np.abs(x[far])[:, None]))
     return TailReport(C_bv=C_bv, N0=float(N0), v_certificate=cert)
+
+
+def _check_weights(u: GridFunction, v: GridFunction) -> None:
+    if np.min(v.values) <= 0:
+        raise ValueError("v must be positive everywhere")
+    if np.any(u.values < 0):
+        raise ValueError("u must be nonnegative")
 
 
 def operator_matrix(b: GridFunction, trunc: TruncationSpec, u: GridFunction,
@@ -322,10 +339,7 @@ def operator_matrix(b: GridFunction, trunc: TruncationSpec, u: GridFunction,
     ||A g|| equals ||[b,T_eta](v^(-1/2) g)||_{L^2(u)} exactly, and the
     h-weighting cancels in singular values.
     """
-    if np.min(v.values) <= 0:
-        raise ValueError("v must be positive everywhere")
-    if np.any(u.values < 0):
-        raise ValueError("u must be nonnegative")
+    _check_weights(u, v)
     A = commutator_matrix(b, trunc)
     A *= np.sqrt(u.values)[:, None]
     A *= (1.0 / np.sqrt(v.values))[None, :]
@@ -337,43 +351,90 @@ def operator_matrix(b: GridFunction, trunc: TruncationSpec, u: GridFunction,
 _SPECTRUM_RTOL = 1e-12
 # Power iterations behind the lower bound on sigma_1 (two matvecs each)
 _POWER_STEPS = 8
+_NO_ROWS = np.zeros((0, 0))
+_NO_COLS = np.zeros(0, dtype=np.intp)
 
 
-def _sigma1_lower_bound(matrix: np.ndarray) -> float:
+def _sigma1_lower_bound(dense: np.ndarray, block: np.ndarray = _NO_ROWS,
+                        cols: np.ndarray = _NO_COLS) -> float:
     """max ||A x|| over the unit vectors x of a few power iterations on A^T A,
-    from a fixed start; each one is a lower bound on sigma_1."""
-    x = np.random.default_rng(0).standard_normal(matrix.shape[1])
+    from a fixed start; each one is a lower bound on sigma_1. A's rows are
+    `dense`, then `block` on the columns `cols` and zero elsewhere."""
+    x = np.random.default_rng(0).standard_normal(dense.shape[1])
     best = 0.0
     for _ in range(_POWER_STEPS):
         nrm = float(np.linalg.norm(x))
         if nrm == 0.0:  # A^T A x reached 0: no better bound from this start
             break
-        y = matrix @ (x / nrm)
-        best = max(best, float(np.linalg.norm(y)))
-        x = matrix.T @ y
+        x = x / nrm
+        y, y_block = dense @ x, block @ x[cols]
+        best = max(best, math.hypot(np.linalg.norm(y), np.linalg.norm(y_block)))
+        x = dense.T @ y
+        x[cols] += block.T @ y_block
     return best
 
 
-def _row_compressed(matrix: np.ndarray) -> np.ndarray:
-    """Z with Z^T Z = A^T A up to the QR's rounding and fewer than min(m, n)
-    rows, or A itself when A's zero pattern allows no such Z.
+def _compresses(m: int, n: int, sparse: np.ndarray, cols: np.ndarray) -> bool:
+    """Whether replacing the sparse rows by the R of their block on cols leaves
+    fewer than min(m, n) rows."""
+    n_sparse = int(np.count_nonzero(sparse))
+    return m - n_sparse + min(n_sparse, cols.size) < min(m, n)
 
-    The rows with at most n/2 nonzeros (the sparse rows) become the R of a
-    QR of their block on the columns where any of them is nonzero; the
-    other rows are kept as they are.
-    """
+
+def _scan_split(matrix: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The dense rows, the sparse block and its columns, found by scanning the
+    matrix for zeros; the whole matrix as the dense rows when splitting saves
+    nothing (see _compressed)."""
     m, n = matrix.shape
     nonzero = matrix != 0.0
     sparse = np.count_nonzero(nonzero, axis=1) <= n // 2
     cols = np.flatnonzero(np.any(nonzero[sparse], axis=0))
-    n_dense = m - int(np.count_nonzero(sparse))
-    rows = n_dense + min(m - n_dense, cols.size)
-    if rows >= min(m, n):
-        return matrix
-    Z = np.zeros((rows, n))
-    Z[:n_dense] = matrix[~sparse]
-    Z[n_dense:, cols] = np.linalg.qr(matrix[np.ix_(sparse, cols)], mode="r")
+    if not _compresses(m, n, sparse, cols):
+        return matrix, _NO_ROWS, _NO_COLS
+    return matrix[~sparse], matrix[np.ix_(sparse, cols)], cols
+
+
+def _compressed(dense: np.ndarray, block: np.ndarray, cols: np.ndarray) -> np.ndarray:
+    """Z with Z^T Z = A^T A up to the QR's rounding, for the A whose rows are
+    `dense` and then `block` on the columns `cols`: the dense rows over the R of
+    a QR of the block. `dense` itself when the block has no rows.
+
+    A's sparse rows are those with at most n/2 nonzeros, its dense rows the
+    others, each kept in ascending order; cols are the columns where any
+    sparse row is nonzero.
+    """
+    if not block.shape[0]:
+        return dense
+    Z = np.zeros((dense.shape[0] + min(block.shape), dense.shape[1]))
+    Z[: dense.shape[0]] = dense
+    Z[dense.shape[0]:, cols] = np.linalg.qr(block, mode="r")
     return Z
+
+
+def _row_compressed(matrix: np.ndarray) -> np.ndarray:
+    """Z with Z^T Z = A^T A up to the QR's rounding and fewer than min(m, n)
+    rows, or A itself when A's zero pattern allows no such Z."""
+    return _compressed(*_scan_split(matrix))
+
+
+def _split_values(dense: np.ndarray, block: np.ndarray, cols: np.ndarray) -> np.ndarray:
+    """The singular values of the A whose rows are `dense` and then `block` on
+    the columns `cols` (see _compressed), padded with exact zeros to min(m, n)
+    and checked against A blockwise (see singular_values)."""
+    m, n = dense.shape[0] + block.shape[0], dense.shape[1]
+    s = np.linalg.svd(_compressed(dense, block, cols), compute_uv=False)
+    s = np.concatenate([s, np.zeros(min(m, n) - s.size)])
+    if s.size:
+        fro2 = float(np.linalg.norm(dense)) ** 2 + float(np.linalg.norm(block)) ** 2
+        energy = float(np.sum(s**2))
+        if not abs(energy - fro2) <= _SPECTRUM_RTOL * fro2:
+            raise FloatingPointError(f"sum of sigma^2 {energy} differs from ||A||_F^2 "
+                                     f"{fro2} by more than {_SPECTRUM_RTOL:g} relative")
+        bound = _sigma1_lower_bound(dense, block, cols)
+        if s[0] < (1.0 - _SPECTRUM_RTOL) * bound:
+            raise FloatingPointError(f"sigma_1 {s[0]} is below the power-iteration "
+                                     f"lower bound {bound}")
+    return s
 
 
 def singular_values(matrix: np.ndarray) -> np.ndarray:
@@ -395,7 +456,8 @@ def singular_values(matrix: np.ndarray) -> np.ndarray:
     tests hold them to 1e-13 * sigma_1 against the SVD with vectors. Two
     checks on A itself catch gross failure, of the compression or the SVD,
     each to 1e-12 relative: sum(sigma^2) must match ||A||_F^2, and sigma_1
-    must not fall below the best ||A x|| from a few power iterations.
+    must not fall below the best ||A x|| from a few power iterations. Both
+    run on A's dense rows and sparse block, which hold every nonzero of A.
     Neither certifies each sigma_k to a fixed fraction of sigma_1: an error
     in a small sigma_k moves sum(sigma^2) by less than the round-off of
     ||A||_F^2, and the power bound is loose when sigma_2 is close to
@@ -409,23 +471,59 @@ def singular_values(matrix: np.ndarray) -> np.ndarray:
         raise ValueError("matrix entries must be finite")
     # the matrix and LAPACK's working copy; the workspace is O(m + n)
     check_dense_fits(2 * matrix.nbytes, f"the SVD of a {matrix.shape} matrix")
-    s = np.linalg.svd(_row_compressed(matrix), compute_uv=False)
-    s = np.concatenate([s, np.zeros(min(matrix.shape) - s.size)])
-    if s.size:
-        fro2 = float(np.linalg.norm(matrix)) ** 2
-        energy = float(np.sum(s**2))
-        if not abs(energy - fro2) <= _SPECTRUM_RTOL * fro2:
-            raise FloatingPointError(f"sum of sigma^2 {energy} differs from ||A||_F^2 "
-                                     f"{fro2} by more than {_SPECTRUM_RTOL:g} relative")
-        bound = _sigma1_lower_bound(matrix)
-        if s[0] < (1.0 - _SPECTRUM_RTOL) * bound:
-            raise FloatingPointError(f"sigma_1 {s[0]} is below the power-iteration "
-                                     f"lower bound {bound}")
-    return s
+    return _split_values(*_scan_split(matrix))
 
 
-def spectral_report(matrix: np.ndarray, K_list: list[int]) -> SpectralReport:
-    s = singular_values(matrix)
+def _operator_split(b: GridFunction, trunc: TruncationSpec, u: GridFunction,
+                    v: GridFunction) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """_scan_split(operator_matrix(b, trunc, u, v)), entry for entry, without
+    the m x m matrix unless the split saves nothing.
+
+    With S the cells where b differs from b_0, row i off S is nonzero only in
+    the columns of S, since b_i - b_j = 0 for j off S. So the rows on S, whole
+    (s x m), and the rows off S on the columns of S ((m - s) x s) hold every
+    nonzero, and their zeros give the split. The dense rows and the sparse
+    block are then evaluated entry for entry as operator_matrix does, signed
+    zeros included, so the QR and the SVD see the same floats.
+    """
+    _check_weights(u, v)
+    scale_u, scale_v = np.sqrt(u.values), 1.0 / np.sqrt(v.values)
+
+    def block(rows: np.ndarray | None, cols: np.ndarray | None = None) -> np.ndarray:
+        A = commutator_block(b, trunc, rows, cols)
+        A *= (scale_u if rows is None else scale_u[rows])[:, None]
+        A *= (scale_v if cols is None else scale_v[cols])[None, :]
+        return A
+
+    m = b.grid.cells
+    on = b.values != b.values[0]
+    S, off = np.flatnonzero(on), np.flatnonzero(~on)
+    check_dense_fits(2 * 8 * m * S.size, f"the rows of the {m} x {m} operator that its "
+                                         f"{S.size}-cell symbol support touches")
+    # every nonzero of A: its rows on S, and its rows off S on the columns of S
+    arms = block(S), block(off, S)
+    if not all(np.all(np.isfinite(arm)) for arm in arms):
+        raise ValueError("matrix entries must be finite")
+    nonzero_on, nonzero_off = (arm != 0.0 for arm in arms)
+    del arms
+    sparse = np.empty(m, dtype=bool)
+    sparse[S] = np.count_nonzero(nonzero_on, axis=1) <= m // 2
+    sparse[off] = np.count_nonzero(nonzero_off, axis=1) <= m // 2
+    touched = np.any(nonzero_on[sparse[S]], axis=0)
+    touched[S] |= np.any(nonzero_off[sparse[off]], axis=0)
+    cols = np.flatnonzero(touched)
+    if not _compresses(m, m, sparse, cols):
+        check_dense_fits(2 * 8 * m * m, f"the SVD of the {m} x {m} operator")
+        return block(None), _NO_ROWS, _NO_COLS
+    dense_rows, sparse_rows = np.flatnonzero(~sparse), np.flatnonzero(sparse)
+    kept = dense_rows.size + min(sparse_rows.size, cols.size)
+    # the dense rows, the sparse block, Z and LAPACK's working copy of Z
+    check_dense_fits(8 * (dense_rows.size * m + sparse_rows.size * cols.size + 2 * kept * m),
+                     f"the SVD of the {m} x {m} operator compressed to {kept} rows")
+    return block(dense_rows), block(sparse_rows, cols), cols
+
+
+def _report(s: np.ndarray, grid_cells: int, K_list: list[int]) -> SpectralReport:
     total_energy = float(np.sum(s**2))
     sigma_ratios, energy_tails = [], []
     for K in K_list:
@@ -436,11 +534,26 @@ def spectral_report(matrix: np.ndarray, K_list: list[int]) -> SpectralReport:
         energy_tails.append(tail / total_energy if total_energy > 0 else 0.0)
     return SpectralReport(
         singular_values=s,
-        grid_cells=matrix.shape[1],
+        grid_cells=grid_cells,
         K_list=list(K_list),
         sigma_ratios=sigma_ratios,
         energy_tails=energy_tails,
     )
+
+
+def spectral_report(matrix: np.ndarray, K_list: list[int]) -> SpectralReport:
+    """Singular values of a matrix, with sigma_K / sigma_1 and the energy share
+    beyond the K-th value for each K in K_list."""
+    return _report(singular_values(matrix), matrix.shape[1], K_list)
+
+
+def operator_spectral_report(b: GridFunction, trunc: TruncationSpec, u: GridFunction,
+                             v: GridFunction, K_list: list[int]) -> SpectralReport:
+    """spectral_report(operator_matrix(b, trunc, u, v), K_list), bit for bit,
+    from the operator's rows on the symbol's support and its other rows on the
+    columns of that support (see _operator_split): O(m s) memory for a symbol
+    constant off s cells, where the dense matrix takes m^2."""
+    return _report(_split_values(*_operator_split(b, trunc, u, v)), b.grid.cells, K_list)
 
 
 def decay_compare(b_cmo: GridFunction, b_bmo: GridFunction, trunc: TruncationSpec,
@@ -461,9 +574,7 @@ def decay_compare(b_cmo: GridFunction, b_bmo: GridFunction, trunc: TruncationSpe
     scale = norm_cmo / norm_bmo
     b_spike = GridFunction(grid, b_bmo.values * scale)
 
-    def build(symbol: GridFunction) -> SpectralReport:
-        return spectral_report(operator_matrix(symbol, trunc, u, v), K_list)
-
     # one after the other: each SVD already runs on every core through BLAS
-    return DecayComparison(smooth=build(b_cmo), spike=build(b_spike), K_list=list(K_list),
-                           bmo_scale=scale)
+    return DecayComparison(smooth=operator_spectral_report(b_cmo, trunc, u, v, K_list),
+                           spike=operator_spectral_report(b_spike, trunc, u, v, K_list),
+                           K_list=list(K_list), bmo_scale=scale)

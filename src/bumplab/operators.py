@@ -17,7 +17,8 @@ On the uniform grid x_i - x_j = (i - j) h, so the m x m kernel matrix is the
 Toeplitz matrix of one vector of 2m - 1 offsets (``kernel_offsets``). T_eta,
 [b, T_eta] and each radius of T# are direct convolutions with it, in O(m)
 memory; direct rather than FFT so that a kernel vanishing on the support of
-f gives exactly 0. Dense matrices are read off the vector by indexing.
+f gives exactly 0. Dense matrices, and blocks of their rows and columns, are
+read off the vector by indexing.
 """
 
 from __future__ import annotations
@@ -43,6 +44,7 @@ __all__ = [
     "default_eta_grid",
     "maximal_truncation",
     "commutator",
+    "commutator_block",
     "commutator_matrix",
     "measured_regularity_constant",
     "check_dense_fits",
@@ -84,12 +86,32 @@ class TruncationSpec:
             )
 
 
+# the cgroup v2 memory limit of the cgroup this process runs in
+_CGROUP_MEMORY_MAX = "/sys/fs/cgroup/memory.max"
+
+
+def _cgroup_memory_max() -> int | None:
+    """The cgroup v2 memory limit in bytes, or None when there is none to read
+    ("max", or no such file)."""
+    try:
+        with open(_CGROUP_MEMORY_MAX) as fh:
+            text = fh.read().strip()
+    except OSError:
+        return None
+    return int(text) if text.isdigit() else None
+
+
 def check_dense_fits(nbytes: int, what: str) -> None:
-    """Raise ValueError if nbytes of dense arrays would not fit in physical memory."""
+    """Raise ValueError if nbytes of dense arrays would not fit in memory: physical
+    memory, or the cgroup's memory.max when that is lower."""
     total = os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
+    limit = _cgroup_memory_max()
+    if limit is not None:
+        total = min(total, limit)
     if nbytes > total:
         raise ValueError(f"{what} needs about {nbytes / 2**30:.3g} GiB, more than the "
-                         f"{total / 2**30:.3g} GiB of physical memory; use a smaller grid")
+                         f"{total / 2**30:.3g} GiB memory limit (physical memory, or the "
+                         f"cgroup's memory.max if lower); use a smaller grid")
 
 
 def kernel_offsets(grid: Grid, trunc: TruncationSpec) -> np.ndarray:
@@ -224,15 +246,29 @@ def commutator(b: GridFunction, f: GridFunction, trunc: TruncationSpec) -> GridF
     return GridFunction(f.grid, bp * Tf - Tbf + 0.0)
 
 
+def commutator_block(b: GridFunction, trunc: TruncationSpec, rows: np.ndarray | None = None,
+                     cols: np.ndarray | None = None) -> np.ndarray:
+    """The rows `rows` and columns `cols` (index arrays; None for all) of
+    commutator_matrix, entry for entry: (K_eta(x_i, x_j) (b_i - b_j)) h, with K_eta
+    gathered from the Toeplitz view of kernel_offsets."""
+    K = _toeplitz(kernel_offsets(b.grid, trunc))
+    if cols is None:
+        out = np.array(K) if rows is None else K[rows]
+    else:
+        out = K[np.ix_(np.arange(b.grid.cells) if rows is None else rows, cols)]
+    bi = b.values if rows is None else b.values[rows]
+    bj = b.values if cols is None else b.values[cols]
+    out *= bi[:, None] - bj[None, :]
+    out *= b.grid.h
+    return out
+
+
 def commutator_matrix(b: GridFunction, trunc: TruncationSpec) -> np.ndarray:
     """Dense matrix C with C_ij = (b_i - b_j) K_eta(x_i, x_j) h, so that
     C @ f.values evaluates [b, T_eta] f on the grid."""
     m = b.grid.cells
     check_dense_fits(2 * 8 * m * m, f"the {m} x {m} commutator matrix")
-    out = np.array(_toeplitz(kernel_offsets(b.grid, trunc)))
-    out *= b.values[:, None] - b.values[None, :]
-    out *= b.grid.h
-    return out
+    return commutator_block(b, trunc)
 
 
 def measured_regularity_constant(trunc: TruncationSpec, grid: Grid) -> float:

@@ -13,7 +13,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import bumplab
-from bumplab import compactness, iterate_maximal, make_grid
+from bumplab import compactness, iterate_maximal, make_grid, operators
 from bumplab.cli import _COMMANDS, main, parse_function_spec, validate_config
 from bumplab.io import read_grid_function_csv
 from config_oracle import CONFIG_SCHEMA
@@ -420,10 +420,37 @@ def test_memory_error_exits_2(tmp_path, monkeypatch, capsys):
     def exhausted(*args, **kwargs):
         raise MemoryError()
 
-    monkeypatch.setattr(compactness, "operator_matrix", exhausted)
+    monkeypatch.setattr(compactness, "_operator_split", exhausted)
     assert run(["probe", "svd", "--b", "bump:0,0.5", "--u", "const:1", "--v", "const:1",
                 "--L", "1", "--m", "16", "--out", tmp_path]) == 2
     assert "out of memory" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("text, limit", [("1073741824\n", 2**30), ("max\n", None), (None, None)],
+                         ids=["bytes", "max", "missing"])
+def test_cgroup_memory_max_reader(tmp_path, monkeypatch, text, limit):
+    path = tmp_path / "memory.max"
+    if text is not None:
+        path.write_text(text)
+    monkeypatch.setattr(operators, "_CGROUP_MEMORY_MAX", str(path))
+    assert operators._cgroup_memory_max() == limit
+
+
+# the bench's probe svd at m = 1024; its arrow blocks, Z and LAPACK's copy of Z
+# take about 3 MiB, the dense matrix and its copy 16 MiB
+_PROBE_SVD_1024 = ["probe", "svd", "--b", "bump:-0.15,0.5", "--u", "const:1+gaussian:-0.30,0.3",
+                   "--v", "const:1+gaussian:0.30,0.6", "--eta-cells", "16", "--K-list", "64,256",
+                   "--L", "8", "--m", "1024"]
+
+
+@pytest.mark.parametrize("limit, code", [(2**20, 2), (8 * 2**20, 0)], ids=["1MiB", "8MiB"])
+def test_memory_guard_honours_cgroup_limit_and_counts_the_blocks(tmp_path, monkeypatch, capsys,
+                                                                 limit, code):
+    monkeypatch.setattr(operators, "_cgroup_memory_max", lambda: limit)
+    assert run([*_PROBE_SVD_1024, "--out", tmp_path]) == code
+    if code == 2:
+        assert "physical memory" in capsys.readouterr().err
+        assert not list(tmp_path.iterdir())
 
 
 @pytest.mark.parametrize("argv", [["bmo", "--b", "const:1e308"], ["ap", "--w", "const:1e308"]],

@@ -205,6 +205,22 @@ def test_tail_constant(setup):
     assert zero.C_bv == 0.0 and zero.v_certificate == 0.0
 
 
+def test_tail_constant_at_p_1_is_the_sup_certificate(setup):
+    grid, u, v, b, trunc, sample = setup
+    supp = b.values != 0.0
+    limit = float(np.max(1.0 / v.values[supp]))
+    rep = tail_constant(b, trunc, v, 1.0, sample, N0=2.0)
+    assert rep.v_certificate == limit
+    assert rep.C_bv == tail_constant(b, trunc, v, 2.0, sample, N0=2.0).C_bv
+    # (sum over supp b of v^(-p'/p) h)^(1/p') falls to max 1/v as p falls to 1
+    gaps = [tail_constant(b, trunc, v, p, sample, N0=2.0).v_certificate - limit
+            for p in (1.5, 1.1, 1.01, 1.001)]
+    assert all(g > 0 for g in gaps) and gaps == sorted(gaps, reverse=True)
+    assert gaps[-1] < 1e-2 * limit
+    with pytest.raises(ValueError, match="p = 0.5 must be >= 1"):
+        tail_constant(b, trunc, v, 0.5, sample, N0=2.0)
+
+
 @pytest.mark.parametrize("on_supp", [-1.0, 0.0])
 def test_tail_constant_rejects_nonpositive_v(setup, on_supp):
     grid, u, v, b, trunc, sample = setup
@@ -280,22 +296,6 @@ def test_decay_compare_identical_symbols(setup):
     assert cmp.bmo_scale == 1.0
     assert np.array_equal(cmp.smooth.singular_values, cmp.spike.singular_values)
     assert cmp.smooth.energy_tails == cmp.spike.energy_tails
-
-
-def test_thread_cap_does_not_change_results(setup, monkeypatch):
-    grid, u, v, b, trunc, sample = setup
-    monkeypatch.setenv("BUMPLAB_THREADS", "1")
-    serial = sample_unit_ball(v, 2.0, 8, seed=3)
-    monkeypatch.setenv("BUMPLAB_THREADS", "3")
-    threaded = sample_unit_ball(v, 2.0, 8, seed=3)
-    for f, g in zip(serial.functions, threaded.functions):
-        assert np.array_equal(f.values, g.values)
-    monkeypatch.setenv("BUMPLAB_THREADS", "zero")
-    with pytest.raises(ValueError):
-        sample_unit_ball(v, 2.0, 2, seed=3)
-    monkeypatch.setenv("BUMPLAB_THREADS", "0")
-    with pytest.raises(ValueError):
-        sample_unit_ball(v, 2.0, 2, seed=3)
 
 
 def test_decay_compare_zero_u(setup):

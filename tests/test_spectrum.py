@@ -4,9 +4,13 @@ Both paths are backward stable, so they agree to a small multiple of
 eps * sigma_1 in absolute terms, not bit for bit. The stated tolerance is
 SIGMA_TOL * sigma_1 for every value; the largest gap seen on these inputs, up
 to m = 1024, is 3e-15 * sigma_1.
+
+The commutator's spectrum from its arrow blocks (operator_spectral_report) is
+held to the dense path bit for bit: the same split, QR input, Z and values.
 """
 
 import json
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -17,6 +21,8 @@ from bumplab import (
     TruncationSpec,
     constant,
     gaussian,
+    GridFunction,
+    indicator,
     iterate_maximal,
     log_spike,
     make_grid,
@@ -232,3 +238,99 @@ def test_power_bound_handles_a_vector_that_reaches_zero():
     bound = compactness._sigma1_lower_bound(A)
     assert np.isfinite(bound) and bound <= np.hypot(x0[0], x0[1]) * (1.0 + 1e-12)
     assert singular_values(A)[0] == pytest.approx(np.hypot(x0[0], x0[1]), rel=1e-15)
+
+
+def _symbol(kind: str, grid, rng: np.random.Generator) -> GridFunction:
+    m = grid.cells
+    if kind == "bump":  # radius up to 5 of the half-width 8: s > m/2 at the top
+        return smooth_bump(grid, rng.uniform(-3.0, 3.0), rng.uniform(0.3, 5.0))
+    if kind == "indicator":
+        a = rng.uniform(-8.0, 6.0)
+        return indicator(grid, a, rng.uniform(a + 0.5, 8.5))
+    if kind == "logspike":
+        return log_spike(grid, 10.0 ** rng.uniform(-3, 0))
+    if kind == "const":  # s = 0: every value is exactly 0.0
+        return constant(grid, rng.uniform(-2.0, 2.0))
+    if kind == "piecewise":
+        blocks = min(m, 2 ** int(rng.integers(1, 5)))
+        return GridFunction(grid, np.repeat(rng.standard_normal(blocks), m // blocks))
+    if kind == "random":  # s = m - 1
+        return GridFunction(grid, rng.standard_normal(m))
+    # odd cell 0: S is every other cell, yet A has rank at most 2
+    values = np.full(m, rng.uniform(-2.0, 2.0))
+    values[0] += 1.0
+    return GridFunction(grid, values)
+
+
+def _weight(kind: str, grid) -> GridFunction:
+    if kind == "one":
+        return constant(grid, 1.0)
+    if kind == "gaussian":
+        return constant(grid, 1.0) + gaussian(grid, 0.3, 0.6)
+    return indicator(grid, -4.0, 2.0)  # zero on some cells (u only)
+
+
+def _assert_block_path_is_dense_path(b, trunc, u, v) -> None:
+    A = operator_matrix(b, trunc, u, v)
+    want = compactness._scan_split(A)
+    got = compactness._operator_split(b, trunc, u, v)
+    for g, w in zip(got, want):  # same split, same floats, signed zeros included
+        assert g.shape == w.shape and g.tobytes() == w.tobytes()
+    assert np.array_equal(compactness._compressed(*got), compactness._row_compressed(A))
+    assert np.array_equal(compactness._split_values(*got), singular_values(A))
+
+
+_SYMBOLS = ("bump", "indicator", "logspike", "const", "piecewise", "random", "odd_cell_0")
+
+
+@settings(max_examples=40, deadline=None)
+@given(symbol=st.sampled_from(_SYMBOLS), log_m=st.integers(3, 10),
+       eta=st.sampled_from(("2 cells", "16 cells", "L/2", "L")),
+       u_kind=st.sampled_from(("one", "gaussian", "zero cells")),
+       v_kind=st.sampled_from(("one", "gaussian")), seed=st.integers(0, 2**32 - 1))
+def test_block_path_matches_dense_path(symbol, log_m, eta, u_kind, v_kind, seed):
+    grid = make_grid(8.0, 2**log_m)
+    eta_cells = {"2 cells": 2, "16 cells": 16, "L/2": grid.cells // 4, "L": grid.cells // 2}
+    trunc = TruncationSpec(max(2, eta_cells[eta]) * grid.h)
+    b = _symbol(symbol, grid, np.random.default_rng(seed))
+    _assert_block_path_is_dense_path(b, trunc, _weight(u_kind, grid), _weight(v_kind, grid))
+
+
+@pytest.mark.parametrize("m", [64, 1024])
+def test_block_path_with_eta_about_L_reaches_off_the_support(m):
+    # eta = L: the rows on S fall under m/2 nonzeros, so they join the QR, and
+    # the columns they touch lie off S
+    grid = make_grid(8.0, m)
+    b = smooth_bump(grid, 0.0, 0.5)
+    trunc = TruncationSpec(8.0)
+    u, v = _weight("zero cells", grid), _weight("gaussian", grid)
+    dense, block, cols = compactness._operator_split(b, trunc, u, v)
+    S = np.flatnonzero(b.values != b.values[0])
+    assert dense.shape[0] < S.size and not np.all(np.isin(cols, S))
+    _assert_block_path_is_dense_path(b, trunc, u, v)
+
+
+@pytest.mark.parametrize("symbol", ["bump:-0.15,0.5", "logspike:0.01", "indicator:-6,5"])
+def test_block_path_matches_dense_path_on_bench_weights_at_1024(symbol):
+    # indicator:-6,5 covers 11/16 of the grid: s > m/2
+    grid = make_grid(8.0, 1024)
+    u = parse_function_spec(grid, "const:1+gaussian:-0.30,0.3")
+    v = parse_function_spec(grid, "const:1+gaussian:0.30,0.6")
+    _assert_block_path_is_dense_path(parse_function_spec(grid, symbol),
+                                      TruncationSpec(16 * grid.h), u, v)
+
+
+def test_probe_svd_holds_no_m_by_m_array(tmp_path):
+    # the bench's probe svd at m = 1024: one m x m float64 array is 8 MiB, and
+    # the peak, about 2.7 MB, is Z, its dense rows and its sparse block
+    m = 1024
+    argv = ["probe", "svd", "--b", "bump:-0.15,0.5", "--u", "const:1+gaussian:-0.30,0.3",
+            "--v", "const:1+gaussian:0.30,0.6", "--eta-cells", "16", "--K-list", "64,256",
+            "--L", "8", "--m", str(m), "--out", str(tmp_path)]
+    tracemalloc.start()
+    try:
+        assert main(argv) == 0
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 8 * m * m / 2
