@@ -311,8 +311,12 @@ def tail_constant(b: GridFunction, trunc: TruncationSpec, v: GridFunction, p: fl
     elif p == 1.0:
         cert = float(np.max(1.0 / v.values[supp]))
     else:
+        # W (sum (w/W)^p' h)^(1/p') with w = v^(-1/p): p' grows without bound
+        # as p falls to 1, and w^p' alone would overflow
         pc = p / (p - 1.0)
-        cert = float(np.sum(v.values[supp] ** (-pc / p) * grid.h) ** (1.0 / pc))
+        w = v.values[supp] ** (-1.0 / p)
+        W = float(np.max(w))
+        cert = W * float(np.sum((w / W) ** pc * grid.h) ** (1.0 / pc))
 
     G = _commutator_images(sample, b, trunc)
     x = grid.centers
@@ -395,32 +399,37 @@ def _scan_split(matrix: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]
 
 
 def _compressed(dense: np.ndarray, block: np.ndarray, cols: np.ndarray) -> np.ndarray:
-    """Z with Z^T Z = A^T A up to the QR's rounding, for the A whose rows are
-    `dense` and then `block` on the columns `cols`: the dense rows over the R of
-    a QR of the block. `dense` itself when the block has no rows.
+    """A square core C with the singular values of the A whose rows are `dense`
+    and then `block` on the columns `cols`, up to the QRs' rounding; `dense`
+    itself when the block has no rows.
 
     A's sparse rows are those with at most n/2 nonzeros, its dense rows the
     others, each kept in ascending order; cols are the columns where any
-    sparse row is nonzero.
+    sparse row is nonzero. Up to a column permutation, a QR of the block (R)
+    turns A into Z = [[D_cols, D_rest], [R, 0]] with Z^T Z = A^T A, and an LQ
+    of the dense rows off cols (D_rest = L^T Q^T) turns Z into
+    C = [[D_cols, L^T], [R, 0]] with C C^T = Z Z^T. With d dense rows and
+    c = |cols|, a split that saves rows (see _compresses) has more than c
+    sparse rows and d + c < min(m, n), so C is (d + c) x (d + c), and just R
+    when d = 0.
     """
     if not block.shape[0]:
         return dense
-    Z = np.zeros((dense.shape[0] + min(block.shape), dense.shape[1]))
-    Z[: dense.shape[0]] = dense
-    Z[dense.shape[0]:, cols] = np.linalg.qr(block, mode="r")
-    return Z
-
-
-def _row_compressed(matrix: np.ndarray) -> np.ndarray:
-    """Z with Z^T Z = A^T A up to the QR's rounding and fewer than min(m, n)
-    rows, or A itself when A's zero pattern allows no such Z."""
-    return _compressed(*_scan_split(matrix))
+    d = dense.shape[0]
+    R = np.linalg.qr(block, mode="r")
+    L = np.linalg.qr(np.delete(dense, cols, axis=1).T, mode="r")
+    core = np.zeros((d + R.shape[0], cols.size + L.shape[0]))
+    core[:d, : cols.size] = dense[:, cols]
+    core[:d, cols.size:] = L.T
+    core[d:, : cols.size] = R
+    return core
 
 
 def _split_values(dense: np.ndarray, block: np.ndarray, cols: np.ndarray) -> np.ndarray:
     """The singular values of the A whose rows are `dense` and then `block` on
-    the columns `cols` (see _compressed), padded with exact zeros to min(m, n)
-    and checked against A blockwise (see singular_values)."""
+    the columns `cols`, from the core (see _compressed), with the values past
+    the core's side exact zeros up to min(m, n), and checked against A
+    blockwise (see singular_values)."""
     m, n = dense.shape[0] + block.shape[0], dense.shape[1]
     s = np.linalg.svd(_compressed(dense, block, cols), compute_uv=False)
     s = np.concatenate([s, np.zeros(min(m, n) - s.size)])
@@ -440,21 +449,24 @@ def _split_values(dense: np.ndarray, block: np.ndarray, cols: np.ndarray) -> np.
 def singular_values(matrix: np.ndarray) -> np.ndarray:
     """All singular values, nonincreasing, computed without singular vectors.
 
-    The rows are compressed first when the zero pattern allows it. Rows with
-    at most n/2 nonzeros are replaced by the R factor of a Householder QR of
-    the columns they touch, and the other rows are kept. The result Z has
-    Z^T Z = A^T A, so it has the same singular values; its row count bounds
-    the rank. A commutator whose symbol is constant off s cells has at most
-    2s rows left. Values past Z's row count are reported as exact 0.0, not
-    as LAPACK's rounding noise of about eps * sigma_1. When the compression
-    would leave min(m, n) rows or more, Z is A itself.
+    A is compressed first to a square core when the zero pattern allows it
+    (see _compressed). Rows with at most n/2 nonzeros are replaced by the R
+    factor of a Householder QR of the c columns they touch, and the d other
+    rows by those c columns beside the L factor of an LQ of the rest. The core
+    is (d + c) x (d + c) with the singular values of A, and its side bounds
+    the rank: a commutator whose symbol is constant off s cells leaves a core
+    of side at most 2s. Values past the core's side are reported as exact
+    0.0, not as LAPACK's rounding noise of about eps * sigma_1. When the
+    compression would not leave fewer than min(m, n) rows, the SVD runs on A
+    itself.
 
-    The QR and LAPACK's values-only SVD (bidiagonal reduction, then dqds) are
-    both backward stable: the values are exact for some A + E with ||E|| a
-    modest multiple of eps * ||A||, so each sigma_k is within about that of
-    the true value, and values near eps * sigma_1 are rounding noise. The
-    tests hold them to 1e-13 * sigma_1 against the SVD with vectors. Two
-    checks on A itself catch gross failure, of the compression or the SVD,
+    The two QRs and LAPACK's values-only SVD (bidiagonal reduction, then
+    dqds) are all backward stable: the values are exact for some A + E with
+    ||E|| a modest multiple of eps * ||A||, so each sigma_k is within about
+    that of the true value, and values near eps * sigma_1 are rounding
+    noise. The tests hold them to 1e-13 * sigma_1 against the SVD with
+    vectors and against the compression of the rows alone. Two checks on A
+    itself catch gross failure, of the compression or the SVD,
     each to 1e-12 relative: sum(sigma^2) must match ||A||_F^2, and sigma_1
     must not fall below the best ||A x|| from a few power iterations. Both
     run on A's dense rows and sparse block, which hold every nonzero of A.
@@ -516,10 +528,14 @@ def _operator_split(b: GridFunction, trunc: TruncationSpec, u: GridFunction,
         check_dense_fits(2 * 8 * m * m, f"the SVD of the {m} x {m} operator")
         return block(None), _NO_ROWS, _NO_COLS
     dense_rows, sparse_rows = np.flatnonzero(~sparse), np.flatnonzero(sparse)
-    kept = dense_rows.size + min(sparse_rows.size, cols.size)
-    # the dense rows, the sparse block, Z and LAPACK's working copy of Z
-    check_dense_fits(8 * (dense_rows.size * m + sparse_rows.size * cols.size + 2 * kept * m),
-                     f"the SVD of the {m} x {m} operator compressed to {kept} rows")
+    d, c = dense_rows.size, cols.size
+    side = d + c  # the core's side (see _compressed)
+    # the dense rows and the sparse block; the dense rows off cols, which the LQ
+    # takes transposed, with numpy's and LAPACK's working copies of them (the
+    # block's QR copies it twice too, but not at the same time); the core and
+    # LAPACK's copy of it
+    check_dense_fits(8 * (d * m + sparse_rows.size * c + 3 * d * (m - c) + 2 * side * side),
+                     f"the SVD of the {m} x {m} operator compressed to a {side} x {side} core")
     return block(dense_rows), block(sparse_rows, cols), cols
 
 

@@ -221,6 +221,33 @@ def test_tail_constant_at_p_1_is_the_sup_certificate(setup):
         tail_constant(b, trunc, v, 0.5, sample, N0=2.0)
 
 
+@pytest.mark.filterwarnings("error")  # an overflow in the power warns before it gives inf
+def test_tail_constant_certificate_stays_finite_as_p_falls_to_1():
+    # v = 0.25 on supp b: v^(-p'/p) = 4^(p') overflows for p' past about 512
+    grid = make_grid(8.0, 256)
+    v = constant(grid, 0.25)
+    b = smooth_bump(grid, 0.0, 0.5)
+    trunc = TruncationSpec(16 * grid.h)
+    sample = sample_unit_ball(v, 2.0, 4, seed=7)
+    limit = tail_constant(b, trunc, v, 1.0, sample, N0=2.0).v_certificate
+    assert limit == 4.0
+    gaps = [abs(tail_constant(b, trunc, v, p, sample, N0=2.0).v_certificate - limit)
+            for p in (1.01, 1.001, 1.0001)]
+    assert all(np.isfinite(gaps)) and gaps == sorted(gaps, reverse=True)
+    assert gaps[-1] < 1e-3 * limit
+
+
+@pytest.mark.parametrize("p", [1.01, 1.1, 1.5, 2.0, 3.0, 10.0])
+def test_tail_constant_certificate_matches_the_unscaled_formula(setup, p):
+    # (sum over supp b of v^(-p'/p) h)^(1/p'), evaluated as written where it is finite
+    grid, u, v, b, trunc, sample = setup
+    pc = p / (p - 1.0)
+    want = float(np.sum(v.values[b.values != 0.0] ** (-pc / p) * grid.h) ** (1.0 / pc))
+    assert np.isfinite(want)
+    got = tail_constant(b, trunc, v, p, sample, N0=2.0).v_certificate
+    assert got == pytest.approx(want, rel=1e-12, abs=0.0)
+
+
 @pytest.mark.parametrize("on_supp", [-1.0, 0.0])
 def test_tail_constant_rejects_nonpositive_v(setup, on_supp):
     grid, u, v, b, trunc, sample = setup

@@ -1,12 +1,14 @@
-"""singular_values' row-compressed, values-only path against the with-vectors oracle.
+"""singular_values' compressed, values-only path against the with-vectors oracle
+and against the row-only compression it replaced.
 
-Both paths are backward stable, so they agree to a small multiple of
+All three paths are backward stable, so they agree to a small multiple of
 eps * sigma_1 in absolute terms, not bit for bit. The stated tolerance is
 SIGMA_TOL * sigma_1 for every value; the largest gap seen on these inputs, up
-to m = 1024, is 3e-15 * sigma_1.
+to m = 1024, is 3e-15 * sigma_1 against the SVD with vectors and 2e-15 *
+sigma_1 against the row-only compression (6e-16 * sigma_1 on the operators).
 
 The commutator's spectrum from its arrow blocks (operator_spectral_report) is
-held to the dense path bit for bit: the same split, QR input, Z and values.
+held to the dense path bit for bit: the same split, QR inputs, core and values.
 """
 
 import json
@@ -59,13 +61,18 @@ def _random_matrix(kind: str, m: int, n: int, rng: np.random.Generator) -> np.nd
     return scale * (Q1 * np.logspace(0, -20, k)) @ Q2.T
 
 
-def _arrow(m: int, n: int, dense: int, cols: np.ndarray,
-           rng: np.random.Generator) -> np.ndarray:
+def _arrow(m: int, n: int, dense: int, cols: np.ndarray, rng: np.random.Generator,
+           groups: int = 1) -> np.ndarray:
     """`dense` full rows on top of m - dense rows confined to the columns cols,
-    at a scale of their own."""
+    at a scale of their own. With groups > 1 the sparse rows take turns on
+    that many disjoint parts of cols, so together they can touch more than
+    the n/2 columns any one of them may."""
     A = np.zeros((m, n))
     A[:dense] = rng.standard_normal((dense, n))
-    A[dense:, cols] = 10.0 ** rng.uniform(-3, 3) * rng.standard_normal((m - dense, len(cols)))
+    scale = 10.0 ** rng.uniform(-3, 3)
+    for g, part in enumerate(np.array_split(cols, groups)):
+        rows = np.arange(dense + g, m, groups)
+        A[np.ix_(rows, part)] = scale * rng.standard_normal((rows.size, part.size))
     return A
 
 
@@ -102,23 +109,48 @@ def test_values_match_oracle_on_operator_matrices(log_m, symbol, weighted):
 
 # (m, n, dense rows, columns the sparse rows touch)
 @pytest.mark.parametrize("m, n, dense, touched", [
-    (60, 20, 3, 7),    # tall: 3 + 7 rows left
-    (40, 60, 5, 12),   # wide: 5 + 12 rows left
-    (30, 30, 0, 10),   # no dense rows
+    (60, 20, 3, 7),    # tall: a 10 x 10 core
+    (40, 60, 5, 12),   # wide: a 17 x 17 core
+    (30, 200, 4, 20),  # very wide: the LQ takes 4 rows of 180 columns
+    (30, 30, 0, 10),   # no dense rows: the core is the 10 x 10 R
+    (60, 30, 2, 27),   # sparse rows on 14 or 13 columns: the LQ sees 3 columns
     (40, 60, 20, 30),  # 20 sparse rows, fewer than the 30 columns: nothing saved
     (60, 20, 10, 10),  # 10 + 10 rows, not fewer than n = 20: nothing saved
 ])
 def test_arrow_matrices_compress_and_match_oracle(m, n, dense, touched):
     rng = np.random.default_rng(m * n + dense)
-    A = rng.permutation(_arrow(m, n, dense, rng.choice(n, touched, replace=False), rng))
+    cols = rng.choice(n, touched, replace=False)
+    groups = -(-touched // (n // 2))  # a sparse row has at most n/2 nonzeros
+    A = rng.permutation(_arrow(m, n, dense, cols, rng, groups))
     want = oracle.singular_values(A)
     got = singular_values(A)
     _agree(got, want)
-    rank_bound = dense + min(m - dense, touched)
-    if rank_bound < min(m, n):
-        assert np.all(got[rank_bound:] == 0.0)  # exact zeros, not rounding noise
+    split = compactness._scan_split(A)
+    side = dense + min(m - dense, touched)
+    if side < min(m, n):
+        assert compactness._compressed(*split).shape == (side, side)
+        _agree(got, oracle.row_compressed_values(*split))
+        assert np.all(got[side:] == 0.0)  # exact zeros, not rounding noise
     else:
-        assert compactness._row_compressed(A) is A
+        assert compactness._compressed(*split) is A
+
+
+@settings(max_examples=60, deadline=None)
+@given(m=st.integers(1, 64), n=st.integers(1, 64), groups=st.integers(1, 3),
+       seed=st.integers(0, 2**32 - 1))
+def test_core_matches_row_only_oracle_on_arrow_matrices(m, n, groups, seed):
+    rng = np.random.default_rng(seed)
+    dense = int(rng.integers(0, m + 1))
+    cols = rng.choice(n, size=int(rng.integers(0, n + 1)), replace=False)
+    A = rng.permutation(_arrow(m, n, dense, cols, rng, groups))
+    split = compactness._scan_split(A)
+    got = singular_values(A)
+    _agree(got, oracle.row_compressed_values(*split))
+    _agree(got, oracle.singular_values(A))
+    if split[1].shape[0]:  # the split saves rows: a square core
+        side = split[0].shape[0] + split[2].size
+        assert compactness._compressed(*split).shape == (side, side)
+        assert np.all(got[side:] == 0.0)
 
 
 @pytest.mark.parametrize("symbol", ["smooth", "spike", "gaussian"])
@@ -127,28 +159,50 @@ def test_values_match_oracle_on_weighted_operators_at_1024(symbol):
     _agree(singular_values(A), oracle.singular_values(A))
 
 
-def _svd_rows(monkeypatch) -> list[int]:
-    """Records the row count of every matrix np.linalg.svd receives."""
-    rows, real_svd = [], np.linalg.svd
+def _bench_weights(grid) -> tuple[GridFunction, GridFunction]:
+    return (parse_function_spec(grid, "const:1+gaussian:-0.30,0.3"),
+            parse_function_spec(grid, "const:1+gaussian:0.30,0.6"))
+
+
+# const:1+gaussian differs from b_0 on 329 cells: a 658 x 658 core
+@pytest.mark.parametrize("symbol", ["bump:-0.15,0.5", "logspike:0.01",
+                                    "const:1+gaussian:-0.30,0.3"])
+def test_core_values_match_both_oracles_on_bench_operators_at_1024(symbol):
+    grid = make_grid(8.0, 1024)
+    b, trunc = parse_function_spec(grid, symbol), TruncationSpec(16 * grid.h)
+    u, v = _bench_weights(grid)
+    split = compactness._operator_split(b, trunc, u, v)
+    got = compactness._split_values(*split)
+    _agree(got, oracle.row_compressed_values(*split))
+    _agree(got, oracle.singular_values(operator_matrix(b, trunc, u, v)))
+    side = split[0].shape[0] + split[2].size
+    assert compactness._compressed(*split).shape == (side, side)
+    assert np.all(got[side:] == 0.0)
+
+
+def _svd_shapes(monkeypatch) -> list[tuple[int, ...]]:
+    """Records the shape of every matrix np.linalg.svd receives."""
+    shapes, real_svd = [], np.linalg.svd
 
     def svd(matrix, *args, **kwargs):
-        rows.append(np.shape(matrix)[0])
+        shapes.append(np.shape(matrix))
         return real_svd(matrix, *args, **kwargs)
 
     monkeypatch.setattr(np.linalg, "svd", svd)
-    return rows
+    return shapes
 
 
 @pytest.mark.parametrize("j", [0, 3])
 def test_bench_spectral_commands_svd_only_the_compressed_rows(tmp_path, monkeypatch, j):
     # the spectral benchmark's probe svd and compare at m = 1024: each SVD must
-    # see at most 2 |supp b| + 2 rows, and every value past them is exactly 0
+    # see a square core of side at most 2 |supp b| + 2, and every value past
+    # its side is exactly 0
     b, spike = f"bump:{-0.15 + 0.1 * j:.2f},0.5", f"logspike:{0.01 * (j + 1):.2f}"
     common = ["--u", f"const:1+gaussian:{-0.3 + 0.2 * j:.2f},0.3",
               "--v", f"const:1+gaussian:{0.3 - 0.2 * j:.2f},0.6",
               "--eta-cells", "16", "--K-list", "64,256", "--L", "8", "--m", "1024",
               "--out", str(tmp_path)]
-    rows = _svd_rows(monkeypatch)
+    shapes = _svd_shapes(monkeypatch)
     assert main(["probe", "svd", "--b", b, *common]) == 0
     assert main(["compare", "--b-cmo", b, "--b-bmo", spike, *common]) == 0
     probe = json.loads((tmp_path / "probe_svd.json").read_text())["result"]
@@ -163,12 +217,13 @@ def test_bench_spectral_commands_svd_only_the_compressed_rows(tmp_path, monkeypa
     supports = [support(b), support(b), support(spike)]
     assert supports[0] == 64 and 120 <= supports[2] <= 130
     results = [probe, compare["smooth"], compare["spike"]]
-    assert len(rows) == len(results)
-    for n_rows, s, result in zip(rows, supports, results):
-        assert n_rows <= 2 * s + 2
+    assert len(shapes) == len(results)
+    for shape, s, result in zip(shapes, supports, results):
+        side = shape[0]
+        assert shape == (side, side) and side <= 2 * s + 2
         sigma = np.array(result["singular_values"])
         assert sigma.size == 1024 and sigma[0] > 0.0
-        assert np.all(sigma[n_rows:] == 0.0)
+        assert np.all(sigma[side:] == 0.0)
 
 
 @pytest.mark.parametrize("m", [64, 256, 1024])
@@ -276,7 +331,7 @@ def _assert_block_path_is_dense_path(b, trunc, u, v) -> None:
     got = compactness._operator_split(b, trunc, u, v)
     for g, w in zip(got, want):  # same split, same floats, signed zeros included
         assert g.shape == w.shape and g.tobytes() == w.tobytes()
-    assert np.array_equal(compactness._compressed(*got), compactness._row_compressed(A))
+    assert np.array_equal(compactness._compressed(*got), compactness._compressed(*want))
     assert np.array_equal(compactness._split_values(*got), singular_values(A))
 
 
@@ -314,15 +369,15 @@ def test_block_path_with_eta_about_L_reaches_off_the_support(m):
 def test_block_path_matches_dense_path_on_bench_weights_at_1024(symbol):
     # indicator:-6,5 covers 11/16 of the grid: s > m/2
     grid = make_grid(8.0, 1024)
-    u = parse_function_spec(grid, "const:1+gaussian:-0.30,0.3")
-    v = parse_function_spec(grid, "const:1+gaussian:0.30,0.6")
+    u, v = _bench_weights(grid)
     _assert_block_path_is_dense_path(parse_function_spec(grid, symbol),
                                       TruncationSpec(16 * grid.h), u, v)
 
 
 def test_probe_svd_holds_no_m_by_m_array(tmp_path):
     # the bench's probe svd at m = 1024: one m x m float64 array is 8 MiB, and
-    # the peak, about 2.7 MB, is Z, its dense rows and its sparse block
+    # the peak, about 2.2 MB, is the dense rows, the sparse block, the dense
+    # rows off the block's columns and the core
     m = 1024
     argv = ["probe", "svd", "--b", "bump:-0.15,0.5", "--u", "const:1+gaussian:-0.30,0.3",
             "--v", "const:1+gaussian:0.30,0.6", "--eta-cells", "16", "--K-list", "64,256",
