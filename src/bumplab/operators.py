@@ -9,9 +9,11 @@ radius eta, agrees with K outside radius 2*eta, and keeps the size and
 gradient bounds of K up to a fixed multiple. Every operator evaluated here
 stays away from the diagonal, so plain midpoint quadrature is adequate.
 
-The maximal function is exact over every grid-aligned interval: a dyadic
-divide and conquer over prefix-sum slopes, in numpy alone, that maximises the
-same averages as a scan over every width and offset, bit for bit.
+The maximal function maximises over every grid-aligned interval: a dyadic
+divide and conquer over prefix-sum slopes, in numpy alone, whose best slopes
+are tangents to convex hulls merged level by level, in O(m log^2 m) work. Each
+value is one interval's average, so it is never above a scan over every width
+and offset, and at most a few ulp below it where slopes nearly tie.
 
 On the uniform grid x_i - x_j = (i - j) h, so the m x m kernel matrix is the
 Toeplitz matrix of one vector of 2m - 1 offsets (``kernel_offsets``). T_eta,
@@ -139,65 +141,141 @@ def truncated_kernel_matrix(grid: Grid, trunc: TruncationSpec) -> np.ndarray:
     return np.array(_toeplitz(kernel_offsets(grid, trunc)))
 
 
-# maximal_fn evaluates its slopes in blocks of at most this many floats,
-# reused in place; 64K floats (512 KiB) measured fastest at m = 4096 and 8192
-# on a 2-core Xeon
-_BLOCK = 1 << 16
-# maximal_fn does about m^2 / 2 slope evaluations: 4.5 s per call at the cap
-# on the same machine
-MAXIMAL_CELL_CAP = 1 << 16
+# maximal_fn does O(m log^2 m) work: about 2 s and 120 MB per call at the cap on a
+# 2-core Xeon
+MAXIMAL_CELL_CAP = 1 << 18
+
+
+def _two_diff(a: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """a - b as s + r, two floats with s = fl(a - b), exactly (Knuth's TwoSum)."""
+    s = a - b
+    bb = s - a
+    return s, (a - (s - bb)) - (b + bb)
+
+
+def _split(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """x = hi + lo with hi of 35 significant bits and lo of 17 (Veltkamp), so that
+    each times an integer below 2^18 is exact."""
+    c = x * (2.0**18 + 1.0)
+    hi = c - (c - x)
+    return hi, x - hi
+
+
+def _on_or_below(prefix: np.ndarray, a: np.ndarray, b: np.ndarray, c: np.ndarray) -> np.ndarray:
+    """Whether point b, (b, prefix[b]), lies on or below the chord from point a to
+    point c (a < b < c), with prefix nondecreasing: the sign of
+    (P_c - P_b)(b - a) - (P_b - P_a)(c - b), from error-free differences and
+    products brought near 1 by a power of two, so that only parts below about
+    2^-80 of the products are rounded."""
+    d1, r1 = _two_diff(prefix[c], prefix[b])
+    d2, r2 = _two_diff(prefix[b], prefix[a])
+    e = np.frexp(np.maximum(d1, d2))[1]
+    d1, r1, d2, r2 = (np.ldexp(x, -e) for x in (d1, r1, d2, r2))
+    n1, n2 = (b - a).astype(float), (c - b).astype(float)
+    (h1, l1), (h2, l2) = _split(d1), _split(d2)
+    return (h1 * n1 - h2 * n2) + ((l1 * n1 - l2 * n2) + (r1 * n1 - r2 * n2)) >= 0
+
+
+def _less(x: np.ndarray, y: np.ndarray, exact: Callable[[np.ndarray], np.ndarray]) -> np.ndarray:
+    """x < y for nonnegative slopes x and y (or -inf), each within two roundings of
+    a true slope; where they are too close for that to decide, exact(flat indices)
+    decides instead."""
+    out = x < y
+    # nonnegative floats are ordered as their bit patterns, one step per ulp
+    near = np.flatnonzero(np.abs(x.view(np.int64) - y.view(np.int64)) <= 16)
+    if near.size:
+        out.flat[near] = exact(near)
+    return out
 
 
 def maximal_fn(f: GridFunction) -> GridFunction:
     """Discrete Hardy-Littlewood maximal function.
 
-    Exact sup of avg_Q |f| over every grid-aligned interval containing each
-    cell (all widths, all offsets). With prefix sums P, the average over cells
+    The sup of avg_Q |f| over every grid-aligned interval containing each cell
+    (all widths, all offsets). With prefix sums P, the average over cells
     [a, b) is the slope (P[b] - P[a]) / (b - a). An interval of two or more
     cells crosses the midpoint of exactly one dyadic node, the smallest that
     contains it, so each level of the dyadic tree maximises the slopes of the
     intervals crossing its nodes' midpoints: a left cell takes the running max
-    over starts a <= i of the best slope from a, a right cell the reverse
-    running max over ends b > j of the best slope into b. Maxima are exact, so
-    the result does not depend on the blocking, and it equals a scan over
-    every width n of the floats (P[a + n] - P[a]) / n bit for bit. O(m^2)
-    work, in O(m) memory plus one block of slopes; more than MAXIMAL_CELL_CAP
-    cells raise ValueError before any of it.
+    over starts a <= i of the best slope from a. The right cells are the left
+    cells of the mirror image, whose prefix sums -P[m - i] give every slope as
+    the same float; both run as one batch.
+
+    The best slope from a start a is the tangent from (a, P_a) to the upper
+    hull of the node's end points: a binary search, all of a level's in one
+    vectorised pass (Preparata & Hong 1977). The next level's hulls merge
+    sibling hulls at their bridge, which leaves the left hull at the first
+    vertex whose tangent to the right hull is no shallower than its next edge;
+    the same pass takes those tangents, from every point of the left child
+    (Overmars & van Leeuwen 1981). O(m log^2 m) work in O(m) memory. Each step
+    compares two float slopes and settles near-ties with an orientation test
+    good to about 2^-80, so the hulls and tangents are those of the floats P.
+    Each cell is the float (P[b] - P[a]) / (b - a) of one interval, so it never
+    exceeds a scan over every interval; it can fall a few ulp below it where
+    the best interval in exact arithmetic does not carry the largest rounded
+    slope.
+
+    More than MAXIMAL_CELL_CAP cells raise ValueError, and prefix sums that
+    overflow raise FloatingPointError, both before any of the work.
     """
     m = f.grid.cells
     if m > MAXIMAL_CELL_CAP:
-        raise ValueError(f"the maximal function takes about m^2 / 2 slope evaluations and "
-                         f"is capped at {MAXIMAL_CELL_CAP} cells; got m = {m}")
+        raise ValueError(f"the maximal function takes O(m log^2 m) work and is capped at "
+                         f"{MAXIMAL_CELL_CAP} cells; got m = {m}")
     af = np.abs(f.values)
-    prefix = np.concatenate(([0.0], np.cumsum(af)))
-    out = af.copy()  # width-1 intervals
-    buf = np.empty(min(max(_BLOCK, m // 2), m * m // 4))
+    with np.errstate(over="ignore"):
+        prefix = np.concatenate(([0.0], np.cumsum(af)))
+    if not np.isfinite(prefix[-1]):
+        raise FloatingPointError("the prefix sums of |f| are not finite (they overflowed); "
+                                 "rescale the input")
+    prefix = np.concatenate((prefix, -prefix[::-1]))  # P, then its mirror image
+    out = np.stack((af, af[::-1]))  # width-1 intervals
+    # one row of k vertices per block of k points, padded with its last vertex: the
+    # upper hulls of points c k + 1 ... c k + k of P, then of its mirror image
+    hulls = np.concatenate((np.arange(1, m + 1), np.arange(m + 2, 2 * m + 2)))
     k = 1
-    while k < m:  # nodes of 2k cells: starts lo + t, ends lo + k + 1 + u (t, u < k)
-        nodes = m // (2 * k)
-        starts = prefix[:-1].reshape(nodes, 2 * k)[:, :k]
-        ends = prefix[1:].reshape(nodes, 2 * k)[:, k:]
-        # widths[t, u] = k + 1 + u - t, as a Toeplitz view of one vector
-        widths = sliding_window_view(np.arange(1.0, 2 * k + 1), k)[:0:-1]
-        rows = max(1, min(k, _BLOCK // k))  # rows of one node per block
-        per_block = _BLOCK // (k * k) if rows == k else 1  # nodes per block
-        best_from = np.empty((nodes, k))
-        best_into = np.full((nodes, k), -np.inf)
-        for n0 in range(0, nodes, per_block):
-            n1 = min(nodes, n0 + per_block)
-            for t0 in range(0, k, rows):
-                t1 = min(k, t0 + rows)
-                slopes = buf[: (n1 - n0) * (t1 - t0) * k].reshape(n1 - n0, t1 - t0, k)
-                np.subtract(ends[n0:n1, None, :], starts[n0:n1, t0:t1, None], out=slopes)
-                np.divide(slopes, widths[t0:t1], out=slopes)
-                slopes.max(axis=2, out=best_from[n0:n1, t0:t1])
-                np.maximum(best_into[n0:n1], slopes.max(axis=1), out=best_into[n0:n1])
-        halves = out.reshape(nodes, 2, k)
-        np.maximum(halves[:, 0], np.maximum.accumulate(best_from, axis=1), out=halves[:, 0])
-        np.maximum(halves[:, 1], np.maximum.accumulate(best_into[:, ::-1], axis=1)[:, ::-1],
-                   out=halves[:, 1])
+    while k < m:  # nodes of 2k cells, one row each
+        rows = np.arange(2 * m // (2 * k))[:, None]
+        lo = rows * (2 * k) + (rows * (2 * k) >= m)
+        q = lo + np.arange(k + 1)  # tangents from lo ... lo + k to the right child's hull
+        qx, pq = q.astype(float), prefix[q]
+        hx, hy = hulls.astype(float), prefix[hulls]
+        step = np.diff(hulls, append=hulls[-1])
+        step[k - 1::k] = 0
+        with np.errstate(all="ignore"):  # row ends, padding, and the seam of P and its mirror
+            edge = np.diff(hy, append=hy[-1]) / step  # the slope of each vertex's next edge
+        edge[step == 0] = -np.inf
+        right = rows * (2 * k) + k  # the right child's first slot in hulls
+        pos = np.repeat(right, k + 1, axis=1)
+        half = k
+        while half > 1:
+            half //= 2
+            at = pos + (half - 1)
+            # step right where vertex at is on or below the chord from q to the next
+            go = _less((hy[at] - pq) / (hx[at] - qx), edge[at], lambda near: _on_or_below(
+                prefix, q.flat[near], hulls[at.flat[near]], hulls[at.flat[near] + 1]))
+            np.add(pos, half, out=pos, where=go)
+        v = hulls[pos]
+        best = (prefix[v] - pq) / (v - q)  # the same float as (P[b] - P[a]) / (b - a)
+        left = out.reshape(-1, 2, k)[:, 0]
+        np.maximum(left, np.maximum.accumulate(best[:, :k], axis=1), out=left)
+        if 2 * k == m:
+            break
+        # merge: the bridge leaves the left child's hull at its first vertex w whose
+        # next edge is no steeper than its tangent to the right child's hull, and
+        # enters the right child's hull at that tangent's vertex
+        slot = right - k + np.arange(k)
+        w = hulls[slot]
+        at = w - lo + rows * (k + 1)  # w's query in best, pos and v
+        bridge = _less(edge[slot], best.ravel()[at], lambda near: _on_or_below(
+            prefix, w.flat[near], hulls[slot.flat[near] + 1], v.ravel()[at.flat[near]]))
+        i = bridge.argmax(axis=1)[:, None]
+        j = pos.ravel()[np.take_along_axis(at, i, axis=1)] - right
+        col = np.arange(2 * k)
+        col = np.where(col <= i, col, np.minimum(col + (k + j - i - 1), 2 * k - 1))
+        hulls = hulls[right - k + col].ravel()
         k *= 2
-    return GridFunction(f.grid, out)
+    return GridFunction(f.grid, np.maximum(out[0], out[1, ::-1]))
 
 
 def apply_truncated(f: GridFunction, trunc: TruncationSpec) -> GridFunction:

@@ -411,9 +411,24 @@ def test_oversized_maximal_run_exits_2_quickly(tmp_path):
         [sys.executable, "-c", "import sys; from bumplab.cli import main; sys.exit(main())",
          *map(str, argv)], env=_env(), capture_output=True, text=True, timeout=120)
     assert proc.returncode == 2
-    assert "capped at 65536 cells" in proc.stderr and "Traceback" not in proc.stderr
+    assert (f"capped at {operators.MAXIMAL_CELL_CAP} cells" in proc.stderr
+            and "Traceback" not in proc.stderr)
     assert time.perf_counter() - start < 30.0
     assert not list(tmp_path.iterdir())
+
+
+def test_maximal_run_at_the_cap_finishes_quickly(tmp_path):
+    """O(m log^2 m) work: about 3 s at the cap in a fresh process, where the
+    m^2 / 2 slope evaluations of a scan over every interval would take minutes."""
+    argv = ["op", "apply", "--op", "M", "--f", "const:1+gaussian:0,0.3", "--L", "8",
+            "--m", str(operators.MAXIMAL_CELL_CAP), "--out", tmp_path]
+    start = time.perf_counter()
+    proc = subprocess.run(
+        [sys.executable, "-c", "import sys; from bumplab.cli import main; sys.exit(main())",
+         *map(str, argv)], env=_env(), capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert time.perf_counter() - start < 30.0
+    assert (tmp_path / "op_apply.csv").exists()
 
 
 def test_memory_error_exits_2(tmp_path, monkeypatch, capsys):
@@ -453,11 +468,14 @@ def test_memory_guard_honours_cgroup_limit_and_counts_the_blocks(tmp_path, monke
         assert not list(tmp_path.iterdir())
 
 
-@pytest.mark.parametrize("argv", [["bmo", "--b", "const:1e308"], ["ap", "--w", "const:1e308"]],
-                         ids=["bmo", "ap"])
+@pytest.mark.parametrize("argv", [["bmo", "--b", "const:1e308"], ["ap", "--w", "const:1e308"],
+                                  ["op", "apply", "--op", "M", "--f", "const:1e308"],
+                                  ["weights", "gen", "--u", "const:1e308", "--k", "1"]],
+                         ids=["bmo", "ap", "op-apply-M", "weights-gen"])
 def test_non_finite_constant_exits_3_without_report(tmp_path, capsys, argv):
-    """A cube sum that overflows ends the run with exit 3, not an Infinity
-    in the report, and numpy warns of nothing."""
+    """A cube sum, or the maximal function's prefix sum, that overflows ends
+    the run with exit 3, not an Infinity in the report, and numpy warns of
+    nothing."""
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         rc = run([*argv, "--L", "1", "--m", "64", "--out", tmp_path])
