@@ -116,6 +116,8 @@ def parse_function_spec(grid: Grid, spec: str,
         elif name == "power" and len(args) == 1:
             f = power_weight(grid, args[0])
         elif name == "haar" and len(args) == 2:
+            if not all(a.is_integer() for a in args):
+                raise ValueError(f"bad arguments in builder term {term!r}")
             f = haar(grid, Cube(int(args[0]), int(args[1])))
         else:
             raise ValueError(f"unknown builder term {term!r}")
@@ -427,7 +429,8 @@ _P = Opt("bump.p", "number", default=2.0, gt=1)
 _CUBES = Opt("cubes", "string", default="dyadic+shifted", choices=("dyadic", "dyadic+shifted"))
 _ETA = Opt("operator.eta_cells", "integer", default=8, ge=2)
 _KERNEL = Opt("operator.kernel", "string", default="hilbert", choices=("hilbert",), help=None)
-_K_LIST = Opt("probes.spectral.K_list", "integer[]", default=lambda res: [res.grid().cells // 8],
+_K_LIST = Opt("probes.spectral.K_list", "integer[]",
+              default=lambda res: [max(1, res.grid().cells // 8)],
               ge=1, help="comma-separated spectral indices")
 
 # command -> (help, {action word (None: the command takes none) -> (handler, options)})

@@ -18,18 +18,19 @@ trends across samples, radii, and grid refinements carry information):
 from __future__ import annotations
 
 import math
+from collections.abc import Callable, Sequence
 from dataclasses import dataclass
+from functools import partial
 
 import numpy as np
 
-from .grid import Cube, GridFunction, _shift_rows, dyadic_cubes, haar, lp_norm_weighted, shift
+from .grid import Cube, Grid, GridFunction, _shift_rows, dyadic_cubes, haar, lp_norm_weighted, shift
 from .operators import (
     TruncationSpec,
     apply_truncated,
     check_dense_fits,
     commutator,
     commutator_block,
-    commutator_matrix,
 )
 from .orlicz import bmo_norm
 
@@ -141,12 +142,24 @@ def _generate_member(v: GridFunction, p: float, seed: int, index: int) -> tuple[
     return GridFunction(grid, f.values / nrm), kind
 
 
+def _check_weights(grid: Grid, u: GridFunction | None = None,
+                   v: GridFunction | None = None) -> None:
+    """The rule every weighted probe keeps: u >= 0 and v > 0 everywhere, each
+    on the symbol's grid."""
+    for name, w in (("u", u), ("v", v)):
+        if w is not None and w.grid != grid:
+            raise ValueError(f"{name} lies on {w.grid}, not on the symbol's {grid}")
+    if v is not None and np.min(v.values) <= 0:
+        raise ValueError("v must be positive everywhere")
+    if u is not None and np.any(u.values < 0):
+        raise ValueError("u must be nonnegative")
+
+
 def sample_unit_ball(v: GridFunction, p: float, count: int, seed: int) -> UnitBallSample:
     """Deterministic sample of the unit ball of L^p(v)."""
     if count < 1:
         raise ValueError("count must be >= 1")
-    if np.min(v.values) <= 0:
-        raise ValueError("v must be positive everywhere")
+    _check_weights(v.grid, v=v)
     members = [_generate_member(v, p, seed, i) for i in range(count)]
     return UnitBallSample(
         functions=[f for f, _ in members],
@@ -156,16 +169,39 @@ def sample_unit_ball(v: GridFunction, p: float, count: int, seed: int) -> UnitBa
     )
 
 
+def _check_shift(k: int, grid: Grid, trunc: TruncationSpec, allow_large_shifts: bool) -> None:
+    """A shift of k cells must stay below eta/4 (the regime where the
+    kernel-difference estimate applies) unless overridden, and on the grid."""
+    if k != 0 and abs(k) * grid.h >= trunc.eta / 4.0 and not allow_large_shifts:
+        raise ValueError(f"shift {k} cells = {abs(k) * grid.h} is outside |h| < eta/4 = "
+                         f"{trunc.eta / 4.0}; pass allow_large_shifts=True to probe anyway")
+    if abs(k) >= grid.cells:
+        raise ValueError(f"|k_cells| must be < {grid.cells}")
+
+
 def _commutator_images(sample: UnitBallSample, b: GridFunction,
                        trunc: TruncationSpec) -> np.ndarray:
     """[b, T_eta] f for every sample member, as columns of an (m, count) array."""
     return np.stack([commutator(b, f, trunc).values for f in sample.functions], axis=1)
 
 
+def _kr_images(sample: UnitBallSample, b: GridFunction, trunc: TruncationSpec, u: GridFunction,
+               N_list: Sequence[float] = (), shift_cells: Sequence[int] = (),
+               allow_large_shifts: bool = False) -> np.ndarray:
+    """_commutator_images for a Kolmogorov-Riesz probe, after every check of its
+    inputs: the weight, the radii and the shifts."""
+    grid = b.grid
+    _check_weights(grid, u=u)
+    for N in N_list:
+        if N >= grid.half_width:
+            raise ValueError(f"N = {N} must be < the grid half-width {grid.half_width}")
+    for k in shift_cells:
+        _check_shift(k, grid, trunc, allow_large_shifts)
+    return _commutator_images(sample, b, trunc)
+
+
 def _weighted_norms(columns: np.ndarray, u: GridFunction, p: float,
                     row_mask: np.ndarray | None = None) -> np.ndarray:
-    if np.any(u.values < 0):
-        raise ValueError("u must be nonnegative")
     w = u.values * u.grid.h
     g = np.abs(columns)
     if row_mask is not None:
@@ -181,16 +217,12 @@ def _bounded(G: np.ndarray, u: GridFunction, p: float) -> float:
 def kr_bounded(sample: UnitBallSample, b: GridFunction, trunc: TruncationSpec,
                u: GridFunction, p: float) -> float:
     """Condition (a): sup over the sample of ||[b,T_eta] f||_{L^p(u)}."""
-    return _bounded(_commutator_images(sample, b, trunc), u, p)
+    return _bounded(_kr_images(sample, b, trunc, u), u, p)
 
 
 def _tail(G: np.ndarray, u: GridFunction, p: float,
           N_list: list[float]) -> list[tuple[float, float]]:
-    grid = u.grid
-    for N in N_list:
-        if N >= grid.half_width:
-            raise ValueError(f"N = {N} must be < the grid half-width {grid.half_width}")
-    x = grid.centers
+    x = u.grid.centers
     curve = []
     for N in N_list:
         vals = _weighted_norms(G, u, p, row_mask=np.abs(x) > N)
@@ -202,21 +234,12 @@ def kr_tail(sample: UnitBallSample, b: GridFunction, trunc: TruncationSpec,
             u: GridFunction, p: float, N_list: list[float]) -> list[tuple[float, float]]:
     """Condition (b): for each N, sup over the sample of the L^p(u) mass
     of [b,T_eta] f outside |x| > N."""
-    return _tail(_commutator_images(sample, b, trunc), u, p, N_list)
+    return _tail(_kr_images(sample, b, trunc, u, N_list=N_list), u, p, N_list)
 
 
-def _modulus(G: np.ndarray, trunc: TruncationSpec, u: GridFunction, p: float,
-             shift_cells: list[int],
-             allow_large_shifts: bool) -> tuple[list[tuple[float, float]], float]:
+def _modulus(G: np.ndarray, u: GridFunction, p: float,
+             shift_cells: list[int]) -> tuple[list[tuple[float, float]], float]:
     grid = u.grid
-    for k in shift_cells:
-        if k == 0:
-            continue
-        if abs(k) * grid.h >= trunc.eta / 4.0 and not allow_large_shifts:
-            raise ValueError(
-                f"shift {k} cells = {abs(k) * grid.h} is outside |h| < eta/4 = "
-                f"{trunc.eta / 4.0}; pass allow_large_shifts=True to probe anyway"
-            )
     curve = []
     for k in shift_cells:
         diff = _shift_rows(G, k) - G
@@ -242,17 +265,18 @@ def kr_equicontinuity(sample: UnitBallSample, b: GridFunction, trunc: Truncation
     where the kernel-difference estimate applies) unless explicitly
     overridden.
     """
-    G = _commutator_images(sample, b, trunc)
-    return _modulus(G, trunc, u, p, shift_cells, allow_large_shifts)
+    G = _kr_images(sample, b, trunc, u, shift_cells=shift_cells,
+                   allow_large_shifts=allow_large_shifts)
+    return _modulus(G, u, p, shift_cells)
 
 
 def kr_probe(sample: UnitBallSample, b: GridFunction, trunc: TruncationSpec,
              u: GridFunction, p: float, N_list: list[float], shift_cells: list[int]) -> KRReport:
     """All three Kolmogorov-Riesz condition values, from one set of commutator images."""
-    G = _commutator_images(sample, b, trunc)
+    G = _kr_images(sample, b, trunc, u, N_list, shift_cells)
     bound = _bounded(G, u, p)
     tail = _tail(G, u, p, N_list)
-    modulus, slope = _modulus(G, trunc, u, p, shift_cells, allow_large_shifts=False)
+    modulus, slope = _modulus(G, u, p, shift_cells)
     return KRReport(bound_sup=bound, tail_curve=tail, modulus_curve=modulus, slope=slope)
 
 
@@ -268,8 +292,7 @@ def shift_decomposition(b: GridFunction, f: GridFunction, trunc: TruncationSpec,
     """
     grid = f.grid
     k = int(shift_cells)
-    if abs(k) * grid.h >= trunc.eta / 4.0 and k != 0 and not allow_large_shifts:
-        raise ValueError("shift must satisfy |h| < eta/4; pass allow_large_shifts=True")
+    _check_shift(k, grid, trunc, allow_large_shifts)
     b_sh = shift(b, k)
     Tf = apply_truncated(f, trunc)
     A = (b_sh.values - b.values) * Tf.values
@@ -296,9 +319,8 @@ def tail_constant(b: GridFunction, trunc: TruncationSpec, v: GridFunction, p: fl
     """
     if not p >= 1.0:
         raise ValueError(f"p = {p} must be >= 1")
-    if np.min(v.values) <= 0:
-        raise ValueError("v must be positive everywhere")
     grid = b.grid
+    _check_weights(grid, v=v)
     supp = b.values != 0.0
     if not np.any(supp):
         radius = 0.0
@@ -327,11 +349,14 @@ def tail_constant(b: GridFunction, trunc: TruncationSpec, v: GridFunction, p: fl
     return TailReport(C_bv=C_bv, N0=float(N0), v_certificate=cert)
 
 
-def _check_weights(u: GridFunction, v: GridFunction) -> None:
-    if np.min(v.values) <= 0:
-        raise ValueError("v must be positive everywhere")
-    if np.any(u.values < 0):
-        raise ValueError("u must be nonnegative")
+def _operator_block(b: GridFunction, trunc: TruncationSpec, u: GridFunction, v: GridFunction,
+                    rows: np.ndarray | None, cols: np.ndarray | None) -> np.ndarray:
+    """The rows and columns (index arrays; None for all) of operator_matrix, entry
+    for entry: commutator_block times u_i^(1/2), then times v_j^(-1/2)."""
+    A = commutator_block(b, trunc, rows, cols)
+    A *= np.sqrt(u.values if rows is None else u.values[rows])[:, None]
+    A *= (1.0 / np.sqrt(v.values if cols is None else v.values[cols]))[None, :]
+    return A
 
 
 def operator_matrix(b: GridFunction, trunc: TruncationSpec, u: GridFunction,
@@ -343,11 +368,10 @@ def operator_matrix(b: GridFunction, trunc: TruncationSpec, u: GridFunction,
     ||A g|| equals ||[b,T_eta](v^(-1/2) g)||_{L^2(u)} exactly, and the
     h-weighting cancels in singular values.
     """
-    _check_weights(u, v)
-    A = commutator_matrix(b, trunc)
-    A *= np.sqrt(u.values)[:, None]
-    A *= (1.0 / np.sqrt(v.values))[None, :]
-    return A
+    _check_weights(b.grid, u, v)
+    m = b.grid.cells
+    check_dense_fits(2 * 8 * m * m, f"the {m} x {m} operator matrix")
+    return _operator_block(b, trunc, u, v, None, None)
 
 
 # Relative tolerance of the two gross-failure checks on a computed spectrum. On the
@@ -378,24 +402,53 @@ def _sigma1_lower_bound(dense: np.ndarray, block: np.ndarray = _NO_ROWS,
     return best
 
 
-def _compresses(m: int, n: int, sparse: np.ndarray, cols: np.ndarray) -> bool:
-    """Whether replacing the sparse rows by the R of their block on cols leaves
-    fewer than min(m, n) rows."""
-    n_sparse = int(np.count_nonzero(sparse))
-    return m - n_sparse + min(n_sparse, cols.size) < min(m, n)
+def _split(entries: Callable[[np.ndarray | None, np.ndarray | None], np.ndarray], m: int, n: int,
+           whole: np.ndarray, part: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The dense rows, the sparse block and its columns of the m x n matrix A
+    with entries(rows, cols) (index arrays; None for all): the one routine
+    that finds the split, for a matrix and for the operator alike. Every
+    nonzero of A lies in the rows `whole` or the columns `part`, so those rows
+    in full and the others on part give the zeros: rows with at most n // 2
+    nonzeros are sparse. Only then are the dense rows and the sparse block
+    evaluated, or A whole when that saves no rows (see _compressed)."""
+    rest = np.delete(np.arange(m), whole)
+    check_dense_fits(2 * 8 * (whole.size * n + rest.size * part.size),
+                     f"the rows and columns that hold every nonzero of the {m} x {n} matrix")
+    arms = entries(whole, None), entries(rest, part)
+    if not all(np.all(np.isfinite(arm)) for arm in arms):
+        raise ValueError("matrix entries must be finite")
+    nonzero_whole, nonzero_rest = (arm != 0.0 for arm in arms)
+    del arms
+    sparse = np.empty(m, dtype=bool)
+    sparse[whole] = np.count_nonzero(nonzero_whole, axis=1) <= n // 2
+    sparse[rest] = np.count_nonzero(nonzero_rest, axis=1) <= n // 2
+    touched = np.any(nonzero_whole[sparse[whole]], axis=0)
+    touched[part] |= np.any(nonzero_rest[sparse[rest]], axis=0)
+    cols = np.flatnonzero(touched)
+    dense_rows, sparse_rows = np.flatnonzero(~sparse), np.flatnonzero(sparse)
+    d, c = dense_rows.size, cols.size
+    if d + min(sparse_rows.size, c) >= min(m, n):
+        check_dense_fits(2 * 8 * m * n, f"the SVD of the {m} x {n} matrix")
+        return entries(None, None), _NO_ROWS, _NO_COLS
+    side = d + c  # the core's side (see _compressed)
+    # the dense rows and the sparse block; the dense rows off cols, which the LQ
+    # takes transposed, with numpy's and LAPACK's working copies of them (the
+    # block's QR copies it twice too, but not at the same time); the core and
+    # LAPACK's copy of it
+    check_dense_fits(8 * (d * n + sparse_rows.size * c + 3 * d * (n - c) + 2 * side * side),
+                     f"the SVD of the {m} x {n} matrix compressed to a {side} x {side} core")
+    return entries(dense_rows, None), entries(sparse_rows, cols), cols
 
 
 def _scan_split(matrix: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """The dense rows, the sparse block and its columns, found by scanning the
-    matrix for zeros; the whole matrix as the dense rows when splitting saves
-    nothing (see _compressed)."""
+    """_split, the one routine behind both paths, on a matrix at hand by indexing."""
+    def entries(rows: np.ndarray | None, cols: np.ndarray | None) -> np.ndarray:
+        if rows is None:
+            return matrix
+        return matrix[rows] if cols is None else matrix[np.ix_(rows, cols)]
+
     m, n = matrix.shape
-    nonzero = matrix != 0.0
-    sparse = np.count_nonzero(nonzero, axis=1) <= n // 2
-    cols = np.flatnonzero(np.any(nonzero[sparse], axis=0))
-    if not _compresses(m, n, sparse, cols):
-        return matrix, _NO_ROWS, _NO_COLS
-    return matrix[~sparse], matrix[np.ix_(sparse, cols)], cols
+    return _split(entries, m, n, np.arange(m), _NO_COLS)
 
 
 def _compressed(dense: np.ndarray, block: np.ndarray, cols: np.ndarray) -> np.ndarray:
@@ -403,15 +456,12 @@ def _compressed(dense: np.ndarray, block: np.ndarray, cols: np.ndarray) -> np.nd
     and then `block` on the columns `cols`, up to the QRs' rounding; `dense`
     itself when the block has no rows.
 
-    A's sparse rows are those with at most n/2 nonzeros, its dense rows the
-    others, each kept in ascending order; cols are the columns where any
-    sparse row is nonzero. Up to a column permutation, a QR of the block (R)
-    turns A into Z = [[D_cols, D_rest], [R, 0]] with Z^T Z = A^T A, and an LQ
-    of the dense rows off cols (D_rest = L^T Q^T) turns Z into
-    C = [[D_cols, L^T], [R, 0]] with C C^T = Z Z^T. With d dense rows and
-    c = |cols|, a split that saves rows (see _compresses) has more than c
-    sparse rows and d + c < min(m, n), so C is (d + c) x (d + c), and just R
-    when d = 0.
+    The rows and cols are those of _split. Up to a column permutation, a QR
+    of the block (R) turns A into Z = [[D_cols, D_rest], [R, 0]] with
+    Z^T Z = A^T A, and an LQ of the dense rows off cols (D_rest = L^T Q^T)
+    turns Z into C = [[D_cols, L^T], [R, 0]] with C C^T = Z Z^T. With d dense
+    rows and c = |cols|, a split that saves rows has more than c sparse rows
+    and d + c < min(m, n), so C is (d + c) x (d + c), and just R when d = 0.
     """
     if not block.shape[0]:
         return dense
@@ -450,15 +500,16 @@ def singular_values(matrix: np.ndarray) -> np.ndarray:
     """All singular values, nonincreasing, computed without singular vectors.
 
     A is compressed first to a square core when the zero pattern allows it
-    (see _compressed). Rows with at most n/2 nonzeros are replaced by the R
-    factor of a Householder QR of the c columns they touch, and the d other
-    rows by those c columns beside the L factor of an LQ of the rest. The core
-    is (d + c) x (d + c) with the singular values of A, and its side bounds
-    the rank: a commutator whose symbol is constant off s cells leaves a core
-    of side at most 2s. Values past the core's side are reported as exact
-    0.0, not as LAPACK's rounding noise of about eps * sigma_1. When the
-    compression would not leave fewer than min(m, n) rows, the SVD runs on A
-    itself.
+    (see _compressed), split by _split, the one routine that also splits the
+    operator for operator_spectral_report. Rows with at most n/2 nonzeros are
+    replaced by the R factor of a Householder QR of the c columns they touch,
+    and the d other rows by those c columns beside the L factor of an LQ of
+    the rest. The core is (d + c) x (d + c) with the singular values of A,
+    and its side bounds the rank: a commutator whose symbol is constant off s
+    cells leaves a core of side at most 2s. Values past the core's side are
+    reported as exact 0.0, not as LAPACK's rounding noise of about
+    eps * sigma_1. When the compression would not leave fewer than min(m, n)
+    rows, the SVD runs on A itself.
 
     The two QRs and LAPACK's values-only SVD (bidiagonal reduction, then
     dqds) are all backward stable: the values are exact for some A + E with
@@ -475,68 +526,24 @@ def singular_values(matrix: np.ndarray) -> np.ndarray:
     ||A||_F^2, and the power bound is loose when sigma_2 is close to
     sigma_1.
 
-    Raises np.linalg.LinAlgError if the iteration fails to converge and
+    Raises ValueError if an entry is not finite or the arrays would not fit
+    in memory, np.linalg.LinAlgError if the iteration fails to converge and
     FloatingPointError if either check fails.
     """
-    matrix = np.asarray(matrix, dtype=float)
-    if not np.all(np.isfinite(matrix)):
-        raise ValueError("matrix entries must be finite")
-    # the matrix and LAPACK's working copy; the workspace is O(m + n)
-    check_dense_fits(2 * matrix.nbytes, f"the SVD of a {matrix.shape} matrix")
-    return _split_values(*_scan_split(matrix))
+    return _split_values(*_scan_split(np.asarray(matrix, dtype=float)))
 
 
 def _operator_split(b: GridFunction, trunc: TruncationSpec, u: GridFunction,
                     v: GridFunction) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """_scan_split(operator_matrix(b, trunc, u, v)), entry for entry, without
-    the m x m matrix unless the split saves nothing.
-
-    With S the cells where b differs from b_0, row i off S is nonzero only in
-    the columns of S, since b_i - b_j = 0 for j off S. So the rows on S, whole
-    (s x m), and the rows off S on the columns of S ((m - s) x s) hold every
-    nonzero, and their zeros give the split. The dense rows and the sparse
-    block are then evaluated entry for entry as operator_matrix does, signed
-    zeros included, so the QR and the SVD see the same floats.
-    """
-    _check_weights(u, v)
-    scale_u, scale_v = np.sqrt(u.values), 1.0 / np.sqrt(v.values)
-
-    def block(rows: np.ndarray | None, cols: np.ndarray | None = None) -> np.ndarray:
-        A = commutator_block(b, trunc, rows, cols)
-        A *= (scale_u if rows is None else scale_u[rows])[:, None]
-        A *= (scale_v if cols is None else scale_v[cols])[None, :]
-        return A
-
+    """_scan_split(operator_matrix(b, trunc, u, v)) entry for entry, signed zeros
+    included, without the m x m matrix unless the split saves nothing: with S
+    the cells where b differs from b_0, a row off S is nonzero only on the
+    columns of S (b_i - b_j = 0 for j off S), so the same _split takes the rows
+    on S whole and the others on S, every entry from _operator_block."""
+    _check_weights(b.grid, u, v)
+    S = np.flatnonzero(b.values != b.values[0])
     m = b.grid.cells
-    on = b.values != b.values[0]
-    S, off = np.flatnonzero(on), np.flatnonzero(~on)
-    check_dense_fits(2 * 8 * m * S.size, f"the rows of the {m} x {m} operator that its "
-                                         f"{S.size}-cell symbol support touches")
-    # every nonzero of A: its rows on S, and its rows off S on the columns of S
-    arms = block(S), block(off, S)
-    if not all(np.all(np.isfinite(arm)) for arm in arms):
-        raise ValueError("matrix entries must be finite")
-    nonzero_on, nonzero_off = (arm != 0.0 for arm in arms)
-    del arms
-    sparse = np.empty(m, dtype=bool)
-    sparse[S] = np.count_nonzero(nonzero_on, axis=1) <= m // 2
-    sparse[off] = np.count_nonzero(nonzero_off, axis=1) <= m // 2
-    touched = np.any(nonzero_on[sparse[S]], axis=0)
-    touched[S] |= np.any(nonzero_off[sparse[off]], axis=0)
-    cols = np.flatnonzero(touched)
-    if not _compresses(m, m, sparse, cols):
-        check_dense_fits(2 * 8 * m * m, f"the SVD of the {m} x {m} operator")
-        return block(None), _NO_ROWS, _NO_COLS
-    dense_rows, sparse_rows = np.flatnonzero(~sparse), np.flatnonzero(sparse)
-    d, c = dense_rows.size, cols.size
-    side = d + c  # the core's side (see _compressed)
-    # the dense rows and the sparse block; the dense rows off cols, which the LQ
-    # takes transposed, with numpy's and LAPACK's working copies of them (the
-    # block's QR copies it twice too, but not at the same time); the core and
-    # LAPACK's copy of it
-    check_dense_fits(8 * (d * m + sparse_rows.size * c + 3 * d * (m - c) + 2 * side * side),
-                     f"the SVD of the {m} x {m} operator compressed to a {side} x {side} core")
-    return block(dense_rows), block(sparse_rows, cols), cols
+    return _split(partial(_operator_block, b, trunc, u, v), m, m, S, S)
 
 
 def _report(s: np.ndarray, grid_cells: int, K_list: list[int]) -> SpectralReport:
@@ -582,6 +589,9 @@ def decay_compare(b_cmo: GridFunction, b_bmo: GridFunction, trunc: TruncationSpe
     the dyadic cubes of the grid.
     """
     grid = b_cmo.grid
+    _check_weights(grid, u, v)
+    if b_bmo.grid != grid:
+        raise ValueError(f"b_bmo lies on {b_bmo.grid}, not on b_cmo's {grid}")
     cubes = dyadic_cubes(grid)
     norm_cmo = bmo_norm(b_cmo, cubes)
     norm_bmo = bmo_norm(b_bmo, cubes)

@@ -187,9 +187,21 @@ def _checked_family(cubes: Sequence[Cube], grid: Grid) -> CubeFamily:
     return cubes
 
 
-def _levels(m: int, sizes: list[int], shifted: bool) -> CubeFamily:
-    """Every cube of length n in sizes, level by level, spaced n apart from
-    0 (or from n/2 when shifted) while it fits in m cells."""
+def _levels(grid: Grid, min_cells: int, max_cells: int | None, shifted: bool) -> CubeFamily:
+    """Every cube of length n = min_cells, 2 min_cells, ..., max_cells (m when
+    None), level by level, spaced n apart from 0 (or from n/2 when shifted,
+    from length 2 up) while it fits in the grid's m cells. Both bounds must be
+    powers of two, and max_cells at most m."""
+    m = grid.cells
+    if max_cells is None:
+        max_cells = m
+    for n in (min_cells, max_cells):
+        if not _is_power_of_two(n):
+            raise ValueError(f"cube sizes must be powers of two, got {n}")
+    if max_cells > m:
+        raise ValueError("max_cells exceeds grid size")
+    lo = max(min_cells, 2) if shifted else min_cells
+    sizes = [1 << j for j in range(m.bit_length()) if lo <= 1 << j <= max_cells]
     starts = [np.arange(n // 2 if shifted else 0, m - n + 1, n) for n in sizes]
     return CubeFamily(np.concatenate([np.zeros(0, np.int64), *starts]),
                       np.repeat(sizes, [len(s) for s in starts]))
@@ -201,20 +213,7 @@ def dyadic_cubes(grid: Grid, min_cells: int = 1, max_cells: int | None = None) -
     A dyadic cube of n_cells = 2^j starts at a multiple of 2^j; the cubes at
     one level tile [-L, L] exactly.
     """
-    m = grid.cells
-    if max_cells is None:
-        max_cells = m
-    for n in (min_cells, max_cells):
-        if not _is_power_of_two(n):
-            raise ValueError(f"cube sizes must be powers of two, got {n}")
-    if max_cells > m:
-        raise ValueError("max_cells exceeds grid size")
-    sizes = []
-    n = min_cells
-    while n <= max_cells:
-        sizes.append(n)
-        n *= 2
-    return _levels(m, sizes, shifted=False)
+    return _levels(grid, min_cells, max_cells, shifted=False)
 
 
 def shifted_dyadic_cubes(grid: Grid, min_cells: int = 1, max_cells: int | None = None) -> CubeFamily:
@@ -224,15 +223,7 @@ def shifted_dyadic_cubes(grid: Grid, min_cells: int = 1, max_cells: int | None =
     [-L, L], so a single offset family covers both. Only levels with
     n_cells >= 2 admit a half-cell-count offset.
     """
-    m = grid.cells
-    if max_cells is None:
-        max_cells = m
-    sizes = []
-    n = max(min_cells, 2)
-    while n <= max_cells:
-        sizes.append(n)
-        n *= 2
-    return _levels(m, sizes, shifted=True)
+    return _levels(grid, min_cells, max_cells, shifted=True)
 
 
 def cube_family(grid: Grid, name: str, min_cells: int = 1, max_cells: int | None = None) -> CubeFamily:

@@ -47,7 +47,6 @@ __all__ = [
     "maximal_truncation",
     "commutator",
     "commutator_block",
-    "commutator_matrix",
     "measured_regularity_constant",
     "check_dense_fits",
 ]
@@ -326,9 +325,10 @@ def commutator(b: GridFunction, f: GridFunction, trunc: TruncationSpec) -> GridF
 
 def commutator_block(b: GridFunction, trunc: TruncationSpec, rows: np.ndarray | None = None,
                      cols: np.ndarray | None = None) -> np.ndarray:
-    """The rows `rows` and columns `cols` (index arrays; None for all) of
-    commutator_matrix, entry for entry: (K_eta(x_i, x_j) (b_i - b_j)) h, with K_eta
-    gathered from the Toeplitz view of kernel_offsets."""
+    """The rows `rows` and columns `cols` (index arrays; None for all) of the
+    dense commutator matrix C, whose product C @ f.values evaluates [b, T_eta] f
+    on the grid: C_ij = (K_eta(x_i, x_j) (b_i - b_j)) h, with K_eta gathered from
+    the Toeplitz view of kernel_offsets."""
     K = _toeplitz(kernel_offsets(b.grid, trunc))
     if cols is None:
         out = np.array(K) if rows is None else K[rows]
@@ -339,14 +339,6 @@ def commutator_block(b: GridFunction, trunc: TruncationSpec, rows: np.ndarray | 
     out *= bi[:, None] - bj[None, :]
     out *= b.grid.h
     return out
-
-
-def commutator_matrix(b: GridFunction, trunc: TruncationSpec) -> np.ndarray:
-    """Dense matrix C with C_ij = (b_i - b_j) K_eta(x_i, x_j) h, so that
-    C @ f.values evaluates [b, T_eta] f on the grid."""
-    m = b.grid.cells
-    check_dense_fits(2 * 8 * m * m, f"the {m} x {m} commutator matrix")
-    return commutator_block(b, trunc)
 
 
 def measured_regularity_constant(trunc: TruncationSpec, grid: Grid) -> float:

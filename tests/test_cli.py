@@ -482,3 +482,27 @@ def test_non_finite_constant_exits_3_without_report(tmp_path, capsys, argv):
     assert rc == 3
     assert "not finite" in capsys.readouterr().err
     assert not list(tmp_path.iterdir())
+
+
+@pytest.mark.parametrize("spec", ["haar:0.9,4.7", "haar:-0.5,4", "haar:0,4.5", "haar:inf,4"])
+def test_haar_rejects_non_integral_arguments_exits_2(tmp_path, capsys, spec):
+    # int() used to truncate: haar:0.9,4.7 and haar:-0.5,4 both built haar on Cube(0, 4)
+    assert run(["op", "apply", "--op", "M", "--f", spec, "--L", "1", "--m", "16",
+                "--out", tmp_path]) == 2
+    assert f"bad arguments in builder term '{spec}'" in capsys.readouterr().err
+    assert not list(tmp_path.iterdir())
+    grid = make_grid(1.0, 16)
+    assert np.array_equal(parse_function_spec(grid, "haar:4.0,8").values,
+                          parse_function_spec(grid, "haar:4,8").values)
+
+
+@pytest.mark.parametrize("argv, report", [
+    (["probe", "svd", "--b", "bump:0,0.5"], "probe_svd.json"),
+    (["compare", "--b-cmo", "bump:0,0.5", "--b-bmo", "logspike:0.01"], "compare.json"),
+], ids=["probe-svd", "compare"])
+def test_spectral_commands_run_at_4_cells_on_their_default_K_list(tmp_path, argv, report):
+    # the default [m // 8] read [0] at m = 4, and the run exited 2 on a flag never passed
+    assert run([*argv, "--u", "const:1", "--v", "const:1", "--L", "1", "--m", "4",
+                "--out", tmp_path]) == 0
+    config = json.loads((tmp_path / report).read_text())["config"]
+    assert config["probes"]["spectral"]["K_list"] == [1]

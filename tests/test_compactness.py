@@ -7,6 +7,7 @@ from bumplab import (
     TruncationSpec,
     apply_truncated,
     commutator,
+    compactness,
     constant,
     decay_compare,
     gaussian,
@@ -22,6 +23,7 @@ from bumplab import (
     maximal_fn,
     measured_regularity_constant,
     operator_matrix,
+    operator_spectral_report,
     sample_unit_ball,
     shift,
     shift_decomposition,
@@ -332,3 +334,71 @@ def test_decay_compare_zero_u(setup):
     cmp = decay_compare(b, spike, trunc, zero_u, v, [8])
     assert np.all(cmp.smooth.singular_values == 0.0)
     assert np.all(cmp.spike.singular_values == 0.0)
+
+
+_MISMATCHED = {
+    "operator_matrix": lambda b, trunc, u, v, sample: operator_matrix(b, trunc, u, v),
+    "operator_spectral_report": lambda b, trunc, u, v, sample:
+        operator_spectral_report(b, trunc, u, v, [4]),
+    "decay_compare": lambda b, trunc, u, v, sample: decay_compare(b, b, trunc, u, v, [4]),
+    "kr_bounded": lambda b, trunc, u, v, sample: kr_bounded(sample, b, trunc, u, 2.0),
+    "kr_tail": lambda b, trunc, u, v, sample: kr_tail(sample, b, trunc, u, 2.0, [0.5]),
+    "kr_equicontinuity": lambda b, trunc, u, v, sample:
+        kr_equicontinuity(sample, b, trunc, u, 2.0, [1]),
+    "kr_probe": lambda b, trunc, u, v, sample: kr_probe(sample, b, trunc, u, 2.0, [0.5], [1]),
+    "tail_constant": lambda b, trunc, u, v, sample: tail_constant(b, trunc, v, 2.0, sample, 7.0),
+}
+
+
+@pytest.mark.parametrize("probe", _MISMATCHED.values(), ids=_MISMATCHED.keys())
+def test_weighted_entry_points_reject_weights_on_another_grid(probe):
+    # same cell count, another h: the numbers would come out with the wrong h
+    g8, g1 = make_grid(8.0, 64), make_grid(1.0, 64)
+    b, trunc = smooth_bump(g8, 0.0, 2.0), TruncationSpec(8 * g8.h)
+    u, v = constant(g1, 1.0) + gaussian(g1, 0.0, 0.3), constant(g1, 2.0)
+    sample = sample_unit_ball(constant(g8, 1.0), 2.0, 4, seed=1)
+    with pytest.raises(ValueError, match="not on the symbol's Grid"):
+        probe(b, trunc, u, v, sample)
+
+
+def test_decay_compare_rejects_symbols_on_two_grids(setup):
+    grid, u, v, b, trunc, sample = setup
+    other = log_spike(make_grid(4.0, grid.cells), 0.01)
+    with pytest.raises(ValueError, match="b_bmo lies on"):
+        decay_compare(b, other, trunc, u, v, [8])
+
+
+_BAD_KR_INPUT = {
+    "kr_tail-radius": (lambda s, b, t, u: kr_tail(s, b, t, u, 2.0, [1.0, 8.0]),
+                       "must be < the grid half-width"),
+    "kr_probe-radius": (lambda s, b, t, u: kr_probe(s, b, t, u, 2.0, [8.0], [1]),
+                        "must be < the grid half-width"),
+    "kr_equicontinuity-shift": (lambda s, b, t, u: kr_equicontinuity(s, b, t, u, 2.0, [1, 4]),
+                                r"eta/4.*allow_large_shifts=True"),
+    "kr_probe-shift": (lambda s, b, t, u: kr_probe(s, b, t, u, 2.0, [1.0], [1, 4]),
+                       r"eta/4.*allow_large_shifts=True"),
+    "kr_equicontinuity-past-grid": (
+        lambda s, b, t, u: kr_equicontinuity(s, b, t, u, 2.0, [600], allow_large_shifts=True),
+        r"\|k_cells\| must be < 512"),
+}
+
+
+@pytest.mark.parametrize("probe, message", _BAD_KR_INPUT.values(), ids=_BAD_KR_INPUT.keys())
+def test_kr_entry_points_check_inputs_before_any_commutator(setup, monkeypatch, probe, message):
+    grid, u, v, b, trunc, sample = setup  # eta = 16 cells: shift 4 is |h| = eta/4
+    calls = []
+
+    def counted(*args):
+        calls.append(args)
+        return commutator(*args)
+
+    monkeypatch.setattr(compactness, "commutator", counted)
+    with pytest.raises(ValueError, match=message):
+        probe(sample, b, trunc, u)
+    assert calls == []
+
+
+def test_shift_decomposition_shares_the_kr_shift_message(setup):
+    grid, u, v, b, trunc, sample = setup
+    with pytest.raises(ValueError, match=r"eta/4.*allow_large_shifts=True"):
+        shift_decomposition(b, sample.functions[0], trunc, 4)

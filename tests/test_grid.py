@@ -249,3 +249,18 @@ def test_per_cube_hands_length_groups_in_order_of_first_appearance():
     assert out.tolist() == [0.0, 0.0, 4.0, 1.0]  # back in family order
     with pytest.raises(FloatingPointError, match="not finite"):
         per_cube(first_cell, g, cubes, np.full(8, np.inf))
+
+
+@pytest.mark.parametrize("build", [dyadic_cubes, shifted_dyadic_cubes,
+                                   lambda g, *a, **k: cube_family(g, "dyadic+shifted", *a, **k)],
+                         ids=["dyadic", "shifted", "dyadic+shifted"])
+@pytest.mark.parametrize("bounds, message", [
+    ({"min_cells": 3}, "cube sizes must be powers of two, got 3"),
+    ({"max_cells": 6}, "cube sizes must be powers of two, got 6"),
+    ({"max_cells": 64}, "max_cells exceeds grid size"),
+], ids=["min-3", "max-6", "max-64"])
+def test_cube_builders_check_their_size_bounds_alike(build, bounds, message):
+    # the shifted builder used to return cubes of 3 and 6 cells for min_cells=3
+    # and to accept max_cells=64 on a 16-cell grid
+    with pytest.raises(ValueError, match=message):
+        build(make_grid(1.0, 16), **bounds)

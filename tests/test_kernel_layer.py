@@ -34,7 +34,7 @@ from bumplab import (
     shift,
     shift_decomposition,
 )
-from bumplab.operators import commutator_matrix, kernel_offsets, truncated_kernel_matrix
+from bumplab.operators import commutator_block, kernel_offsets, truncated_kernel_matrix
 
 EXACT_L = (0.5, 1.0, 2.0, 3.0, 8.0)
 ROUNDED_L = (1.7, 0.3)
@@ -143,7 +143,7 @@ def test_dense_matrices_bit_identical_on_exact_grids(prob):
     K = truncated_kernel_matrix(grid, trunc)
     assert K.flags.c_contiguous and K.flags.writeable
     assert np.array_equal(K, oracle.truncated_kernel_matrix(grid, trunc))
-    assert np.array_equal(commutator_matrix(b, trunc), oracle.commutator_matrix(b, trunc))
+    assert np.array_equal(commutator_block(b, trunc), oracle.commutator_matrix(b, trunc))
     assert (measured_regularity_constant(trunc, grid)
             == oracle.measured_regularity_constant(trunc, grid))
 
@@ -156,7 +156,7 @@ def test_dense_matrices_close_on_rounded_grids(prob):
     assert_close(truncated_kernel_matrix(grid, trunc), oracle.truncated_kernel_matrix(grid, trunc),
                  np.max(ring))
     db = np.abs(b.values[:, None] - b.values[None, :])
-    assert_close(commutator_matrix(b, trunc), oracle.commutator_matrix(b, trunc),
+    assert_close(commutator_block(b, trunc), oracle.commutator_matrix(b, trunc),
                  np.max(ring * db) * grid.h)
     got = measured_regularity_constant(trunc, grid)
     want = oracle.measured_regularity_constant(trunc, grid)
