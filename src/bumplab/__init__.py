@@ -71,12 +71,9 @@ from .compactness import (
     kr_equicontinuity,
     kr_probe,
     kr_tail,
-    operator_matrix,
     operator_spectral_report,
     sample_unit_ball,
     shift_decomposition,
-    singular_values,
-    spectral_report,
     tail_constant,
 )
 

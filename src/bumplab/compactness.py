@@ -18,9 +18,8 @@ trends across samples, radii, and grid refinements carry information):
 from __future__ import annotations
 
 import math
-from collections.abc import Callable, Sequence
+from collections.abc import Sequence
 from dataclasses import dataclass
-from functools import partial
 
 import numpy as np
 
@@ -48,9 +47,6 @@ __all__ = [
     "kr_probe",
     "shift_decomposition",
     "tail_constant",
-    "operator_matrix",
-    "singular_values",
-    "spectral_report",
     "operator_spectral_report",
     "decay_compare",
 ]
@@ -290,6 +286,8 @@ def shift_decomposition(b: GridFunction, f: GridFunction, trunc: TruncationSpec,
     The identity Af + Bf = shifted difference holds cell-by-cell by
     construction (with zero extension at the boundary).
     """
+    if b.grid != f.grid:
+        raise ValueError("b and f must share a grid")
     grid = f.grid
     k = int(shift_cells)
     _check_shift(k, grid, trunc, allow_large_shifts)
@@ -351,27 +349,16 @@ def tail_constant(b: GridFunction, trunc: TruncationSpec, v: GridFunction, p: fl
 
 def _operator_block(b: GridFunction, trunc: TruncationSpec, u: GridFunction, v: GridFunction,
                     rows: np.ndarray | None, cols: np.ndarray | None) -> np.ndarray:
-    """The rows and columns (index arrays; None for all) of operator_matrix, entry
-    for entry: commutator_block times u_i^(1/2), then times v_j^(-1/2)."""
+    """The rows and columns (index arrays; None for all) of the matrix A of
+    [b, T_eta] : L^2(v) -> L^2(u) on the plain sequence space, entry for entry:
+    A_ij = u_i^(1/2) (b_i - b_j) K_eta(x_i, x_j) v_j^(-1/2) h, commutator_block
+    times u_i^(1/2), then times v_j^(-1/2). With sequence norms weighted by h
+    on both sides, ||A g|| = ||[b,T_eta](v^(-1/2) g)||_{L^2(u)} exactly, and
+    the h-weighting cancels in singular values."""
     A = commutator_block(b, trunc, rows, cols)
     A *= np.sqrt(u.values if rows is None else u.values[rows])[:, None]
     A *= (1.0 / np.sqrt(v.values if cols is None else v.values[cols]))[None, :]
     return A
-
-
-def operator_matrix(b: GridFunction, trunc: TruncationSpec, u: GridFunction,
-                    v: GridFunction) -> np.ndarray:
-    """[b, T_eta] : L^2(v) -> L^2(u) as a matrix on the plain sequence space.
-
-    A_ij = u_i^(1/2) (b_i - b_j) K_eta(x_i, x_j) v_j^(-1/2) h. Under the
-    quadrature identification (sequence norms weighted by h on both sides),
-    ||A g|| equals ||[b,T_eta](v^(-1/2) g)||_{L^2(u)} exactly, and the
-    h-weighting cancels in singular values.
-    """
-    _check_weights(b.grid, u, v)
-    m = b.grid.cells
-    check_dense_fits(2 * 8 * m * m, f"the {m} x {m} operator matrix")
-    return _operator_block(b, trunc, u, v, None, None)
 
 
 # Relative tolerance of the two gross-failure checks on a computed spectrum. On the
@@ -379,12 +366,9 @@ def operator_matrix(b: GridFunction, trunc: TruncationSpec, u: GridFunction,
 _SPECTRUM_RTOL = 1e-12
 # Power iterations behind the lower bound on sigma_1 (two matvecs each)
 _POWER_STEPS = 8
-_NO_ROWS = np.zeros((0, 0))
-_NO_COLS = np.zeros(0, dtype=np.intp)
 
 
-def _sigma1_lower_bound(dense: np.ndarray, block: np.ndarray = _NO_ROWS,
-                        cols: np.ndarray = _NO_COLS) -> float:
+def _sigma1_lower_bound(dense: np.ndarray, block: np.ndarray, cols: np.ndarray) -> float:
     """max ||A x|| over the unit vectors x of a few power iterations on A^T A,
     from a fixed start; each one is a lower bound on sigma_1. A's rows are
     `dense`, then `block` on the columns `cols` and zero elsewhere."""
@@ -402,53 +386,49 @@ def _sigma1_lower_bound(dense: np.ndarray, block: np.ndarray = _NO_ROWS,
     return best
 
 
-def _split(entries: Callable[[np.ndarray | None, np.ndarray | None], np.ndarray], m: int, n: int,
-           whole: np.ndarray, part: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """The dense rows, the sparse block and its columns of the m x n matrix A
-    with entries(rows, cols) (index arrays; None for all): the one routine
-    that finds the split, for a matrix and for the operator alike. Every
-    nonzero of A lies in the rows `whole` or the columns `part`, so those rows
-    in full and the others on part give the zeros: rows with at most n // 2
-    nonzeros are sparse. Only then are the dense rows and the sparse block
-    evaluated, or A whole when that saves no rows (see _compressed)."""
-    rest = np.delete(np.arange(m), whole)
-    check_dense_fits(2 * 8 * (whole.size * n + rest.size * part.size),
-                     f"the rows and columns that hold every nonzero of the {m} x {n} matrix")
-    arms = entries(whole, None), entries(rest, part)
+def _operator_split(b: GridFunction, trunc: TruncationSpec, u: GridFunction,
+                    v: GridFunction) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The dense rows, the sparse block and its columns of the m x m operator
+    matrix A (see _operator_block), without A itself unless the split saves
+    nothing. With S the cells where b differs from b_0, a row off S is nonzero
+    only on the columns of S (b_i - b_j = 0 for j off S), so the rows on S in
+    full and the others on S give the zeros: rows with at most m // 2 nonzeros
+    are sparse. Only then are the dense rows and the sparse block evaluated, or
+    A whole when that saves no rows (see _compressed)."""
+    _check_weights(b.grid, u, v)
+    S = np.flatnonzero(b.values != b.values[0])
+    m = b.grid.cells
+    rest = np.delete(np.arange(m), S)
+    check_dense_fits(2 * 8 * (S.size * m + rest.size * S.size),
+                     f"the rows and columns that hold every nonzero of the {m} x {m} matrix")
+    with np.errstate(over="ignore"):  # reported just below
+        arms = (_operator_block(b, trunc, u, v, S, None),
+                _operator_block(b, trunc, u, v, rest, S))
     if not all(np.all(np.isfinite(arm)) for arm in arms):
         raise ValueError("matrix entries must be finite")
-    nonzero_whole, nonzero_rest = (arm != 0.0 for arm in arms)
+    nonzero_S, nonzero_rest = (arm != 0.0 for arm in arms)
     del arms
     sparse = np.empty(m, dtype=bool)
-    sparse[whole] = np.count_nonzero(nonzero_whole, axis=1) <= n // 2
-    sparse[rest] = np.count_nonzero(nonzero_rest, axis=1) <= n // 2
-    touched = np.any(nonzero_whole[sparse[whole]], axis=0)
-    touched[part] |= np.any(nonzero_rest[sparse[rest]], axis=0)
+    sparse[S] = np.count_nonzero(nonzero_S, axis=1) <= m // 2
+    sparse[rest] = np.count_nonzero(nonzero_rest, axis=1) <= m // 2
+    touched = np.any(nonzero_S[sparse[S]], axis=0)
+    touched[S] |= np.any(nonzero_rest[sparse[rest]], axis=0)
     cols = np.flatnonzero(touched)
     dense_rows, sparse_rows = np.flatnonzero(~sparse), np.flatnonzero(sparse)
     d, c = dense_rows.size, cols.size
-    if d + min(sparse_rows.size, c) >= min(m, n):
-        check_dense_fits(2 * 8 * m * n, f"the SVD of the {m} x {n} matrix")
-        return entries(None, None), _NO_ROWS, _NO_COLS
+    if d + min(sparse_rows.size, c) >= m:
+        check_dense_fits(2 * 8 * m * m, f"the SVD of the {m} x {m} matrix")
+        return (_operator_block(b, trunc, u, v, None, None), np.zeros((0, 0)),
+                np.zeros(0, dtype=np.intp))
     side = d + c  # the core's side (see _compressed)
     # the dense rows and the sparse block; the dense rows off cols, which the LQ
     # takes transposed, with numpy's and LAPACK's working copies of them (the
     # block's QR copies it twice too, but not at the same time); the core and
     # LAPACK's copy of it
-    check_dense_fits(8 * (d * n + sparse_rows.size * c + 3 * d * (n - c) + 2 * side * side),
-                     f"the SVD of the {m} x {n} matrix compressed to a {side} x {side} core")
-    return entries(dense_rows, None), entries(sparse_rows, cols), cols
-
-
-def _scan_split(matrix: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """_split, the one routine behind both paths, on a matrix at hand by indexing."""
-    def entries(rows: np.ndarray | None, cols: np.ndarray | None) -> np.ndarray:
-        if rows is None:
-            return matrix
-        return matrix[rows] if cols is None else matrix[np.ix_(rows, cols)]
-
-    m, n = matrix.shape
-    return _split(entries, m, n, np.arange(m), _NO_COLS)
+    check_dense_fits(8 * (d * m + sparse_rows.size * c + 3 * d * (m - c) + 2 * side * side),
+                     f"the SVD of the {m} x {m} matrix compressed to a {side} x {side} core")
+    return (_operator_block(b, trunc, u, v, dense_rows, None),
+            _operator_block(b, trunc, u, v, sparse_rows, cols), cols)
 
 
 def _compressed(dense: np.ndarray, block: np.ndarray, cols: np.ndarray) -> np.ndarray:
@@ -456,8 +436,8 @@ def _compressed(dense: np.ndarray, block: np.ndarray, cols: np.ndarray) -> np.nd
     and then `block` on the columns `cols`, up to the QRs' rounding; `dense`
     itself when the block has no rows.
 
-    The rows and cols are those of _split. Up to a column permutation, a QR
-    of the block (R) turns A into Z = [[D_cols, D_rest], [R, 0]] with
+    The rows and cols are those of _operator_split. Up to a column permutation,
+    a QR of the block (R) turns A into Z = [[D_cols, D_rest], [R, 0]] with
     Z^T Z = A^T A, and an LQ of the dense rows off cols (D_rest = L^T Q^T)
     turns Z into C = [[D_cols, L^T], [R, 0]] with C C^T = Z Z^T. With d dense
     rows and c = |cols|, a split that saves rows has more than c sparse rows
@@ -476,84 +456,61 @@ def _compressed(dense: np.ndarray, block: np.ndarray, cols: np.ndarray) -> np.nd
 
 
 def _split_values(dense: np.ndarray, block: np.ndarray, cols: np.ndarray) -> np.ndarray:
-    """The singular values of the A whose rows are `dense` and then `block` on
-    the columns `cols`, from the core (see _compressed), with the values past
-    the core's side exact zeros up to min(m, n), and checked against A
-    blockwise (see singular_values)."""
+    """All singular values, nonincreasing, of the m x n matrix A whose rows are
+    `dense` and then `block` on the columns `cols` (see _operator_split),
+    without singular vectors: the SVD of the core (see _compressed), whose
+    side bounds the rank (at most 2s for a symbol constant off s cells), with
+    every value past it an exact 0.0 up to min(m, n), not LAPACK's rounding
+    noise of about eps * sigma_1.
+
+    The QRs and LAPACK's values-only SVD (bidiagonal reduction, then dqds) are
+    backward stable: the values are exact for some A + E with ||E|| a modest
+    multiple of eps * ||A||, so each sigma_k is within about that of the true
+    value, and values near eps * sigma_1 are rounding noise; the tests hold
+    them to 1e-13 * sigma_1 against the SVD with vectors and the compression
+    of the rows alone. Two checks on the dense rows and the sparse block,
+    which hold every nonzero of A, catch gross failure of the compression or
+    the SVD, each to 1e-12 relative: sum(sigma^2) must match ||A||_F^2, and
+    sigma_1 must not fall below the best ||A x|| from a few power iterations.
+    Both run on A and the values times 2^-e, with max |a_ij| in [1/2, 1):
+    exact, and no square overflows while the entries are finite. Neither
+    certifies each sigma_k to a fixed fraction of sigma_1: an error in a small
+    sigma_k moves sum(sigma^2) by less than the round-off of ||A||_F^2, and
+    the power bound is loose when sigma_2 is close to sigma_1.
+
+    Raises np.linalg.LinAlgError if the SVD fails to converge and
+    FloatingPointError if either check fails.
+    """
     m, n = dense.shape[0] + block.shape[0], dense.shape[1]
     s = np.linalg.svd(_compressed(dense, block, cols), compute_uv=False)
     s = np.concatenate([s, np.zeros(min(m, n) - s.size)])
     if s.size:
+        e = int(np.frexp(max(np.max(np.abs(dense), initial=0.0),
+                             np.max(np.abs(block), initial=0.0)))[1])
+        dense, block, t = np.ldexp(dense, -e), np.ldexp(block, -e), np.ldexp(s, -e)
         fro2 = float(np.linalg.norm(dense)) ** 2 + float(np.linalg.norm(block)) ** 2
-        energy = float(np.sum(s**2))
+        energy = float(np.sum(t**2))
         if not abs(energy - fro2) <= _SPECTRUM_RTOL * fro2:
-            raise FloatingPointError(f"sum of sigma^2 {energy} differs from ||A||_F^2 "
-                                     f"{fro2} by more than {_SPECTRUM_RTOL:g} relative")
+            raise FloatingPointError(f"sum of sigma^2 {energy} differs from ||A||_F^2 {fro2} "
+                                     f"(both times 2^{-2 * e}) by more than "
+                                     f"{_SPECTRUM_RTOL:g} relative")
         bound = _sigma1_lower_bound(dense, block, cols)
-        if s[0] < (1.0 - _SPECTRUM_RTOL) * bound:
-            raise FloatingPointError(f"sigma_1 {s[0]} is below the power-iteration "
-                                     f"lower bound {bound}")
+        if t[0] < (1.0 - _SPECTRUM_RTOL) * bound:
+            raise FloatingPointError(f"sigma_1 {t[0]} is below the power-iteration "
+                                     f"lower bound {bound} (both times 2^{-e})")
     return s
 
 
-def singular_values(matrix: np.ndarray) -> np.ndarray:
-    """All singular values, nonincreasing, computed without singular vectors.
-
-    A is compressed first to a square core when the zero pattern allows it
-    (see _compressed), split by _split, the one routine that also splits the
-    operator for operator_spectral_report. Rows with at most n/2 nonzeros are
-    replaced by the R factor of a Householder QR of the c columns they touch,
-    and the d other rows by those c columns beside the L factor of an LQ of
-    the rest. The core is (d + c) x (d + c) with the singular values of A,
-    and its side bounds the rank: a commutator whose symbol is constant off s
-    cells leaves a core of side at most 2s. Values past the core's side are
-    reported as exact 0.0, not as LAPACK's rounding noise of about
-    eps * sigma_1. When the compression would not leave fewer than min(m, n)
-    rows, the SVD runs on A itself.
-
-    The two QRs and LAPACK's values-only SVD (bidiagonal reduction, then
-    dqds) are all backward stable: the values are exact for some A + E with
-    ||E|| a modest multiple of eps * ||A||, so each sigma_k is within about
-    that of the true value, and values near eps * sigma_1 are rounding
-    noise. The tests hold them to 1e-13 * sigma_1 against the SVD with
-    vectors and against the compression of the rows alone. Two checks on A
-    itself catch gross failure, of the compression or the SVD,
-    each to 1e-12 relative: sum(sigma^2) must match ||A||_F^2, and sigma_1
-    must not fall below the best ||A x|| from a few power iterations. Both
-    run on A's dense rows and sparse block, which hold every nonzero of A.
-    Neither certifies each sigma_k to a fixed fraction of sigma_1: an error
-    in a small sigma_k moves sum(sigma^2) by less than the round-off of
-    ||A||_F^2, and the power bound is loose when sigma_2 is close to
-    sigma_1.
-
-    Raises ValueError if an entry is not finite or the arrays would not fit
-    in memory, np.linalg.LinAlgError if the iteration fails to converge and
-    FloatingPointError if either check fails.
-    """
-    return _split_values(*_scan_split(np.asarray(matrix, dtype=float)))
-
-
-def _operator_split(b: GridFunction, trunc: TruncationSpec, u: GridFunction,
-                    v: GridFunction) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """_scan_split(operator_matrix(b, trunc, u, v)) entry for entry, signed zeros
-    included, without the m x m matrix unless the split saves nothing: with S
-    the cells where b differs from b_0, a row off S is nonzero only on the
-    columns of S (b_i - b_j = 0 for j off S), so the same _split takes the rows
-    on S whole and the others on S, every entry from _operator_block."""
-    _check_weights(b.grid, u, v)
-    S = np.flatnonzero(b.values != b.values[0])
-    m = b.grid.cells
-    return _split(partial(_operator_block, b, trunc, u, v), m, m, S, S)
-
-
 def _report(s: np.ndarray, grid_cells: int, K_list: list[int]) -> SpectralReport:
-    total_energy = float(np.sum(s**2))
+    # the energies of s times 2^-e, with s_1 in [1/2, 1), so that no square overflows
+    t = np.ldexp(s, -np.frexp(np.max(s, initial=0.0))[1])
+    total_energy = float(np.sum(t**2))
     sigma_ratios, energy_tails = [], []
     for K in K_list:
         if K < 1 or K >= s.size:
             raise ValueError(f"K = {K} out of range for {s.size} singular values")
         sigma_ratios.append(float(s[K - 1] / s[0]) if s[0] > 0 else 0.0)
-        tail = float(np.sum(s[K:] ** 2))  # strictly beyond the K-th value
+        tail = float(np.sum(t[K:] ** 2))  # strictly beyond the K-th value
         energy_tails.append(tail / total_energy if total_energy > 0 else 0.0)
     return SpectralReport(
         singular_values=s,
@@ -564,18 +521,15 @@ def _report(s: np.ndarray, grid_cells: int, K_list: list[int]) -> SpectralReport
     )
 
 
-def spectral_report(matrix: np.ndarray, K_list: list[int]) -> SpectralReport:
-    """Singular values of a matrix, with sigma_K / sigma_1 and the energy share
-    beyond the K-th value for each K in K_list."""
-    return _report(singular_values(matrix), matrix.shape[1], K_list)
-
-
 def operator_spectral_report(b: GridFunction, trunc: TruncationSpec, u: GridFunction,
                              v: GridFunction, K_list: list[int]) -> SpectralReport:
-    """spectral_report(operator_matrix(b, trunc, u, v), K_list), bit for bit,
-    from the operator's rows on the symbol's support and its other rows on the
-    columns of that support (see _operator_split): O(m s) memory for a symbol
-    constant off s cells, where the dense matrix takes m^2."""
+    """The singular values of [b, T_eta] : L^2(v) -> L^2(u) (see _operator_block),
+    with sigma_K / sigma_1 and the energy share beyond the K-th value for each
+    K in K_list, from the operator's rows on the symbol's support and its other
+    rows on that support's columns (see _operator_split): O(m s) memory for a
+    symbol constant off s cells, where the whole matrix takes m^2. Raises
+    ValueError if an entry is not finite or the arrays would not fit in
+    memory, and the errors of _split_values."""
     return _report(_split_values(*_operator_split(b, trunc, u, v)), b.grid.cells, K_list)
 
 

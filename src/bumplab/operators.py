@@ -40,7 +40,6 @@ __all__ = [
     "TruncationSpec",
     "cutoff_psi",
     "kernel_offsets",
-    "truncated_kernel_matrix",
     "maximal_fn",
     "apply_truncated",
     "default_eta_grid",
@@ -133,13 +132,6 @@ def _toeplitz(kvec: np.ndarray) -> np.ndarray:
     return sliding_window_view(kvec, m)[:, ::-1]
 
 
-def truncated_kernel_matrix(grid: Grid, trunc: TruncationSpec) -> np.ndarray:
-    """Dense m x m sample of K_eta at all center pairs."""
-    m = grid.cells
-    check_dense_fits(8 * m * m, f"the {m} x {m} kernel matrix")
-    return np.array(_toeplitz(kernel_offsets(grid, trunc)))
-
-
 # maximal_fn does O(m log^2 m) work: about 2 s and 120 MB per call at the cap on a
 # 2-core Xeon
 MAXIMAL_CELL_CAP = 1 << 18
@@ -152,7 +144,7 @@ def _two_diff(a: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return s, (a - (s - bb)) - (b + bb)
 
 
-def _split(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+def _veltkamp(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """x = hi + lo with hi of 35 significant bits and lo of 17 (Veltkamp), so that
     each times an integer below 2^18 is exact."""
     c = x * (2.0**18 + 1.0)
@@ -171,7 +163,7 @@ def _on_or_below(prefix: np.ndarray, a: np.ndarray, b: np.ndarray, c: np.ndarray
     e = np.frexp(np.maximum(d1, d2))[1]
     d1, r1, d2, r2 = (np.ldexp(x, -e) for x in (d1, r1, d2, r2))
     n1, n2 = (b - a).astype(float), (c - b).astype(float)
-    (h1, l1), (h2, l2) = _split(d1), _split(d2)
+    (h1, l1), (h2, l2) = _veltkamp(d1), _veltkamp(d2)
     return (h1 * n1 - h2 * n2) + ((l1 * n1 - l2 * n2) + (r1 * n1 - r2 * n2)) >= 0
 
 
@@ -330,13 +322,10 @@ def commutator_block(b: GridFunction, trunc: TruncationSpec, rows: np.ndarray | 
     on the grid: C_ij = (K_eta(x_i, x_j) (b_i - b_j)) h, with K_eta gathered from
     the Toeplitz view of kernel_offsets."""
     K = _toeplitz(kernel_offsets(b.grid, trunc))
-    if cols is None:
-        out = np.array(K) if rows is None else K[rows]
-    else:
-        out = K[np.ix_(np.arange(b.grid.cells) if rows is None else rows, cols)]
-    bi = b.values if rows is None else b.values[rows]
+    rows = np.arange(b.grid.cells) if rows is None else rows
+    out = K[rows] if cols is None else K[np.ix_(rows, cols)]
     bj = b.values if cols is None else b.values[cols]
-    out *= bi[:, None] - bj[None, :]
+    out *= b.values[rows][:, None] - bj[None, :]
     out *= b.grid.h
     return out
 

@@ -441,6 +441,28 @@ def test_memory_error_exits_2(tmp_path, monkeypatch, capsys):
     assert "out of memory" in capsys.readouterr().err
 
 
+# power:255 on [-16, 16]: operator entries near 1e298 under u = v = 1
+_OVERFLOW = ["probe", "svd", "--b", "power:255", "--u", "const:1", "--L", "16", "--m", "16"]
+
+
+def test_probe_svd_with_entries_that_overflow_exits_2(tmp_path, capsys):
+    # v = 1e-300 multiplies every column by v^(-1/2) = 1e150
+    assert run([*_OVERFLOW, "--v", "const:1e-300", "--out", tmp_path]) == 2
+    assert "error: matrix entries must be finite" in capsys.readouterr().err
+    assert not list(tmp_path.iterdir())
+
+
+@pytest.mark.filterwarnings("error")
+def test_probe_svd_whose_squares_overflow_exits_0(tmp_path):
+    # the entries are finite, but ||A||_F^2 and sigma_1^2 (sigma_1 = 2.45e298) are not
+    assert run([*_OVERFLOW, "--v", "const:1", "--out", tmp_path]) == 0
+    rep = json.loads((tmp_path / "probe_svd.json").read_text())["result"]
+    sigma = np.array(rep["singular_values"], dtype=float)
+    assert np.all(np.isfinite(sigma)) and sigma[0] == pytest.approx(2.447e298, rel=1e-3)
+    assert all(np.isfinite(rep["sigma_ratios"] + rep["energy_tails"]))
+    assert 0.0 < rep["energy_tails"][0] < 1.0
+
+
 @pytest.mark.parametrize("text, limit", [("1073741824\n", 2**30), ("max\n", None), (None, None)],
                          ids=["bytes", "max", "missing"])
 def test_cgroup_memory_max_reader(tmp_path, monkeypatch, text, limit):

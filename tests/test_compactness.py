@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+import svd_oracle as oracle
 from bumplab import (
     KERNEL_CONSTANT,
     GridFunction,
@@ -22,14 +23,12 @@ from bumplab import (
     make_grid,
     maximal_fn,
     measured_regularity_constant,
-    operator_matrix,
     operator_spectral_report,
+    power_weight,
     sample_unit_ball,
     shift,
     shift_decomposition,
-    singular_values,
     smooth_bump,
-    spectral_report,
     tail_constant,
 )
 
@@ -261,22 +260,22 @@ def test_tail_constant_rejects_nonpositive_v(setup, on_supp):
 def test_operator_matrix_structure(setup):
     grid, u, v, b, trunc, sample = setup
     m = grid.cells
-    assert np.array_equal(operator_matrix(constant(grid, 2.0), trunc, u, v),
+    assert np.array_equal(oracle.operator_matrix(constant(grid, 2.0), trunc, u, v),
                           np.zeros((m, m)))
     one = constant(grid, 1.0)
-    A = operator_matrix(b, trunc, one, one)
+    A = oracle.operator_matrix(b, trunc, one, one)
     assert np.array_equal(A, A.T)  # both factors antisymmetric
     u0 = indicator(grid, 0.0, 1.0)
-    A0 = operator_matrix(b, trunc, u0, one)
+    A0 = oracle.operator_matrix(b, trunc, u0, one)
     dead = u0.values == 0.0
     assert np.array_equal(A0[dead], np.zeros((int(dead.sum()), m)))
     with pytest.raises(ValueError):
-        operator_matrix(b, trunc, u, constant(grid, 0.0))
+        oracle.operator_matrix(b, trunc, u, constant(grid, 0.0))
 
 
 def test_operator_matrix_weighted_isometry(setup):
     grid, u, v, b, trunc, sample = setup
-    A = operator_matrix(b, trunc, u, v)
+    A = oracle.operator_matrix(b, trunc, u, v)
     rng = np.random.default_rng(44)
     for _ in range(5):
         gvec = rng.standard_normal(grid.cells)
@@ -291,32 +290,42 @@ def test_operator_matrix_weighted_isometry(setup):
         assert np.max(np.abs(A @ coeff - want)) <= 1e-10 * scale
 
 
+def _values(A: np.ndarray) -> np.ndarray:
+    return compactness._split_values(*oracle.scan_split(A))
+
+
 def test_singular_values_small_cases():
-    s = singular_values(np.diag([3.0, 1.0, 2.0]))
+    s = _values(np.diag([3.0, 1.0, 2.0]))
     assert np.array_equal(s, [3.0, 2.0, 1.0])
     x = np.array([1.0, 2.0, -1.0])
     y = np.array([0.5, 0.25, 2.0, 1.0])
-    s = singular_values(np.outer(x, y))
+    s = _values(np.outer(x, y))
     want = np.linalg.norm(x) * np.linalg.norm(y)
     assert s[0] == pytest.approx(want, rel=1e-12)
     assert np.all(s[1:] <= 1e-12 * want)
     theta = 0.3
     Q = np.array([[np.cos(theta), -np.sin(theta)], [np.sin(theta), np.cos(theta)]])
-    assert np.allclose(singular_values(Q), [1.0, 1.0], rtol=1e-12)
-    with pytest.raises(ValueError):
-        singular_values(np.array([[np.inf, 0.0], [0.0, 1.0]]))
+    assert np.allclose(_values(Q), [1.0, 1.0], rtol=1e-12)
+    # power:255 at m = 16 gives entries near 1e298; v = 1e-300 sends them to inf
+    grid = make_grid(16.0, 16)
+    b, u, v = power_weight(grid, 255.0), constant(grid, 1.0), constant(grid, 1e-300)
+    with pytest.raises(ValueError, match="matrix entries must be finite"):
+        compactness._operator_split(b, TruncationSpec(8 * grid.h), u, v)
 
 
 def test_spectral_report_contents():
     A = np.diag([4.0, 2.0, 1.0, 0.5])
-    rep = spectral_report(A, [1, 2])
+    rep = compactness._report(_values(A), A.shape[1], [1, 2])
     assert np.array_equal(rep.singular_values, [4.0, 2.0, 1.0, 0.5])
     total = 16.0 + 4.0 + 1.0 + 0.25
     assert rep.energy_tails[0] == pytest.approx((4.0 + 1.0 + 0.25) / total)
     assert rep.energy_tails[1] == pytest.approx((1.0 + 0.25) / total)
     assert rep.sigma_ratios == [pytest.approx(1.0), pytest.approx(0.5)]  # sigma_K / sigma_1
+    # the energies of values whose squares overflow
+    huge = compactness._report(2.0**1000 * rep.singular_values, 4, [1, 2])
+    assert huge.energy_tails == rep.energy_tails
     with pytest.raises(ValueError):
-        spectral_report(A, [4])
+        compactness._report(_values(A), A.shape[1], [4])
 
 
 def test_decay_compare_identical_symbols(setup):
@@ -337,7 +346,7 @@ def test_decay_compare_zero_u(setup):
 
 
 _MISMATCHED = {
-    "operator_matrix": lambda b, trunc, u, v, sample: operator_matrix(b, trunc, u, v),
+    "operator_matrix": lambda b, trunc, u, v, sample: oracle.operator_matrix(b, trunc, u, v),
     "operator_spectral_report": lambda b, trunc, u, v, sample:
         operator_spectral_report(b, trunc, u, v, [4]),
     "decay_compare": lambda b, trunc, u, v, sample: decay_compare(b, b, trunc, u, v, [4]),
@@ -402,3 +411,11 @@ def test_shift_decomposition_shares_the_kr_shift_message(setup):
     grid, u, v, b, trunc, sample = setup
     with pytest.raises(ValueError, match=r"eta/4.*allow_large_shifts=True"):
         shift_decomposition(b, sample.functions[0], trunc, 4)
+
+
+def test_shift_decomposition_rejects_b_and_f_on_two_grids():
+    # same cell count, another h: b's values would meet f's h
+    g8, g1 = make_grid(8.0, 64), make_grid(1.0, 64)
+    with pytest.raises(ValueError, match="b and f must share a grid"):
+        shift_decomposition(smooth_bump(g8, 0.0, 2.0), gaussian(g1, 0.0, 0.3),
+                            TruncationSpec(8 * g1.h), 1)

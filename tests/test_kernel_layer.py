@@ -34,7 +34,7 @@ from bumplab import (
     shift,
     shift_decomposition,
 )
-from bumplab.operators import commutator_block, kernel_offsets, truncated_kernel_matrix
+from bumplab.operators import commutator_block, kernel_offsets
 
 EXACT_L = (0.5, 1.0, 2.0, 3.0, 8.0)
 ROUNDED_L = (1.7, 0.3)
@@ -140,9 +140,6 @@ def test_shift_decomposition_matches_dense_oracle(prob, data):
 @given(problems(exact=True))
 def test_dense_matrices_bit_identical_on_exact_grids(prob):
     grid, trunc, f, b = prob
-    K = truncated_kernel_matrix(grid, trunc)
-    assert K.flags.c_contiguous and K.flags.writeable
-    assert np.array_equal(K, oracle.truncated_kernel_matrix(grid, trunc))
     assert np.array_equal(commutator_block(b, trunc), oracle.commutator_matrix(b, trunc))
     assert (measured_regularity_constant(trunc, grid)
             == oracle.measured_regularity_constant(trunc, grid))
@@ -153,8 +150,6 @@ def test_dense_matrices_bit_identical_on_exact_grids(prob):
 def test_dense_matrices_close_on_rounded_grids(prob):
     grid, trunc, f, b = prob
     ring = ring_kernel(grid, trunc)
-    assert_close(truncated_kernel_matrix(grid, trunc), oracle.truncated_kernel_matrix(grid, trunc),
-                 np.max(ring))
     db = np.abs(b.values[:, None] - b.values[None, :])
     assert_close(commutator_block(b, trunc), oracle.commutator_matrix(b, trunc),
                  np.max(ring * db) * grid.h)

@@ -22,7 +22,7 @@ from bumplab import (
     sample_unit_ball,
     smooth_bump,
 )
-from bumplab.operators import truncated_kernel_matrix
+from bumplab.operators import _toeplitz, kernel_offsets
 from kernel_oracle import hilbert
 
 
@@ -64,7 +64,7 @@ def test_truncated_kernel_ring_behavior():
     g = make_grid(2.0, 128)
     eta = 8 * g.h
     trunc = TruncationSpec(eta)
-    K = truncated_kernel_matrix(g, trunc)
+    K = _toeplitz(kernel_offsets(g, trunc))
     x = g.centers
     dx = x[:, None] - x[None, :]
     r = np.abs(dx)

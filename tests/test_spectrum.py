@@ -1,5 +1,6 @@
-"""singular_values' compressed, values-only path against the with-vectors oracle
-and against the row-only compression it replaced.
+"""The compressed, values-only spectrum (compactness._split_values) against the
+with-vectors oracle and against the row-only compression it replaced, on any
+matrix through the oracle's split of it (svd_oracle.scan_split).
 
 All three paths are backward stable, so they agree to a small multiple of
 eps * sigma_1 in absolute terms, not bit for bit. The stated tolerance is
@@ -7,8 +8,9 @@ SIGMA_TOL * sigma_1 for every value; the largest gap seen on these inputs, up
 to m = 1024, is 3e-15 * sigma_1 against the SVD with vectors and 2e-15 *
 sigma_1 against the row-only compression (6e-16 * sigma_1 on the operators).
 
-The commutator's spectrum from its arrow blocks (operator_spectral_report) is
-held to the dense path bit for bit: the same split, QR inputs, core and values.
+The commutator's split from its arrow blocks (compactness._operator_split) is
+held to the oracle's split of the whole operator matrix bit for bit: the same
+dense rows, block and columns, so the same core and values.
 """
 
 import json
@@ -28,14 +30,18 @@ from bumplab import (
     iterate_maximal,
     log_spike,
     make_grid,
-    operator_matrix,
-    singular_values,
     smooth_bump,
 )
 from bumplab import compactness
 from bumplab.cli import main, parse_function_spec
 
 SIGMA_TOL = 1e-13
+NO_ROWS, NO_COLS = np.zeros((0, 0)), np.zeros(0, dtype=np.intp)
+
+
+def _values(A: np.ndarray) -> np.ndarray:
+    """The package's spectrum of a matrix at hand, split by the oracle."""
+    return compactness._split_values(*oracle.scan_split(A))
 
 
 def _agree(got: np.ndarray, want: np.ndarray) -> None:
@@ -86,7 +92,7 @@ def _operator(m: int, symbol: str, weighted: bool) -> np.ndarray:
     b = {"smooth": lambda: smooth_bump(grid, 0.0, 0.5),
          "spike": lambda: log_spike(grid, 0.01),
          "gaussian": lambda: constant(grid, 1.0) + gaussian(grid, 0.0, 0.3)}[symbol]()
-    return operator_matrix(b, TruncationSpec(16 * grid.h), u, v)
+    return oracle.operator_matrix(b, TruncationSpec(16 * grid.h), u, v)
 
 
 @settings(max_examples=60, deadline=None)
@@ -95,8 +101,8 @@ def _operator(m: int, symbol: str, weighted: bool) -> np.ndarray:
 def test_values_match_oracle_on_random_matrices(kind, m, n, seed):
     A = _random_matrix(kind, m, n, np.random.default_rng(seed))
     want = oracle.singular_values(A)
-    _agree(singular_values(A), want)
-    assert compactness._sigma1_lower_bound(A) <= (1.0 + 1e-12) * want[0]
+    _agree(_values(A), want)
+    assert compactness._sigma1_lower_bound(A, NO_ROWS, NO_COLS) <= (1.0 + 1e-12) * want[0]
 
 
 @settings(max_examples=12, deadline=None)
@@ -104,7 +110,7 @@ def test_values_match_oracle_on_random_matrices(kind, m, n, seed):
        weighted=st.booleans())
 def test_values_match_oracle_on_operator_matrices(log_m, symbol, weighted):
     A = _operator(2**log_m, symbol, weighted)
-    _agree(singular_values(A), oracle.singular_values(A))
+    _agree(_values(A), oracle.singular_values(A))
 
 
 # (m, n, dense rows, columns the sparse rows touch)
@@ -123,9 +129,9 @@ def test_arrow_matrices_compress_and_match_oracle(m, n, dense, touched):
     groups = -(-touched // (n // 2))  # a sparse row has at most n/2 nonzeros
     A = rng.permutation(_arrow(m, n, dense, cols, rng, groups))
     want = oracle.singular_values(A)
-    got = singular_values(A)
+    got = _values(A)
     _agree(got, want)
-    split = compactness._scan_split(A)
+    split = oracle.scan_split(A)
     side = dense + min(m - dense, touched)
     if side < min(m, n):
         assert compactness._compressed(*split).shape == (side, side)
@@ -143,8 +149,8 @@ def test_core_matches_row_only_oracle_on_arrow_matrices(m, n, groups, seed):
     dense = int(rng.integers(0, m + 1))
     cols = rng.choice(n, size=int(rng.integers(0, n + 1)), replace=False)
     A = rng.permutation(_arrow(m, n, dense, cols, rng, groups))
-    split = compactness._scan_split(A)
-    got = singular_values(A)
+    split = oracle.scan_split(A)
+    got = compactness._split_values(*split)
     _agree(got, oracle.row_compressed_values(*split))
     _agree(got, oracle.singular_values(A))
     if split[1].shape[0]:  # the split saves rows: a square core
@@ -156,7 +162,7 @@ def test_core_matches_row_only_oracle_on_arrow_matrices(m, n, groups, seed):
 @pytest.mark.parametrize("symbol", ["smooth", "spike", "gaussian"])
 def test_values_match_oracle_on_weighted_operators_at_1024(symbol):
     A = _operator(1024, symbol, weighted=True)
-    _agree(singular_values(A), oracle.singular_values(A))
+    _agree(_values(A), oracle.singular_values(A))
 
 
 def _bench_weights(grid) -> tuple[GridFunction, GridFunction]:
@@ -174,7 +180,7 @@ def test_core_values_match_both_oracles_on_bench_operators_at_1024(symbol):
     split = compactness._operator_split(b, trunc, u, v)
     got = compactness._split_values(*split)
     _agree(got, oracle.row_compressed_values(*split))
-    _agree(got, oracle.singular_values(operator_matrix(b, trunc, u, v)))
+    _agree(got, oracle.singular_values(oracle.operator_matrix(b, trunc, u, v)))
     side = split[0].shape[0] + split[2].size
     assert compactness._compressed(*split).shape == (side, side)
     assert np.all(got[side:] == 0.0)
@@ -231,7 +237,7 @@ def test_bench_spectral_commands_svd_only_the_compressed_rows(tmp_path, monkeypa
 def test_values_match_eigvalsh_on_symmetric_operator(m, symbol):
     # u = v = const makes C_ij = (b_i - b_j) K(x_i - x_j) h exactly symmetric
     A = _operator(m, symbol, weighted=False)
-    _agree(singular_values(A), oracle.symmetric_singular_values(A))
+    _agree(_values(A), oracle.symmetric_singular_values(A))
 
 
 def _corrupt_svd(monkeypatch, corrupt):
@@ -257,10 +263,10 @@ def _scale_first(factor):
 ])
 def test_checks_flag_corrupted_spectrum(monkeypatch, corrupt, check):
     A = _operator(256, "spike", weighted=True)
-    singular_values(A)  # the uncorrupted spectrum passes
+    _values(A)  # the uncorrupted spectrum passes
     _corrupt_svd(monkeypatch, corrupt)
     with pytest.raises(FloatingPointError, match=check):
-        singular_values(A)
+        _values(A)
 
 
 def test_power_bound_flags_energy_preserving_sigma1_drop(monkeypatch):
@@ -279,20 +285,20 @@ def test_power_bound_flags_energy_preserving_sigma1_drop(monkeypatch):
 
     _corrupt_svd(monkeypatch, corrupt)
     with pytest.raises(FloatingPointError, match="power-iteration"):
-        singular_values(A)
+        _values(A)
 
 
 @pytest.mark.filterwarnings("error")  # a 0/0 normalisation warns before it gives NaN
 def test_power_bound_handles_a_vector_that_reaches_zero():
     # A = 0 sends the start to 0 after one step; the bound stays 0, not NaN
-    assert compactness._sigma1_lower_bound(np.zeros((5, 3))) == 0.0
-    assert np.array_equal(singular_values(np.zeros((5, 3))), np.zeros(3))
+    assert compactness._sigma1_lower_bound(np.zeros((5, 3)), NO_ROWS, NO_COLS) == 0.0
+    assert np.array_equal(_values(np.zeros((5, 3))), np.zeros(3))
     # a matrix that (up to rounding) annihilates the fixed start vector
     x0 = np.random.default_rng(0).standard_normal(3)
     A = np.array([[x0[1], -x0[0], 0.0], [0.0, 0.0, 0.0]])
-    bound = compactness._sigma1_lower_bound(A)
+    bound = compactness._sigma1_lower_bound(A, NO_ROWS, NO_COLS)
     assert np.isfinite(bound) and bound <= np.hypot(x0[0], x0[1]) * (1.0 + 1e-12)
-    assert singular_values(A)[0] == pytest.approx(np.hypot(x0[0], x0[1]), rel=1e-15)
+    assert _values(A)[0] == pytest.approx(np.hypot(x0[0], x0[1]), rel=1e-15)
 
 
 def _symbol(kind: str, grid, rng: np.random.Generator) -> GridFunction:
@@ -326,13 +332,13 @@ def _weight(kind: str, grid) -> GridFunction:
 
 
 def _assert_block_path_is_dense_path(b, trunc, u, v) -> None:
-    A = operator_matrix(b, trunc, u, v)
-    want = compactness._scan_split(A)
+    A = oracle.operator_matrix(b, trunc, u, v)
+    want = oracle.scan_split(A)
     got = compactness._operator_split(b, trunc, u, v)
     for g, w in zip(got, want):  # same split, same floats, signed zeros included
         assert g.shape == w.shape and g.tobytes() == w.tobytes()
     assert np.array_equal(compactness._compressed(*got), compactness._compressed(*want))
-    assert np.array_equal(compactness._split_values(*got), singular_values(A))
+    assert np.array_equal(compactness._split_values(*got), compactness._split_values(*want))
 
 
 _SYMBOLS = ("bump", "indicator", "logspike", "const", "piecewise", "random", "odd_cell_0")
