@@ -26,9 +26,10 @@ import numpy as np
 from .grid import Cube, Grid, GridFunction, _shift_rows, dyadic_cubes, haar, lp_norm_weighted, shift
 from .operators import (
     TruncationSpec,
-    apply_truncated,
+    _commutator_rows,
+    _kernel,
+    _truncated_pair,
     check_dense_fits,
-    commutator,
     commutator_block,
 )
 from .orlicz import bmo_norm
@@ -152,10 +153,17 @@ def _check_weights(grid: Grid, u: GridFunction | None = None,
 
 
 def sample_unit_ball(v: GridFunction, p: float, count: int, seed: int) -> UnitBallSample:
-    """Deterministic sample of the unit ball of L^p(v)."""
+    """Deterministic sample of the unit ball of L^p(v). Raises ValueError, before
+    the first member is drawn, if the sample and what the KR probes build from
+    it would not fit in memory."""
     if count < 1:
         raise ValueError("count must be >= 1")
     _check_weights(v.grid, v=v)
+    # m x count floats each: the sample, its commutator images, and _modulus's
+    # shifted difference with its |.|, |.|^p and weighted |.|^p
+    check_dense_fits(6 * 8 * v.grid.cells * count,
+                     f"a sample of {count} functions on {v.grid.cells} cells and its "
+                     f"commutator images", "use a smaller grid or count")
     members = [_generate_member(v, p, seed, i) for i in range(count)]
     return UnitBallSample(
         functions=[f for f, _ in members],
@@ -175,10 +183,29 @@ def _check_shift(k: int, grid: Grid, trunc: TruncationSpec, allow_large_shifts: 
         raise ValueError(f"|k_cells| must be < {grid.cells}")
 
 
+# sample members per FFT product in _commutator_images: a block's transforms hold a
+# few arrays of 2 * _IMAGE_BLOCK rows of 2m floats, where transforming every member
+# at once would add several copies of the whole image array to the peak memory. On
+# a 2-core Xeon, blocks of 2, 4 and 8 imaged 32 members equally fast at m = 2048,
+# and in 114, 128 and 135 ms at m = 32768.
+_IMAGE_BLOCK = 2
+
+
 def _commutator_images(sample: UnitBallSample, b: GridFunction,
                        trunc: TruncationSpec) -> np.ndarray:
-    """[b, T_eta] f for every sample member, as columns of an (m, count) array."""
-    return np.stack([commutator(b, f, trunc).values for f in sample.functions], axis=1)
+    """[b, T_eta] f for every sample member, as columns of an (m, count) array:
+    _IMAGE_BLOCK members per FFT product, with the kernel transformed once.
+    Column i is bit for bit commutator(b, f_i, trunc), so extending the sample
+    keeps every existing image."""
+    functions = sample.functions
+    if any(f.grid != b.grid for f in functions):
+        raise ValueError("b and f must share a grid")
+    kernel = _kernel(b.grid, trunc)
+    G = np.empty((b.grid.cells, len(functions)))
+    for s in range(0, len(functions), _IMAGE_BLOCK):
+        F = np.stack([f.values for f in functions[s : s + _IMAGE_BLOCK]])
+        G[:, s : s + len(F)] = _commutator_rows(b, F, kernel).T
+    return G
 
 
 def _kr_images(sample: UnitBallSample, b: GridFunction, trunc: TruncationSpec, u: GridFunction,
@@ -292,12 +319,13 @@ def shift_decomposition(b: GridFunction, f: GridFunction, trunc: TruncationSpec,
     k = int(shift_cells)
     _check_shift(k, grid, trunc, allow_large_shifts)
     b_sh = shift(b, k)
-    Tf = apply_truncated(f, trunc)
+    _, Tf, Tbf = _truncated_pair(b, f.values[None], _kernel(grid, trunc))
+    Tf, Tbf = GridFunction(grid, Tf[0]), GridFunction(grid, Tbf[0])
     A = (b_sh.values - b.values) * Tf.values
 
-    # Bf as two convolutions, T(b'f) - T(b'f)(.+h) - (b(x+h) - b_0)(Tf - Tf(.+h))
-    # with b' = b - b_0, so that a constant symbol gives exact zeros
-    Tbf = apply_truncated(GridFunction(grid, b.values - b.values[0]) * f, trunc)
+    # Bf from T f and T(b'f) with b' = b - b_0, both from one product:
+    # T(b'f) - T(b'f)(.+h) - (b(x+h) - b_0)(Tf - Tf(.+h)), so that a constant
+    # symbol gives exact zeros
     B = (Tbf - shift(Tbf, k)).values - (b_sh.values - b.values[0]) * (Tf - shift(Tf, k)).values
     return ShiftDecomposition(
         Af=GridFunction(grid, A),

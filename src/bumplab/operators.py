@@ -17,10 +17,17 @@ and offset, and at most a few ulp below it where slopes nearly tie.
 
 On the uniform grid x_i - x_j = (i - j) h, so the m x m kernel matrix is the
 Toeplitz matrix of one vector of 2m - 1 offsets (``kernel_offsets``). T_eta,
-[b, T_eta] and each radius of T# are direct convolutions with it, in O(m)
-memory; direct rather than FFT so that a kernel vanishing on the support of
-f gives exactly 0. Dense matrices, and blocks of their rows and columns, are
-read off the vector by indexing.
+[b, T_eta] and each radius of T# are products with it, computed by embedding
+the Toeplitz matrix in a circulant of size 2m and multiplying by a real FFT
+(R. Chan & M. Ng, SIAM Review 38, 1996): O(m log m) work in O(m) memory, with
+a rounding error of about eps * log m of the output's scale (Higham, Accuracy
+and Stability of Numerical Algorithms, ch. 24). Each operand is scaled by a power of two before its
+transform and back after, which is exact, so scaling f or b by 2 scales the
+output bit for bit, and no sum in a transform overflows where the output is
+finite. Where f is zero at every cell within reach of the kernel's support
+the output is written as exact 0.0, as the direct sum gives it. Dense
+matrices, and blocks of their rows and columns, are read off the vector by
+indexing.
 """
 
 from __future__ import annotations
@@ -28,7 +35,7 @@ from __future__ import annotations
 import math
 import os
 from dataclasses import dataclass, field
-from typing import Callable
+from typing import Callable, NamedTuple
 
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
@@ -101,7 +108,7 @@ def _cgroup_memory_max() -> int | None:
     return int(text) if text.isdigit() else None
 
 
-def check_dense_fits(nbytes: int, what: str) -> None:
+def check_dense_fits(nbytes: int, what: str, remedy: str = "use a smaller grid") -> None:
     """Raise ValueError if nbytes of dense arrays would not fit in memory: physical
     memory, or the cgroup's memory.max when that is lower."""
     total = os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
@@ -111,7 +118,7 @@ def check_dense_fits(nbytes: int, what: str) -> None:
     if nbytes > total:
         raise ValueError(f"{what} needs about {nbytes / 2**30:.3g} GiB, more than the "
                          f"{total / 2**30:.3g} GiB memory limit (physical memory, or the "
-                         f"cgroup's memory.max if lower); use a smaller grid")
+                         f"cgroup's memory.max if lower); {remedy}")
 
 
 def kernel_offsets(grid: Grid, trunc: TruncationSpec) -> np.ndarray:
@@ -269,10 +276,77 @@ def maximal_fn(f: GridFunction) -> GridFunction:
     return GridFunction(f.grid, np.maximum(out[0], out[1, ::-1]))
 
 
+class _Kernel(NamedTuple):
+    """The kernel offsets ready for FFT products (see _fft_product)."""
+
+    spectrum: np.ndarray  # rfft at size 2m of the offsets times 2^-exponent
+    exponent: np.ndarray  # shape (1,)
+    radius: int  # the offsets are 0 at every |d| <= radius (m - 1: all of them)
+
+
+class _Rows(NamedTuple):
+    """A block of k grid vectors (rows) ready for FFT products."""
+
+    spectrum: np.ndarray  # (k, m + 1): rfft at size 2m of each row times 2^-exponent
+    exponent: np.ndarray  # (k, 1)
+    first: np.ndarray  # each row's first nonzero cell, m if it has none
+    last: np.ndarray  # each row's last nonzero cell, -1 if it has none
+
+
+def _scaled_rfft(x: np.ndarray, n: int) -> tuple[np.ndarray, np.ndarray]:
+    """rfft at size n along the last axis of x times 2^-e, with e per row bringing
+    the row's max |entry| into [1/2, 1): exact, and no sum in the transform
+    exceeds n in size. Returns the transform and e (keeping the reduced axis)."""
+    e = np.frexp(np.max(np.abs(x), axis=-1, keepdims=True))[1]
+    return np.fft.rfft(np.ldexp(x, -e), n), e
+
+
+def _kernel(grid: Grid, trunc: TruncationSpec) -> _Kernel:
+    """kernel_offsets(grid, trunc), transformed once for any number of products.
+    The radius of its central zero interval is read off the vector itself."""
+    kvec = kernel_offsets(grid, trunc)
+    m = grid.cells
+    nonzero = np.flatnonzero(kvec)
+    radius = int(np.min(np.abs(nonzero - (m - 1)))) - 1 if nonzero.size else m - 1
+    spectrum, e = _scaled_rfft(kvec, 2 * m)
+    return _Kernel(spectrum, e, radius)
+
+
+def _transform_rows(x: np.ndarray) -> _Rows:
+    """The rows of the (k, m) array x, transformed once for any number of products."""
+    m = x.shape[1]
+    nonzero = x != 0.0
+    some = nonzero.any(axis=1)
+    first = np.where(some, nonzero.argmax(axis=1), m)
+    last = np.where(some, m - 1 - nonzero[:, ::-1].argmax(axis=1), -1)
+    spectrum, e = _scaled_rfft(x, 2 * m)
+    return _Rows(spectrum, e, first, last)
+
+
+def _fft_product(kernel: _Kernel, rows: _Rows) -> np.ndarray:
+    """The Toeplitz product of the kernel offsets with each row x of the block,
+    y_i = sum_j kvec[i - j + m - 1] x_j, as a (k, m) array.
+
+    The offsets span 2m - 1 entries and x m, so the circular convolution at
+    size 2m holds the linear one without wrap-around at entries m - 1 ...
+    2m - 2, which are y. Where every nonzero x_j lies within the kernel's zero
+    radius r of cell i (last - r <= i <= first + r), y_i is written as exact
+    0.0, not the transform's round-off. Each row is computed on its own, so a
+    row's output is the same floats in any block.
+    """
+    m = rows.spectrum.shape[1] - 1
+    y = np.fft.irfft(kernel.spectrum * rows.spectrum, 2 * m)[:, m - 1 : 2 * m - 1]
+    y = np.ldexp(y, rows.exponent + kernel.exponent)
+    r = kernel.radius
+    for row, first, last in zip(y, rows.first, rows.last):
+        row[max(last - r, 0) : max(first + r + 1, 0)] = 0.0
+    return y
+
+
 def apply_truncated(f: GridFunction, trunc: TruncationSpec) -> GridFunction:
     """(T_eta f)(x_i) = sum_j K_eta(x_i, x_j) f_j h."""
-    kvec = kernel_offsets(f.grid, trunc)
-    return GridFunction(f.grid, np.convolve(kvec, f.values * f.grid.h, mode="valid"))
+    rows = _transform_rows(f.values[None] * f.grid.h)
+    return GridFunction(f.grid, _fft_product(_kernel(f.grid, trunc), rows)[0])
 
 
 def default_eta_grid(grid: Grid) -> list[float]:
@@ -289,13 +363,30 @@ def maximal_truncation(f: GridFunction, eta_grid: list[float] | None = None) -> 
         eta_grid = default_eta_grid(f.grid)
     if not eta_grid:
         raise ValueError("eta grid must be nonempty")
-    kvecs = [kernel_offsets(f.grid, TruncationSpec(eta, lambda r: (r > 1.0) * 1.0))
-             for eta in eta_grid]
-    fh = f.values * f.grid.h
+    rows = _transform_rows(f.values[None] * f.grid.h)  # f once for every radius
     out = np.zeros(f.grid.cells)
-    for kvec in kvecs:
-        np.maximum(out, np.abs(np.convolve(kvec, fh, mode="valid")), out=out)
+    for eta in eta_grid:  # one radius's kernel at a time: O(m) memory
+        kernel = _kernel(f.grid, TruncationSpec(eta, lambda r: (r > 1.0) * 1.0))
+        np.maximum(out, np.abs(_fft_product(kernel, rows)[0]), out=out)
     return GridFunction(f.grid, out)
+
+
+def _truncated_pair(b: GridFunction, F: np.ndarray,
+                    kernel: _Kernel) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """b' = b - b_0, then T_eta f and T_eta(b' f) for each row f of the (k, m)
+    array F, all 2k from one FFT product."""
+    h = b.grid.h
+    bp = b.values - b.values[0]
+    T = _fft_product(kernel, _transform_rows(np.concatenate((F * h, bp * F * h))))
+    return bp, T[: len(F)], T[len(F):]
+
+
+def _commutator_rows(b: GridFunction, F: np.ndarray, kernel: _Kernel) -> np.ndarray:
+    """[b, T_eta] f for each row f of the (k, m) array F (see commutator); row i
+    is the same floats for any k."""
+    bp, Tf, Tbf = _truncated_pair(b, F, kernel)
+    # + 0.0 turns the -0.0 of 0 * (negative Tf) into 0.0 and changes nothing else
+    return bp * Tf - Tbf + 0.0
 
 
 def commutator(b: GridFunction, f: GridFunction, trunc: TruncationSpec) -> GridFunction:
@@ -306,13 +397,7 @@ def commutator(b: GridFunction, f: GridFunction, trunc: TruncationSpec) -> GridF
     """
     if b.grid != f.grid:
         raise ValueError("b and f must share a grid")
-    kvec = kernel_offsets(f.grid, trunc)
-    h = f.grid.h
-    bp = b.values - b.values[0]
-    Tf = np.convolve(kvec, f.values * h, mode="valid")
-    Tbf = np.convolve(kvec, bp * f.values * h, mode="valid")
-    # + 0.0 turns the -0.0 of 0 * (negative Tf) into 0.0 and changes nothing else
-    return GridFunction(f.grid, bp * Tf - Tbf + 0.0)
+    return GridFunction(f.grid, _commutator_rows(b, f.values[None], _kernel(f.grid, trunc))[0])
 
 
 def commutator_block(b: GridFunction, trunc: TruncationSpec, rows: np.ndarray | None = None,

@@ -1,10 +1,15 @@
-"""Dense reference evaluators for the kernel operators in bumplab.operators.
+"""Reference evaluators for the kernel operators in bumplab.operators.
 
-Each function evaluates K_eta(x_i, x_j) entry by entry at the grid centers,
-as an m x m array, and applies it with a matrix product. This is the
+Most functions evaluate K_eta(x_i, x_j) entry by entry at the grid centers,
+as an m x m array, and apply it with a matrix product. This is the
 evaluator the package used before it built every operator from one vector
 of kernel offsets; the property tests compare the offset-vector layer
 against it. Test grids stay small (m <= 512), so no row blocking is needed.
+
+The ``direct_*`` functions are the offset-vector layer as it was before its
+FFT products: each Toeplitz product is a direct sum, ``np.convolve`` of the
+2m - 1 kernel offsets with m values, in O(m^2) work and O(m) memory, so
+they also serve grids far past 512 cells.
 """
 
 from __future__ import annotations
@@ -14,7 +19,7 @@ import math
 import numpy as np
 
 from bumplab.grid import Grid, GridFunction
-from bumplab.operators import TruncationSpec, default_eta_grid
+from bumplab.operators import TruncationSpec, default_eta_grid, kernel_offsets
 
 
 def hilbert(x, y):
@@ -106,3 +111,35 @@ def shift_decomposition_B(b: GridFunction, f: GridFunction, trunc: TruncationSpe
     else:
         K_sh[-k:], b_sh[-k:] = K[: m + k], b.values[: m + k]
     return ((b.values[None, :] - b_sh[:, None]) * (K - K_sh)) @ (f.values * f.grid.h)
+
+
+def toeplitz_product(kvec: np.ndarray, x: np.ndarray) -> np.ndarray:
+    """y_i = sum_j kvec[i - j + m - 1] x_j by direct summation."""
+    return np.convolve(kvec, x, mode="valid")
+
+
+def direct_apply_truncated(f: GridFunction, trunc: TruncationSpec) -> np.ndarray:
+    return toeplitz_product(kernel_offsets(f.grid, trunc), f.values * f.grid.h)
+
+
+def direct_commutator(b: GridFunction, f: GridFunction, trunc: TruncationSpec) -> np.ndarray:
+    """b' T_eta(f) - T_eta(b' f) with b' = b - b_0."""
+    kvec = kernel_offsets(f.grid, trunc)
+    bp = b.values - b.values[0]
+    h = f.grid.h
+    return (bp * toeplitz_product(kvec, f.values * h)
+            - toeplitz_product(kvec, bp * f.values * h) + 0.0)
+
+
+def sharp(eta: float) -> TruncationSpec:
+    """The sharp truncation of T#: the sum runs over |x_i - x_j| > eta."""
+    return TruncationSpec(eta, lambda r: (r > 1.0) * 1.0)
+
+
+def direct_maximal_truncation(f: GridFunction, eta_grid: list[float]) -> np.ndarray:
+    fh = f.values * f.grid.h
+    out = np.zeros(f.grid.cells)
+    for eta in eta_grid:
+        kvec = kernel_offsets(f.grid, sharp(eta))
+        np.maximum(out, np.abs(toeplitz_product(kvec, fh)), out=out)
+    return out

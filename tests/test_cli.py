@@ -2,6 +2,7 @@ import copy
 import csv
 import json
 import os
+import resource
 import subprocess
 import sys
 import time
@@ -372,6 +373,15 @@ def test_cli_import_does_not_load_scipy():
     assert out.stdout.strip() == "[]"
 
 
+def test_cli_import_does_not_load_numpy_fft():
+    """numpy.fft loads on first use (about 2 ms), which the weights and spectral
+    commands never make."""
+    code = "import sys, bumplab.cli; print('numpy.fft' in sys.modules)"
+    out = subprocess.run([sys.executable, "-c", code], env=_env(), capture_output=True,
+                         text=True, timeout=120, check=True)
+    assert out.stdout.strip() == "False"
+
+
 def test_every_subcommand_runs_without_scipy(tmp_path):
     covered = {tuple(argv[:2]) if argv[0] in ("op", "probe", "weights") else (argv[0],)
                for argv in _ROUNDTRIP.values()}
@@ -461,6 +471,37 @@ def test_probe_svd_whose_squares_overflow_exits_0(tmp_path):
     assert np.all(np.isfinite(sigma)) and sigma[0] == pytest.approx(2.447e298, rel=1e-3)
     assert all(np.isfinite(rep["sigma_ratios"] + rep["energy_tails"]))
     assert 0.0 < rep["energy_tails"][0] < 1.0
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("op, max_abs", [("Teta", 7.546e307), ("Tsharp", 1.028e308),
+                                         ("commutator", 3.319e306)])
+def test_op_apply_near_the_overflow_threshold_exits_0(tmp_path, op, max_abs):
+    """f = 1e308: the direct sums stay finite, and so must the FFT's, whose
+    unscaled transform would sum m values near 1e308 and overflow."""
+    assert run(["op", "apply", "--op", op, "--f", "const:1e308", "--b", "bump:0,0.5",
+                "--m", "64", "--L", "8", "--eta-cells", "4", "--out", tmp_path]) == 0
+    got = json.loads((tmp_path / "op_apply.json").read_text())["result"]["max_abs"]
+    assert np.isfinite(got) and got == pytest.approx(max_abs, rel=1e-3)
+
+
+def _address_space_limit():
+    resource.setrlimit(resource.RLIMIT_AS, (2 * 2**30, 2 * 2**30))
+
+
+def test_probe_kr_count_past_memory_exits_2_before_sampling(tmp_path):
+    # the address-space limit ends a runaway sample with MemoryError, not the machine
+    argv = [*_KR[:_KR.index("--count")], "--count", "1000000000000",
+            *_KR[_KR.index("--count") + 2:-2], "--m", "64", "--out", tmp_path]
+    start = time.perf_counter()
+    proc = subprocess.run(
+        [sys.executable, "-c", "import sys; from bumplab.cli import main; sys.exit(main())",
+         *map(str, argv)], env=_env(), capture_output=True, text=True, timeout=120,
+        preexec_fn=_address_space_limit)
+    assert proc.returncode == 2
+    assert "1000000000000 functions" in proc.stderr and "memory limit" in proc.stderr
+    assert time.perf_counter() - start < 30.0
+    assert not list(tmp_path.iterdir())
 
 
 @pytest.mark.parametrize("text, limit", [("1073741824\n", 2**30), ("max\n", None), (None, None)],

@@ -396,12 +396,13 @@ _BAD_KR_INPUT = {
 def test_kr_entry_points_check_inputs_before_any_commutator(setup, monkeypatch, probe, message):
     grid, u, v, b, trunc, sample = setup  # eta = 16 cells: shift 4 is |h| = eta/4
     calls = []
+    images = compactness._commutator_rows  # every commutator image of a KR probe
 
     def counted(*args):
         calls.append(args)
-        return commutator(*args)
+        return images(*args)
 
-    monkeypatch.setattr(compactness, "commutator", counted)
+    monkeypatch.setattr(compactness, "_commutator_rows", counted)
     with pytest.raises(ValueError, match=message):
         probe(sample, b, trunc, u)
     assert calls == []
