@@ -44,9 +44,9 @@ pair = bl.WeightPair(u, v)
 cubes = bl.cube_family(grid, "dyadic+shifted")
 print(f"  v = M^5 u has range [{v.values.min():.4f}, {v.values.max():.4f}]")
 for name, spec in [("two-weight A_2", None),
-                   ("maximal bump", bl.BumpSpec.maximal(2.0, 1.0)),
-                   ("CZO bump", bl.BumpSpec.czo(2.0, 1.0)),
-                   ("commutator bump", bl.BumpSpec.commutator(2.0, 1.0))]:
+                   ("maximal bump", bl.BumpSpec.from_preset("max", 2.0, 1.0)),
+                   ("CZO bump", bl.BumpSpec.from_preset("czo", 2.0, 1.0)),
+                   ("commutator bump", bl.BumpSpec.from_preset("comm", 2.0, 1.0))]:
     if spec is None:
         c = bl.two_weight_ap(pair, 2.0, cubes, family="dyadic+shifted").constant
     else:

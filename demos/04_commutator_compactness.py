@@ -24,8 +24,7 @@ b = bl.smooth_bump(grid, 0.0, 0.5)
 trunc = bl.TruncationSpec(32 * grid.h)
 sample = bl.sample_unit_ball(v, 2.0, 32, seed=7)
 
-rep = bl.kr_probe(sample, b, trunc, u, 2.0,
-                  N_list=[1.5, 2.0, 3.0, 4.0], shift_cells=[1, 2, 4])
+rep = bl.kr_probe(sample, b, trunc, u, N_list=[1.5, 2.0, 3.0, 4.0], shift_cells=[1, 2, 4])
 print("== Kolmogorov-Riesz condition values ==")
 print(f"  (a) bound: sup ||[b,T]f||_(L^2(u)) = {rep.bound_sup:.6f}")
 print("  (b) tails: sup of mass beyond |x| > N")

@@ -67,10 +67,7 @@ from .compactness import (
     TailReport,
     UnitBallSample,
     decay_compare,
-    kr_bounded,
-    kr_equicontinuity,
     kr_probe,
-    kr_tail,
     operator_spectral_report,
     sample_unit_ball,
     shift_decomposition,

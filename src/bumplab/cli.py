@@ -18,6 +18,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import re
 import sys
 from dataclasses import dataclass
@@ -182,13 +183,16 @@ class Opt:
         return "--" + self.name.replace("_", "-")
 
     def check(self, val, what: str) -> None:
-        """Raise ValueError unless ``val`` has this option's type, choices and bound."""
+        """Raise ValueError unless ``val`` is a finite value of this option's type,
+        choices and bound."""
         kind = self.type.removesuffix("[]")
         if kind != self.type and not isinstance(val, list):
             raise ValueError(f"{what} must be a list, got {val!r}")
         for item in val if kind != self.type else [val]:
             if not any(_IS_TYPE[t](item) for t in kind.split("|")):
                 raise ValueError(f"{what} must be {kind.replace('|', ' or ')}, got {item!r}")
+            if isinstance(item, float) and not math.isfinite(item):
+                raise ValueError(f"{what} must be finite, got {item!r}")
             if self.choices and item not in self.choices:
                 raise ValueError(f"{what} must be one of {', '.join(self.choices)}, "
                                  f"got {item!r}")
@@ -317,6 +321,8 @@ def _cmd_bump(res: Resolved) -> int:
         if a_right is None:
             raise ValueError("--preset custom requires --a-right")
         left = None if a_left in (None, "avg") else float(a_left)
+        if left is not None and not math.isfinite(left):
+            raise ValueError(f"a_left must be finite, got {a_left!r}")
         res.record("a_left", left)
         spec = weights.BumpSpec.custom(p, left, a_right, delta)
     elif preset == "custom":
@@ -371,7 +377,7 @@ def _cmd_probe_kr(res: Resolved) -> int:
     count, seed = res.get("count"), res.get("seed")
     N_list, shifts = res.get("N_list"), res.get("shift_list")
     sample = compactness.sample_unit_ball(v, p, count, seed)
-    report = compactness.kr_probe(sample, b, trunc, u, p, N_list, shifts)
+    report = compactness.kr_probe(sample, b, trunc, u, N_list, shifts)
     outdir = Path(res.get("out"))
     io.write_curve_csv(outdir / "probe_kr_tail.csv", ("N", "tail"), report.tail_curve)
     io.write_curve_csv(outdir / "probe_kr_modulus.csv", ("h", "modulus"),

@@ -42,9 +42,6 @@ __all__ = [
     "SpectralReport",
     "DecayComparison",
     "sample_unit_ball",
-    "kr_bounded",
-    "kr_tail",
-    "kr_equicontinuity",
     "kr_probe",
     "shift_decomposition",
     "tail_constant",
@@ -159,7 +156,7 @@ def sample_unit_ball(v: GridFunction, p: float, count: int, seed: int) -> UnitBa
     if count < 1:
         raise ValueError("count must be >= 1")
     _check_weights(v.grid, v=v)
-    # m x count floats each: the sample, its commutator images, and _modulus's
+    # m x count floats each: the sample, its commutator images, and kr_probe's
     # shifted difference with its |.|, |.|^p and weighted |.|^p
     check_dense_fits(6 * 8 * v.grid.cells * count,
                      f"a sample of {count} functions on {v.grid.cells} cells and its "
@@ -208,21 +205,6 @@ def _commutator_images(sample: UnitBallSample, b: GridFunction,
     return G
 
 
-def _kr_images(sample: UnitBallSample, b: GridFunction, trunc: TruncationSpec, u: GridFunction,
-               N_list: Sequence[float] = (), shift_cells: Sequence[int] = (),
-               allow_large_shifts: bool = False) -> np.ndarray:
-    """_commutator_images for a Kolmogorov-Riesz probe, after every check of its
-    inputs: the weight, the radii and the shifts."""
-    grid = b.grid
-    _check_weights(grid, u=u)
-    for N in N_list:
-        if N >= grid.half_width:
-            raise ValueError(f"N = {N} must be < the grid half-width {grid.half_width}")
-    for k in shift_cells:
-        _check_shift(k, grid, trunc, allow_large_shifts)
-    return _commutator_images(sample, b, trunc)
-
-
 def _weighted_norms(columns: np.ndarray, u: GridFunction, p: float,
                     row_mask: np.ndarray | None = None) -> np.ndarray:
     w = u.values * u.grid.h
@@ -233,73 +215,44 @@ def _weighted_norms(columns: np.ndarray, u: GridFunction, p: float,
     return np.sum(g**p * w[:, None], axis=0) ** (1.0 / p)
 
 
-def _bounded(G: np.ndarray, u: GridFunction, p: float) -> float:
-    return float(np.max(_weighted_norms(G, u, p)))
+def kr_probe(sample: UnitBallSample, b: GridFunction, trunc: TruncationSpec, u: GridFunction,
+             N_list: Sequence[float], shift_cells: Sequence[int],
+             allow_large_shifts: bool = False) -> KRReport:
+    """The three Kolmogorov-Riesz condition values over a sampled unit ball of
+    L^p(v), with p = sample.p, from one set of commutator images
+    g_i = [b,T_eta] f_i:
 
+    (a) bound_sup, the sup over the sample of ||g_i||_{L^p(u)};
+    (b) for each N in N_list, the sup of the L^p(u) mass of g_i on |x| > N;
+    (c) for each shift h = k*h_cell in shift_cells, the sup of
+        ||g_i(.+h) - g_i||_{L^p(u)}, and the least-squares slope of
+        log(modulus) against log|h| through the points with both positive;
+        NaN unless those points hold two distinct |h|.
 
-def kr_bounded(sample: UnitBallSample, b: GridFunction, trunc: TruncationSpec,
-               u: GridFunction, p: float) -> float:
-    """Condition (a): sup over the sample of ||[b,T_eta] f||_{L^p(u)}."""
-    return _bounded(_kr_images(sample, b, trunc, u), u, p)
-
-
-def _tail(G: np.ndarray, u: GridFunction, p: float,
-          N_list: list[float]) -> list[tuple[float, float]]:
-    x = u.grid.centers
-    curve = []
+    Every input is checked before the first image: u, radii below the grid
+    half-width, and shifts on the grid and below eta/4 (the regime where the
+    kernel-difference estimate applies) unless allow_large_shifts.
+    """
+    grid, p = b.grid, sample.p
+    _check_weights(grid, u=u)
     for N in N_list:
-        vals = _weighted_norms(G, u, p, row_mask=np.abs(x) > N)
-        curve.append((float(N), float(np.max(vals))))
-    return curve
-
-
-def kr_tail(sample: UnitBallSample, b: GridFunction, trunc: TruncationSpec,
-            u: GridFunction, p: float, N_list: list[float]) -> list[tuple[float, float]]:
-    """Condition (b): for each N, sup over the sample of the L^p(u) mass
-    of [b,T_eta] f outside |x| > N."""
-    return _tail(_kr_images(sample, b, trunc, u, N_list=N_list), u, p, N_list)
-
-
-def _modulus(G: np.ndarray, u: GridFunction, p: float,
-             shift_cells: list[int]) -> tuple[list[tuple[float, float]], float]:
-    grid = u.grid
-    curve = []
+        if N >= grid.half_width:
+            raise ValueError(f"N = {N} must be < the grid half-width {grid.half_width}")
     for k in shift_cells:
-        diff = _shift_rows(G, k) - G
-        curve.append((abs(k) * grid.h, float(np.max(_weighted_norms(diff, u, p)))))
-    positive = [(h, v) for h, v in curve if h > 0 and v > 0]
-    if len(positive) >= 2:
+        _check_shift(k, grid, trunc, allow_large_shifts)
+    G = _commutator_images(sample, b, trunc)
+    bound = float(np.max(_weighted_norms(G, u, p)))
+    x = grid.centers
+    tail = [(float(N), float(np.max(_weighted_norms(G, u, p, row_mask=np.abs(x) > N))))
+            for N in N_list]
+    modulus = [(abs(k) * grid.h, float(np.max(_weighted_norms(_shift_rows(G, k) - G, u, p))))
+               for k in shift_cells]
+    positive = [(h, v) for h, v in modulus if h > 0 and v > 0]
+    slope = float("nan")
+    if len({h for h, _ in positive}) >= 2:
         hs = np.log([h for h, _ in positive])
         vs = np.log([v for _, v in positive])
         slope = float(np.polyfit(hs, vs, 1)[0])
-    else:
-        slope = float("nan")
-    return curve, slope
-
-
-def kr_equicontinuity(sample: UnitBallSample, b: GridFunction, trunc: TruncationSpec,
-                      u: GridFunction, p: float, shift_cells: list[int],
-                      allow_large_shifts: bool = False) -> tuple[list[tuple[float, float]], float]:
-    """Condition (c): translation modulus of the commutator images.
-
-    For each shift h = k*h_cell, the sup over the sample of
-    ||[b,T_eta]f(.+h) - [b,T_eta]f||_{L^p(u)}, plus the least-squares slope
-    of log(modulus) against log|h|. Shifts must stay below eta/4 (the regime
-    where the kernel-difference estimate applies) unless explicitly
-    overridden.
-    """
-    G = _kr_images(sample, b, trunc, u, shift_cells=shift_cells,
-                   allow_large_shifts=allow_large_shifts)
-    return _modulus(G, u, p, shift_cells)
-
-
-def kr_probe(sample: UnitBallSample, b: GridFunction, trunc: TruncationSpec,
-             u: GridFunction, p: float, N_list: list[float], shift_cells: list[int]) -> KRReport:
-    """All three Kolmogorov-Riesz condition values, from one set of commutator images."""
-    G = _kr_images(sample, b, trunc, u, N_list, shift_cells)
-    bound = _bounded(G, u, p)
-    tail = _tail(G, u, p, N_list)
-    modulus, slope = _modulus(G, u, p, shift_cells)
     return KRReport(bound_sup=bound, tail_curve=tail, modulus_curve=modulus, slope=slope)
 
 

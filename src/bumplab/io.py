@@ -87,7 +87,9 @@ def write_curve_csv(path: str | Path, header: tuple[str, str],
 
 
 def write_json(path: str | Path, obj: dict) -> None:
-    _atomic_write_text(Path(path), json.dumps(obj, sort_keys=True, indent=2) + "\n")
+    """Raises ValueError, before writing, if obj holds a NaN or an infinity."""
+    _atomic_write_text(Path(path), json.dumps(obj, sort_keys=True, indent=2,
+                                              allow_nan=False) + "\n")
 
 
 def _jsonable(x):

@@ -61,10 +61,10 @@ class YoungFunction:
     a: float = 0.0
 
     def __post_init__(self) -> None:
-        if not self.p > 1:
-            raise ValueError("Young exponent p must be > 1")
-        if self.a < 0:
-            raise ValueError("log exponent a must be >= 0 in this build")
+        if not 1 < self.p < np.inf:
+            raise ValueError(f"Young exponent p must be > 1 and finite, got {self.p!r}")
+        if not 0 <= self.a < np.inf:
+            raise ValueError(f"log exponent a must be >= 0 and finite, got {self.a!r}")
 
     @property
     def p_conj(self) -> float:

@@ -92,18 +92,6 @@ class BumpSpec:
         return cls(p, delta, name, *_preset_exponents(name, p, delta))
 
     @classmethod
-    def maximal(cls, p: float, delta: float = 1.0) -> "BumpSpec":
-        return cls.from_preset("max", p, delta)
-
-    @classmethod
-    def czo(cls, p: float, delta: float = 1.0) -> "BumpSpec":
-        return cls.from_preset("czo", p, delta)
-
-    @classmethod
-    def commutator(cls, p: float, delta: float = 1.0) -> "BumpSpec":
-        return cls.from_preset("comm", p, delta)
-
-    @classmethod
     def custom(cls, p: float, a_left: float | None, a_right: float,
                delta: float | None = None) -> "BumpSpec":
         return cls(p, delta, "custom", a_left, a_right)

@@ -148,7 +148,7 @@ def test_criterion_03c_endpoint_growth_as_stated():
 def test_criterion_04_bump_scale_invariance():
     grid = bl.make_grid(1.0, 256)
     cubes = bl.dyadic_cubes(grid)
-    spec = bl.BumpSpec.commutator(2.0, 1.0)
+    spec = bl.BumpSpec.from_preset("comm", 2.0, 1.0)
     rng = np.random.default_rng(404)
     worst = 0.0
     for _ in range(5):
@@ -168,7 +168,7 @@ def test_criterion_04_bump_scale_invariance():
 
 def test_criterion_05_paper_weight_pair():
     t0 = time.perf_counter()
-    spec = bl.BumpSpec.commutator(2.0, 1.0)
+    spec = bl.BumpSpec.from_preset("comm", 2.0, 1.0)
     consts = {}
     for m in (1024, 2048):
         grid, u, v = criterion5_pair(m)
@@ -259,7 +259,8 @@ def test_criterion_09_equicontinuity_slope():
     b = bl.smooth_bump(grid, 0.0, 0.5)
     trunc = bl.TruncationSpec(32 * grid.h)
     sample = bl.sample_unit_ball(v, 2.0, 32, seed=7)
-    curve, slope = bl.kr_equicontinuity(sample, b, trunc, u, 2.0, [1, 2, 4])
+    rep = bl.kr_probe(sample, b, trunc, u, [], [1, 2, 4])
+    curve, slope = rep.modulus_curve, rep.slope
     elapsed = time.perf_counter() - t0
     ok = 0.85 <= slope <= 1.15 and elapsed < 120.0
     report("criterion 9 (equicontinuity slope)", ok,
@@ -301,7 +302,7 @@ def test_criterion_11_tail():
     trunc = bl.TruncationSpec(16 * grid.h)
     sample = bl.sample_unit_ball(v, 2.0, 32, seed=7)
     rep = bl.tail_constant(b, trunc, v, 2.0, sample, N0=2.0)
-    curve = bl.kr_tail(sample, b, trunc, u, 2.0, [2.0, 4.0])
+    curve = bl.kr_probe(sample, b, trunc, u, [2.0, 4.0], []).tail_curve
     drop = 1.0 - curve[1][1] / curve[0][1]
     ok = np.isfinite(rep.C_bv) and rep.C_bv > 0 and drop >= 0.30
     report("criterion 11 (tail decay)", ok,

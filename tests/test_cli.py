@@ -83,6 +83,42 @@ def test_probe_action_rejects_unread_flag_exits_1(tmp_path, capsys, action, flag
     assert not list(tmp_path.iterdir())
 
 
+_KR_UNIT = ["probe", "kr", "--b", "bump:0,0.5", "--u", "const:1", "--v", "const:1",
+            "--count", "2"]
+_CUSTOM = ["bump", "--u", "const:1", "--v", "const:1", "--preset", "custom"]
+_NON_FINITE = {
+    "probe-kr-p": [*_KR_UNIT, "--p", "inf"],
+    "probe-kr-N-list": [*_KR_UNIT, "--N-list", "0.5,nan"],
+    "bump-delta": [*_CUSTOM, "--a-left", "1", "--a-right", "1", "--delta", "inf"],
+    "bump-a-left-nan": [*_CUSTOM, "--a-left", "nan", "--a-right", "1"],
+    "bump-a-left-inf": [*_CUSTOM, "--a-left", "inf", "--a-right", "1"],
+    "bump-a-right-nan": [*_CUSTOM, "--a-left", "1", "--a-right", "nan"],
+    "bump-a-right-inf": [*_CUSTOM, "--a-left", "1", "--a-right", "inf"],
+    "orlicz-a": ["orlicz", "--f", "const:1", "--a", "inf"],
+    "orlicz-p": ["orlicz", "--f", "const:1", "--p", "inf"],
+    "ap-p": ["ap", "--w", "const:1", "--p", "inf"],
+}
+
+
+@pytest.mark.parametrize("argv", _NON_FINITE.values(), ids=_NON_FINITE.keys())
+def test_non_finite_option_exits_2_without_report(tmp_path, capsys, argv):
+    assert run([*argv, "--L", "1", "--m", "16", "--out", tmp_path]) == 2
+    assert "must be finite" in capsys.readouterr().err
+    assert not list(tmp_path.iterdir())
+
+
+@pytest.mark.parametrize("text", ['{"orlicz": {"a": Infinity}}', '{"grid": {"L": NaN}}',
+                                  '{"bump": {"a_left": -Infinity}}'])
+def test_non_finite_config_value_exits_2(tmp_path, capsys, text):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(text)
+    out = tmp_path / "out"
+    assert run(["--config", cfg, "orlicz", "--f", "const:1", "--L", "1", "--m", "16",
+                "--out", out]) == 2
+    assert "must be finite" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_nonconvergence_exits_3(tmp_path):
     rc = run(["orlicz", "--f", "const:0.0001+indicator:0,0.5", "--p", "1200",
               "--a", "0", "--L", "1", "--m", "16", "--out", tmp_path])
@@ -179,12 +215,14 @@ def _reject_constant(name):
     *_ROUNDTRIP.values(),
     ["probe", "kr", "--b", "bump:0,0.5", "--u", "const:1+gaussian:0,0.3", "--v", "M2:u",
      "--shift-list", "1"],
-], ids=[*_ROUNDTRIP, "probe-kr-one-shift"])
+    ["probe", "kr", "--b", "bump:0,0.5", "--u", "const:1+gaussian:0,0.3", "--v", "M2:u",
+     "--shift-list", "1,-1"],
+], ids=[*_ROUNDTRIP, "probe-kr-one-shift", "probe-kr-one-distinct-shift"])
 def test_reports_are_strict_json(tmp_path, argv):
     assert run([*argv, "--L", "4", "--m", "64", "--out", tmp_path]) == 0
     (report_path,) = tmp_path.glob("*.json")
     report = json.loads(report_path.read_text(), parse_constant=_reject_constant)
-    if argv[:2] == ["probe", "kr"]:  # one shift: too few points for a slope
+    if argv[:2] == ["probe", "kr"]:  # one |h|: too few points for a slope
         assert report["result"]["slope"] is None
 
 
@@ -304,11 +342,16 @@ def test_validator_matches_jsonschema_oracle():
     schema = copy.deepcopy(CONFIG_SCHEMA)
     del schema["properties"]["output"]["properties"]["formats"]  # dropped on purpose
 
+    # what jsonschema.validate does on each call, with the schema checked once
+    cls = jsonschema.validators.validator_for(schema)
+    cls.check_schema(schema)
+    validator = cls(schema)
+
     @settings(max_examples=500, deadline=None)
     @given(_configs(schema))
     def check(cfg):
         try:
-            jsonschema.validate(cfg, schema)
+            validator.validate(cfg)
             want = True
         except jsonschema.ValidationError:
             want = False

@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 
@@ -14,10 +16,7 @@ from bumplab import (
     gaussian,
     indicator,
     iterate_maximal,
-    kr_bounded,
-    kr_equicontinuity,
     kr_probe,
-    kr_tail,
     log_spike,
     lp_norm_weighted,
     make_grid,
@@ -73,52 +72,71 @@ def test_sample_unit_ball_validation(setup):
 
 def test_kr_bounded_constant_symbol_vanishes(setup):
     grid, u, v, b, trunc, sample = setup
-    assert kr_bounded(sample, constant(grid, 4.0), trunc, u, 2.0) == 0.0
+    assert kr_probe(sample, constant(grid, 4.0), trunc, u, [], []).bound_sup == 0.0
 
 
 def test_kr_bounded_is_order_free_and_stable(setup):
     grid, u, v, b, trunc, sample = setup
-    base = kr_bounded(sample, b, trunc, u, 2.0)
+
+    def bound(s):
+        return kr_probe(s, b, trunc, u, [], []).bound_sup
+
+    base = bound(sample)
     reordered = sample_unit_ball(v, 2.0, 16, seed=7)
     reordered.functions = list(reversed(reordered.functions))
-    assert kr_bounded(reordered, b, trunc, u, 2.0) == base
-    s32 = sample_unit_ball(v, 2.0, 32, seed=7)
-    s64 = sample_unit_ball(v, 2.0, 64, seed=7)
-    b32 = kr_bounded(s32, b, trunc, u, 2.0)
-    b64 = kr_bounded(s64, b, trunc, u, 2.0)
+    assert bound(reordered) == base
+    b32 = bound(sample_unit_ball(v, 2.0, 32, seed=7))
+    b64 = bound(sample_unit_ball(v, 2.0, 64, seed=7))
     assert b64 >= b32  # sup over a superset
     assert b64 <= 1.25 * b32
 
 
+def test_kr_probe_measures_in_the_sample_p(setup):
+    grid, u, v, b, trunc, sample = setup
+    s3 = sample_unit_ball(v, 3.0, 4, seed=7)
+    want = max(lp_norm_weighted(commutator(b, f, trunc), u, 3.0) for f in s3.functions)
+    assert kr_probe(s3, b, trunc, u, [], []).bound_sup == pytest.approx(want, rel=1e-12)
+
+
 def test_kr_tail_masks_and_monotonicity(setup):
     grid, u, v, b, trunc, sample = setup
-    curve = kr_tail(sample, b, trunc, u, 2.0, [1.0, 2.0, 4.0])
+    curve = kr_probe(sample, b, trunc, u, [1.0, 2.0, 4.0], []).tail_curve
     vals = [val for _, val in curve]
     assert all(x >= y - 1e-15 for x, y in zip(vals, vals[1:]))
     u_compact = indicator(grid, -1.0, 1.0)
-    zero_curve = kr_tail(sample, b, trunc, u_compact, 2.0, [2.0, 4.0])
+    zero_curve = kr_probe(sample, b, trunc, u_compact, [2.0, 4.0], []).tail_curve
     assert all(val == 0.0 for _, val in zero_curve)
     with pytest.raises(ValueError):
-        kr_tail(sample, b, trunc, u, 2.0, [grid.half_width])
+        kr_probe(sample, b, trunc, u, [grid.half_width], [])
 
 
 def test_kr_equicontinuity_zero_cases(setup):
     grid, u, v, b, trunc, sample = setup
-    curve, slope = kr_equicontinuity(sample, b, trunc, u, 2.0, [0])
-    assert curve[0][1] == 0.0
-    curve, slope = kr_equicontinuity(sample, constant(grid, 2.0), trunc, u, 2.0, [1, 2])
-    assert all(val == 0.0 for _, val in curve)
-    assert np.isnan(slope)
+    rep = kr_probe(sample, b, trunc, u, [], [0])
+    assert rep.modulus_curve[0][1] == 0.0
+    rep = kr_probe(sample, constant(grid, 2.0), trunc, u, [], [1, 2])
+    assert all(val == 0.0 for _, val in rep.modulus_curve)
+    assert np.isnan(rep.slope)
+
+
+def test_kr_slope_needs_two_distinct_shifts(setup):
+    # a fit through one |h| used to report a slope, with numpy's RankWarning
+    grid, u, v, b, trunc, sample = setup
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for shifts in ([1, -1], [2, 2], [0, 1]):
+            assert np.isnan(kr_probe(sample, b, trunc, u, [], shifts).slope)
+        rep = kr_probe(sample, b, trunc, u, [], [1, -1, 2])
+    assert np.isfinite(rep.slope)
 
 
 def test_kr_equicontinuity_shift_guard(setup):
     grid, u, v, b, trunc, sample = setup
     too_big = int(trunc.eta / 4.0 / grid.h)  # |h| = eta/4 exactly: rejected
     with pytest.raises(ValueError):
-        kr_equicontinuity(sample, b, trunc, u, 2.0, [too_big])
-    curve, _ = kr_equicontinuity(sample, b, trunc, u, 2.0, [too_big],
-                                 allow_large_shifts=True)
-    assert curve[0][1] >= 0.0
+        kr_probe(sample, b, trunc, u, [], [too_big])
+    rep = kr_probe(sample, b, trunc, u, [], [too_big], allow_large_shifts=True)
+    assert rep.modulus_curve[0][1] >= 0.0
 
 
 @pytest.mark.parametrize("k", [70, -70, 64])
@@ -127,20 +145,21 @@ def test_kr_equicontinuity_rejects_shift_past_grid(k):
     one = constant(grid, 1.0)
     sample = sample_unit_ball(one, 2.0, 4, seed=1)
     with pytest.raises(ValueError, match=r"\|k_cells\| must be < 64"):
-        kr_equicontinuity(sample, smooth_bump(grid, 0.0, 0.5), TruncationSpec(4 * grid.h),
-                          one, 2.0, [k], allow_large_shifts=True)
+        kr_probe(sample, smooth_bump(grid, 0.0, 0.5), TruncationSpec(4 * grid.h),
+                 one, [], [k], allow_large_shifts=True)
 
 
-@pytest.mark.parametrize("probe", [
-    lambda sample, b, trunc, u: kr_bounded(sample, b, trunc, u, 2.0),
-    lambda sample, b, trunc, u: kr_tail(sample, b, trunc, u, 2.0, [1.0]),
-    lambda sample, b, trunc, u: kr_equicontinuity(sample, b, trunc, u, 2.0, [1]),
-    lambda sample, b, trunc, u: kr_probe(sample, b, trunc, u, 2.0, [1.0], [1]),
-], ids=["kr_bounded", "kr_tail", "kr_equicontinuity", "kr_probe"])
-def test_kr_entry_points_reject_negative_u(setup, probe):
+# The ids name the condition values a case asks kr_probe for, through its radii
+# and shifts: the bound alone, the tails, the modulus, or all three.
+_KR_LISTS = {"kr_bounded": ([], []), "kr_tail": ([1.0], []),
+             "kr_equicontinuity": ([], [1]), "kr_probe": ([1.0], [1])}
+
+
+@pytest.mark.parametrize("N_list, shift_cells", _KR_LISTS.values(), ids=_KR_LISTS.keys())
+def test_kr_entry_points_reject_negative_u(setup, N_list, shift_cells):
     grid, u, v, b, trunc, sample = setup
     with pytest.raises(ValueError, match="u must be nonnegative"):
-        probe(sample, b, trunc, -1.0 * u)
+        kr_probe(sample, b, trunc, -1.0 * u, N_list, shift_cells)
 
 
 def test_shift_decomposition_identity_and_zero_cases(setup):
@@ -350,11 +369,10 @@ _MISMATCHED = {
     "operator_spectral_report": lambda b, trunc, u, v, sample:
         operator_spectral_report(b, trunc, u, v, [4]),
     "decay_compare": lambda b, trunc, u, v, sample: decay_compare(b, b, trunc, u, v, [4]),
-    "kr_bounded": lambda b, trunc, u, v, sample: kr_bounded(sample, b, trunc, u, 2.0),
-    "kr_tail": lambda b, trunc, u, v, sample: kr_tail(sample, b, trunc, u, 2.0, [0.5]),
-    "kr_equicontinuity": lambda b, trunc, u, v, sample:
-        kr_equicontinuity(sample, b, trunc, u, 2.0, [1]),
-    "kr_probe": lambda b, trunc, u, v, sample: kr_probe(sample, b, trunc, u, 2.0, [0.5], [1]),
+    "kr_bounded": lambda b, trunc, u, v, sample: kr_probe(sample, b, trunc, u, [], []),
+    "kr_tail": lambda b, trunc, u, v, sample: kr_probe(sample, b, trunc, u, [0.5], []),
+    "kr_equicontinuity": lambda b, trunc, u, v, sample: kr_probe(sample, b, trunc, u, [], [1]),
+    "kr_probe": lambda b, trunc, u, v, sample: kr_probe(sample, b, trunc, u, [0.5], [1]),
     "tail_constant": lambda b, trunc, u, v, sample: tail_constant(b, trunc, v, 2.0, sample, 7.0),
 }
 
@@ -378,16 +396,16 @@ def test_decay_compare_rejects_symbols_on_two_grids(setup):
 
 
 _BAD_KR_INPUT = {
-    "kr_tail-radius": (lambda s, b, t, u: kr_tail(s, b, t, u, 2.0, [1.0, 8.0]),
+    "kr_tail-radius": (lambda s, b, t, u: kr_probe(s, b, t, u, [1.0, 8.0], []),
                        "must be < the grid half-width"),
-    "kr_probe-radius": (lambda s, b, t, u: kr_probe(s, b, t, u, 2.0, [8.0], [1]),
+    "kr_probe-radius": (lambda s, b, t, u: kr_probe(s, b, t, u, [8.0], [1]),
                         "must be < the grid half-width"),
-    "kr_equicontinuity-shift": (lambda s, b, t, u: kr_equicontinuity(s, b, t, u, 2.0, [1, 4]),
+    "kr_equicontinuity-shift": (lambda s, b, t, u: kr_probe(s, b, t, u, [], [1, 4]),
                                 r"eta/4.*allow_large_shifts=True"),
-    "kr_probe-shift": (lambda s, b, t, u: kr_probe(s, b, t, u, 2.0, [1.0], [1, 4]),
+    "kr_probe-shift": (lambda s, b, t, u: kr_probe(s, b, t, u, [1.0], [1, 4]),
                        r"eta/4.*allow_large_shifts=True"),
     "kr_equicontinuity-past-grid": (
-        lambda s, b, t, u: kr_equicontinuity(s, b, t, u, 2.0, [600], allow_large_shifts=True),
+        lambda s, b, t, u: kr_probe(s, b, t, u, [], [600], allow_large_shifts=True),
         r"\|k_cells\| must be < 512"),
 }
 

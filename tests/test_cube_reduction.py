@@ -122,7 +122,8 @@ def _one_cube_constants():
     return {
         "ap_constant": lambda cubes: ap_constant(one, 2.0, cubes),
         "two_weight_ap": lambda cubes: two_weight_ap(pair, 2.0, cubes),
-        "bump_constant": lambda cubes: bump_constant(pair, BumpSpec.commutator(2.0), cubes),
+        "bump_constant": lambda cubes: bump_constant(pair, BumpSpec.from_preset("comm", 2.0),
+                                                     cubes),
         "bmo_norm": lambda cubes: bmo_norm(one, cubes),
     }
 

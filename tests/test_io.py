@@ -71,6 +71,13 @@ def test_write_json_deterministic(tmp_path):
     assert p1.read_bytes() == p2.read_bytes()
 
 
+@pytest.mark.parametrize("value", [float("nan"), float("inf"), -float("inf")])
+def test_write_json_rejects_non_finite_floats(tmp_path, value):
+    with pytest.raises(ValueError):
+        write_json(tmp_path / "r.json", {"result": {"slope": value}})
+    assert not list(tmp_path.iterdir())
+
+
 def test_read_rejects_malformed(tmp_path):
     path = tmp_path / "bad.csv"
     path.write_text("x,value\n0.0,1.0\n")

@@ -52,6 +52,9 @@ def test_young_function_validation():
         YoungFunction(1.0, 0)
     with pytest.raises(ValueError):
         YoungFunction(2.0, -1.0)
+    for p, a in ((np.inf, 0.0), (np.nan, 0.0), (2.0, np.inf), (2.0, np.nan)):
+        with pytest.raises(ValueError, match="finite"):
+            YoungFunction(p, a)
     assert YoungFunction(2.0, 0.0).p_conj == 2.0
     assert YoungFunction(3.0, 0.0).p_conj == pytest.approx(1.5)
 

@@ -49,16 +49,16 @@ def test_weight_pair_validation():
 
 
 def test_bump_spec_presets():
-    spec = BumpSpec.commutator(2.0, 1.0)
+    spec = BumpSpec.from_preset("comm", 2.0, 1.0)
     assert (spec.a_left, spec.a_right) == (4.0, 4.0)
-    spec = BumpSpec.czo(2.0, 1.0)
+    spec = BumpSpec.from_preset("czo", 2.0, 1.0)
     assert (spec.a_left, spec.a_right) == (2.0, 2.0)
-    spec = BumpSpec.maximal(2.0, 1.0)
+    spec = BumpSpec.from_preset("max", 2.0, 1.0)
     assert spec.a_left is None and spec.a_right == 2.0
     with pytest.raises(ValueError):
         BumpSpec(2.0, 1.0, "comm", 3.0, 4.0)  # exponents must match the preset
     with pytest.raises(ValueError):
-        BumpSpec.commutator(2.0, 0.0)
+        BumpSpec.from_preset("comm", 2.0, 0.0)
     with pytest.raises(ValueError):
         BumpSpec.custom(0.5, 0.0, 0.0)
 
@@ -121,7 +121,7 @@ def test_bump_constant_scale_invariance():
     g = make_grid(1.0, 128)
     rng = np.random.default_rng(31)
     cubes = dyadic_cubes(g)
-    spec = BumpSpec.commutator(2.0, 1.0)
+    spec = BumpSpec.from_preset("comm", 2.0, 1.0)
     u = GridFunction(g, 0.5 + rng.random(128))
     v = GridFunction(g, 0.5 + rng.random(128))
     base = bump_constant(WeightPair(u, v), spec, cubes).constant
@@ -138,8 +138,8 @@ def test_bump_preset_ordering():
     cubes = dyadic_cubes(g)
     one = constant(g, 1.0)
     pair = WeightPair(one, one)
-    comm = bump_constant(pair, BumpSpec.commutator(2.0, 1.0), cubes).constant
-    czo = bump_constant(pair, BumpSpec.czo(2.0, 1.0), cubes).constant
+    comm = bump_constant(pair, BumpSpec.from_preset("comm", 2.0, 1.0), cubes).constant
+    czo = bump_constant(pair, BumpSpec.from_preset("czo", 2.0, 1.0), cubes).constant
     ap = two_weight_ap(pair, 2.0, cubes).constant
     assert comm >= czo >= ap == 1.0
     rng = np.random.default_rng(100)
@@ -147,8 +147,8 @@ def test_bump_preset_ordering():
         u = GridFunction(g, 0.2 + rng.random(64))
         v = GridFunction(g, 0.2 + rng.random(64))
         pair = WeightPair(u, v)
-        comm = bump_constant(pair, BumpSpec.commutator(2.0, 1.0), cubes).constant
-        czo = bump_constant(pair, BumpSpec.czo(2.0, 1.0), cubes).constant
+        comm = bump_constant(pair, BumpSpec.from_preset("comm", 2.0, 1.0), cubes).constant
+        czo = bump_constant(pair, BumpSpec.from_preset("czo", 2.0, 1.0), cubes).constant
         assert comm >= czo * (1 - 4e-10)
 
 
@@ -157,7 +157,7 @@ def test_bump_maximal_preset_uses_plain_average():
     rng = np.random.default_rng(17)
     u = GridFunction(g, 0.5 + rng.random(64))
     one = constant(g, 1.0)
-    spec = BumpSpec.maximal(2.0, 1.0)
+    spec = BumpSpec.from_preset("max", 2.0, 1.0)
     cubes = [Cube(0, 64)]
     rep = bump_constant(WeightPair(u, one), spec, cubes)
     right = bump_constant(WeightPair(one, one), spec, cubes).constant
@@ -168,8 +168,8 @@ def test_bump_report_metadata():
     g = make_grid(1.0, 32)
     one = constant(g, 1.0)
     cubes = cube_family(g, "dyadic+shifted")
-    rep = bump_constant(WeightPair(one, one), BumpSpec.commutator(2.0, 1.0), cubes,
-                        family="dyadic+shifted", keep_values=True)
+    rep = bump_constant(WeightPair(one, one), BumpSpec.from_preset("comm", 2.0, 1.0),
+                        cubes, family="dyadic+shifted", keep_values=True)
     assert rep.cube_family == "dyadic+shifted"
     assert rep.per_cube is not None and len(rep.per_cube) == len(cubes)
     assert rep.constant == np.max(rep.per_cube)
