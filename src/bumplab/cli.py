@@ -8,7 +8,8 @@ so any run can be reproduced byte-for-byte from its own artifact.
 Every option is declared once, as an ``Opt`` in the table of the
 (sub)command that reads it (``_COMMANDS``). The tables generate the argparse
 flags, the config validator (``validate_config``) and the resolution of each
-option (``Resolved.get``).
+option (``Resolved.get``). A subcommand's parser gets its flags when it first
+parses, so a call pays only for the flags of the command it runs.
 
 Exit codes: 0 success, 1 usage error, 2 validation error (including a run
 too large for memory), 3 numerical non-convergence.
@@ -17,9 +18,11 @@ too large for memory), 3 numerical non-convergence.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
 import re
+import shutil
 import sys
 from dataclasses import dataclass
 from pathlib import Path
@@ -59,6 +62,20 @@ class UsageError(Exception):
 
 
 class _Parser(argparse.ArgumentParser):
+    """An argument parser whose usage errors exit 1, and which runs ``fill(self)``,
+    to add its arguments, the first time it parses."""
+
+    def __init__(self, *args, fill=None, **kwargs):
+        super().__init__(*args, **kwargs)
+        self._fill = fill
+
+    def parse_known_args(self, args=None, namespace=None):
+        # argparse calls this on the chosen subparser only, before its -h and its errors
+        if self._fill is not None:
+            fill, self._fill = self._fill, None
+            fill(self)
+        return super().parse_known_args(args, namespace)
+
     def error(self, message):  # argparse would exit(2); the contract wants 1
         self.print_usage(sys.stderr)
         raise UsageError(message)
@@ -150,6 +167,14 @@ _FLAG_TYPES = {"number": float, "integer": int}
 _CONVERT = {**_FLAG_TYPES, "number[]": _list_of(float), "integer[]": _list_of(int)}
 
 
+def _is_finite(x: int | float) -> bool:
+    """math.isfinite, and False for an int too large to convert to a float."""
+    try:
+        return math.isfinite(x)
+    except OverflowError:
+        return False
+
+
 @dataclass(frozen=True)
 class Opt:
     """One option: dotted config ``path``, JSON type, bound, default and help.
@@ -191,7 +216,7 @@ class Opt:
         for item in val if kind != self.type else [val]:
             if not any(_IS_TYPE[t](item) for t in kind.split("|")):
                 raise ValueError(f"{what} must be {kind.replace('|', ' or ')}, got {item!r}")
-            if isinstance(item, float) and not math.isfinite(item):
+            if isinstance(item, (int, float)) and not _is_finite(item):
                 raise ValueError(f"{what} must be finite, got {item!r}")
             if self.choices and item not in self.choices:
                 raise ValueError(f"{what} must be one of {', '.join(self.choices)}, "
@@ -535,21 +560,31 @@ def _load_config(path: str | None) -> dict:
     return data
 
 
+def _add_arguments(p: _Parser, actions: dict) -> None:
+    """A command's action word, if it takes one, and a flag per option that has one."""
+    if None not in actions:
+        p.add_argument("action", choices=list(actions))
+    for opt in _command_options(actions):
+        if opt.help is not None:
+            p.add_argument(opt.flag, dest=opt.name, help=opt.help or None,
+                           type=_FLAG_TYPES.get(opt.type.split("|")[0]),
+                           choices=opt.choices or None)
+
+
 def build_parser() -> _Parser:
-    parser = _Parser(prog="bumplab",
+    """The top-level parser and one subparser per command, each of which adds its
+    arguments when it first parses."""
+    # the width argparse would read from the terminal for every formatter it makes
+    formatter = functools.partial(argparse.HelpFormatter,
+                                  width=shutil.get_terminal_size().columns - 2)
+    parser = _Parser(prog="bumplab", formatter_class=formatter,
                      description="Two-weight bump constants and compactness probes")
     parser.add_argument("--config", help="JSON config file (or a previous report)")
     sub = parser.add_subparsers(dest="command")
     for name, (help_text, actions) in _COMMANDS.items():
-        p = sub.add_parser(name, help=help_text)
+        p = sub.add_parser(name, help=help_text, formatter_class=formatter,
+                           fill=functools.partial(_add_arguments, actions=actions))
         p.set_defaults(command_parser=p)
-        if None not in actions:
-            p.add_argument("action", choices=list(actions))
-        for opt in _command_options(actions):
-            if opt.help is not None:
-                p.add_argument(opt.flag, dest=opt.name, help=opt.help or None,
-                               type=_FLAG_TYPES.get(opt.type.split("|")[0]),
-                               choices=opt.choices or None)
     return parser
 
 

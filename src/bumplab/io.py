@@ -32,13 +32,16 @@ __all__ = [
 ]
 
 
-_CSV_ROW = "{:.17g},{:.17g}\n"
+_CSV_ROW = "%.17g,%.17g\n"
 
 
 def _csv_text(header: str, xs: list[float], ys: list[float]) -> str:
     """The header line, then one "x,y" line per pair of floats, 17 significant
-    digits each."""
-    return "".join([header + "\n", *map(_CSV_ROW.format, xs, ys)])
+    digits each, from one % format over the pairs."""
+    pairs = [0.0] * (2 * len(xs))
+    pairs[::2] = xs
+    pairs[1::2] = ys
+    return header + "\n" + (_CSV_ROW * len(xs)) % tuple(pairs)
 
 
 def _atomic_write_text(path: Path, text: str) -> None:

@@ -1,7 +1,9 @@
+import argparse
 import copy
 import csv
 import json
 import os
+import re
 import resource
 import subprocess
 import sys
@@ -14,8 +16,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import bumplab
-from bumplab import compactness, iterate_maximal, make_grid, operators
-from bumplab.cli import _COMMANDS, main, parse_function_spec, validate_config
+from bumplab import cli, compactness, iterate_maximal, make_grid, operators
+from bumplab.cli import _COMMANDS, _command_options, main, parse_function_spec, validate_config
 from bumplab.io import read_grid_function_csv
 from config_oracle import CONFIG_SCHEMA
 
@@ -32,6 +34,56 @@ def test_unknown_subcommand_exits_1(capsys):
     assert run(["frobnicate"]) == 1
     assert run([]) == 1
     assert "usage" in capsys.readouterr().err
+    assert run(["bump", "--bogus"]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("usage: bumplab ") and "unrecognized arguments: --bogus" in err
+
+
+_HELP = [[], *([name] if None in actions else [name, action]
+               for name, (_, actions) in _COMMANDS.items() for action in actions)]
+
+
+@pytest.mark.parametrize("words", _HELP, ids=[" ".join(w) or "top" for w in _HELP])
+def test_help_names_every_flag(capsys, words):
+    with pytest.raises(SystemExit) as exc:
+        main([*words, "--help"])
+    assert exc.value.code == 0
+    out = capsys.readouterr().out
+    if words:
+        actions = _COMMANDS[words[0]][1]
+        flags = [opt.flag for opt in _command_options(actions) if opt.help is not None]
+        flags += [] if None in actions else list(actions)
+    else:
+        flags = ["--config", *_COMMANDS]
+    assert out.startswith(f"usage: bumplab {' '.join(words[:1])}".rstrip())
+    for flag in flags:
+        assert re.search(rf"(?<![\w-]){re.escape(flag)}(?![\w-])", out), flag
+
+
+def test_help_wraps_to_the_terminal_width(capsys, monkeypatch):
+    """Every parser formats its help at the one width read when the parser is built."""
+    def help_lines(columns):
+        monkeypatch.setenv("COLUMNS", str(columns))
+        with pytest.raises(SystemExit):
+            main(["probe", "kr", "--help"])
+        return capsys.readouterr().out.splitlines()
+
+    narrow, wide = help_lines(60), help_lines(120)
+    assert max(map(len, narrow)) <= 58 < max(map(len, wide))
+    assert len(narrow) > len(wide)
+
+
+def test_main_fills_only_the_invoked_subparser(tmp_path, monkeypatch):
+    """A call adds the flags of the command it runs and of no other."""
+    build, built = cli.build_parser, []
+    monkeypatch.setattr(cli, "build_parser", lambda: built.append(build()) or built[-1])
+    assert run(["bmo", "--b", "const:1", "--L", "1", "--m", "16", "--out", tmp_path]) == 0
+    (parser,) = built
+    (sub,) = [a for a in parser._actions if isinstance(a, argparse._SubParsersAction)]
+    assert list(sub.choices) == list(_COMMANDS)
+    for name, p in sub.choices.items():
+        dests = [a.dest for a in p._actions]
+        assert dests == (["help", "L", "m", "out", "b", "cubes"] if name == "bmo" else ["help"])
 
 
 def test_validation_error_exits_2(tmp_path, capsys):
@@ -108,7 +160,9 @@ def test_non_finite_option_exits_2_without_report(tmp_path, capsys, argv):
 
 
 @pytest.mark.parametrize("text", ['{"orlicz": {"a": Infinity}}', '{"grid": {"L": NaN}}',
-                                  '{"bump": {"a_left": -Infinity}}'])
+                                  '{"bump": {"a_left": -Infinity}}',
+                                  pytest.param('{"grid": {"L": 1%s}}' % ("0" * 400),
+                                               id="int-too-large-for-a-float")])
 def test_non_finite_config_value_exits_2(tmp_path, capsys, text):
     cfg = tmp_path / "cfg.json"
     cfg.write_text(text)

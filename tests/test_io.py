@@ -2,9 +2,11 @@ import json
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from bumplab import GridFunction, constant, gaussian, make_grid
 from bumplab.io import (
+    _csv_text,
     read_grid_function_csv,
     write_curve_csv,
     write_grid_function_csv,
@@ -61,6 +63,29 @@ def test_csv_writers_match_the_per_value_loop(tmp_path):
     assert (tmp_path / "c.csv").read_bytes() == _loop_csv("k,sigma", rows)
     write_curve_csv(tmp_path / "e.csv", ("N", "tail"), [])
     assert (tmp_path / "e.csv").read_bytes() == b"N,tail\n"
+
+
+def _row_format_csv(header: str, xs, ys) -> str:
+    """The writers' per-row str.format join, kept as the reference for the one
+    % format that replaced it."""
+    return "".join([header + "\n", *map("{:.17g},{:.17g}\n".format, xs, ys)])
+
+
+_TINY = float(np.finfo(float).smallest_subnormal)
+_CSV_FLOATS = st.one_of(
+    st.floats(allow_nan=False, allow_infinity=False),
+    st.floats(-1e-300, 1e-300, allow_nan=False),  # subnormals and ±0.0
+    st.sampled_from([0.0, -0.0, _TINY, -_TINY, 1.7e308, -1.7e308,
+                     1.7976931348623157e308, -1.7976931348623157e308]),
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(st.tuples(_CSV_FLOATS, _CSV_FLOATS), max_size=40))
+@example([])  # the empty curve, which write_curve_csv writes as its header alone
+def test_csv_text_matches_the_row_format_join(rows):
+    xs, ys = [x for x, _ in rows], [y for _, y in rows]
+    assert _csv_text("x,y", xs, ys) == _row_format_csv("x,y", xs, ys)
 
 
 def test_write_json_deterministic(tmp_path):
