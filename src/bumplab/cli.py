@@ -374,9 +374,17 @@ def _cmd_weights_gen(res: Resolved) -> int:
     return 0
 
 
+# op apply's operators -> the options besides f that each reads
+_OP_READS = {"M": (), "Teta": ("eta_cells",), "Tsharp": (), "commutator": ("b", "eta_cells")}
+
+
 def _cmd_op_apply(res: Resolved) -> int:
-    grid = res.grid()
     op = res.get("op")
+    for name in ("b", "eta_cells"):
+        if name not in _OP_READS[op] and getattr(res.args, name) is not None:
+            res.args.command_parser.error(f"op apply --op {op} does not read "
+                                          f"{res.options[name].flag}")
+    grid = res.grid()
     f = parse_function_spec(grid, res.get("f"))
     if op == "M":
         out = operators.maximal_fn(f)
@@ -622,6 +630,9 @@ def main(argv: list[str] | None = None) -> int:
     res = Resolved(config, args, options)
     try:
         return func(res)
+    except UsageError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return _USAGE_EXIT
     except _NONCONVERGENCE as exc:
         print(f"error: numerical non-convergence: {exc}", file=sys.stderr)
         return _NUMERICAL_EXIT

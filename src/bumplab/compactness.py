@@ -28,9 +28,10 @@ from .operators import (
     TruncationSpec,
     _commutator_rows,
     _kernel,
+    _toeplitz,
     _truncated_pair,
     check_dense_fits,
-    commutator_block,
+    kernel_offsets,
 )
 from .orlicz import bmo_norm
 
@@ -334,13 +335,18 @@ def _operator_block(b: GridFunction, trunc: TruncationSpec, u: GridFunction, v: 
                     rows: np.ndarray | None, cols: np.ndarray | None) -> np.ndarray:
     """The rows and columns (index arrays; None for all) of the matrix A of
     [b, T_eta] : L^2(v) -> L^2(u) on the plain sequence space, entry for entry:
-    A_ij = u_i^(1/2) (b_i - b_j) K_eta(x_i, x_j) v_j^(-1/2) h, commutator_block
-    times u_i^(1/2), then times v_j^(-1/2). With sequence norms weighted by h
+    A_ij = u_i^(1/2) (b_i - b_j) K_eta(x_i, x_j) v_j^(-1/2) h, K_eta gathered
+    from the Toeplitz view of kernel_offsets. With sequence norms weighted by h
     on both sides, ||A g|| = ||[b,T_eta](v^(-1/2) g)||_{L^2(u)} exactly, and
     the h-weighting cancels in singular values."""
-    A = commutator_block(b, trunc, rows, cols)
-    A *= np.sqrt(u.values if rows is None else u.values[rows])[:, None]
-    A *= (1.0 / np.sqrt(v.values if cols is None else v.values[cols]))[None, :]
+    K = _toeplitz(kernel_offsets(b.grid, trunc))
+    rows = np.arange(b.grid.cells) if rows is None else rows
+    A = K[rows] if cols is None else K[np.ix_(rows, cols)]
+    bj, vj = (b.values, v.values) if cols is None else (b.values[cols], v.values[cols])
+    A *= b.values[rows][:, None] - bj[None, :]
+    A *= b.grid.h
+    A *= np.sqrt(u.values[rows])[:, None]
+    A *= (1.0 / np.sqrt(vj))[None, :]
     return A
 
 
@@ -371,47 +377,40 @@ def _sigma1_lower_bound(dense: np.ndarray, block: np.ndarray, cols: np.ndarray) 
 
 def _operator_split(b: GridFunction, trunc: TruncationSpec, u: GridFunction,
                     v: GridFunction) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """The dense rows, the sparse block and its columns of the m x m operator
-    matrix A (see _operator_block), without A itself unless the split saves
-    nothing. With S the cells where b differs from b_0, a row off S is nonzero
-    only on the columns of S (b_i - b_j = 0 for j off S), so the rows on S in
-    full and the others on S give the zeros: rows with at most m // 2 nonzeros
-    are sparse. Only then are the dense rows and the sparse block evaluated, or
-    A whole when that saves no rows (see _compressed)."""
+    """The dense rows, the sparse block and its columns of the operator matrix
+    A (see _operator_block), partitioned from the inputs before any entry is
+    evaluated, each entry once. With S the cells where b differs from its most
+    common value (the smallest of those that tie), a row off S is zero off the
+    columns S, and a row with u_i = 0 is zero and left out. The dense rows are
+    the live rows (u_i > 0) on S, the block the live rows off S on the columns
+    S; when the block has no more rows than S has cells the split saves
+    nothing (see _compressed), and the live rows come whole."""
     _check_weights(b.grid, u, v)
-    S = np.flatnonzero(b.values != b.values[0])
     m = b.grid.cells
-    rest = np.delete(np.arange(m), S)
-    check_dense_fits(2 * 8 * (S.size * m + rest.size * S.size),
-                     f"the rows and columns that hold every nonzero of the {m} x {m} matrix")
+    values, counts = np.unique(b.values, return_counts=True)
+    on_S = b.values != values[np.argmax(counts)]
+    live = u.values > 0
+    rows, block_rows = np.flatnonzero(live & on_S), np.flatnonzero(live & ~on_S)
+    cols = np.flatnonzero(on_S)
+    if block_rows.size <= cols.size:
+        rows, block_rows, cols = np.flatnonzero(live), block_rows[:0], cols[:0]
+        # the live rows and LAPACK's copy of them
+        nbytes, what = 2 * 8 * rows.size * m, f"the SVD of the {rows.size} x {m} matrix"
+    else:
+        d, c, side = rows.size, cols.size, rows.size + cols.size  # side: the core's
+        # the dense rows and the sparse block; the dense rows off cols, which the
+        # LQ takes transposed, with numpy's and LAPACK's working copies of them
+        # (the block's QR copies it twice too, but not at the same time); the
+        # core and LAPACK's copy of it
+        nbytes = 8 * (d * m + block_rows.size * c + 3 * d * (m - c) + 2 * side * side)
+        what = f"the SVD of the {m} x {m} matrix compressed to a {side} x {side} core"
+    check_dense_fits(nbytes, what)
     with np.errstate(over="ignore"):  # reported just below
-        arms = (_operator_block(b, trunc, u, v, S, None),
-                _operator_block(b, trunc, u, v, rest, S))
-    if not all(np.all(np.isfinite(arm)) for arm in arms):
+        dense = _operator_block(b, trunc, u, v, rows, None)
+        block = _operator_block(b, trunc, u, v, block_rows, cols)
+    if not (np.all(np.isfinite(dense)) and np.all(np.isfinite(block))):
         raise ValueError("matrix entries must be finite")
-    nonzero_S, nonzero_rest = (arm != 0.0 for arm in arms)
-    del arms
-    sparse = np.empty(m, dtype=bool)
-    sparse[S] = np.count_nonzero(nonzero_S, axis=1) <= m // 2
-    sparse[rest] = np.count_nonzero(nonzero_rest, axis=1) <= m // 2
-    touched = np.any(nonzero_S[sparse[S]], axis=0)
-    touched[S] |= np.any(nonzero_rest[sparse[rest]], axis=0)
-    cols = np.flatnonzero(touched)
-    dense_rows, sparse_rows = np.flatnonzero(~sparse), np.flatnonzero(sparse)
-    d, c = dense_rows.size, cols.size
-    if d + min(sparse_rows.size, c) >= m:
-        check_dense_fits(2 * 8 * m * m, f"the SVD of the {m} x {m} matrix")
-        return (_operator_block(b, trunc, u, v, None, None), np.zeros((0, 0)),
-                np.zeros(0, dtype=np.intp))
-    side = d + c  # the core's side (see _compressed)
-    # the dense rows and the sparse block; the dense rows off cols, which the LQ
-    # takes transposed, with numpy's and LAPACK's working copies of them (the
-    # block's QR copies it twice too, but not at the same time); the core and
-    # LAPACK's copy of it
-    check_dense_fits(8 * (d * m + sparse_rows.size * c + 3 * d * (m - c) + 2 * side * side),
-                     f"the SVD of the {m} x {m} matrix compressed to a {side} x {side} core")
-    return (_operator_block(b, trunc, u, v, dense_rows, None),
-            _operator_block(b, trunc, u, v, sparse_rows, cols), cols)
+    return dense, block, cols
 
 
 def _compressed(dense: np.ndarray, block: np.ndarray, cols: np.ndarray) -> np.ndarray:
@@ -419,11 +418,12 @@ def _compressed(dense: np.ndarray, block: np.ndarray, cols: np.ndarray) -> np.nd
     and then `block` on the columns `cols`, up to the QRs' rounding; `dense`
     itself when the block has no rows.
 
-    The rows and cols are those of _operator_split. Up to a column permutation,
-    a QR of the block (R) turns A into Z = [[D_cols, D_rest], [R, 0]] with
-    Z^T Z = A^T A, and an LQ of the dense rows off cols (D_rest = L^T Q^T)
+    The rows and cols are those of _operator_split: the dense rows are the live
+    rows on S in full, the block the live rows off S on cols = S. Up to a column
+    permutation, a QR of the block (R) turns A into Z = [[D_cols, D_rest], [R, 0]]
+    with Z^T Z = A^T A, and an LQ of the dense rows off cols (D_rest = L^T Q^T)
     turns Z into C = [[D_cols, L^T], [R, 0]] with C C^T = Z Z^T. With d dense
-    rows and c = |cols|, a split that saves rows has more than c sparse rows
+    rows and c = |cols|, a split that saves rows has more than c block rows
     and d + c < min(m, n), so C is (d + c) x (d + c), and just R when d = 0.
     """
     if not block.shape[0]:
@@ -506,14 +506,17 @@ def _report(s: np.ndarray, grid_cells: int, K_list: list[int]) -> SpectralReport
 
 def operator_spectral_report(b: GridFunction, trunc: TruncationSpec, u: GridFunction,
                              v: GridFunction, K_list: list[int]) -> SpectralReport:
-    """The singular values of [b, T_eta] : L^2(v) -> L^2(u) (see _operator_block),
+    """The m singular values of [b, T_eta] : L^2(v) -> L^2(u) (see _operator_block),
     with sigma_K / sigma_1 and the energy share beyond the K-th value for each
-    K in K_list, from the operator's rows on the symbol's support and its other
-    rows on that support's columns (see _operator_split): O(m s) memory for a
-    symbol constant off s cells, where the whole matrix takes m^2. Raises
-    ValueError if an entry is not finite or the arrays would not fit in
-    memory, and the errors of _split_values."""
-    return _report(_split_values(*_operator_split(b, trunc, u, v)), b.grid.cells, K_list)
+    K in K_list, from the operator's arrow blocks (see _operator_split): O(m s)
+    memory for a symbol equal to its most common value off s cells, where the
+    whole matrix takes m^2. Rows where u vanishes are never evaluated; their
+    exact zeros pad the spectrum to m. Raises ValueError if an entry is not
+    finite or the arrays would not fit in memory, and the errors of
+    _split_values."""
+    s = _split_values(*_operator_split(b, trunc, u, v))
+    m = b.grid.cells
+    return _report(np.concatenate([s, np.zeros(m - s.size)]), m, K_list)
 
 
 def decay_compare(b_cmo: GridFunction, b_bmo: GridFunction, trunc: TruncationSpec,

@@ -52,7 +52,6 @@ __all__ = [
     "default_eta_grid",
     "maximal_truncation",
     "commutator",
-    "commutator_block",
     "measured_regularity_constant",
     "check_dense_fits",
 ]
@@ -398,21 +397,6 @@ def commutator(b: GridFunction, f: GridFunction, trunc: TruncationSpec) -> GridF
     if b.grid != f.grid:
         raise ValueError("b and f must share a grid")
     return GridFunction(f.grid, _commutator_rows(b, f.values[None], _kernel(f.grid, trunc))[0])
-
-
-def commutator_block(b: GridFunction, trunc: TruncationSpec, rows: np.ndarray | None = None,
-                     cols: np.ndarray | None = None) -> np.ndarray:
-    """The rows `rows` and columns `cols` (index arrays; None for all) of the
-    dense commutator matrix C, whose product C @ f.values evaluates [b, T_eta] f
-    on the grid: C_ij = (K_eta(x_i, x_j) (b_i - b_j)) h, with K_eta gathered from
-    the Toeplitz view of kernel_offsets."""
-    K = _toeplitz(kernel_offsets(b.grid, trunc))
-    rows = np.arange(b.grid.cells) if rows is None else rows
-    out = K[rows] if cols is None else K[np.ix_(rows, cols)]
-    bj = b.values if cols is None else b.values[cols]
-    out *= b.values[rows][:, None] - bj[None, :]
-    out *= b.grid.h
-    return out
 
 
 def measured_regularity_constant(trunc: TruncationSpec, grid: Grid) -> float:

@@ -10,7 +10,8 @@ before it compressed the columns as well as the rows.
 operator_matrix and scan_split are the dense builder and the split of a
 matrix at hand that the package kept before its spectral probes took only
 the operator's arrow blocks: the tests hold compactness._operator_split to
-scan_split(operator_matrix(...)) bit for bit, and feed scan_split's output
+scan_split(operator_matrix(...)) bit for bit on the benchmark's inputs and
+its values to the stated tolerance elsewhere, and feed scan_split's output
 of any matrix to compactness._split_values.
 """
 

@@ -135,6 +135,38 @@ def test_probe_action_rejects_unread_flag_exits_1(tmp_path, capsys, action, flag
     assert not list(tmp_path.iterdir())
 
 
+# op apply's flags besides --f, with a value each, and those that each --op does not read
+_OP_FLAGS = {"--b": "bump:0,0.3", "--eta-cells": "9"}
+_OP_UNREAD = {"M": ("--b", "--eta-cells"), "Teta": ("--b",), "Tsharp": ("--b", "--eta-cells"),
+              "commutator": ()}
+_OP_APPLY = ["op", "apply", "--f", "bump:0,0.5", "--L", "8", "--m", "64"]
+
+
+@pytest.mark.parametrize("op, flag", [(op, flag) for op, flags in _OP_UNREAD.items()
+                                      for flag in flags])
+@pytest.mark.parametrize("op_from_config", [False, True])
+def test_op_apply_rejects_flag_its_op_does_not_read_exits_1(tmp_path, capsys, op, flag,
+                                                           op_from_config):
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps({"operator": {"op": op}}))
+    out = tmp_path / "out"
+    source = ["--config", cfg_path] if op_from_config else []
+    op_flag = [] if op_from_config else ["--op", op]
+    assert run([*source, *_OP_APPLY, *op_flag, flag, _OP_FLAGS[flag], "--out", out]) == 1
+    assert f"op apply --op {op} does not read {flag}" in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("op", _OP_UNREAD)
+def test_op_apply_accepts_the_flags_its_op_reads(tmp_path, op):
+    own = [flag for flag in _OP_FLAGS if flag not in _OP_UNREAD[op]]
+    assert run([*_OP_APPLY, "--op", op, *[a for f in own for a in (f, _OP_FLAGS[f])],
+                "--out", tmp_path]) == 0
+    config = json.loads((tmp_path / "op_apply.json").read_text())["config"]
+    assert ("b" in config.get("symbol", {})) == ("--b" in own)
+    assert config.get("operator", {}).get("eta_cells") == (9 if "--eta-cells" in own else None)
+
+
 _KR_UNIT = ["probe", "kr", "--b", "bump:0,0.5", "--u", "const:1", "--v", "const:1",
             "--count", "2"]
 _CUSTOM = ["bump", "--u", "const:1", "--v", "const:1", "--preset", "custom"]
@@ -576,8 +608,10 @@ def test_probe_svd_whose_squares_overflow_exits_0(tmp_path):
 def test_op_apply_near_the_overflow_threshold_exits_0(tmp_path, op, max_abs):
     """f = 1e308: the direct sums stay finite, and so must the FFT's, whose
     unscaled transform would sum m values near 1e308 and overflow."""
-    assert run(["op", "apply", "--op", op, "--f", "const:1e308", "--b", "bump:0,0.5",
-                "--m", "64", "--L", "8", "--eta-cells", "4", "--out", tmp_path]) == 0
+    flags = {"--b": "bump:0,0.5", "--eta-cells": "4"}
+    own = [a for flag, val in flags.items() if flag not in _OP_UNREAD[op] for a in (flag, val)]
+    assert run(["op", "apply", "--op", op, "--f", "const:1e308", *own,
+                "--m", "64", "--L", "8", "--out", tmp_path]) == 0
     got = json.loads((tmp_path / "op_apply.json").read_text())["result"]["max_abs"]
     assert np.isfinite(got) and got == pytest.approx(max_abs, rel=1e-3)
 

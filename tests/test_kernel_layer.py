@@ -34,13 +34,21 @@ from bumplab import (
     shift,
     shift_decomposition,
 )
-from bumplab.operators import commutator_block, kernel_offsets
+from bumplab.compactness import _operator_block
+from bumplab.operators import kernel_offsets
 
 EXACT_L = (0.5, 1.0, 2.0, 3.0, 8.0)
 ROUNDED_L = (1.7, 0.3)
 TOL = 1e-13
 
 profile = settings(max_examples=40, deadline=None)
+
+
+def _unweighted_matrix(b, trunc):
+    """The package's commutator matrix C_ij = (b_i - b_j) K_eta(x_i, x_j) h: its
+    operator matrix under u = v = 1, whose weight factors are exact 1.0."""
+    one = constant(b.grid, 1.0)
+    return _operator_block(b, trunc, one, one, None, None)
 
 
 @st.composite
@@ -140,7 +148,7 @@ def test_shift_decomposition_matches_dense_oracle(prob, data):
 @given(problems(exact=True))
 def test_dense_matrices_bit_identical_on_exact_grids(prob):
     grid, trunc, f, b = prob
-    assert np.array_equal(commutator_block(b, trunc), oracle.commutator_matrix(b, trunc))
+    assert np.array_equal(_unweighted_matrix(b, trunc), oracle.commutator_matrix(b, trunc))
     assert (measured_regularity_constant(trunc, grid)
             == oracle.measured_regularity_constant(trunc, grid))
 
@@ -151,7 +159,7 @@ def test_dense_matrices_close_on_rounded_grids(prob):
     grid, trunc, f, b = prob
     ring = ring_kernel(grid, trunc)
     db = np.abs(b.values[:, None] - b.values[None, :])
-    assert_close(commutator_block(b, trunc), oracle.commutator_matrix(b, trunc),
+    assert_close(_unweighted_matrix(b, trunc), oracle.commutator_matrix(b, trunc),
                  np.max(ring * db) * grid.h)
     got = measured_regularity_constant(trunc, grid)
     want = oracle.measured_regularity_constant(trunc, grid)

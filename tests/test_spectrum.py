@@ -8,9 +8,18 @@ SIGMA_TOL * sigma_1 for every value; the largest gap seen on these inputs, up
 to m = 1024, is 3e-15 * sigma_1 against the SVD with vectors and 2e-15 *
 sigma_1 against the row-only compression (6e-16 * sigma_1 on the operators).
 
-The commutator's split from its arrow blocks (compactness._operator_split) is
-held to the oracle's split of the whole operator matrix bit for bit: the same
-dense rows, block and columns, so the same core and values.
+The commutator's split (compactness._operator_split) is read off the inputs:
+S is where the symbol differs from its most common value, the dense rows are
+the live rows (u > 0) on S, and the block is the other live rows on the
+columns S. On the benchmark's inputs it is bit for bit the oracle's
+nonzero-count split of the whole operator matrix,
+scan_split(operator_matrix(...)): the same dense rows, block and columns, so
+the same core and values. Elsewhere the two splits can differ (a symbol whose
+cell 0 is not its common value, rows where u vanishes, eta near L), and the
+values are held to the old path to SIGMA_TOL * sigma_1, with every value past
+the core's side an exact 0.0. The tests also count the entries each spectrum
+evaluates: each returned entry once, none thrown away, and no row where u
+vanishes.
 """
 
 import json
@@ -344,6 +353,13 @@ def _assert_block_path_is_dense_path(b, trunc, u, v) -> None:
 _SYMBOLS = ("bump", "indicator", "logspike", "const", "piecewise", "random", "odd_cell_0")
 
 
+def _support(b: GridFunction) -> np.ndarray:
+    """S: the cells where b differs from its most common value, the smallest of
+    those that tie."""
+    values, counts = np.unique(b.values, return_counts=True)
+    return np.flatnonzero(b.values != values[np.argmax(counts)])
+
+
 @settings(max_examples=40, deadline=None)
 @given(symbol=st.sampled_from(_SYMBOLS), log_m=st.integers(3, 10),
        eta=st.sampled_from(("2 cells", "16 cells", "L/2", "L")),
@@ -354,21 +370,30 @@ def test_block_path_matches_dense_path(symbol, log_m, eta, u_kind, v_kind, seed)
     eta_cells = {"2 cells": 2, "16 cells": 16, "L/2": grid.cells // 4, "L": grid.cells // 2}
     trunc = TruncationSpec(max(2, eta_cells[eta]) * grid.h)
     b = _symbol(symbol, grid, np.random.default_rng(seed))
-    _assert_block_path_is_dense_path(b, trunc, _weight(u_kind, grid), _weight(v_kind, grid))
+    u, v = _weight(u_kind, grid), _weight(v_kind, grid)
+    got = compactness.operator_spectral_report(b, trunc, u, v, [1]).singular_values
+    _agree(got, _values(oracle.operator_matrix(b, trunc, u, v)))
+    dense = compactness._operator_split(b, trunc, u, v)[0]
+    assert np.all(got[dense.shape[0] + _support(b).size:] == 0.0)
 
 
 @pytest.mark.parametrize("m", [64, 1024])
-def test_block_path_with_eta_about_L_reaches_off_the_support(m):
-    # eta = L: the rows on S fall under m/2 nonzeros, so they join the QR, and
-    # the columns they touch lie off S
+def test_block_path_with_eta_about_L_keeps_the_live_rows_on_S_dense(m):
+    # eta = L: a row on S has fewer than m/2 nonzeros, yet it stays a dense row,
+    # and the block takes the columns S alone
     grid = make_grid(8.0, m)
     b = smooth_bump(grid, 0.0, 0.5)
     trunc = TruncationSpec(8.0)
     u, v = _weight("zero cells", grid), _weight("gaussian", grid)
     dense, block, cols = compactness._operator_split(b, trunc, u, v)
-    S = np.flatnonzero(b.values != b.values[0])
-    assert dense.shape[0] < S.size and not np.all(np.isin(cols, S))
-    _assert_block_path_is_dense_path(b, trunc, u, v)
+    S, live = _support(b), np.flatnonzero(u.values > 0)
+    assert np.array_equal(cols, S)
+    for got, rows, on in ((dense, np.intersect1d(live, S), None),
+                          (block, np.setdiff1d(live, S), S)):
+        want = compactness._operator_block(b, trunc, u, v, rows, on)
+        assert got.shape == want.shape and got.tobytes() == want.tobytes()
+    _agree(compactness._split_values(dense, block, S),
+           oracle.singular_values(oracle.operator_matrix(b, trunc, u, v))[: live.size])
 
 
 @pytest.mark.parametrize("symbol", ["bump:-0.15,0.5", "logspike:0.01", "indicator:-6,5"])
@@ -395,3 +420,73 @@ def test_probe_svd_holds_no_m_by_m_array(tmp_path):
     finally:
         tracemalloc.stop()
     assert peak < 8 * m * m / 2
+
+
+def test_left_edge_symbol_keeps_a_core_of_twice_its_support(monkeypatch):
+    # b_0 = 1 lies on the 128 cells of the indicator: counted off b_0, S would
+    # be the other 3968 cells and the split nearly the whole m x m matrix
+    m = 4096
+    grid = make_grid(8.0, m)
+    b = parse_function_spec(grid, "indicator:-8,-7.5")
+    u, v = _bench_weights(grid)
+    S = _support(b)
+    assert S.size == 128 and S[0] == 0
+    shapes = _svd_shapes(monkeypatch)
+    tracemalloc.start()
+    try:
+        s = compactness.operator_spectral_report(b, TruncationSpec(16 * grid.h), u, v,
+                                                 [64]).singular_values
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert shapes == [(2 * S.size, 2 * S.size)]
+    assert s.size == m and s[0] > 0.0 and np.all(s[2 * S.size:] == 0.0)
+    # about 16 MiB: the dense rows, the block, the LQ's copies of the dense rows
+    assert peak < 8 * m * m / 4  # one m x m float64 array is 128 MiB
+
+
+def _counting_block(monkeypatch) -> list[tuple[np.ndarray, int]]:
+    """Records the rows and the entry count of every _operator_block call."""
+    calls, real = [], compactness._operator_block
+
+    def block(b, trunc, u, v, rows, cols):
+        calls.append((rows, rows.size * (b.grid.cells if cols is None else cols.size)))
+        return real(b, trunc, u, v, rows, cols)
+
+    monkeypatch.setattr(compactness, "_operator_block", block)
+    return calls
+
+
+@pytest.mark.parametrize("symbol", ["bump:0,0.5", "bump:0,5"])  # a split and whole rows
+def test_rows_where_u_vanishes_are_never_evaluated(monkeypatch, symbol):
+    grid = make_grid(8.0, 256)
+    b, trunc = parse_function_spec(grid, symbol), TruncationSpec(16 * grid.h)
+    u, v = parse_function_spec(grid, "indicator:-4,2"), _bench_weights(grid)[1]
+    want = _values(oracle.operator_matrix(b, trunc, u, v))
+    calls = _counting_block(monkeypatch)
+    got = compactness.operator_spectral_report(b, trunc, u, v, [1]).singular_values
+    assert calls and all(np.all(u.values[rows] > 0.0) for rows, _ in calls)
+    assert got.size == grid.cells and np.all(got[np.count_nonzero(u.values):] == 0.0)
+    _agree(got, want)
+
+
+@pytest.mark.parametrize("symbol", ["bump:-0.15,0.5", "logspike:0.01", "indicator:-8,-7.5",
+                                    "indicator:-6,5", "bump:0,5", "const:2"])
+@pytest.mark.parametrize("u_spec", ["const:1+gaussian:-0.30,0.3", "indicator:-4,2"])
+def test_each_spectrum_evaluates_each_entry_once(monkeypatch, symbol, u_spec):
+    # |D| m + |B| |S| entries, D the dense rows and B the block's, or live * m
+    # when the live rows are taken whole; every one of them is returned
+    m = 512
+    grid = make_grid(8.0, m)
+    b, trunc = parse_function_spec(grid, symbol), TruncationSpec(16 * grid.h)
+    u, v = parse_function_spec(grid, u_spec), _bench_weights(grid)[1]
+    on_S = np.isin(np.arange(m), _support(b))
+    live = u.values > 0
+    D, B, s = np.count_nonzero(live & on_S), np.count_nonzero(live & ~on_S), np.count_nonzero(on_S)
+    want = D * m + B * s if B > s else np.count_nonzero(live) * m
+    calls = _counting_block(monkeypatch)
+    compactness.operator_spectral_report(b, trunc, u, v, [1])
+    assert sum(n for _, n in calls) == want
+    calls.clear()
+    dense, block, _ = compactness._operator_split(b, trunc, u, v)
+    assert sum(n for _, n in calls) == dense.size + block.size == want
