@@ -57,7 +57,6 @@ from .operators import (
     default_eta_grid,
     maximal_fn,
     maximal_truncation,
-    measured_regularity_constant,
 )
 from .compactness import (
     DecayComparison,

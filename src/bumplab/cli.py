@@ -112,9 +112,11 @@ def parse_function_spec(grid: Grid, spec: str,
         m = _TERM_RE.match(term)
         if m is None:
             try:
-                total += float(term)
+                value = float(term)
             except ValueError:
                 raise ValueError(f"unknown builder term {term!r}") from None
+            with np.errstate(over="ignore", invalid="ignore"):  # GridFunction rejects inf, NaN
+                total += value
             continue
         name, argstr = m.group(1), m.group(2)
         try:
@@ -139,7 +141,8 @@ def parse_function_spec(grid: Grid, spec: str,
             f = haar(grid, Cube(int(args[0]), int(args[1])))
         else:
             raise ValueError(f"unknown builder term {term!r}")
-        total += f.values
+        with np.errstate(over="ignore"):  # GridFunction rejects the inf
+            total += f.values
     return GridFunction(grid, total)
 
 

@@ -332,21 +332,18 @@ def tail_constant(b: GridFunction, trunc: TruncationSpec, v: GridFunction, p: fl
 
 
 def _operator_block(b: GridFunction, trunc: TruncationSpec, u: GridFunction, v: GridFunction,
-                    rows: np.ndarray | None, cols: np.ndarray | None) -> np.ndarray:
-    """The rows and columns (index arrays; None for all) of the matrix A of
+                    rows: np.ndarray, cols: np.ndarray) -> np.ndarray:
+    """The rows and columns (index arrays) of the matrix A of
     [b, T_eta] : L^2(v) -> L^2(u) on the plain sequence space, entry for entry:
     A_ij = u_i^(1/2) (b_i - b_j) K_eta(x_i, x_j) v_j^(-1/2) h, K_eta gathered
-    from the Toeplitz view of kernel_offsets. With sequence norms weighted by h
-    on both sides, ||A g|| = ||[b,T_eta](v^(-1/2) g)||_{L^2(u)} exactly, and
-    the h-weighting cancels in singular values."""
-    K = _toeplitz(kernel_offsets(b.grid, trunc))
-    rows = np.arange(b.grid.cells) if rows is None else rows
-    A = K[rows] if cols is None else K[np.ix_(rows, cols)]
-    bj, vj = (b.values, v.values) if cols is None else (b.values[cols], v.values[cols])
-    A *= b.values[rows][:, None] - bj[None, :]
+    from the Toeplitz view of kernel_offsets, times each factor in that order.
+    With sequence norms weighted by h on both sides, ||A g|| =
+    ||[b,T_eta](v^(-1/2) g)||_{L^2(u)} exactly; the h cancels in singular values."""
+    A = _toeplitz(kernel_offsets(b.grid, trunc))[np.ix_(rows, cols)]
+    A *= b.values[rows][:, None] - b.values[cols][None, :]
     A *= b.grid.h
     A *= np.sqrt(u.values[rows])[:, None]
-    A *= (1.0 / np.sqrt(vj))[None, :]
+    A *= (1.0 / np.sqrt(v.values[cols]))[None, :]
     return A
 
 
@@ -357,127 +354,130 @@ _SPECTRUM_RTOL = 1e-12
 _POWER_STEPS = 8
 
 
-def _sigma1_lower_bound(dense: np.ndarray, block: np.ndarray, cols: np.ndarray) -> float:
-    """max ||A x|| over the unit vectors x of a few power iterations on A^T A,
-    from a fixed start; each one is a lower bound on sigma_1. A's rows are
-    `dense`, then `block` on the columns `cols` and zero elsewhere."""
-    x = np.random.default_rng(0).standard_normal(dense.shape[1])
+def _sigma1_lower_bound(D_S: np.ndarray, D_restT: np.ndarray, B: np.ndarray, e: int) -> float:
+    """max ||2^-e A x|| over the unit vectors x of a few power iterations on
+    A^T A from a fixed start, each a lower bound on 2^-e sigma_1, for the arrow
+    A of _operator_split. Every product carries the 2^-e on its vector, so no
+    scaled copy of A is made."""
+    s = D_S.shape[1]
+    x = np.random.default_rng(0).standard_normal(s + D_restT.shape[0])
     best = 0.0
     for _ in range(_POWER_STEPS):
         nrm = float(np.linalg.norm(x))
         if nrm == 0.0:  # A^T A x reached 0: no better bound from this start
             break
-        x = x / nrm
-        y, y_block = dense @ x, block @ x[cols]
-        best = max(best, math.hypot(np.linalg.norm(y), np.linalg.norm(y_block)))
-        x = dense.T @ y
-        x[cols] += block.T @ y_block
+        x = np.ldexp(x / nrm, -e)
+        y_S, y_B = D_S @ x[:s] + x[s:] @ D_restT, B @ x[:s]
+        best = max(best, math.hypot(np.linalg.norm(y_S), np.linalg.norm(y_B)))
+        y_S, y_B = np.ldexp(y_S, -e), np.ldexp(y_B, -e)
+        x = np.concatenate([y_S @ D_S + y_B @ B, D_restT @ y_S])
     return best
 
 
 def _operator_split(b: GridFunction, trunc: TruncationSpec, u: GridFunction,
                     v: GridFunction) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """The dense rows, the sparse block and its columns of the operator matrix
-    A (see _operator_block), partitioned from the inputs before any entry is
-    evaluated, each entry once. With S the cells where b differs from its most
-    common value (the smallest of those that tie), a row off S is zero off the
-    columns S, and a row with u_i = 0 is zero and left out. The dense rows are
-    the live rows (u_i > 0) on S, the block the live rows off S on the columns
-    S; when the block has no more rows than S has cells the split saves
-    nothing (see _compressed), and the live rows come whole."""
+    """The operator matrix A (see _operator_block) as the arrow the QRs take,
+    A = [[D_S, D_rest], [B, 0]] up to permutations, returned as (D_S, D_rest^T,
+    B) and partitioned from the inputs before any entry is evaluated. S is the
+    cells where b differs from its most common value b_0 (the smallest of
+    those that tie), and a row where u vanishes is zero and left out. D_S is
+    the live rows on S on the columns S, from _operator_block; B is the live
+    rows off S, and D_rest the live rows on S off S. Both arms come from one
+    gather G = K_eta[off S, S] times (b_0 - b_j) and then h: B takes
+    u_i^(1/2) and then v_j^(-1/2), D_rest^T u_j^(1/2) and then v_i^(-1/2).
+    K_eta and b_i - b_0 are odd bit for bit, so every entry is
+    _operator_block's float, up to the sign of D_rest's zeros. When B would
+    have no more rows than S has cells the split saves nothing: S becomes
+    every cell and both arms are empty."""
     _check_weights(b.grid, u, v)
     m = b.grid.cells
     values, counts = np.unique(b.values, return_counts=True)
-    on_S = b.values != values[np.argmax(counts)]
-    live = u.values > 0
-    rows, block_rows = np.flatnonzero(live & on_S), np.flatnonzero(live & ~on_S)
-    cols = np.flatnonzero(on_S)
-    if block_rows.size <= cols.size:
-        rows, block_rows, cols = np.flatnonzero(live), block_rows[:0], cols[:0]
-        # the live rows and LAPACK's copy of them
-        nbytes, what = 2 * 8 * rows.size * m, f"the SVD of the {rows.size} x {m} matrix"
-    else:
-        d, c, side = rows.size, cols.size, rows.size + cols.size  # side: the core's
-        # the dense rows and the sparse block; the dense rows off cols, which the
-        # LQ takes transposed, with numpy's and LAPACK's working copies of them
-        # (the block's QR copies it twice too, but not at the same time); the
-        # core and LAPACK's copy of it
-        nbytes = 8 * (d * m + block_rows.size * c + 3 * d * (m - c) + 2 * side * side)
-        what = f"the SVD of the {m} x {m} matrix compressed to a {side} x {side} core"
-    check_dense_fits(nbytes, what)
+    b0 = values[np.argmax(counts)]
+    on_S, live = b.values != b0, u.values > 0
+    if np.count_nonzero(live & ~on_S) <= np.count_nonzero(on_S):
+        on_S[:] = True
+    S, off, rows = np.flatnonzero(on_S), np.flatnonzero(~on_S), np.flatnonzero(live & on_S)
+    d, s, r = rows.size, S.size, np.count_nonzero(live[off])
+    side = (d + min(r, s), s + min(m - s, d))  # the core's
+    # D_S, unless it is the core; G, B and D_rest^T; the larger QR's working copies,
+    # numpy's and LAPACK's; the core and LAPACK's copy of it
+    arms = (m - s) * (s + d) + r * s
+    nbytes = 8 * (d * s * (arms > 0) + arms + 2 * max(r * s, (m - s) * d) + 2 * side[0] * side[1])
+    check_dense_fits(nbytes, f"the SVD of the {m} x {m} matrix on a {side[0]} x {side[1]} core")
     with np.errstate(over="ignore"):  # reported just below
-        dense = _operator_block(b, trunc, u, v, rows, None)
-        block = _operator_block(b, trunc, u, v, block_rows, cols)
-    if not (np.all(np.isfinite(dense)) and np.all(np.isfinite(block))):
+        D_S = _operator_block(b, trunc, u, v, rows, S)
+        G = _toeplitz(kernel_offsets(b.grid, trunc))[np.ix_(off, S)]
+        G *= b0 - b.values[S]
+        G *= b.grid.h
+        B = G[live[off]]
+        B *= np.sqrt(u.values[off][live[off]])[:, None]
+        B *= (1.0 / np.sqrt(v.values[S]))[None, :]
+        D_restT = G if d == s else G[:, live[S]]
+        D_restT *= np.sqrt(u.values[rows])[None, :]
+        D_restT *= (1.0 / np.sqrt(v.values[off]))[:, None]
+    if not all(np.all(np.isfinite(X)) for X in (D_S, D_restT, B)):
         raise ValueError("matrix entries must be finite")
-    return dense, block, cols
+    return D_S, D_restT, B
 
 
-def _compressed(dense: np.ndarray, block: np.ndarray, cols: np.ndarray) -> np.ndarray:
-    """A square core C with the singular values of the A whose rows are `dense`
-    and then `block` on the columns `cols`, up to the QRs' rounding; `dense`
-    itself when the block has no rows.
-
-    The rows and cols are those of _operator_split: the dense rows are the live
-    rows on S in full, the block the live rows off S on cols = S. Up to a column
-    permutation, a QR of the block (R) turns A into Z = [[D_cols, D_rest], [R, 0]]
-    with Z^T Z = A^T A, and an LQ of the dense rows off cols (D_rest = L^T Q^T)
-    turns Z into C = [[D_cols, L^T], [R, 0]] with C C^T = Z Z^T. With d dense
-    rows and c = |cols|, a split that saves rows has more than c block rows
-    and d + c < min(m, n), so C is (d + c) x (d + c), and just R when d = 0.
-    """
-    if not block.shape[0]:
-        return dense
-    d = dense.shape[0]
-    R = np.linalg.qr(block, mode="r")
-    L = np.linalg.qr(np.delete(dense, cols, axis=1).T, mode="r")
-    core = np.zeros((d + R.shape[0], cols.size + L.shape[0]))
-    core[:d, : cols.size] = dense[:, cols]
-    core[:d, cols.size:] = L.T
-    core[d:, : cols.size] = R
+def _compressed(D_S: np.ndarray, D_restT: np.ndarray, B: np.ndarray) -> np.ndarray:
+    """A square core C with the singular values of the arrow
+    A = [[D_S, D_rest], [B, 0]] of _operator_split, up to the QRs' rounding;
+    D_S itself when both arms have no rows. A QR of B (R) turns A into
+    Z = [[D_S, D_rest], [R, 0]] with Z^T Z = A^T A, and a QR of D_rest^T
+    (D_rest = L^T Q^T) turns Z into C = [[D_S, L^T], [R, 0]] with C C^T = Z Z^T.
+    With D_S of d rows and s columns, a split that saves rows has more than s
+    rows in B and d + s < min(m, n), so C is (d + s) x (d + s), and just R
+    when d = 0."""
+    if not (B.shape[0] or D_restT.shape[0]):
+        return D_S
+    d, s = D_S.shape
+    R, L = np.linalg.qr(B, mode="r"), np.linalg.qr(D_restT, mode="r")
+    core = np.zeros((d + R.shape[0], s + L.shape[0]))
+    core[:d, :s] = D_S
+    core[:d, s:] = L.T
+    core[d:, :s] = R
     return core
 
 
-def _split_values(dense: np.ndarray, block: np.ndarray, cols: np.ndarray) -> np.ndarray:
-    """All singular values, nonincreasing, of the m x n matrix A whose rows are
-    `dense` and then `block` on the columns `cols` (see _operator_split),
-    without singular vectors: the SVD of the core (see _compressed), whose
-    side bounds the rank (at most 2s for a symbol constant off s cells), with
-    every value past it an exact 0.0 up to min(m, n), not LAPACK's rounding
-    noise of about eps * sigma_1.
+def _split_values(D_S: np.ndarray, D_restT: np.ndarray, B: np.ndarray) -> np.ndarray:
+    """All singular values, nonincreasing, of the m x n arrow
+    A = [[D_S, D_rest], [B, 0]] of _operator_split, without singular vectors:
+    the SVD of the core (see _compressed), whose side bounds the rank (at most
+    2s for a symbol constant off s cells), with every value past it an exact
+    0.0 up to min(m, n), not LAPACK's rounding noise of about eps * sigma_1.
 
     The QRs and LAPACK's values-only SVD (bidiagonal reduction, then dqds) are
     backward stable: the values are exact for some A + E with ||E|| a modest
     multiple of eps * ||A||, so each sigma_k is within about that of the true
     value, and values near eps * sigma_1 are rounding noise; the tests hold
     them to 1e-13 * sigma_1 against the SVD with vectors and the compression
-    of the rows alone. Two checks on the dense rows and the sparse block,
-    which hold every nonzero of A, catch gross failure of the compression or
-    the SVD, each to 1e-12 relative: sum(sigma^2) must match ||A||_F^2, and
-    sigma_1 must not fall below the best ||A x|| from a few power iterations.
-    Both run on A and the values times 2^-e, with max |a_ij| in [1/2, 1):
-    exact, and no square overflows while the entries are finite. Neither
-    certifies each sigma_k to a fixed fraction of sigma_1: an error in a small
-    sigma_k moves sum(sigma^2) by less than the round-off of ||A||_F^2, and
-    the power bound is loose when sigma_2 is close to sigma_1.
+    of the rows alone. Two checks on the three arrays, which hold every
+    nonzero of A, catch gross failure of the compression or the SVD, each to
+    1e-12 relative: sum(sigma^2) must match ||A||_F^2, and sigma_1 must not
+    fall below the best ||A x|| from a few power iterations. Both run on A
+    and the values times 2^-e, with max |a_ij| in [1/2, 1), one array or one
+    vector at a time: exact, and no square overflows while the entries are
+    finite. Neither certifies each sigma_k to a fixed fraction of sigma_1: an
+    error in a small sigma_k moves sum(sigma^2) by less than the round-off of
+    ||A||_F^2, and the power bound is loose when sigma_2 is close to sigma_1.
 
     Raises np.linalg.LinAlgError if the SVD fails to converge and
     FloatingPointError if either check fails.
     """
-    m, n = dense.shape[0] + block.shape[0], dense.shape[1]
-    s = np.linalg.svd(_compressed(dense, block, cols), compute_uv=False)
+    m, n = D_S.shape[0] + B.shape[0], D_S.shape[1] + D_restT.shape[0]
+    s = np.linalg.svd(_compressed(D_S, D_restT, B), compute_uv=False)
     s = np.concatenate([s, np.zeros(min(m, n) - s.size)])
     if s.size:
-        e = int(np.frexp(max(np.max(np.abs(dense), initial=0.0),
-                             np.max(np.abs(block), initial=0.0)))[1])
-        dense, block, t = np.ldexp(dense, -e), np.ldexp(block, -e), np.ldexp(s, -e)
-        fro2 = float(np.linalg.norm(dense)) ** 2 + float(np.linalg.norm(block)) ** 2
+        arrow = (D_S, D_restT, B)
+        e = int(np.frexp(max(np.max(np.abs(X), initial=0.0) for X in arrow))[1])
+        t = np.ldexp(s, -e)
+        fro2 = sum(float(np.linalg.norm(np.ldexp(X, -e))) ** 2 for X in arrow)
         energy = float(np.sum(t**2))
         if not abs(energy - fro2) <= _SPECTRUM_RTOL * fro2:
-            raise FloatingPointError(f"sum of sigma^2 {energy} differs from ||A||_F^2 {fro2} "
-                                     f"(both times 2^{-2 * e}) by more than "
-                                     f"{_SPECTRUM_RTOL:g} relative")
-        bound = _sigma1_lower_bound(dense, block, cols)
+            raise FloatingPointError(f"sum of sigma^2 {energy} differs from ||A||_F^2 {fro2} (both "
+                                     f"times 2^{-2 * e}) by more than {_SPECTRUM_RTOL:g} relative")
+        bound = _sigma1_lower_bound(D_S, D_restT, B, e)
         if t[0] < (1.0 - _SPECTRUM_RTOL) * bound:
             raise FloatingPointError(f"sigma_1 {t[0]} is below the power-iteration "
                                      f"lower bound {bound} (both times 2^{-e})")

@@ -91,9 +91,6 @@ class Cube:
         a = -grid.half_width + self.i0 * grid.h
         return a, a + self.n_cells * grid.h
 
-    def is_dyadic(self) -> bool:
-        return _is_power_of_two(self.n_cells) and self.i0 % self.n_cells == 0
-
 
 @dataclass
 class GridFunction:
@@ -339,8 +336,8 @@ def indicator(grid: Grid, a: float, b: float) -> GridFunction:
 def gaussian(grid: Grid, center: float, sigma: float) -> GridFunction:
     if sigma <= 0:
         raise ValueError("sigma must be positive")
-    x = grid.centers
-    return GridFunction(grid, np.exp(-0.5 * ((x - center) / sigma) ** 2))
+    with np.errstate(over="ignore"):  # a subnormal sigma: inf, and exp(-inf) = 0
+        return GridFunction(grid, np.exp(-0.5 * ((grid.centers - center) / sigma) ** 2))
 
 
 def smooth_bump(grid: Grid, center: float, radius: float) -> GridFunction:
@@ -377,4 +374,5 @@ def haar(grid: Grid, cube: Cube) -> GridFunction:
 def power_weight(grid: Grid, alpha: float) -> GridFunction:
     """|x|^alpha at cell centers; centers sit at odd multiples of h/2, so
     the value is finite for any alpha."""
-    return GridFunction(grid, np.abs(grid.centers) ** alpha)
+    with np.errstate(over="ignore"):  # GridFunction rejects the inf
+        return GridFunction(grid, np.abs(grid.centers) ** alpha)

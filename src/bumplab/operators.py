@@ -52,7 +52,6 @@ __all__ = [
     "default_eta_grid",
     "maximal_truncation",
     "commutator",
-    "measured_regularity_constant",
     "check_dense_fits",
 ]
 
@@ -397,24 +396,3 @@ def commutator(b: GridFunction, f: GridFunction, trunc: TruncationSpec) -> GridF
     if b.grid != f.grid:
         raise ValueError("b and f must share a grid")
     return GridFunction(f.grid, _commutator_rows(b, f.values[None], _kernel(f.grid, trunc))[0])
-
-
-def measured_regularity_constant(trunc: TruncationSpec, grid: Grid) -> float:
-    """Measured C with |K_eta(x + s, y) - K_eta(x, y)| <= C |s| / |x-y|^2
-    over grid pairs with |x - y| >= 2|s|, s = 1, 2 and 4 cells; fixed per (eta, grid)."""
-    x = grid.centers
-    m = grid.cells
-    K = _toeplitz(kernel_offsets(grid, trunc))
-    best = 0.0
-    step = max(1, m // 512)  # sample rows on large grids
-    rows = np.arange(0, m, step)
-    for k in (1, 2, 4):
-        s = k * grid.h
-        valid_rows = rows[rows + k < m]
-        r = np.abs(x[valid_rows, None] - x[None, :])
-        mask = r >= 2.0 * s
-        if not np.any(mask):
-            continue
-        ratio = np.abs(K[valid_rows + k] - K[valid_rows])[mask] * r[mask] ** 2 / s
-        best = max(best, float(ratio.max()))
-    return best

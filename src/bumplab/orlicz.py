@@ -66,10 +66,6 @@ class YoungFunction:
         if not 0 <= self.a < np.inf:
             raise ValueError(f"log exponent a must be >= 0 and finite, got {self.a!r}")
 
-    @property
-    def p_conj(self) -> float:
-        return self.p / (self.p - 1.0)
-
 
 @dataclass(frozen=True)
 class OrliczAverage:

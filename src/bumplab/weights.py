@@ -128,8 +128,10 @@ def _ap_report(u: GridFunction, v: GridFunction, p: float, cubes: Sequence[Cube]
     def product(blocks_u: np.ndarray, blocks_d: np.ndarray) -> np.ndarray:
         return blocks_u.mean(axis=1) * blocks_d.mean(axis=1) ** (p - 1.0)
 
+    with np.errstate(over="ignore"):  # a non-finite per-cube value is reported
+        w = v.values ** (1.0 - pc)
     values = per_cube(lambda groups, *cells: gather_rows(product, groups, *cells),
-                      u.grid, cubes, u.values, v.values ** (1.0 - pc))
+                      u.grid, cubes, u.values, w)
     return _sup_report(values, cubes, family, p, keep_values, preset=preset)
 
 

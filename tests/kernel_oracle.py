@@ -81,6 +81,8 @@ def maximal_truncation(f: GridFunction, eta_grid: list[float] | None = None) -> 
 
 
 def measured_regularity_constant(trunc: TruncationSpec, grid: Grid) -> float:
+    """Measured C with |K_eta(x + s, y) - K_eta(x, y)| <= C |s| / |x-y|^2 over grid
+    pairs with |x - y| >= 2|s|, s = 1, 2 and 4 cells, rows sampled on large grids."""
     x = grid.centers
     m = grid.cells
     best = 0.0

@@ -5,14 +5,18 @@ vectors: U, s and V^T from one factorization, and a reconstruction check that
 certifies every sigma_k to 1e-8 * sigma_1 through ||A - U diag(s) V^T||_F.
 The package's values-only path is not bit-identical to it; the tests state
 their tolerance. row_compressed_values keeps the values-only path as it was
-before it compressed the columns as well as the rows.
+before it compressed the columns as well as the rows, and dense_rows_values
+the path from before both arms of the split came from one kernel gather: the
+dense rows on S built whole, and their part off S compressed by an LQ after
+np.delete.
 
 operator_matrix and scan_split are the dense builder and the split of a
 matrix at hand that the package kept before its spectral probes took only
-the operator's arrow blocks: the tests hold compactness._operator_split to
-scan_split(operator_matrix(...)) bit for bit on the benchmark's inputs and
-its values to the stated tolerance elsewhere, and feed scan_split's output
-of any matrix to compactness._split_values.
+the operator's arrow blocks. scan_split returns the arrow (D_S, D_rest^T, B)
+that compactness._operator_split returns, so the tests hold the package's
+split to scan_split(operator_matrix(...)) on the benchmark's inputs (D_rest^T
+by value, since its zeros carry the other sign, the rest bit for bit) and
+feed scan_split's output of any matrix to compactness._split_values.
 """
 
 from __future__ import annotations
@@ -37,18 +41,49 @@ def symmetric_singular_values(matrix: np.ndarray) -> np.ndarray:
     return np.sort(np.abs(np.linalg.eigvalsh(matrix)))[::-1]
 
 
-def row_compressed_values(dense: np.ndarray, block: np.ndarray, cols: np.ndarray) -> np.ndarray:
-    """Singular values of the A whose rows are `dense` and then `block` on the
-    columns `cols`, by the row-only compression the package used before it
-    compressed the columns too: the SVD of Z, the dense rows over the R of a
-    QR of the block (Z^T Z = A^T A), with every value past Z's row count an
+def row_compressed_values(D_S: np.ndarray, D_restT: np.ndarray, B: np.ndarray) -> np.ndarray:
+    """Singular values of the arrow A = [[D_S, D_rest], [B, 0]] (the format of
+    compactness._operator_split), by the row-only compression the package used
+    before it compressed the columns too: the SVD of Z, with the R of a QR of
+    B in B's place (Z^T Z = A^T A), with every value past Z's row count an
     exact 0.0 up to min(m, n)."""
-    m, n = dense.shape[0] + block.shape[0], dense.shape[1]
-    Z = np.zeros((dense.shape[0] + min(block.shape), n))
-    Z[: dense.shape[0]] = dense
-    Z[dense.shape[0]:, cols] = np.linalg.qr(block, mode="r")
-    s = np.linalg.svd(Z, compute_uv=False)
-    return np.concatenate([s, np.zeros(min(m, n) - s.size)])
+    (d, s), k = D_S.shape, D_restT.shape[0]
+    m, n = d + B.shape[0], s + k
+    Z = np.zeros((d + min(B.shape), n))
+    Z[:d, :s], Z[:d, s:] = D_S, D_restT.T
+    Z[d:, :s] = np.linalg.qr(B, mode="r")
+    sigma = np.linalg.svd(Z, compute_uv=False)
+    return np.concatenate([sigma, np.zeros(min(m, n) - sigma.size)])
+
+
+def dense_rows_values(b, trunc, u, v) -> np.ndarray:
+    """The operator's singular values as the package took them before both arms
+    came from one kernel gather: the live rows on S whole (d x m), the block
+    of the live rows off S on the columns S, and the core built with an LQ of
+    the dense rows off S after np.delete; the live rows whole, with no block,
+    when the block has no more rows than S has cells. Values past the core's
+    side are exact 0.0 up to the number of live rows."""
+    compactness._check_weights(b.grid, u, v)
+    m = b.grid.cells
+    values, counts = np.unique(b.values, return_counts=True)
+    on_S = b.values != values[np.argmax(counts)]
+    live = u.values > 0
+    rows, block_rows = np.flatnonzero(live & on_S), np.flatnonzero(live & ~on_S)
+    cols = np.flatnonzero(on_S)
+    if block_rows.size <= cols.size:
+        rows, block_rows, cols = np.flatnonzero(live), block_rows[:0], cols[:0]
+    dense = compactness._operator_block(b, trunc, u, v, rows, np.arange(m))
+    block = compactness._operator_block(b, trunc, u, v, block_rows, cols)
+    if block.shape[0]:
+        d = dense.shape[0]
+        R = np.linalg.qr(block, mode="r")
+        L = np.linalg.qr(np.delete(dense, cols, axis=1).T, mode="r")
+        core = np.zeros((d + R.shape[0], cols.size + L.shape[0]))
+        core[:d, : cols.size], core[:d, cols.size:], core[d:, : cols.size] = dense[:, cols], L.T, R
+    else:
+        core = dense
+    s = np.linalg.svd(core, compute_uv=False)
+    return np.concatenate([s, np.zeros(np.count_nonzero(live) - s.size)])
 
 
 def operator_matrix(b, trunc, u, v) -> np.ndarray:
@@ -57,15 +92,17 @@ def operator_matrix(b, trunc, u, v) -> np.ndarray:
     the package's own evaluator, so that the split tests compare the same
     floats, signed zeros included."""
     compactness._check_weights(b.grid, u, v)
-    return compactness._operator_block(b, trunc, u, v, None, None)
+    every = np.arange(b.grid.cells)
+    return compactness._operator_block(b, trunc, u, v, every, every)
 
 
 def scan_split(matrix: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """The dense rows, the sparse block and its columns of a matrix at hand, by
-    counting nonzeros: a row with at most n // 2 of them is sparse, and the
-    block is the sparse rows on the columns they touch. With d dense rows and c
-    such columns, the matrix is returned whole, with an empty block, when
-    d + min(m - d, c) >= min(m, n), since the split then saves nothing."""
+    """The arrow (D_S, D_rest^T, B) of a matrix at hand, in the format of
+    compactness._operator_split, by counting nonzeros: a row with at most
+    n // 2 of them is sparse, S is the columns the sparse rows touch, D_S and
+    D_rest are the dense rows on S and off it, and B is the sparse rows on S.
+    With d dense rows and c = |S|, S is every column and both arms are empty
+    when d + min(m - d, c) >= min(m, n), since the split then saves nothing."""
     A = np.asarray(matrix, dtype=float)
     m, n = A.shape
     nonzero = A != 0.0
@@ -73,5 +110,6 @@ def scan_split(matrix: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     cols = np.flatnonzero(np.any(nonzero[sparse], axis=0))
     d = m - int(np.count_nonzero(sparse))
     if d + min(m - d, cols.size) >= min(m, n):
-        return A, np.zeros((0, 0)), np.zeros(0, dtype=np.intp)
-    return A[~sparse], A[np.flatnonzero(sparse)[:, None], cols], cols
+        return A, np.zeros((0, m)), np.zeros((0, n))
+    dense, rest = A[~sparse], np.setdiff1d(np.arange(n), cols)
+    return dense[:, cols], dense[:, rest].T, A[np.flatnonzero(sparse)[:, None], cols]

@@ -191,6 +191,30 @@ def test_non_finite_option_exits_2_without_report(tmp_path, capsys, argv):
     assert not list(tmp_path.iterdir())
 
 
+_NOT_FINITE = "error: grid function values must be finite"
+_OVERFLOWED = ("error: numerical non-convergence: a per-cube value is not finite (the "
+               "reduction overflowed); rescale the input")
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("argv, code, err", [
+    (["bmo", "--b", "gaussian:0,1e-320"], 0, []),  # 0 everywhere: exp(-inf)
+    (["op", "apply", "--op", "Teta", "--f", "power:1e308"], 2, [_NOT_FINITE]),
+    (["bmo", "--b", "const:1+const:1e308+const:1e308"], 2, [_NOT_FINITE]),
+    (["bmo", "--b", "1e308+1e308"], 2, [_NOT_FINITE]),
+    (["bmo", "--b", "inf+-inf"], 2, [_NOT_FINITE]),
+    (["ap", "--w", "power:200", "--p", "1.5"], 3, [_OVERFLOWED]),
+    (["ap", "--w", "const:1e-320"], 3, [_OVERFLOWED]),
+], ids=["gaussian-subnormal-width", "power-overflow", "spec-sum-overflow",
+        "number-sum-overflow", "number-sum-inf-minus-inf", "ap-power-overflow",
+        "ap-subnormal-constant"])
+def test_overflow_in_numpy_exits_on_the_finiteness_check(tmp_path, capsys, argv, code, err):
+    # with warnings as errors: an overflow numpy would warn about is left to
+    # the finiteness checks, which decide the exit
+    assert run([*argv, "--L", "8", "--m", "64", "--out", tmp_path]) == code
+    assert capsys.readouterr().err.splitlines() == err
+
+
 @pytest.mark.parametrize("text", ['{"orlicz": {"a": Infinity}}', '{"grid": {"L": NaN}}',
                                   '{"bump": {"a_left": -Infinity}}',
                                   pytest.param('{"grid": {"L": 1%s}}' % ("0" * 400),

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 import svd_oracle as oracle
+from kernel_oracle import measured_regularity_constant
 from bumplab import (
     KERNEL_CONSTANT,
     GridFunction,
@@ -21,7 +22,6 @@ from bumplab import (
     lp_norm_weighted,
     make_grid,
     maximal_fn,
-    measured_regularity_constant,
     operator_spectral_report,
     power_weight,
     sample_unit_ball,

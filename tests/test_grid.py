@@ -66,7 +66,8 @@ def test_dyadic_level_tiles_domain():
         level = [q for q in dyadic_cubes(g) if q.n_cells == n]
         covered = sorted(i for q in level for i in range(q.i0, q.i0 + q.n_cells))
         assert covered == list(range(16))
-        assert all(q.is_dyadic() for q in level)
+        # dyadic: a power-of-two length, starting at a multiple of it
+        assert all(q.n_cells & (q.n_cells - 1) == 0 and q.i0 % q.n_cells == 0 for q in level)
 
 
 def test_shifted_family_offsets():

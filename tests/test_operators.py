@@ -18,12 +18,11 @@ from bumplab import (
     make_grid,
     maximal_fn,
     maximal_truncation,
-    measured_regularity_constant,
     sample_unit_ball,
     smooth_bump,
 )
 from bumplab.operators import _toeplitz, kernel_offsets
-from kernel_oracle import hilbert
+from kernel_oracle import hilbert, measured_regularity_constant
 
 
 def test_cutoff_psi_values():

