@@ -121,6 +121,8 @@ def parse_function_spec(grid: Grid, spec: str,
         name, argstr = m.group(1), m.group(2)
         try:
             args = [float(a) for a in argstr.split(",")] if argstr else []
+            if not all(map(math.isfinite, args)):
+                raise ValueError
         except ValueError:
             raise ValueError(f"bad arguments in builder term {term!r}") from None
         if name == "const" and len(args) == 1:
@@ -352,7 +354,7 @@ def _cmd_bump(res: Resolved) -> int:
         if left is not None and not math.isfinite(left):
             raise ValueError(f"a_left must be finite, got {a_left!r}")
         res.record("a_left", left)
-        spec = weights.BumpSpec.custom(p, left, a_right, delta)
+        spec = weights.BumpSpec(p, delta, "custom", left, a_right)
     elif preset == "custom":
         raise ValueError("--preset custom requires --a-left and --a-right")
     else:

@@ -53,6 +53,9 @@ class Grid:
             raise ValueError("half_width must be a positive finite number")
         if self.cells < 4 or not _is_power_of_two(self.cells):
             raise ValueError(f"cells must be a power of two >= 4, got {self.cells}")
+        if not 0 < self.h < np.inf:
+            raise ValueError(f"the grid width 2L or its cell width 2L/m leaves the float "
+                             f"range at L = {self.half_width!r}, m = {self.cells}")
 
     @property
     def h(self) -> float:
@@ -184,46 +187,36 @@ def _checked_family(cubes: Sequence[Cube], grid: Grid) -> CubeFamily:
     return cubes
 
 
-def _levels(grid: Grid, min_cells: int, max_cells: int | None, shifted: bool) -> CubeFamily:
-    """Every cube of length n = min_cells, 2 min_cells, ..., max_cells (m when
-    None), level by level, spaced n apart from 0 (or from n/2 when shifted,
-    from length 2 up) while it fits in the grid's m cells. Both bounds must be
-    powers of two, and max_cells at most m."""
+def _levels(grid: Grid, shifted: bool) -> CubeFamily:
+    """Every cube of length n = 1, 2, 4, ..., m (from 2 when shifted), level by
+    level, spaced n apart from 0 (or from n/2 when shifted) while it fits in
+    the grid's m cells."""
     m = grid.cells
-    if max_cells is None:
-        max_cells = m
-    for n in (min_cells, max_cells):
-        if not _is_power_of_two(n):
-            raise ValueError(f"cube sizes must be powers of two, got {n}")
-    if max_cells > m:
-        raise ValueError("max_cells exceeds grid size")
-    lo = max(min_cells, 2) if shifted else min_cells
-    sizes = [1 << j for j in range(m.bit_length()) if lo <= 1 << j <= max_cells]
+    sizes = [1 << j for j in range(int(shifted), m.bit_length())]
     starts = [np.arange(n // 2 if shifted else 0, m - n + 1, n) for n in sizes]
-    return CubeFamily(np.concatenate([np.zeros(0, np.int64), *starts]),
-                      np.repeat(sizes, [len(s) for s in starts]))
+    return CubeFamily(np.concatenate(starts), np.repeat(sizes, [len(s) for s in starts]))
 
 
-def dyadic_cubes(grid: Grid, min_cells: int = 1, max_cells: int | None = None) -> CubeFamily:
-    """All dyadic cubes with min_cells <= n_cells <= max_cells.
+def dyadic_cubes(grid: Grid) -> CubeFamily:
+    """All dyadic cubes, from single cells up to the whole grid.
 
     A dyadic cube of n_cells = 2^j starts at a multiple of 2^j; the cubes at
     one level tile [-L, L] exactly.
     """
-    return _levels(grid, min_cells, max_cells, shifted=False)
+    return _levels(grid, shifted=False)
 
 
-def shifted_dyadic_cubes(grid: Grid, min_cells: int = 1, max_cells: int | None = None) -> CubeFamily:
+def shifted_dyadic_cubes(grid: Grid) -> CubeFamily:
     """Dyadic cubes offset by half their length, where they fit in the domain.
 
     The left- and right-shifted copies of a dyadic level coincide inside
     [-L, L], so a single offset family covers both. Only levels with
     n_cells >= 2 admit a half-cell-count offset.
     """
-    return _levels(grid, min_cells, max_cells, shifted=True)
+    return _levels(grid, shifted=True)
 
 
-def cube_family(grid: Grid, name: str, min_cells: int = 1, max_cells: int | None = None) -> CubeFamily:
+def cube_family(grid: Grid, name: str) -> CubeFamily:
     """Named finite cube family standing in for the sup over all cubes.
 
     "dyadic" is the plain dyadic family; "dyadic+shifted" adds the
@@ -231,10 +224,10 @@ def cube_family(grid: Grid, name: str, min_cells: int = 1, max_cells: int | None
     bounded factor. Every constant reported downstream carries this name.
     """
     if name == "dyadic":
-        return dyadic_cubes(grid, min_cells, max_cells)
+        return dyadic_cubes(grid)
     if name == "dyadic+shifted":
-        plain = dyadic_cubes(grid, min_cells, max_cells)
-        shifted = shifted_dyadic_cubes(grid, min_cells, max_cells)
+        plain = dyadic_cubes(grid)
+        shifted = shifted_dyadic_cubes(grid)
         return CubeFamily(np.concatenate([plain.i0, shifted.i0]),
                           np.concatenate([plain.n_cells, shifted.n_cells]))
     raise ValueError(f"unknown cube family {name!r}")
@@ -344,7 +337,8 @@ def smooth_bump(grid: Grid, center: float, radius: float) -> GridFunction:
     """The standard C^infinity bump exp(-1/(1-t^2)) on |t| < 1, t = (x-c)/r."""
     if radius <= 0:
         raise ValueError("radius must be positive")
-    t = (grid.centers - center) / radius
+    with np.errstate(over="ignore"):  # a subnormal radius: |t| = inf, outside the bump
+        t = (grid.centers - center) / radius
     out = np.zeros(grid.cells)
     inside = np.abs(t) < 1.0
     out[inside] = np.exp(-1.0 / (1.0 - t[inside] ** 2))
@@ -356,7 +350,9 @@ def log_spike(grid: Grid, eps: float) -> GridFunction:
     if eps <= 0:
         raise ValueError("eps must be positive")
     x = grid.centers
-    return GridFunction(grid, np.maximum(np.log(1.0 / (np.abs(x) + eps)), 0.0))
+    # |x| + eps subnormal: log(inf), which GridFunction rejects; |x| + eps huge: 0
+    with np.errstate(over="ignore", divide="ignore"):
+        return GridFunction(grid, np.maximum(np.log(1.0 / (np.abs(x) + eps)), 0.0))
 
 
 def haar(grid: Grid, cube: Cube) -> GridFunction:

@@ -7,7 +7,6 @@ with the same config must produce byte-identical files.
 
 from __future__ import annotations
 
-import csv
 import json
 import math
 import os
@@ -22,7 +21,6 @@ from .weights import BumpReport
 
 __all__ = [
     "write_grid_function_csv",
-    "read_grid_function_csv",
     "write_curve_csv",
     "write_json",
     "bump_report_dict",
@@ -64,25 +62,6 @@ def write_grid_function_csv(f: GridFunction, path: str | Path) -> None:
                                              f.values.tolist()))
 
 
-def read_grid_function_csv(path: str | Path) -> GridFunction:
-    with open(path, newline="") as fh:
-        reader = csv.reader(fh)
-        header = next(reader)
-        if header != ["x", "value"]:
-            raise ValueError(f"unexpected CSV header {header}")
-        rows = [(float(x), float(v)) for x, v in reader]
-    if len(rows) < 4:
-        raise ValueError("grid function CSV needs at least 4 cells")
-    xs = np.array([r[0] for r in rows])
-    vals = np.array([r[1] for r in rows])
-    h = xs[1] - xs[0]
-    half_width = -(xs[0] - h / 2.0)
-    grid = Grid(half_width, len(rows))
-    if not np.allclose(grid.centers, xs, rtol=0, atol=1e-9 * h):
-        raise ValueError("CSV cell centers are not a uniform bumplab grid")
-    return GridFunction(grid, vals)
-
-
 def write_curve_csv(path: str | Path, header: tuple[str, str],
                     rows: list[tuple[float, float]]) -> None:
     xs, ys = np.array(rows, dtype=float).reshape(len(rows), 2).T.tolist()
@@ -95,17 +74,9 @@ def write_json(path: str | Path, obj: dict) -> None:
                                               allow_nan=False) + "\n")
 
 
-def _jsonable(x):
-    if isinstance(x, np.ndarray):
-        return [float(v) for v in x]
-    if isinstance(x, (np.floating, np.integer)):
-        return x.item()
-    return x
-
-
 def bump_report_dict(report: BumpReport, grid: Grid) -> dict:
     a, b = report.argmax_cube.endpoints(grid)
-    out = {
+    return {
         "constant": float(report.constant),
         "argmax": {"a": a, "b": b},
         "family": report.cube_family,
@@ -113,9 +84,6 @@ def bump_report_dict(report: BumpReport, grid: Grid) -> dict:
         "p": float(report.p),
         "delta": None if report.delta is None else float(report.delta),
     }
-    if report.per_cube is not None:
-        out["per_cube"] = _jsonable(report.per_cube)
-    return out
 
 
 def kr_report_dict(report: KRReport) -> dict:
@@ -134,7 +102,7 @@ def spectral_report_dict(report: SpectralReport) -> dict:
         "K_list": [int(k) for k in report.K_list],
         "sigma_ratios": [float(v) for v in report.sigma_ratios],
         "energy_tails": [float(v) for v in report.energy_tails],
-        "singular_values": _jsonable(report.singular_values),
+        "singular_values": [float(v) for v in report.singular_values],
     }
 
 

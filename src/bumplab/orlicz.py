@@ -34,7 +34,6 @@ __all__ = [
     "young_inverse_at_one",
     "orlicz_average",
     "orlicz_average_groups",
-    "orlicz_average_values",
     "bmo_norm",
 ]
 
@@ -294,23 +293,6 @@ def orlicz_average_groups(cells: np.ndarray, groups: list[LengthGroup], phi: You
     return hi, halving + doubling + group_max(steps).astype(int), lo
 
 
-def orlicz_average_values(blocks: np.ndarray, phi: YoungFunction,
-                          rel_tol: float = DEFAULT_REL_TOL,
-                          ) -> tuple[np.ndarray, int, np.ndarray]:
-    """Luxemburg averages for many same-length cubes at once.
-
-    blocks: (n_cubes, cells_per_cube) array of |f| samples. Returns the
-    per-row average (the feasible bracket end), the iteration count, and the
-    per-row infeasible lower bracket end. Rows that are identically zero
-    return 0 by the norm convention.
-    """
-    blocks = np.asarray(blocks, dtype=float)
-    rows, n = blocks.shape
-    values, iterations, lower = orlicz_average_groups(
-        blocks.reshape(-1), [LengthGroup(n, np.arange(rows) * n)], phi, rel_tol)
-    return values, int(iterations[0]), lower
-
-
 def orlicz_average(f: GridFunction, cube: Cube, phi: YoungFunction,
                    rel_tol: float = DEFAULT_REL_TOL) -> OrliczAverage:
     """Orlicz average of f over one cube.
@@ -320,11 +302,9 @@ def orlicz_average(f: GridFunction, cube: Cube, phi: YoungFunction,
     relative width rel_tol.
     """
     cube.check(f.grid)
-    block = np.abs(f.values[cube.i0 : cube.i0 + cube.n_cells])
-    if block.max(initial=0.0) == 0.0:
-        return OrliczAverage(0.0, 0, (0.0, 0.0))
-    vals, iters, los = orlicz_average_values(block[None, :], phi, rel_tol)
-    return OrliczAverage(float(vals[0]), iters, (float(los[0]), float(vals[0])))
+    group = LengthGroup(cube.n_cells, np.array([cube.i0]))
+    vals, iters, los = orlicz_average_groups(f.values, [group], phi, rel_tol)
+    return OrliczAverage(float(vals[0]), int(iters[0]), (float(los[0]), float(vals[0])))
 
 
 def bmo_norm(b: GridFunction, cubes: Sequence[Cube]) -> float:

@@ -91,11 +91,6 @@ class BumpSpec:
         """The "max", "czo" or "comm" exponents at (p, delta)."""
         return cls(p, delta, name, *_preset_exponents(name, p, delta))
 
-    @classmethod
-    def custom(cls, p: float, a_left: float | None, a_right: float,
-               delta: float | None = None) -> "BumpSpec":
-        return cls(p, delta, "custom", a_left, a_right)
-
 
 @dataclass
 class BumpReport:
@@ -105,77 +100,95 @@ class BumpReport:
     p: float
     preset: str | None = None
     delta: float | None = None
-    per_cube: np.ndarray | None = None
 
 
-def _sup_report(per_cube: np.ndarray, cubes: Sequence[Cube], family: str, p: float,
-                keep_values: bool, **meta) -> BumpReport:
-    k = int(np.argmax(per_cube))
+def _sup_report(values: np.ndarray, cubes: Sequence[Cube], family: str, p: float,
+                **meta) -> BumpReport:
+    k = int(np.argmax(values))
     return BumpReport(
-        constant=float(per_cube[k]),
+        constant=float(values[k]),
         argmax_cube=cubes[k],
         cube_family=family,
         p=p,
-        per_cube=per_cube if keep_values else None,
         **meta,
     )
 
 
-def _ap_report(u: GridFunction, v: GridFunction, p: float, cubes: Sequence[Cube],
-               family: str, keep_values: bool, preset: str) -> BumpReport:
+def _mid_exponent(values: np.ndarray) -> int:
+    """The midpoint of the binary exponents of the smallest and the largest
+    positive value: scaling by 2^-e centres their range on 1."""
+    positive = values[values > 0]
+    _, (lo, hi) = np.frexp([positive.min(), positive.max()])
+    return (int(lo) + int(hi)) // 2
+
+
+def _ap_values(u: GridFunction, v: GridFunction, p: float, cubes: Sequence[Cube]) -> np.ndarray:
+    """(avg_Q u) (avg_Q v^(1-p'))^(p-1) for every cube of the family.
+
+    u and v are each scaled by an exact power of two, 2^-e_u and 2^-e_v,
+    before the powers, so neither the powers nor the averages leave the float
+    range on a weight that is merely very large or very small. The product
+    scales as u / v, so the values are multiplied by 2^(e_u - e_v) at the
+    end; for u = v that factor is exactly 1.
+    """
     pc = p / (p - 1.0)
+    e_u, e_v = _mid_exponent(u.values), _mid_exponent(v.values)
 
     def product(blocks_u: np.ndarray, blocks_d: np.ndarray) -> np.ndarray:
-        return blocks_u.mean(axis=1) * blocks_d.mean(axis=1) ** (p - 1.0)
+        return np.ldexp(blocks_u.mean(axis=1) * blocks_d.mean(axis=1) ** (p - 1.0), e_u - e_v)
 
-    with np.errstate(over="ignore"):  # a non-finite per-cube value is reported
-        w = v.values ** (1.0 - pc)
-    values = per_cube(lambda groups, *cells: gather_rows(product, groups, *cells),
-                      u.grid, cubes, u.values, w)
-    return _sup_report(values, cubes, family, p, keep_values, preset=preset)
+    with np.errstate(over="ignore", divide="ignore"):  # a non-finite per-cube value is reported
+        w = np.ldexp(v.values, -e_v) ** (1.0 - pc)
+        scaled_u = np.ldexp(u.values, -e_u)
+    return per_cube(lambda groups, *cells: gather_rows(product, groups, *cells),
+                    u.grid, cubes, scaled_u, w)
 
 
 def ap_constant(w: GridFunction, p: float, cubes: Sequence[Cube],
-                family: str = "custom", keep_values: bool = False) -> BumpReport:
+                family: str = "custom") -> BumpReport:
     """sup over cubes of (avg_Q w) (avg_Q w^(1-p')) ^ (p-1)."""
     if not p > 1:
         raise ValueError("p must be > 1")
     if np.min(w.values) <= 0:
         raise ValueError("A_p requires w > 0 on every cell")
-    return _ap_report(w, w, p, cubes, family, keep_values, "ap")
+    return _sup_report(_ap_values(w, w, p, cubes), cubes, family, p, preset="ap")
 
 
 def two_weight_ap(pair: WeightPair, p: float, cubes: Sequence[Cube],
-                  family: str = "custom", keep_values: bool = False) -> BumpReport:
+                  family: str = "custom") -> BumpReport:
     """sup over cubes of (avg_Q u) (avg_Q v^(1-p')) ^ (p-1)."""
     if not p > 1:
         raise ValueError("p must be > 1")
-    return _ap_report(pair.u, pair.v, p, cubes, family, keep_values, "two_weight_ap")
+    return _sup_report(_ap_values(pair.u, pair.v, p, cubes), cubes, family, p,
+                       preset="two_weight_ap")
+
+
+def _bump_values(pair: WeightPair, spec: BumpSpec, cubes: Sequence[Cube]) -> np.ndarray:
+    """F_left(Q) * F_right(Q) for every cube of the family (see bump_constant)."""
+    p = spec.p
+    phi_right = YoungFunction(p / (p - 1.0), spec.a_right)
+    phi_left = None if spec.a_left is None else YoungFunction(p, spec.a_left)
+
+    def product(groups, cells_l: np.ndarray, cells_r: np.ndarray) -> np.ndarray:
+        right, _, _ = orlicz_average_groups(cells_r, groups, phi_right)
+        if phi_left is None:
+            return gather_rows(lambda blocks: blocks.mean(axis=1), groups, cells_l) * right
+        left, _, _ = orlicz_average_groups(cells_l, groups, phi_left)
+        return left * right
+
+    left_values = pair.u.values if phi_left is None else pair.u.values ** (1.0 / p)
+    return per_cube(product, pair.u.grid, cubes, left_values, pair.v.values ** (-1.0 / p))
 
 
 def bump_constant(pair: WeightPair, spec: BumpSpec, cubes: Sequence[Cube],
-                  family: str = "custom", rel_tol: float = 1e-10,
-                  keep_values: bool = False) -> BumpReport:
+                  family: str = "custom") -> BumpReport:
     """sup over cubes of F_left(Q) * F_right(Q).
 
     F_right is the Orlicz average of v^(-1/p) with exponents (p', a_right).
     F_left is the plain average of u for the maximal preset, and otherwise
     the Orlicz average of u^(1/p) with exponents (p, a_left).
     """
-    p = spec.p
-    phi_right = YoungFunction(p / (p - 1.0), spec.a_right)
-    phi_left = None if spec.a_left is None else YoungFunction(p, spec.a_left)
-
-    def product(groups, cells_l: np.ndarray, cells_r: np.ndarray) -> np.ndarray:
-        right, _, _ = orlicz_average_groups(cells_r, groups, phi_right, rel_tol)
-        if phi_left is None:
-            return gather_rows(lambda blocks: blocks.mean(axis=1), groups, cells_l) * right
-        left, _, _ = orlicz_average_groups(cells_l, groups, phi_left, rel_tol)
-        return left * right
-
-    left_values = pair.u.values if phi_left is None else pair.u.values ** (1.0 / p)
-    values = per_cube(product, pair.u.grid, cubes, left_values, pair.v.values ** (-1.0 / p))
-    return _sup_report(values, cubes, family, p, keep_values,
+    return _sup_report(_bump_values(pair, spec, cubes), cubes, family, spec.p,
                        preset=spec.preset, delta=spec.delta)
 
 

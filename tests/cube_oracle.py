@@ -20,35 +20,30 @@ from bumplab.orlicz import YoungFunction
 from bumplab.weights import BumpSpec, WeightPair
 
 
-def dyadic_cubes(grid: Grid, min_cells: int = 1, max_cells: int | None = None) -> list[Cube]:
+def dyadic_cubes(grid: Grid) -> list[Cube]:
     m = grid.cells
-    if max_cells is None:
-        max_cells = m
     cubes: list[Cube] = []
-    n = min_cells
-    while n <= max_cells:
+    n = 1
+    while n <= m:
         cubes.extend(Cube(i0, n) for i0 in range(0, m, n))
         n *= 2
     return cubes
 
 
-def shifted_dyadic_cubes(grid: Grid, min_cells: int = 1, max_cells: int | None = None) -> list[Cube]:
+def shifted_dyadic_cubes(grid: Grid) -> list[Cube]:
     m = grid.cells
-    if max_cells is None:
-        max_cells = m
     cubes: list[Cube] = []
-    n = max(min_cells, 2)
-    while n <= max_cells:
+    n = 2
+    while n <= m:
         cubes.extend(Cube(i0, n) for i0 in range(n // 2, m - n + 1, n))
         n *= 2
     return cubes
 
 
-def cube_family(grid: Grid, name: str, min_cells: int = 1, max_cells: int | None = None) -> list[Cube]:
+def cube_family(grid: Grid, name: str) -> list[Cube]:
     if name == "dyadic":
-        return dyadic_cubes(grid, min_cells, max_cells)
-    return dyadic_cubes(grid, min_cells, max_cells) + shifted_dyadic_cubes(
-        grid, min_cells, max_cells)
+        return dyadic_cubes(grid)
+    return dyadic_cubes(grid) + shifted_dyadic_cubes(grid)
 
 
 def orlicz_average(f: GridFunction, cube: Cube, phi: YoungFunction,

@@ -1,8 +1,8 @@
 """Reference Luxemburg averages by bracketing and bisection, one Phi
 evaluation of every open row per step.
 
-This is how `orlicz.orlicz_average_values` computed every Orlicz average
-before it located the root by Newton and replayed this arithmetic on per-row
+This is how bumplab computed every Orlicz average, one block of
+same-length cubes at a time, before it located the root by Newton and replayed this arithmetic on per-row
 scalars. The property tests require the fast path to return the same values,
 lower bracket ends and iteration counts, and to raise the same errors.
 """

@@ -16,9 +16,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import bumplab
-from bumplab import cli, compactness, iterate_maximal, make_grid, operators
+from bumplab import GridFunction, cli, compactness, iterate_maximal, make_grid, operators
 from bumplab.cli import _COMMANDS, _command_options, main, parse_function_spec, validate_config
-from bumplab.io import read_grid_function_csv
 from config_oracle import CONFIG_SCHEMA
 
 
@@ -204,7 +203,9 @@ _OVERFLOWED = ("error: numerical non-convergence: a per-cube value is not finite
     (["bmo", "--b", "1e308+1e308"], 2, [_NOT_FINITE]),
     (["bmo", "--b", "inf+-inf"], 2, [_NOT_FINITE]),
     (["ap", "--w", "power:200", "--p", "1.5"], 3, [_OVERFLOWED]),
-    (["ap", "--w", "const:1e-320"], 3, [_OVERFLOWED]),
+    # A_p is scale-free: w is scaled by a power of two before the powers (this
+    # exited 3 while w^(1 - p') overflowed)
+    (["ap", "--w", "const:1e-320"], 0, []),
 ], ids=["gaussian-subnormal-width", "power-overflow", "spec-sum-overflow",
         "number-sum-overflow", "number-sum-inf-minus-inf", "ap-power-overflow",
         "ap-subnormal-constant"])
@@ -212,6 +213,27 @@ def test_overflow_in_numpy_exits_on_the_finiteness_check(tmp_path, capsys, argv,
     # with warnings as errors: an overflow numpy would warn about is left to
     # the finiteness checks, which decide the exit
     assert run([*argv, "--L", "8", "--m", "64", "--out", tmp_path]) == code
+    assert capsys.readouterr().err.splitlines() == err
+    if argv[0] == "ap" and code == 0:
+        constant = json.loads((tmp_path / "ap.json").read_text())["result"]["constant"]
+        assert abs(constant - 1.0) <= 4 * np.spacing(1.0)
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("argv, code, err", [
+    (["bmo", "--b", "bump:0,1e-320", "--L", "1"], 0, []),  # 0 everywhere: |t| = inf
+    (["bmo", "--b", "logspike:1e-320", "--L", "1e-320"], 2, [_NOT_FINITE]),
+    (["bmo", "--b", "logspike:1", "--L", "8e307"], 0, []),  # log(1/|x|) < 0 everywhere
+    (["bmo", "--b", "gaussian:inf,inf", "--L", "1"], 2,
+     ["error: bad arguments in builder term 'gaussian:inf,inf'"]),
+    (["bmo", "--b", "bump:nan,1", "--L", "1"], 2,
+     ["error: bad arguments in builder term 'bump:nan,1'"]),
+], ids=["bump-subnormal-radius", "logspike-subnormal-grid", "logspike-huge-grid",
+        "gaussian-inf-args", "bump-nan-center"])
+def test_builder_edge_arguments_exit_without_a_warning(tmp_path, capsys, argv, code, err):
+    # each was found by the sweep in test_cli_sweep.py: a numpy warning before
+    # the exit (a traceback under -W error), or a NaN center that built 0
+    assert run([*argv, "--m", "4", "--out", tmp_path]) == code
     assert capsys.readouterr().err.splitlines() == err
 
 
@@ -479,13 +501,13 @@ def test_weights_gen_outputs(tmp_path):
     rc = run(["weights", "gen", "--u", "indicator:-1,1", "--k", "2",
               "--L", "4", "--m", "64", "--out", tmp_path])
     assert rc == 0
-    u = read_grid_function_csv(tmp_path / "weights_u.csv")
-    v = read_grid_function_csv(tmp_path / "weights_v.csv")
+    u, v = (np.loadtxt(tmp_path / f"weights_{w}.csv", delimiter=",", skiprows=1)
+            for w in "uv")
     g = make_grid(4.0, 64)
-    assert u.grid == g and v.grid == g
-    want = iterate_maximal(u, 2)
-    assert np.array_equal(v.values, want.values)
-    assert np.all(v.values >= u.values - 1e-15)
+    assert np.array_equal(u[:, 0], g.centers) and np.array_equal(v[:, 0], g.centers)
+    want = iterate_maximal(GridFunction(g, u[:, 1]), 2)
+    assert np.array_equal(v[:, 1], want.values)
+    assert np.all(v[:, 1] >= u[:, 1] - 1e-15)
 
 
 def test_probe_svd_and_compare(tmp_path):
@@ -693,10 +715,16 @@ def test_memory_guard_honours_cgroup_limit_and_counts_the_blocks(tmp_path, monke
 def test_non_finite_constant_exits_3_without_report(tmp_path, capsys, argv):
     """A cube sum, or the maximal function's prefix sum, that overflows ends
     the run with exit 3, not an Infinity in the report, and numpy warns of
-    nothing."""
+    nothing. A_p scales w by a power of two first, so its sums stay finite
+    and it reports 1 (it exited 3 here while it summed w unscaled)."""
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         rc = run([*argv, "--L", "1", "--m", "64", "--out", tmp_path])
+    if argv[0] == "ap":
+        assert rc == 0 and capsys.readouterr().err == ""
+        constant = json.loads((tmp_path / "ap.json").read_text())["result"]["constant"]
+        assert abs(constant - 1.0) <= 4 * np.spacing(1.0)
+        return
     assert rc == 3
     assert "not finite" in capsys.readouterr().err
     assert not list(tmp_path.iterdir())

@@ -25,6 +25,7 @@ from bumplab import (
     make_grid,
     two_weight_ap,
 )
+from bumplab.weights import _ap_values, _bump_values
 
 TOL = 1e-13
 BUMP_SAMPLE = 48
@@ -57,10 +58,11 @@ def nonnegative(grid, rng):
     return GridFunction(grid, values)
 
 
-def check_sup(rep, want, value_of):
-    """per_cube matches the oracle; the argmax cube attains the oracle's max."""
-    np.testing.assert_allclose(rep.per_cube, want, rtol=TOL, atol=0.0)
-    assert rep.constant == np.max(rep.per_cube)
+def check_sup(rep, values, want, value_of):
+    """The per-cube values match the oracle; the report's constant is their max,
+    and the argmax cube attains the oracle's max."""
+    np.testing.assert_allclose(values, want, rtol=TOL, atol=0.0)
+    assert rep.constant == np.max(values)
     assert value_of(rep.argmax_cube) >= np.max(want) * (1.0 - TOL)
 
 
@@ -77,14 +79,12 @@ def test_bmo_norm_equals_cube_loop(problem, scale, offset):
 def test_ap_constants_match_cube_loop(problem, p):
     grid, cubes, rng = problem
     w = positive(grid, rng)
-    rep = ap_constant(w, p, cubes, keep_values=True)
-    check_sup(rep, oracle.ap_per_cube(w, w, p, cubes),
-              lambda q: oracle.ap_per_cube(w, w, p, [q])[0])
+    check_sup(ap_constant(w, p, cubes), _ap_values(w, w, p, cubes),
+              oracle.ap_per_cube(w, w, p, cubes), lambda q: oracle.ap_per_cube(w, w, p, [q])[0])
 
     u, v = nonnegative(grid, rng), positive(grid, rng)
-    rep = two_weight_ap(WeightPair(u, v), p, cubes, keep_values=True)
-    check_sup(rep, oracle.ap_per_cube(u, v, p, cubes),
-              lambda q: oracle.ap_per_cube(u, v, p, [q])[0])
+    check_sup(two_weight_ap(WeightPair(u, v), p, cubes), _ap_values(u, v, p, cubes),
+              oracle.ap_per_cube(u, v, p, cubes), lambda q: oracle.ap_per_cube(u, v, p, [q])[0])
 
 
 @profile
@@ -92,9 +92,8 @@ def test_ap_constants_match_cube_loop(problem, p):
 def test_ap_constant_is_two_weight_ap_with_equal_weights(problem, p):
     grid, cubes, rng = problem
     w = positive(grid, rng)
-    one = ap_constant(w, p, cubes, family="f", keep_values=True)
-    two = two_weight_ap(WeightPair(w, w), p, cubes, family="f", keep_values=True)
-    assert np.array_equal(one.per_cube, two.per_cube)
+    one = ap_constant(w, p, cubes, family="f")
+    two = two_weight_ap(WeightPair(w, w), p, cubes, family="f")
     assert (one.constant, one.argmax_cube) == (two.constant, two.argmax_cube)
     assert (one.preset, two.preset) == ("ap", "two_weight_ap")
 
@@ -106,11 +105,11 @@ def test_bump_constant_matches_cube_loop(problem, preset, p):
     grid, cubes, rng = problem
     pair = WeightPair(nonnegative(grid, rng), positive(grid, rng))
     spec = BumpSpec.from_preset(preset, p, 1.0)
-    rep = bump_constant(pair, spec, cubes, keep_values=True)
+    rep, values = bump_constant(pair, spec, cubes), _bump_values(pair, spec, cubes)
     sample = rng.permutation(len(cubes))[:BUMP_SAMPLE]
     want = oracle.bump_per_cube(pair, spec, [cubes[k] for k in sample])
-    np.testing.assert_allclose(rep.per_cube[sample], want, rtol=TOL, atol=0.0)
-    assert rep.constant == np.max(rep.per_cube)
+    np.testing.assert_allclose(values[sample], want, rtol=TOL, atol=0.0)
+    assert rep.constant == np.max(values)
     at_argmax = oracle.bump_per_cube(pair, spec, [rep.argmax_cube])[0]
     assert at_argmax >= np.max(want) * (1.0 - TOL)
 

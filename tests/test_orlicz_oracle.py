@@ -1,10 +1,10 @@
 """The Orlicz averages against the reference bisection in `orlicz_oracle`.
 
-`orlicz_average_values` and `orlicz_average_groups` decide most bracketing
-and bisection steps from a Newton-located root instead of evaluating Phi.
-They must return the reference's values, lower bracket ends and iteration
-counts exactly (`array_equal`), and raise an error of the same type exactly
-when it does. The last test runs two `bump` commands end to end with the
+`orlicz_average_groups` decides most bracketing and bisection steps from
+a Newton-located root instead of evaluating Phi. It must return the
+reference's values, lower bracket ends and iteration counts exactly
+(`array_equal`), and raise an error of the same type exactly when the
+reference does; `average_values` runs it on one block of same-length rows. The last test runs two `bump` commands end to end with the
 reference swapped in and compares the report bytes.
 """
 
@@ -15,19 +15,27 @@ from hypothesis import example, given, settings, strategies as st
 import orlicz_oracle as oracle
 from bumplab import orlicz, weights
 from bumplab.cli import main
-from bumplab.grid import cube_family, make_grid, per_cube
+from bumplab.grid import LengthGroup, cube_family, make_grid, per_cube
 from bumplab.orlicz import (
     OrliczConvergenceError,
     OrliczOverflowError,
     YoungFunction,
     orlicz_average_groups,
-    orlicz_average_values,
 )
 
 profile = settings(max_examples=150, deadline=None)
 exponents = st.floats(1.0, 6.0, exclude_min=True)
 log_exponents = st.sampled_from((0.0, 0.5, 2.0, 4.0))
 tolerances = st.sampled_from((1e-3, 1e-10, 1e-14))
+
+
+def average_values(blocks, phi, rel_tol):
+    """The Orlicz averages of the rows of blocks, as one length group: per-row
+    values, the iteration count and per-row lower bracket ends."""
+    rows, n = blocks.shape
+    values, iterations, lower = orlicz_average_groups(
+        blocks.reshape(-1), [LengthGroup(n, np.arange(rows) * n)], phi, rel_tol)
+    return values, int(iterations[0]), lower
 
 
 def outcome(fn, *args):
@@ -66,7 +74,7 @@ def blocks(draw):
 @given(blocks(), exponents, log_exponents, tolerances)
 def test_values_equal_reference(block, p, a, rel_tol):
     phi = YoungFunction(p, a)
-    assert_same(outcome(orlicz_average_values, block, phi, rel_tol),
+    assert_same(outcome(average_values, block, phi, rel_tol),
                 outcome(oracle.orlicz_average_values, block, phi, rel_tol))
 
 
@@ -107,7 +115,7 @@ def test_decisions_inside_the_root_band(monkeypatch, p, rel_tol):
     first lambda tried, so decisions fall inside the band around it."""
     block = np.repeat(np.array([[0.3], [1.0], [7.25], [3.0e5]]), 16, axis=1)
     calls = count_phi_evaluations(monkeypatch)
-    got = orlicz_average_values(block, YoungFunction(p, 0.0), rel_tol)
+    got = average_values(block, YoungFunction(p, 0.0), rel_tol)
     assert len(calls) > 2  # beyond the two root checks
     assert_same(got, oracle.orlicz_average_values(block, YoungFunction(p, 0.0), rel_tol))
     assert np.array_equal(got[0], block[:, 0])
@@ -124,7 +132,7 @@ def test_unknown_or_misplaced_root(error, block, p, a, rel_tol):
     real = orlicz._roots
     orlicz._roots = lambda blocks, phi, t_star: real(blocks, phi, t_star) * (1.0 + error)
     try:
-        got = outcome(orlicz_average_values, block, phi, rel_tol)
+        got = outcome(average_values, block, phi, rel_tol)
     finally:
         orlicz._roots = real
     assert_same(got, outcome(oracle.orlicz_average_values, block, phi, rel_tol))
@@ -135,7 +143,7 @@ def test_unknown_or_misplaced_root(error, block, p, a, rel_tol):
 @example(np.array([[1e4, 1e-4, 0.0, 0.0]]), 1200.0, 0.0)  # test_orlicz_overflow_flagged
 def test_overflow_raised_iff_reference_raises(block, p, a):
     phi = YoungFunction(p, a)
-    assert_same(outcome(orlicz_average_values, block, phi, 1e-10),
+    assert_same(outcome(average_values, block, phi, 1e-10),
                 outcome(oracle.orlicz_average_values, block, phi, 1e-10))
 
 
@@ -151,7 +159,7 @@ def test_iteration_caps_met_like_reference(cap, block, p, a, rel_tol):
     some blocks: the same error, with the same message, or the same result."""
     phi = YoungFunction(p, a)
     outcomes = []
-    for module, fn in ((orlicz, orlicz_average_values), (oracle, oracle.orlicz_average_values)):
+    for module, fn in ((orlicz, average_values), (oracle, oracle.orlicz_average_values)):
         real = module.MAX_ITERATIONS
         module.MAX_ITERATIONS = cap
         try:
@@ -171,7 +179,7 @@ def test_iteration_caps_met_like_reference(cap, block, p, a, rel_tol):
 
 def test_bisection_cap_raises_like_reference():
     block = np.array([[1.0, 2.0, 3.0], [0.5, 0.5, 4.0]])
-    for fn in (orlicz_average_values, oracle.orlicz_average_values):
+    for fn in (average_values, oracle.orlicz_average_values):
         with pytest.raises(OrliczConvergenceError, match="bisection exceeded iteration cap"):
             fn(block, YoungFunction(2.0, 1.0), 1e-17)
 

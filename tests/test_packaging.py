@@ -1,6 +1,7 @@
 """The dependencies declared in pyproject.toml are exactly the third-party
 modules that src/bumplab imports, nested (function-level) imports included;
-and the package's exports name only what its modules define."""
+the package's exports name only what its modules define; and code outside
+the tests uses every export."""
 
 import ast
 import importlib
@@ -49,3 +50,19 @@ def test_exports_resolve():
             exported = importlib.import_module(f"bumplab.{node.module}").__all__
             unlisted = [a.name for a in node.names if a.name not in exported]
             assert not unlisted, f"bumplab.{node.module}.__all__ does not list {unlisted}"
+
+
+def test_every_export_has_a_caller_outside_the_tests():
+    """Every name in a module's __all__ appears in src/, demos/ or bench/
+    besides its definition, its __all__ entry and bumplab/__init__.py, so API
+    that only the tests call fails here. The search is by whole word in the
+    text, so a mention in a docstring counts, and so does a name the bench
+    traces by its dotted path, such as "grid.average"."""
+    package = ROOT / "src" / "bumplab"
+    modules = sorted(p for p in package.glob("*.py") if p.name != "__init__.py")
+    text = "\n".join(p.read_text() for p in [*modules, *(ROOT / "demos").glob("*.py"),
+                                             *(ROOT / "bench").rglob("*.py")])
+    unused = [f"{path.stem}.{name}" for path in modules
+              for name in getattr(importlib.import_module(f"bumplab.{path.stem}"), "__all__", ())
+              if len(re.findall(rf"\b{name}\b", text)) <= 2]  # the definition and __all__
+    assert not unused, f"exported, but called only by tests: {unused}"

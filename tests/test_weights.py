@@ -18,6 +18,7 @@ from bumplab import (
     power_weight,
     two_weight_ap,
 )
+from bumplab.weights import _bump_values
 
 
 def exact_power_ap(grid, alpha, p, cubes):
@@ -60,7 +61,7 @@ def test_bump_spec_presets():
     with pytest.raises(ValueError):
         BumpSpec.from_preset("comm", 2.0, 0.0)
     with pytest.raises(ValueError):
-        BumpSpec.custom(0.5, 0.0, 0.0)
+        BumpSpec(0.5, None, "custom", 0.0, 0.0)
 
 
 def test_ap_constant_trivial_weights():
@@ -72,6 +73,24 @@ def test_ap_constant_trivial_weights():
         assert rep.constant == pytest.approx(1.0, rel=1e-12)
     with pytest.raises(ValueError):
         ap_constant(indicator(g, 0, 1), 2.0, cubes)  # vanishing cells
+
+
+@pytest.mark.parametrize("p", [1.2, 1.5, 2.0, 3.5])
+@pytest.mark.parametrize("c", [1e-320, 1e-300, 1e-30, 0.2, 1.0, 3.7, 1e30, 1e300, 1e308])
+def test_ap_constant_of_a_constant_weight_is_one_at_any_scale(c, p):
+    # w^(1-p') left the float range: 1e-320 raised FloatingPointError, and
+    # 1e300 at p = 1.5 reported 0.0, though A_p is never below 1
+    g = make_grid(1.0, 64)
+    rep = ap_constant(constant(g, c), p, cube_family(g, "dyadic+shifted"))
+    assert abs(rep.constant - 1.0) <= 4 * np.spacing(1.0)
+
+
+@pytest.mark.parametrize("p", [1.2, 2.0, 3.5])
+@pytest.mark.parametrize("cu, cv", [(1e300, 1e290), (1e-300, 1e-310), (1e-320, 1e-300)])
+def test_two_weight_ap_of_constant_weights_is_their_ratio(cu, cv, p):
+    g = make_grid(1.0, 64)
+    rep = two_weight_ap(WeightPair(constant(g, cu), constant(g, cv)), p, dyadic_cubes(g))
+    assert rep.constant == pytest.approx(cu / cv, rel=1e-14)
 
 
 def test_ap_constant_power_weight_matches_exact_integrals():
@@ -112,7 +131,7 @@ def test_two_weight_ap():
 def test_bump_constant_constant_weights_a0():
     g = make_grid(1.0, 64)
     one = constant(g, 1.0)
-    spec = BumpSpec.custom(2.0, 0.0, 0.0)
+    spec = BumpSpec(2.0, None, "custom", 0.0, 0.0)
     rep = bump_constant(WeightPair(one, one), spec, dyadic_cubes(g))
     assert rep.constant == 1.0
 
@@ -168,12 +187,13 @@ def test_bump_report_metadata():
     g = make_grid(1.0, 32)
     one = constant(g, 1.0)
     cubes = cube_family(g, "dyadic+shifted")
-    rep = bump_constant(WeightPair(one, one), BumpSpec.from_preset("comm", 2.0, 1.0),
-                        cubes, family="dyadic+shifted", keep_values=True)
+    pair, spec = WeightPair(one, one), BumpSpec.from_preset("comm", 2.0, 1.0)
+    rep = bump_constant(pair, spec, cubes, family="dyadic+shifted")
     assert rep.cube_family == "dyadic+shifted"
-    assert rep.per_cube is not None and len(rep.per_cube) == len(cubes)
-    assert rep.constant == np.max(rep.per_cube)
-    assert cubes[int(np.argmax(rep.per_cube))] == rep.argmax_cube
+    assert (rep.p, rep.preset, rep.delta) == (2.0, "comm", 1.0)
+    values = _bump_values(pair, spec, cubes)
+    assert len(values) == len(cubes) and rep.constant == np.max(values)
+    assert cubes[int(np.argmax(values))] == rep.argmax_cube
 
 
 def test_iterate_maximal_constant_and_monotone():
