@@ -23,7 +23,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .grid import Cube, Grid, GridFunction, _shift_rows, dyadic_cubes, haar, lp_norm_weighted, shift
+from .grid import (Cube, Grid, GridFunction, _check_weights, _shift_rows, dyadic_cubes, haar,
+                   lp_norm_weighted, shift)
 from .operators import (
     TruncationSpec,
     _commutator_rows,
@@ -137,26 +138,13 @@ def _generate_member(v: GridFunction, p: float, seed: int, index: int) -> tuple[
     return GridFunction(grid, f.values / nrm), kind
 
 
-def _check_weights(grid: Grid, u: GridFunction | None = None,
-                   v: GridFunction | None = None) -> None:
-    """The rule every weighted probe keeps: u >= 0 and v > 0 everywhere, each
-    on the symbol's grid."""
-    for name, w in (("u", u), ("v", v)):
-        if w is not None and w.grid != grid:
-            raise ValueError(f"{name} lies on {w.grid}, not on the symbol's {grid}")
-    if v is not None and np.min(v.values) <= 0:
-        raise ValueError("v must be positive everywhere")
-    if u is not None and np.any(u.values < 0):
-        raise ValueError("u must be nonnegative")
-
-
 def sample_unit_ball(v: GridFunction, p: float, count: int, seed: int) -> UnitBallSample:
     """Deterministic sample of the unit ball of L^p(v). Raises ValueError, before
     the first member is drawn, if the sample and what the KR probes build from
     it would not fit in memory."""
     if count < 1:
         raise ValueError("count must be >= 1")
-    _check_weights(v.grid, v=v)
+    _check_weights(v=v)
     # m x count floats each: the sample, its commutator images, and kr_probe's
     # shifted difference with its |.|, |.|^p and weighted |.|^p
     check_dense_fits(6 * 8 * v.grid.cells * count,
@@ -196,8 +184,8 @@ def _commutator_images(sample: UnitBallSample, b: GridFunction,
     Column i is bit for bit commutator(b, f_i, trunc), so extending the sample
     keeps every existing image."""
     functions = sample.functions
-    if any(f.grid != b.grid for f in functions):
-        raise ValueError("b and f must share a grid")
+    for f in functions:
+        _check_weights(b=b, f=f)
     kernel = _kernel(b.grid, trunc)
     G = np.empty((b.grid.cells, len(functions)))
     for s in range(0, len(functions), _IMAGE_BLOCK):
@@ -236,7 +224,7 @@ def kr_probe(sample: UnitBallSample, b: GridFunction, trunc: TruncationSpec, u: 
     kernel-difference estimate applies) unless allow_large_shifts.
     """
     grid, p = b.grid, sample.p
-    _check_weights(grid, u=u)
+    _check_weights(u, symbol=b)
     for N in N_list:
         if N >= grid.half_width:
             raise ValueError(f"N = {N} must be < the grid half-width {grid.half_width}")
@@ -269,8 +257,7 @@ def shift_decomposition(b: GridFunction, f: GridFunction, trunc: TruncationSpec,
     The identity Af + Bf = shifted difference holds cell-by-cell by
     construction (with zero extension at the boundary).
     """
-    if b.grid != f.grid:
-        raise ValueError("b and f must share a grid")
+    _check_weights(b=b, f=f)
     grid = f.grid
     k = int(shift_cells)
     _check_shift(k, grid, trunc, allow_large_shifts)
@@ -302,7 +289,7 @@ def tail_constant(b: GridFunction, trunc: TruncationSpec, v: GridFunction, p: fl
     if not p >= 1.0:
         raise ValueError(f"p = {p} must be >= 1")
     grid = b.grid
-    _check_weights(grid, v=v)
+    _check_weights(v=v, symbol=b)
     supp = b.values != 0.0
     if not np.any(supp):
         radius = 0.0
@@ -389,7 +376,7 @@ def _operator_split(b: GridFunction, trunc: TruncationSpec, u: GridFunction,
     _operator_block's float, up to the sign of D_rest's zeros. When B would
     have no more rows than S has cells the split saves nothing: S becomes
     every cell and both arms are empty."""
-    _check_weights(b.grid, u, v)
+    _check_weights(u, v, symbol=b)
     m = b.grid.cells
     values, counts = np.unique(b.values, return_counts=True)
     b0 = values[np.argmax(counts)]
@@ -529,9 +516,7 @@ def decay_compare(b_cmo: GridFunction, b_bmo: GridFunction, trunc: TruncationSpe
     the dyadic cubes of the grid.
     """
     grid = b_cmo.grid
-    _check_weights(grid, u, v)
-    if b_bmo.grid != grid:
-        raise ValueError(f"b_bmo lies on {b_bmo.grid}, not on b_cmo's {grid}")
+    _check_weights(u, v, symbol=b_cmo, b_bmo=b_bmo)
     cubes = dyadic_cubes(grid)
     norm_cmo = bmo_norm(b_cmo, cubes)
     norm_bmo = bmo_norm(b_bmo, cubes)

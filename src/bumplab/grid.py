@@ -79,9 +79,9 @@ class Cube:
     n_cells: int
 
     def __post_init__(self) -> None:
-        if self.n_cells < 1:
+        if not self.n_cells >= 1:
             raise ValueError("cube must contain at least one cell")
-        if self.i0 < 0:
+        if not self.i0 >= 0:
             raise ValueError("cube left index must be nonnegative")
 
     def check(self, grid: Grid) -> None:
@@ -149,10 +149,9 @@ class CubeFamily(Sequence):
         self.n_cells = np.asarray(n_cells, dtype=np.int64).reshape(-1)
         if self.i0.shape != self.n_cells.shape:
             raise ValueError("i0 and n_cells must have the same length")
-        if np.any(self.n_cells < 1):
-            raise ValueError("cube must contain at least one cell")
-        if np.any(self.i0 < 0):
-            raise ValueError("cube left index must be nonnegative")
+        bad = np.flatnonzero((self.n_cells < 1) | (self.i0 < 0))
+        if len(bad):
+            Cube(int(self.i0[bad[0]]), int(self.n_cells[bad[0]]))  # raises with its own message
 
     def __len__(self) -> int:
         return len(self.i0)
@@ -283,12 +282,26 @@ def average(f: GridFunction, cube: Cube) -> float:
     return float(np.sum(block) / cube.n_cells)
 
 
+def _check_weights(u: GridFunction | None = None, v: GridFunction | None = None,
+                   **functions: GridFunction) -> None:
+    """The one rule for what a computation combines, else ValueError: u >= 0 and v > 0
+    on every cell, all on the first one's grid (the named functions, then u, then v)."""
+    (first, ref), *rest = [(n, f) for n, f in (*functions.items(), ("u", u), ("v", v)) if f]
+    for name, f in rest:
+        if f.grid != ref.grid:
+            raise ValueError(f"{first} and {name} must share a grid: {name} lies on {f.grid}, "
+                             f"not on the {first}'s {ref.grid}")
+    if u is not None and np.any(u.values < 0):
+        raise ValueError("u must be nonnegative")
+    if v is not None and np.min(v.values) <= 0:
+        raise ValueError("v must be positive everywhere")
+
+
 def lp_norm_weighted(f: GridFunction, w: GridFunction, p: float) -> float:
-    """(sum |f|^p w h)^(1/p) over the whole grid."""
+    """(sum |f|^p w h)^(1/p) over the whole grid; w is a weight u >= 0 on f's grid."""
     if p < 1:
         raise ValueError("p must be >= 1")
-    if np.any(w.values < 0):
-        raise ValueError("weight must be nonnegative")
+    _check_weights(w, f=f)
     return float(np.sum(np.abs(f.values) ** p * w.values * f.grid.h) ** (1.0 / p))
 
 
@@ -320,23 +333,23 @@ def constant(grid: Grid, c: float) -> GridFunction:
 
 def indicator(grid: Grid, a: float, b: float) -> GridFunction:
     """Characteristic function of [a, b), sampled at cell centers."""
-    if b <= a:
-        raise ValueError("need a < b")
+    if not -np.inf < a < b < np.inf:
+        raise ValueError("need finite a < b")
     x = grid.centers
     return GridFunction(grid, np.where((x >= a) & (x < b), 1.0, 0.0))
 
 
 def gaussian(grid: Grid, center: float, sigma: float) -> GridFunction:
-    if sigma <= 0:
-        raise ValueError("sigma must be positive")
+    if not (np.isfinite(center) and 0 < sigma < np.inf):
+        raise ValueError("need a finite center and a finite sigma > 0")
     with np.errstate(over="ignore"):  # a subnormal sigma: inf, and exp(-inf) = 0
         return GridFunction(grid, np.exp(-0.5 * ((grid.centers - center) / sigma) ** 2))
 
 
 def smooth_bump(grid: Grid, center: float, radius: float) -> GridFunction:
     """The standard C^infinity bump exp(-1/(1-t^2)) on |t| < 1, t = (x-c)/r."""
-    if radius <= 0:
-        raise ValueError("radius must be positive")
+    if not (np.isfinite(center) and 0 < radius < np.inf):
+        raise ValueError("need a finite center and a finite radius > 0")
     with np.errstate(over="ignore"):  # a subnormal radius: |t| = inf, outside the bump
         t = (grid.centers - center) / radius
     out = np.zeros(grid.cells)
@@ -347,8 +360,8 @@ def smooth_bump(grid: Grid, center: float, radius: float) -> GridFunction:
 
 def log_spike(grid: Grid, eps: float) -> GridFunction:
     """max(log(1/(|x|+eps)), 0): unbounded-BMO-flavored spike as eps -> 0."""
-    if eps <= 0:
-        raise ValueError("eps must be positive")
+    if not 0 < eps < np.inf:
+        raise ValueError("eps must be positive and finite")
     x = grid.centers
     # |x| + eps subnormal: log(inf), which GridFunction rejects; |x| + eps huge: 0
     with np.errstate(over="ignore", divide="ignore"):
@@ -370,5 +383,7 @@ def haar(grid: Grid, cube: Cube) -> GridFunction:
 def power_weight(grid: Grid, alpha: float) -> GridFunction:
     """|x|^alpha at cell centers; centers sit at odd multiples of h/2, so
     the value is finite for any alpha."""
+    if not np.isfinite(alpha):
+        raise ValueError("alpha must be finite")
     with np.errstate(over="ignore"):  # GridFunction rejects the inf
         return GridFunction(grid, np.abs(grid.centers) ** alpha)

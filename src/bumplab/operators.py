@@ -40,7 +40,7 @@ from typing import Callable, NamedTuple
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
-from .grid import Grid, GridFunction
+from .grid import Grid, GridFunction, _check_weights
 
 __all__ = [
     "KERNEL_CONSTANT",
@@ -393,6 +393,5 @@ def commutator(b: GridFunction, f: GridFunction, trunc: TruncationSpec) -> GridF
     Evaluated as b' T_eta(f) - T_eta(b' f) with b' = b - b_0 (the commutator
     ignores constants), so a constant symbol gives b' = 0 and exactly 0.
     """
-    if b.grid != f.grid:
-        raise ValueError("b and f must share a grid")
+    _check_weights(b=b, f=f)
     return GridFunction(f.grid, _commutator_rows(b, f.values[None], _kernel(f.grid, trunc))[0])

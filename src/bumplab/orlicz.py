@@ -74,14 +74,12 @@ class OrliczAverage:
 
 
 def young_eval(phi: YoungFunction, t):
-    """Phi(t) elementwise; t must be nonnegative."""
+    """Phi(t) elementwise, inf where it overflows; t must be nonnegative."""
     t = np.asarray(t, dtype=float)
     if np.any(t < 0):
         raise ValueError("Young functions are evaluated at t >= 0")
-    out = t**phi.p * np.log(np.e + t) ** phi.a
-    if out.ndim == 0:
-        return float(out)
-    return out
+    out = _phi(t, phi)
+    return float(out) if out.ndim == 0 else out
 
 
 def young_inverse_at_one(phi: YoungFunction) -> float:
@@ -110,8 +108,7 @@ def _phi(t: np.ndarray, phi: YoungFunction) -> np.ndarray:
 
 def _phi_means(blocks: np.ndarray, lam: np.ndarray, phi: YoungFunction) -> np.ndarray:
     """Row means of Phi(blocks / lambda_row); inf or nan where Phi overflowed."""
-    with np.errstate(all="ignore"):
-        return _phi(blocks / lam[:, None], phi).mean(axis=1)
+    return _phi(blocks / lam[:, None], phi).mean(axis=1)
 
 
 def _roots(blocks: np.ndarray, phi: YoungFunction, t_star: float) -> np.ndarray:
@@ -127,26 +124,25 @@ def _roots(blocks: np.ndarray, phi: YoungFunction, t_star: float) -> np.ndarray:
     p, a = phi.p, phi.a
     weights = np.full(blocks.shape[1], 1.0 / blocks.shape[1])  # row means as a matvec
     todo = np.arange(len(blocks))
-    with np.errstate(all="ignore"):
-        mu = np.log(blocks @ weights / t_star)
-        for _ in range(NEWTON_STEPS):
-            if not len(todo):
-                break
-            rows = blocks if len(todo) == len(blocks) else blocks[todo]
-            t = rows / np.exp(mu[todo])[:, None]
-            if a == 0:
-                step = np.log(t**p @ weights) / p
-            else:
-                log_e_t = np.log(np.e + t)
-                phi_t = t**p * log_e_t**a
-                mean = phi_t @ weights
-                slope = (phi_t * (p + a * t / ((np.e + t) * log_e_t))) @ weights
-                step = np.log(mean) * mean / slope
-            ok = np.isfinite(step)
-            mu[todo] = np.where(ok, mu[todo] + step, np.nan)
-            todo = todo[ok & (np.abs(step) > NEWTON_TOL)]
-        mu[todo] = np.nan
-        return np.exp(mu)
+    mu = np.log(blocks @ weights / t_star)
+    for _ in range(NEWTON_STEPS):
+        if not len(todo):
+            break
+        rows = blocks if len(todo) == len(blocks) else blocks[todo]
+        t = rows / np.exp(mu[todo])[:, None]
+        if a == 0:
+            step = np.log(t**p @ weights) / p
+        else:
+            log_e_t = np.log(np.e + t)
+            phi_t = t**p * log_e_t**a
+            mean = phi_t @ weights
+            slope = (phi_t * (p + a * t / ((np.e + t) * log_e_t))) @ weights
+            step = np.log(mean) * mean / slope
+        ok = np.isfinite(step)
+        mu[todo] = np.where(ok, mu[todo] + step, np.nan)
+        todo = todo[ok & (np.abs(step) > NEWTON_TOL)]
+    mu[todo] = np.nan
+    return np.exp(mu)
 
 
 # The ways a group's bisection fails, in the order it would meet them.
@@ -188,20 +184,6 @@ def orlicz_average_groups(cells: np.ndarray, groups: list[LengthGroup], phi: You
     starts = np.cumsum([0, *(len(g.i0) for g in groups)])
     n_groups, n_cubes = len(groups), int(starts[-1])
     lam0, lo_b, hi_b = np.zeros(n_cubes), np.full(n_cubes, np.nan), np.full(n_cubes, np.nan)
-    for group, start, end in zip(groups, starts, starts[1:]):
-        blocks = cells[group.rows()]
-        # down the columns of a contiguous transposed copy: numpy's reduction
-        # along short rows costs far more per element; max is exact either way
-        lam0[start:end] = np.ascontiguousarray(blocks.T).max(axis=0)
-        nonzero = lam0[start:end] > 0.0
-        if not np.all(nonzero):
-            blocks = blocks[nonzero]
-        root = _roots(blocks, phi, t_star)
-        lo, hi = root * (1.0 - ROOT_BAND), root * (1.0 + ROOT_BAND)
-        confirmed = (_phi_means(blocks, hi, phi) <= 1.0) & (_phi_means(blocks, lo, phi) > 1.0)
-        lo_b[start:end][nonzero] = np.where(confirmed, lo, np.nan)
-        hi_b[start:end][nonzero] = np.where(confirmed, hi, np.nan)
-
     def group_of(k: np.ndarray) -> np.ndarray:
         return np.searchsorted(starts, k, side="right") - 1
 
@@ -233,8 +215,21 @@ def orlicz_average_groups(cells: np.ndarray, groups: list[LengthGroup], phi: You
     def fail(code: int, in_group: np.ndarray) -> None:
         np.minimum(failure, np.where(in_group, code, _NONE), out=failure)
 
-    live = lam0 > 0.0
-    with np.errstate(all="ignore"):
+    with np.errstate(all="ignore"):  # for _roots and _phi_means, which leave numpy's warnings on
+        for group, start, end in zip(groups, starts, starts[1:]):
+            blocks = cells[group.rows()]
+            # down the columns of a contiguous transposed copy: numpy's reduction
+            # along short rows costs far more per element; max is exact either way
+            lam0[start:end] = np.ascontiguousarray(blocks.T).max(axis=0)
+            nonzero = lam0[start:end] > 0.0
+            if not np.all(nonzero):
+                blocks = blocks[nonzero]
+            root = _roots(blocks, phi, t_star)
+            lo, hi = root * (1.0 - ROOT_BAND), root * (1.0 + ROOT_BAND)
+            confirmed = (_phi_means(blocks, hi, phi) <= 1.0) & (_phi_means(blocks, lo, phi) > 1.0)
+            lo_b[start:end][nonzero] = np.where(confirmed, lo, np.nan)
+            hi_b[start:end][nonzero] = np.where(confirmed, hi, np.nan)
+        live = lam0 > 0.0
         # Bracket [lo, hi], infeasible at lo and feasible at hi, from lambda_0:
         # a feasible cube halves lambda (its hi) until infeasible, an
         # infeasible one doubles it (its lo) until feasible. The cap refuses a

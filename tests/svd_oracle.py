@@ -24,6 +24,7 @@ from __future__ import annotations
 import numpy as np
 
 from bumplab import compactness
+from bumplab.grid import _check_weights
 
 
 def singular_values(matrix: np.ndarray) -> np.ndarray:
@@ -63,7 +64,7 @@ def dense_rows_values(b, trunc, u, v) -> np.ndarray:
     the dense rows off S after np.delete; the live rows whole, with no block,
     when the block has no more rows than S has cells. Values past the core's
     side are exact 0.0 up to the number of live rows."""
-    compactness._check_weights(b.grid, u, v)
+    _check_weights(u, v, symbol=b)
     m = b.grid.cells
     values, counts = np.unique(b.values, return_counts=True)
     on_S = b.values != values[np.argmax(counts)]
@@ -91,7 +92,7 @@ def operator_matrix(b, trunc, u, v) -> np.ndarray:
     sequence space, after the package's weight check, with every entry from
     the package's own evaluator, so that the split tests compare the same
     floats, signed zeros included."""
-    compactness._check_weights(b.grid, u, v)
+    _check_weights(u, v, symbol=b)
     every = np.arange(b.grid.cells)
     return compactness._operator_block(b, trunc, u, v, every, every)
 

@@ -752,3 +752,30 @@ def test_spectral_commands_run_at_4_cells_on_their_default_K_list(tmp_path, argv
                 "--out", tmp_path]) == 0
     config = json.loads((tmp_path / report).read_text())["config"]
     assert config["probes"]["spectral"]["K_list"] == [1]
+
+
+@pytest.mark.parametrize("argv", [["ap", "--w", "power:0.5"],
+                                  ["bump", "--u", "const:1", "--v", "const:1"]],
+                         ids=["ap", "bump"])
+def test_p_past_the_cap_exits_2_with_the_one_p_message(tmp_path, capsys, argv):
+    assert run([*argv, "--p", "1e20", "--L", "1", "--m", "64", "--out", tmp_path]) == 2
+    assert capsys.readouterr().err.splitlines() == [
+        "error: p must be > 1 with p - 1 <= 2^22, got 1e+20"]
+    assert not list(tmp_path.iterdir())
+
+
+def test_ap_at_a_large_p_exits_0(tmp_path):
+    assert run(["ap", "--w", "power:0.5", "--p", "1e6", "--L", "1", "--m", "64",
+                "--out", tmp_path]) == 0
+
+
+@pytest.mark.parametrize("argv", [["weights", "gen", "--u", "const:1", "--k", "100000"],
+                                  ["bump", "--u", "const:1", "--v", "M100000:u"]],
+                         ids=["weights-gen-k", "bump-M-k"])
+def test_maximal_iterations_past_the_work_budget_exit_2_at_once(tmp_path, capsys, argv):
+    start = time.perf_counter()
+    assert run([*argv, "--L", "1", "--m", "64", "--out", tmp_path]) == 2
+    assert time.perf_counter() - start < 0.5
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and "got k = 100000, m = 64" in err[0]
+    assert not list(tmp_path.iterdir())

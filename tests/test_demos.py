@@ -16,8 +16,9 @@ DEMOS = Path(__file__).parents[1] / "demos"
 
 def _run(script, cwd):
     env = dict(os.environ, PYTHONPATH=str(Path(bumplab.__file__).parents[1]))
-    proc = subprocess.run([sys.executable, str(script)], cwd=cwd, env=env,
-                          capture_output=True, text=True, timeout=300)
+    # as Tier-1 does in-process (pyproject's filterwarnings does not reach a child)
+    proc = subprocess.run([sys.executable, "-W", "error::RuntimeWarning", str(script)],
+                          cwd=cwd, env=env, capture_output=True, text=True, timeout=300)
     assert proc.returncode == 0, proc.stderr
 
 

@@ -249,3 +249,37 @@ def test_per_cube_hands_length_groups_in_order_of_first_appearance():
     assert out.tolist() == [0.0, 0.0, 4.0, 1.0]  # back in family order
     with pytest.raises(FloatingPointError, match="not finite"):
         per_cube(first_cell, g, cubes, np.full(8, np.inf))
+
+
+# every builder with finite arguments that build a function; each argument in
+# turn is replaced by a non-finite value
+_BUILDERS = {
+    "constant": (constant, (1.0,)),
+    "indicator": (indicator, (-0.5, 0.5)),
+    "gaussian": (gaussian, (0.0, 0.3)),
+    "smooth_bump": (smooth_bump, (0.0, 0.5)),
+    "log_spike": (log_spike, (0.01,)),
+    "power_weight": (power_weight, (0.5,)),
+    "haar": (lambda g, i0, n: haar(g, Cube(i0, n)), (0, 4)),
+}
+_NON_FINITE_ARGS = [(name, i, bad) for name, (_, args) in _BUILDERS.items()
+                    for i in range(len(args)) for bad in (np.nan, np.inf, -np.inf)]
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("name, i, bad", _NON_FINITE_ARGS,
+                         ids=[f"{n}-arg{i}-{b}" for n, i, b in _NON_FINITE_ARGS])
+def test_builders_reject_non_finite_arguments(name, i, bad):
+    build, args = _BUILDERS[name]
+    g = make_grid(1.0, 8)
+    build(g, *args)  # the finite arguments build
+    with pytest.raises(ValueError):
+        build(g, *args[:i], bad, *args[i + 1:])
+
+
+def test_lp_norm_weighted_keeps_the_weight_rule():
+    f, w = constant(make_grid(1.0, 8), 1.0), constant(make_grid(2.0, 8), 1.0)
+    with pytest.raises(ValueError, match="f and u must share a grid: u lies on"):
+        lp_norm_weighted(f, w, 2.0)
+    with pytest.raises(ValueError, match="u must be nonnegative"):
+        lp_norm_weighted(f, -1.0 * f, 2.0)

@@ -18,6 +18,7 @@ from bumplab import (
     power_weight,
     two_weight_ap,
 )
+from bumplab import weights
 from bumplab.weights import _bump_values
 
 
@@ -225,3 +226,61 @@ def test_iterate_maximal_indicator_value():
     assert m1.values[i3] == pytest.approx(best, rel=1e-13)
     assert best == pytest.approx(0.5, abs=2 * g.h)
     assert np.array_equal(m1.values, maximal_fn(f).values)
+
+
+_P_MESSAGE = r"p must be > 1 with p - 1 <= 2\^22"
+_P_CALLS = {
+    "ap_constant": lambda p, w, cubes: ap_constant(w, p, cubes),
+    "two_weight_ap": lambda p, w, cubes: two_weight_ap(WeightPair(w, w), p, cubes),
+    "from_preset": lambda p, w, cubes: BumpSpec.from_preset("czo", p),
+    "custom": lambda p, w, cubes: BumpSpec(p, None, "custom", 1.0, 1.0),
+}
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("p", [1.0, 0.5, -np.inf, np.nan, np.inf, 2.0**22 + 2, 1e20])
+@pytest.mark.parametrize("call", _P_CALLS.values(), ids=_P_CALLS.keys())
+def test_every_p_entry_point_keeps_the_one_p_rule(call, p):
+    g = make_grid(1.0, 16)
+    with pytest.raises(ValueError, match=_P_MESSAGE):
+        call(p, power_weight(g, 0.5), dyadic_cubes(g))
+
+
+@pytest.mark.filterwarnings("error")
+def test_ap_constant_runs_at_the_largest_p():
+    # the power form's cancellation in 1 - p' costs about 3e-11 relative at
+    # p - 1 = 2^22, against a form without it
+    g = make_grid(1.0, 64)
+    cubes, w = dyadic_cubes(g), power_weight(g, 0.5)
+    p = 2.0**22 + 1
+
+    def log_space(block):  # (avg w) (avg w^(1 - p'))^(p - 1), with 1 - p' = -1/(p - 1)
+        x = -np.log(block) / (p - 1)
+        return np.mean(block) * np.exp((p - 1) * np.log1p(np.mean(np.expm1(x))))
+
+    want = max(log_space(w.values[q.i0 : q.i0 + q.n_cells]) for q in cubes)
+    assert ap_constant(w, p, cubes).constant == pytest.approx(want, rel=1e-9)
+
+
+def test_weight_pair_on_two_grids_names_both():
+    u, v = constant(make_grid(1.0, 16), 1.0), constant(make_grid(2.0, 16), 1.0)
+    with pytest.raises(ValueError, match="u and v must share a grid: v lies on"):
+        WeightPair(u, v)
+    with pytest.raises(ValueError, match="v must be positive everywhere"):
+        ap_constant(indicator(u.grid, 0, 1), 2.0, dyadic_cubes(u.grid))
+
+
+def test_iterate_maximal_refuses_k_past_the_work_budget_before_any_call(monkeypatch):
+    calls = []
+    monkeypatch.setattr(weights, "maximal_fn", lambda f: calls.append(f) or f)
+    g = make_grid(1.0, 64)  # below 1024 cells, each call counts 1024
+    budget = weights.MAXIMAL_WORK_CELLS // 1024
+    iterate_maximal(constant(g, 1.0), budget)
+    assert len(calls) == budget
+    calls.clear()
+    for k, m in ((budget + 1, 64), (100_000, 64), (9, weights.MAXIMAL_CELL_CAP)):
+        with pytest.raises(ValueError, match=r"capped at 262144 cells per call and 2097152 over"):
+            iterate_maximal(constant(make_grid(1.0, m), 1.0), k)
+    assert calls == []
+    iterate_maximal(constant(make_grid(1.0, weights.MAXIMAL_CELL_CAP), 1.0), 8)
+    assert len(calls) == 8
