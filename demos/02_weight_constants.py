@@ -16,7 +16,7 @@ m = grid.cells
 dyadic = bl.dyadic_cubes(grid)
 
 print("== A_2 of |x|^(1/2): every scale gives 4/3 ==")
-rep = bl.ap_constant(bl.power_weight(grid, 0.5), 2.0, dyadic, family="dyadic")
+rep = bl.ap_constant(bl.power_weight(grid, 0.5), 2.0, dyadic)
 a, b = rep.argmax_cube.endpoints(grid)
 print(f"  sup over dyadic cubes: {rep.constant:.6f} (exact 4/3 = {4 / 3:.6f}),"
       f" attained on [{a:.4f}, {b:.4f}]")
@@ -48,8 +48,8 @@ for name, spec in [("two-weight A_2", None),
                    ("CZO bump", bl.BumpSpec.from_preset("czo", 2.0, 1.0)),
                    ("commutator bump", bl.BumpSpec.from_preset("comm", 2.0, 1.0))]:
     if spec is None:
-        c = bl.two_weight_ap(pair, 2.0, cubes, family="dyadic+shifted").constant
+        c = bl.two_weight_ap(pair, 2.0, cubes).constant
     else:
-        c = bl.bump_constant(pair, spec, cubes, family="dyadic+shifted").constant
+        c = bl.bump_constant(pair, spec, cubes).constant
     print(f"  {name:>16}: {c:.6f}")
 print("  (finite commutator-bump constant: the pair admits a compact commutator)")

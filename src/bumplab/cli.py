@@ -32,7 +32,6 @@ import numpy as np
 from . import compactness, io, operators, orlicz, weights
 from .grid import (
     Cube,
-    CubeFamily,
     Grid,
     GridFunction,
     constant,
@@ -83,6 +82,18 @@ class _Parser(argparse.ArgumentParser):
 
 _TERM_RE = re.compile(r"^([a-zA-Z_]+):(.*)$")
 _MAXIMAL_RE = re.compile(r"^M(\d+):(.+)$")
+# builder term -> (its builder of (grid, *arguments), its argument count)
+_BUILDERS = {
+    "const": (constant, 1),
+    "indicator": (indicator, 2),
+    "gaussian": (gaussian, 2),
+    "bump": (smooth_bump, 2),
+    "smooth_bump": (smooth_bump, 2),
+    "logspike": (log_spike, 1),
+    "log_spike": (log_spike, 1),
+    "power": (power_weight, 1),
+    "haar": (lambda grid, i0, n: haar(grid, Cube(int(i0), int(n))), 2),  # integer arguments
+}
 
 
 def parse_function_spec(grid: Grid, spec: str,
@@ -90,8 +101,9 @@ def parse_function_spec(grid: Grid, spec: str,
     """Builder mini-language: terms joined by '+'.
 
     Terms: const:c, indicator:a,b, gaussian:c,sigma, bump:c,r, logspike:eps,
-    power:alpha, haar:i0,n, or a bare number. "M<k>:<spec>" applies the
-    maximal operator k times; "M<k>:u" references the already-built u.
+    power:alpha, haar:i0,n (the names and aliases of ``_BUILDERS``), or a bare
+    number. "M<k>:<spec>" applies the maximal operator k times; "M<k>:u"
+    references the already-built u.
     """
     spec = spec.strip()
     mk = _MAXIMAL_RE.match(spec)
@@ -125,26 +137,13 @@ def parse_function_spec(grid: Grid, spec: str,
                 raise ValueError
         except ValueError:
             raise ValueError(f"bad arguments in builder term {term!r}") from None
-        if name == "const" and len(args) == 1:
-            f = constant(grid, args[0])
-        elif name == "indicator" and len(args) == 2:
-            f = indicator(grid, args[0], args[1])
-        elif name == "gaussian" and len(args) == 2:
-            f = gaussian(grid, args[0], args[1])
-        elif name in ("bump", "smooth_bump") and len(args) == 2:
-            f = smooth_bump(grid, args[0], args[1])
-        elif name in ("logspike", "log_spike") and len(args) == 1:
-            f = log_spike(grid, args[0])
-        elif name == "power" and len(args) == 1:
-            f = power_weight(grid, args[0])
-        elif name == "haar" and len(args) == 2:
-            if not all(a.is_integer() for a in args):
-                raise ValueError(f"bad arguments in builder term {term!r}")
-            f = haar(grid, Cube(int(args[0]), int(args[1])))
-        else:
+        builder, count = _BUILDERS.get(name, (None, None))
+        if len(args) != count:
             raise ValueError(f"unknown builder term {term!r}")
+        if name == "haar" and not all(a.is_integer() for a in args):
+            raise ValueError(f"bad arguments in builder term {term!r}")
         with np.errstate(over="ignore"):  # GridFunction rejects the inf
-            total += f.values
+            total += builder(grid, *args).values
     return GridFunction(grid, total)
 
 
@@ -281,11 +280,6 @@ class Resolved:
         return json.loads(json.dumps(self.used))
 
 
-def _cubes_of(res: Resolved, grid: Grid) -> tuple[str, CubeFamily]:
-    name = res.get("cubes")
-    return name, cube_family(grid, name)
-
-
 def _trunc_of(res: Resolved, grid: Grid) -> operators.TruncationSpec:
     res.get("kernel")  # read to be recorded; "hilbert" is its only value
     return operators.TruncationSpec(res.get("eta_cells") * grid.h)
@@ -300,6 +294,12 @@ def _weight_pair(res: Resolved, grid: Grid) -> tuple[GridFunction, GridFunction]
 def _emit(res: Resolved, name: str, kind: str, result: dict) -> None:
     io.write_json(Path(res.get("out")) / f"{name}.json",
                   {"kind": kind, "result": result, "config": res.snapshot()})
+
+
+def _emit_sup(res: Resolved, name: str, kind: str, sup) -> None:
+    """Emit the result dict sup(cubes) of the --cubes family, labelled with its name."""
+    family = res.get("cubes")
+    _emit(res, name, kind, {**sup(cube_family(res.grid(), family)), "family": family})
 
 
 def _write_sigma(res: Resolved, name: str, singular_values) -> None:
@@ -324,19 +324,16 @@ def _cmd_orlicz(res: Resolved) -> int:
 
 
 def _cmd_bmo(res: Resolved) -> int:
-    grid = res.grid()
-    b = parse_function_spec(grid, res.get("b"))
-    family, cubes = _cubes_of(res, grid)
-    _emit(res, "bmo", "bmo_norm", {"norm": orlicz.bmo_norm(b, cubes), "family": family})
+    b = parse_function_spec(res.grid(), res.get("b"))
+    _emit_sup(res, "bmo", "bmo_norm", lambda cubes: {"norm": orlicz.bmo_norm(b, cubes)})
     return 0
 
 
 def _cmd_ap(res: Resolved) -> int:
     grid = res.grid()
     w, p = parse_function_spec(grid, res.get("w")), res.get("p")
-    family, cubes = _cubes_of(res, grid)
-    report = weights.ap_constant(w, p, cubes, family=family)
-    _emit(res, "ap", "ap_constant", io.bump_report_dict(report, grid))
+    _emit_sup(res, "ap", "ap_constant",
+              lambda cubes: io.bump_report_dict(weights.ap_constant(w, p, cubes), grid))
     return 0
 
 
@@ -359,9 +356,9 @@ def _cmd_bump(res: Resolved) -> int:
         raise ValueError("--preset custom requires --a-left and --a-right")
     else:
         spec = weights.BumpSpec.from_preset(preset, p, delta)
-    family, cubes = _cubes_of(res, grid)
-    report = weights.bump_constant(weights.WeightPair(u, v), spec, cubes, family=family)
-    _emit(res, "bump", "bump_constant", io.bump_report_dict(report, grid))
+    pair = weights.WeightPair(u, v)
+    _emit_sup(res, "bump", "bump_constant",
+              lambda cubes: io.bump_report_dict(weights.bump_constant(pair, spec, cubes), grid))
     return 0
 
 

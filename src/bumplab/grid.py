@@ -111,22 +111,23 @@ class GridFunction:
         if not np.all(np.isfinite(self.values)):
             raise ValueError("grid function values must be finite")
 
-    def __add__(self, other):
+    def _combine(self, op, other) -> "GridFunction":
+        """op of the values and other's values (or a scalar), on the grid both share."""
         if isinstance(other, GridFunction):
-            return GridFunction(self.grid, self.values + other.values)
-        return GridFunction(self.grid, self.values + other)
+            _check_weights(left=self, right=other)
+            other = other.values
+        return GridFunction(self.grid, op(self.values, other))
+
+    def __add__(self, other):
+        return self._combine(np.add, other)
 
     __radd__ = __add__
 
     def __sub__(self, other):
-        if isinstance(other, GridFunction):
-            return GridFunction(self.grid, self.values - other.values)
-        return GridFunction(self.grid, self.values - other)
+        return self._combine(np.subtract, other)
 
     def __mul__(self, other):
-        if isinstance(other, GridFunction):
-            return GridFunction(self.grid, self.values * other.values)
-        return GridFunction(self.grid, self.values * other)
+        return self._combine(np.multiply, other)
 
     __rmul__ = __mul__
 

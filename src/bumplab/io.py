@@ -79,7 +79,6 @@ def bump_report_dict(report: BumpReport, grid: Grid) -> dict:
     return {
         "constant": float(report.constant),
         "argmax": {"a": a, "b": b},
-        "family": report.cube_family,
         "preset": report.preset,
         "p": float(report.p),
         "delta": None if report.delta is None else float(report.delta),

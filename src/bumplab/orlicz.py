@@ -83,7 +83,10 @@ def young_eval(phi: YoungFunction, t):
 
 
 def young_inverse_at_one(phi: YoungFunction) -> float:
-    """The t* with Phi(t*) = 1, by doubling then bisection to 1e-12."""
+    """The t* with Phi(t*) = 1, by doubling then bisection to 1e-12, or to the
+    float where the bracket can halve no further (Phi may step by more than
+    1e-12 between adjacent floats). Raises OrliczOverflowError if that last
+    bracket does not hold Phi < 1 <= Phi with both values finite."""
     hi = 1.0
     while young_eval(phi, hi) < 1.0:
         hi *= 2.0
@@ -93,6 +96,12 @@ def young_inverse_at_one(phi: YoungFunction) -> float:
         value = young_eval(phi, mid)
         if abs(value - 1.0) <= 1e-12:
             return mid
+        if mid in (lo, hi):
+            # Phi(lo) < 1 throughout; Phi(hi) is >= 1 unless it overflowed to inf or nan
+            if np.isfinite(young_eval(phi, hi)):
+                return mid
+            raise OrliczOverflowError(
+                f"Phi(t) = t^{phi.p:g} log(e+t)^{phi.a:g} overflows near Phi(t) = 1")
         if value < 1.0:
             lo = mid
         else:
@@ -130,14 +139,11 @@ def _roots(blocks: np.ndarray, phi: YoungFunction, t_star: float) -> np.ndarray:
             break
         rows = blocks if len(todo) == len(blocks) else blocks[todo]
         t = rows / np.exp(mu[todo])[:, None]
-        if a == 0:
-            step = np.log(t**p @ weights) / p
-        else:
-            log_e_t = np.log(np.e + t)
-            phi_t = t**p * log_e_t**a
-            mean = phi_t @ weights
-            slope = (phi_t * (p + a * t / ((np.e + t) * log_e_t))) @ weights
-            step = np.log(mean) * mean / slope
+        log_e_t = np.log(np.e + t)
+        phi_t = t**p * log_e_t**a
+        mean = phi_t @ weights
+        slope = (phi_t * (p + a * t / ((np.e + t) * log_e_t))) @ weights
+        step = np.log(mean) * mean / slope
         ok = np.isfinite(step)
         mu[todo] = np.where(ok, mu[todo] + step, np.nan)
         todo = todo[ok & (np.abs(step) > NEWTON_TOL)]

@@ -2,8 +2,8 @@
 the logarithmically bumped two-weight conditions.
 
 Each constant is a supremum over a finite cube family; any finite family
-gives a lower bound for the true sup over all cubes, so every report records
-the family it was computed on.
+gives a lower bound for the true sup over all cubes. A report holds the value
+and the argmax cube; the caller, which chose the family, names it.
 """
 
 from __future__ import annotations
@@ -103,22 +103,14 @@ class BumpSpec:
 class BumpReport:
     constant: float
     argmax_cube: Cube
-    cube_family: str
     p: float
     preset: str | None = None
     delta: float | None = None
 
 
-def _sup_report(values: np.ndarray, cubes: Sequence[Cube], family: str, p: float,
-                **meta) -> BumpReport:
+def _sup_report(values: np.ndarray, cubes: Sequence[Cube], p: float, **meta) -> BumpReport:
     k = int(np.argmax(values))
-    return BumpReport(
-        constant=float(values[k]),
-        argmax_cube=cubes[k],
-        cube_family=family,
-        p=p,
-        **meta,
-    )
+    return BumpReport(constant=float(values[k]), argmax_cube=cubes[k], p=p, **meta)
 
 
 def _mid_exponent(values: np.ndarray) -> int:
@@ -151,18 +143,15 @@ def _ap_values(u: GridFunction, v: GridFunction, p: float, cubes: Sequence[Cube]
                     u.grid, cubes, scaled_u, w)
 
 
-def ap_constant(w: GridFunction, p: float, cubes: Sequence[Cube],
-                family: str = "custom") -> BumpReport:
+def ap_constant(w: GridFunction, p: float, cubes: Sequence[Cube]) -> BumpReport:
     """sup over cubes of (avg_Q w) (avg_Q w^(1-p')) ^ (p-1); w keeps v's rule, w > 0."""
     _check_weights(v=w)
-    return _sup_report(_ap_values(w, w, p, cubes), cubes, family, p, preset="ap")
+    return _sup_report(_ap_values(w, w, p, cubes), cubes, p, preset="ap")
 
 
-def two_weight_ap(pair: WeightPair, p: float, cubes: Sequence[Cube],
-                  family: str = "custom") -> BumpReport:
+def two_weight_ap(pair: WeightPair, p: float, cubes: Sequence[Cube]) -> BumpReport:
     """sup over cubes of (avg_Q u) (avg_Q v^(1-p')) ^ (p-1)."""
-    return _sup_report(_ap_values(pair.u, pair.v, p, cubes), cubes, family, p,
-                       preset="two_weight_ap")
+    return _sup_report(_ap_values(pair.u, pair.v, p, cubes), cubes, p, preset="two_weight_ap")
 
 
 def _bump_values(pair: WeightPair, spec: BumpSpec, cubes: Sequence[Cube]) -> np.ndarray:
@@ -182,15 +171,14 @@ def _bump_values(pair: WeightPair, spec: BumpSpec, cubes: Sequence[Cube]) -> np.
     return per_cube(product, pair.u.grid, cubes, left_values, pair.v.values ** (-1.0 / p))
 
 
-def bump_constant(pair: WeightPair, spec: BumpSpec, cubes: Sequence[Cube],
-                  family: str = "custom") -> BumpReport:
+def bump_constant(pair: WeightPair, spec: BumpSpec, cubes: Sequence[Cube]) -> BumpReport:
     """sup over cubes of F_left(Q) * F_right(Q).
 
     F_right is the Orlicz average of v^(-1/p) with exponents (p', a_right).
     F_left is the plain average of u for the maximal preset, and otherwise
     the Orlicz average of u^(1/p) with exponents (p, a_left).
     """
-    return _sup_report(_bump_values(pair, spec, cubes), cubes, family, spec.p,
+    return _sup_report(_bump_values(pair, spec, cubes), cubes, spec.p,
                        preset=spec.preset, delta=spec.delta)
 
 

@@ -174,8 +174,7 @@ def test_criterion_05_paper_weight_pair():
     for m in (1024, 2048):
         grid, u, v = criterion5_pair(m)
         cubes = bl.cube_family(grid, "dyadic+shifted")
-        consts[m] = bl.bump_constant(bl.WeightPair(u, v), spec, cubes,
-                                     family="dyadic+shifted").constant
+        consts[m] = bl.bump_constant(bl.WeightPair(u, v), spec, cubes).constant
     elapsed = time.perf_counter() - t0
     change = abs(consts[2048] - consts[1024]) / consts[1024]
     ok = np.isfinite(consts[1024]) and np.isfinite(consts[2048]) \

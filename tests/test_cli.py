@@ -779,3 +779,43 @@ def test_maximal_iterations_past_the_work_budget_exit_2_at_once(tmp_path, capsys
     err = capsys.readouterr().err.splitlines()
     assert len(err) == 1 and "got k = 100000, m = 64" in err[0]
     assert not list(tmp_path.iterdir())
+
+
+@pytest.mark.parametrize("family", ["dyadic", "dyadic+shifted"])
+@pytest.mark.parametrize("argv", [["ap", "--w", "power:0.5"],
+                                  ["bump", "--u", "const:1", "--v", "const:1"],
+                                  ["bmo", "--b", "logspike:0.01"]],
+                         ids=["ap", "bump", "bmo"])
+def test_sup_results_carry_the_cube_family(tmp_path, argv, family):
+    assert run([*argv, "--cubes", family, "--L", "1", "--m", "16", "--out", tmp_path]) == 0
+    report = json.loads((tmp_path / f"{argv[0]}.json").read_text())
+    assert report["result"]["family"] == report["config"]["cubes"] == family
+
+
+@pytest.mark.parametrize("flags, message", [
+    (["--a-left", "1"], "--preset custom requires --a-right"),
+    ([], "--preset custom requires --a-left and --a-right"),
+], ids=["a-left-only", "neither"])
+def test_custom_preset_without_its_exponents_exits_2(tmp_path, capsys, flags, message):
+    assert run([*_CUSTOM, *flags, "--L", "1", "--m", "16", "--out", tmp_path]) == 2
+    assert capsys.readouterr().err.splitlines() == [f"error: {message}"]
+    assert not list(tmp_path.iterdir())
+
+
+def test_custom_preset_records_an_avg_left_exponent_as_null(tmp_path):
+    assert run([*_CUSTOM, "--a-left", "avg", "--a-right", "2", "--L", "1", "--m", "16",
+                "--out", tmp_path]) == 0
+    bump = json.loads((tmp_path / "bump.json").read_text())["config"]["bump"]
+    assert bump["a_left"] is None and bump["a_right"] == 2.0
+
+
+@pytest.mark.parametrize("term, message", [
+    ("nope:x", "bad arguments"),  # arguments are parsed before the name is looked up
+    ("nope:1", "unknown builder term"),
+    ("haar:1.5", "unknown builder term"),  # the count is checked before haar's integer rule
+    ("haar:1.5,2", "bad arguments"),
+    ("const:1,2", "unknown builder term"),
+])
+def test_builder_term_errors_keep_their_precedence(term, message):
+    with pytest.raises(ValueError, match=f"^{message} .*{term!r}$"):
+        parse_function_spec(make_grid(1.0, 16), f"const:1+{term}")

@@ -20,7 +20,7 @@ import warnings
 
 from hypothesis import given, settings, strategies as st
 
-from bumplab.cli import _COMMANDS, _command_options, main
+from bumplab.cli import _BUILDERS, _COMMANDS, _command_options, main
 
 # numbers as text: ordinary ones, and boundary, subnormal, huge and non-finite ones
 _EDGE_NUMBERS = st.sampled_from([
@@ -31,8 +31,7 @@ _NUMBERS = st.one_of(_TAME_NUMBERS, st.floats(-10.0, 10.0).map(repr), _EDGE_NUMB
 _SMALL_INTS = st.integers(-2, 40).map(str)
 
 # builder term -> its argument count
-_TERMS = {"const": 1, "indicator": 2, "gaussian": 2, "bump": 2, "smooth_bump": 2,
-          "logspike": 1, "log_spike": 1, "power": 1, "haar": 2}
+_TERMS = {name: count for name, (_, count) in _BUILDERS.items()}
 _BAD_TERMS = ["nope:1", "const:", "const:1,2", "const:x", "M:u", "", "M1:"]
 
 

@@ -92,8 +92,8 @@ def test_ap_constants_match_cube_loop(problem, p):
 def test_ap_constant_is_two_weight_ap_with_equal_weights(problem, p):
     grid, cubes, rng = problem
     w = positive(grid, rng)
-    one = ap_constant(w, p, cubes, family="f")
-    two = two_weight_ap(WeightPair(w, w), p, cubes, family="f")
+    one = ap_constant(w, p, cubes)
+    two = two_weight_ap(WeightPair(w, w), p, cubes)
     assert (one.constant, one.argmax_cube) == (two.constant, two.argmax_cube)
     assert (one.preset, two.preset) == ("ap", "two_weight_ap")
 

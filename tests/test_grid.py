@@ -283,3 +283,20 @@ def test_lp_norm_weighted_keeps_the_weight_rule():
         lp_norm_weighted(f, w, 2.0)
     with pytest.raises(ValueError, match="u must be nonnegative"):
         lp_norm_weighted(f, -1.0 * f, 2.0)
+
+
+@pytest.mark.parametrize("op", ["__add__", "__sub__", "__mul__"])
+def test_grid_function_arithmetic_keeps_the_shared_grid_rule(op):
+    one, two = constant(make_grid(1.0, 8), 1.0), constant(make_grid(2.0, 8), 2.0)
+    with pytest.raises(ValueError, match="must share a grid"):
+        getattr(one, op)(two)
+    same = constant(make_grid(1.0, 8), 2.0)  # an equal grid, not the same object
+    assert getattr(one, op)(same).values.tolist() == [getattr(1.0, op)(2.0)] * 8
+
+
+def test_grid_function_scalar_arithmetic():
+    f = GridFunction(make_grid(1.0, 4), [1.0, 2.0, 3.0, 4.0])
+    assert (f + 1).values.tolist() == (1 + f).values.tolist() == [2.0, 3.0, 4.0, 5.0]
+    assert (f - 1).values.tolist() == [0.0, 1.0, 2.0, 3.0]
+    assert (f * 2).values.tolist() == (2 * f).values.tolist() == [2.0, 4.0, 6.0, 8.0]
+    assert (f + f).grid is f.grid

@@ -70,6 +70,25 @@ def test_young_inverse_at_one(a):
     assert young_inverse_at_one(YoungFunction(3, 0)) == pytest.approx(1.0, abs=1e-12)
 
 
+@pytest.mark.parametrize("p, a", [(1e6, 0.5), (1e5, 2.0)])
+def test_young_inverse_at_one_ends_where_the_bracket_cannot_halve(p, a):
+    # Phi steps by more than 1e-12 between adjacent floats near t*: the search
+    # used to exhaust its 200 steps and raise OrliczConvergenceError
+    phi = YoungFunction(p, a)
+    t = young_inverse_at_one(phi)
+    below, above = np.nextafter(t, 0.0), np.nextafter(t, 2.0)
+    assert (young_eval(phi, below) < 1.0 <= young_eval(phi, t)
+            or young_eval(phi, t) < 1.0 <= young_eval(phi, above))
+    assert abs(young_eval(phi, t) - 1.0) < 1e-9
+
+
+def test_young_inverse_at_one_raises_where_phi_leaves_the_float_range():
+    # t^3000 underflows where log(e + t)^6000 overflows, so Phi reads 0 or NaN
+    # near t* ~ 0.671: the last bracket does not straddle 1 with finite values
+    with pytest.raises(OrliczOverflowError, match=r"overflows near Phi\(t\) = 1"):
+        young_inverse_at_one(YoungFunction(3000, 6000))
+
+
 def test_orlicz_average_constant_a0_is_exact():
     g = make_grid(1.0, 64)
     for c in (0.5, 1.0, 7.25):

@@ -189,8 +189,7 @@ def test_bump_report_metadata():
     one = constant(g, 1.0)
     cubes = cube_family(g, "dyadic+shifted")
     pair, spec = WeightPair(one, one), BumpSpec.from_preset("comm", 2.0, 1.0)
-    rep = bump_constant(pair, spec, cubes, family="dyadic+shifted")
-    assert rep.cube_family == "dyadic+shifted"
+    rep = bump_constant(pair, spec, cubes)
     assert (rep.p, rep.preset, rep.delta) == (2.0, "comm", 1.0)
     values = _bump_values(pair, spec, cubes)
     assert len(values) == len(cubes) and rep.constant == np.max(values)
