@@ -32,7 +32,6 @@ from .grid import (
 from .orlicz import (
     OrliczAverage,
     OrliczConvergenceError,
-    OrliczOverflowError,
     YoungFunction,
     bmo_norm,
     orlicz_average,

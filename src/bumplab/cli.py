@@ -50,7 +50,6 @@ _NUMERICAL_EXIT = 3
 
 _NONCONVERGENCE = (
     orlicz.OrliczConvergenceError,
-    orlicz.OrliczOverflowError,
     np.linalg.LinAlgError,
     FloatingPointError,
 )
@@ -316,8 +315,7 @@ def _cmd_orlicz(res: Resolved) -> int:
     bounds = _CONVERT["integer[]"](cube_arg)
     if len(bounds) != 2:
         raise ValueError(f"--cube takes i0,n_cells (two integers), got {cube_arg!r}")
-    result = orlicz.orlicz_average(f, Cube(*bounds), orlicz.YoungFunction(p, a),
-                                   res.get("rel_tol"))
+    result = orlicz.orlicz_average(f, Cube(*bounds), orlicz.YoungFunction(p, a))
     _emit(res, "orlicz", "orlicz_average", {"value": result.value, "iterations": result.iterations,
                                              "bracket": list(result.bracket)})
     return 0
@@ -482,7 +480,6 @@ _COMMANDS = {
         Opt("orlicz.a", "number", default=0.0, ge=0),
         Opt("orlicz.cube", "string", default=lambda res: f"0,{res.grid().cells}",
             help="i0,n_cells (default: whole grid)"),
-        Opt("orlicz.rel_tol", "number", default=1e-10, gt=0),
     ))}),
     "bmo": ("BMO norm over a cube family", {None: (_cmd_bmo, (_B, _CUBES))}),
     "ap": ("A_p constant", {None: (_cmd_ap, (

@@ -1,19 +1,12 @@
 """Young functions t^p [log(e+t)]^a, Orlicz (Luxemburg) averages over cubes,
 and BMO norms.
 
-The Orlicz average of f over a cube Q is the infimum of lambda > 0 such that
-the cube average of Phi(|f|/lambda) is at most 1. The map
-lambda -> avg_Q Phi(|f|/lambda) is continuous and strictly decreasing wherever
-f is not identically zero on Q, so the infimum is located by bracketing and
-bisection; the returned value is always on the feasible side of the bracket.
-
-Each bracketing and bisection step asks whether a lambda is feasible. Newton's
-method first locates every cube's root lambda* (where the average is 1), and
-the answer is checked by evaluating Phi at lambda*(1 -+ ROOT_BAND). Outside
-that band, lambda >= lambda* answers; inside it, or where the check fails,
-Phi is evaluated on the cube. The bracketing and bisection arithmetic itself
-is replayed on one scalar per cube, so every value, bracket end and iteration
-count is the one that evaluating Phi at every step gives.
+The Orlicz average of f over a cube Q is the infimum lambda* of the lambda > 0
+with avg_Q Phi(|f|/lambda) <= 1, where that average, decreasing in lambda,
+equals 1. Safeguarded Newton finds it in s = log(max|f| / lambda), on
+F(s) = log avg_Q Phi(|f|/lambda) factored about the cube's largest cell, which
+overflows for no p and a; a band check certifies it: the value is feasible
+(F <= 0), and the lower end, ROOT_BAND below it (relative), is not.
 """
 
 from __future__ import annotations
@@ -28,7 +21,6 @@ from .grid import Cube, GridFunction, LengthGroup, gather_rows, per_cube
 __all__ = [
     "YoungFunction",
     "OrliczAverage",
-    "OrliczOverflowError",
     "OrliczConvergenceError",
     "young_eval",
     "young_inverse_at_one",
@@ -37,19 +29,12 @@ __all__ = [
     "bmo_norm",
 ]
 
-DEFAULT_REL_TOL = 1e-10
-MAX_ITERATIONS = 200
-ROOT_BAND = 1e-12  # relative half-width around lambda* where Phi decides
-NEWTON_STEPS = 40
-NEWTON_TOL = 1e-7  # a Newton step in log(lambda) this small ends the search
-
-
-class OrliczOverflowError(FloatingPointError):
-    """Phi evaluation left the floating range; rescale f and retry."""
+ROOT_BAND = 1e-12  # relative width of the certified bracket [lower, value]
+NEWTON_TOL = 1e-7  # a step in s this small ends the search, if the band check confirms it
 
 
 class OrliczConvergenceError(RuntimeError):
-    """Bracketing or bisection failed to converge within the iteration cap."""
+    """A root's bracket can no longer halve, yet its band check fails."""
 
 
 @dataclass(frozen=True)
@@ -78,233 +63,159 @@ def young_eval(phi: YoungFunction, t):
     t = np.asarray(t, dtype=float)
     if np.any(t < 0):
         raise ValueError("Young functions are evaluated at t >= 0")
-    out = _phi(t, phi)
+    with np.errstate(all="ignore"):
+        out = t**phi.p * np.log(np.e + t) ** phi.a
     return float(out) if out.ndim == 0 else out
 
 
 def young_inverse_at_one(phi: YoungFunction) -> float:
-    """The t* with Phi(t*) = 1, by doubling then bisection to 1e-12, or to the
-    float where the bracket can halve no further (Phi may step by more than
-    1e-12 between adjacent floats). Raises OrliczOverflowError if that last
-    bracket does not hold Phi < 1 <= Phi with both values finite."""
-    hi = 1.0
-    while young_eval(phi, hi) < 1.0:
-        hi *= 2.0
-    lo = 0.0
-    for _ in range(200):
-        mid = 0.5 * (lo + hi)
-        value = young_eval(phi, mid)
-        if abs(value - 1.0) <= 1e-12:
-            return mid
-        if mid in (lo, hi):
-            # Phi(lo) < 1 throughout; Phi(hi) is >= 1 unless it overflowed to inf or nan
-            if np.isfinite(young_eval(phi, hi)):
-                return mid
-            raise OrliczOverflowError(
-                f"Phi(t) = t^{phi.p:g} log(e+t)^{phi.a:g} overflows near Phi(t) = 1")
-        if value < 1.0:
-            lo = mid
-        else:
-            hi = mid
-    raise OrliczConvergenceError("young_inverse_at_one did not converge")
+    """The t* with Phi(t*) = 1: e^s at the root of f = 1 on one cell, from s = 0 >= s*."""
+    one = np.ones((1, 1))
+    _, _, s, _ = _certified_roots(one, one, np.ones(1), np.zeros(1), np.full(1, -np.inf),
+                                  np.zeros(1), phi)
+    return float(np.exp(s[0]))
 
 
-def _phi(t: np.ndarray, phi: YoungFunction) -> np.ndarray:
-    """Phi(t) elementwise; inf or nan where it overflows."""
-    with np.errstate(all="ignore"):
-        return t**phi.p * np.log(np.e + t) ** phi.a
+def _log_mean_phi(r: np.ndarray, r_p: np.ndarray, s: np.ndarray, phi: YoungFunction,
+                  slope: bool = False):
+    """Per row, F(s) = log mean Phi(r e^s), and with slope=True also F'(s).
 
-
-def _phi_means(blocks: np.ndarray, lam: np.ndarray, phi: YoungFunction) -> np.ndarray:
-    """Row means of Phi(blocks / lambda_row); inf or nan where Phi overflowed."""
-    return _phi(blocks / lam[:, None], phi).mean(axis=1)
-
-
-def _roots(blocks: np.ndarray, phi: YoungFunction, t_star: float) -> np.ndarray:
-    """Per row, the lambda* with mean Phi(row / lambda*) = 1, or NaN.
-
-    Newton's method on log mean Phi against log lambda, from
-    lambda = mean(row) / t* where Phi(t*) = 1. The slope of that curve lies
-    in [-p - a, -p], and each step about squares the error, so the search
-    ends after a step below NEWTON_TOL with the error far inside ROOT_BAND.
-    Rows still stepping after NEWTON_STEPS, or whose step is not finite,
-    give NaN.
+    r holds |f| / max|f| per row (so each row's largest entry is 1) and
+    r_p = r**p. With L = log(e + r e^s) and L_1 = log(e + e^s), F(s) =
+    p s + a log L_1 + log mean(r^p (L / L_1)^a): a log-sum-exp shifted by its
+    largest term (Blanchard, Higham & Higham, IMA J. Numer. Anal. 41, 2021),
+    which Phi's monotonicity names in advance, so no term exceeds 1. F' is the
+    Phi-weighted mean of t Phi'(t)/Phi(t) = p + a t / ((e+t) L), in [p, p+a].
+    Rows sum by einsum, whose sum for a row does not depend on the others.
     """
-    p, a = phi.p, phi.a
-    weights = np.full(blocks.shape[1], 1.0 / blocks.shape[1])  # row means as a matvec
-    todo = np.arange(len(blocks))
-    mu = np.log(blocks @ weights / t_star)
-    for _ in range(NEWTON_STEPS):
-        if not len(todo):
-            break
-        rows = blocks if len(todo) == len(blocks) else blocks[todo]
-        t = rows / np.exp(mu[todo])[:, None]
-        log_e_t = np.log(np.e + t)
-        phi_t = t**p * log_e_t**a
-        mean = phi_t @ weights
-        slope = (phi_t * (p + a * t / ((np.e + t) * log_e_t))) @ weights
-        step = np.log(mean) * mean / slope
-        ok = np.isfinite(step)
-        mu[todo] = np.where(ok, mu[todo] + step, np.nan)
-        todo = todo[ok & (np.abs(step) > NEWTON_TOL)]
-    mu[todo] = np.nan
-    return np.exp(mu)
+    p, a, n = phi.p, phi.a, r.shape[1]
+    if a == 0.0:
+        f = p * s + np.log(np.einsum("ij->i", r_p) / n)
+        return (f, np.full(len(s), p)) if slope else f
+    e_s = np.exp(s)
+    t = r * e_s[:, None]
+    log_e_t, log_1 = np.log(np.e + t), np.log(np.e + e_s)
+    terms = r_p * (log_e_t / log_1[:, None]) ** a
+    total = np.einsum("ij->i", terms)
+    f = p * s + a * np.log(log_1) + np.log(total / n)
+    if not slope:
+        return f
+    t /= (np.e + t) * log_e_t
+    return f, p + a * np.einsum("ij,ij->i", terms, t) / total
 
 
-# The ways a group's bisection fails, in the order it would meet them.
-_OVERFLOW, _HALVING, _DOUBLING, _BISECTION, _NONE = range(5)
-_FAILURES = {
-    _OVERFLOW: (OrliczOverflowError,
-                "Phi(|f|/lambda) overflowed while locating the Orlicz average; rescale f"),
-    _HALVING: (OrliczConvergenceError, "bracketing (halving) exceeded iteration cap"),
-    _DOUBLING: (OrliczConvergenceError, "bracketing (doubling) exceeded iteration cap"),
-    _BISECTION: (OrliczConvergenceError, "bisection exceeded iteration cap"),
-}
+def _certified_roots(r: np.ndarray, r_p: np.ndarray, top: np.ndarray, s: np.ndarray,
+                     lo: np.ndarray, hi: np.ndarray, phi: YoungFunction,
+                     ) -> tuple[np.ndarray, np.ndarray, np.ndarray, int]:
+    """Per row of |f| = top * r (r_p = r**p): the certified bracket's value and
+    lower end, the root s = log(top / lambda*), and the most steps a row took.
+
+    Safeguarded Newton (Press et al., Numerical Recipes, 3rd ed., 9.4) runs
+    from s inside [lo, hi], which must hold the root; as F' lies in [p, p+a],
+    each evaluation narrows it. A step out of it, or not under half the row's
+    last, bisects it instead, unless under NEWTON_TOL. After such a step, or
+    one to the middle of a bracket that can no longer halve, the band check
+    evaluates F at lambda = top e^-s. If feasible, lambda is the value and
+    lambda (1 - ROOT_BAND), the lower end, must be infeasible; if not, lambda
+    is the lower end and the value lambda (1 + ROOT_BAND) must be feasible,
+    as F' >= p shows, or else F. A row that fails searches on, or raises
+    OrliczConvergenceError once its bracket can no longer halve.
+    """
+    p, a, rows = phi.p, phi.a, len(s)
+    value, lower, last = np.empty(rows), np.empty(rows), np.full(rows, np.inf)
+    is_open, todo, steps = np.ones(rows, dtype=bool), np.arange(rows), 0
+
+    def evaluate(k: np.ndarray, at: np.ndarray, slope: bool = False):
+        """F (and F') at s = at on rows k, narrowing their brackets."""
+        out = _log_mean_phi(*((r, r_p) if len(k) == rows else (r[k], r_p[k])), at, phi, slope)
+        f = out[0] if slope else out
+        ends = (at - f / p, at - f / (p + a))
+        lo[k] = np.maximum(lo[k], np.minimum(*ends))
+        hi[k] = np.minimum(hi[k], np.maximum(*ends))
+        return out
+
+    def halves(k: np.ndarray) -> np.ndarray:
+        return (lo[k] < 0.5 * (lo[k] + hi[k])) & (0.5 * (lo[k] + hi[k]) < hi[k])
+
+    with np.errstate(all="ignore"):  # a NaN or inf is an evaluation gone wrong: it raises below
+        while len(todo):
+            steps += 1
+            at = s[todo]
+            f, slope = evaluate(todo, at, slope=True)
+            step = -f / slope
+            newton = (np.abs(step) < 0.5 * last[todo]) & (
+                (np.abs(step) < NEWTON_TOL) | ((lo[todo] <= at + step) & (at + step <= hi[todo])))
+            step = np.where(newton, step, 0.5 * (lo[todo] + hi[todo]) - at)
+            s[todo] = at + step
+            last[todo] = np.abs(step)
+
+            k = todo[~(last[todo] >= NEWTON_TOL) | ~halves(todo)]  # a NaN step too: it raises
+            if not len(k):
+                continue
+            lam = top[k] * np.exp(-s[k])
+            at = np.log(top[k] / lam)
+            f = evaluate(k, at)
+            feasible = f <= 0.0
+            other = lam * np.where(feasible, 1.0 - ROOT_BAND, 1.0 + ROOT_BAND)
+            at_other = np.log(top[k] / other)
+            f += p * (at_other - at)  # as F' >= p, F at the other end is past this bound
+            unsure = np.flatnonzero(np.where(feasible, f <= 0.0, f > 0.0))
+            if len(unsure):
+                f[unsure] = evaluate(k[unsure], at_other[unsure])
+            certified = np.where(feasible, f > 0.0, f <= 0.0)
+            if not np.all(certified | halves(k)):
+                raise OrliczConvergenceError(
+                    "the bracket of an Orlicz root can no longer halve, and its band check fails")
+            value[k], lower[k] = np.where(feasible, lam, other), np.where(feasible, other, lam)
+            is_open[k[certified]] = False
+            todo = np.flatnonzero(is_open)
+    return value, lower, s, steps
 
 
 def orlicz_average_groups(cells: np.ndarray, groups: list[LengthGroup], phi: YoungFunction,
-                          rel_tol: float = DEFAULT_REL_TOL,
                           ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Luxemburg averages of |cells| over every cube of every length group.
 
     cells holds one value per grid cell; groups are the length groups
-    `grid.per_cube` passes. Returns the per-cube average (the feasible
-    bracket end), each group's iteration count, and the per-cube infeasible
-    lower bracket end, cubes group after group. Cubes where f is identically
-    zero return 0 by the norm convention.
+    `grid.per_cube` passes. Returns the per-cube average (the feasible end of
+    its certified bracket), each group's Newton step count, and the per-cube
+    infeasible lower end, cubes group after group; 0 where f vanishes.
 
-    Each cube is bracketed from lambda = max|f| by halving or doubling, then
-    bisected to relative width rel_tol, on its own scalars and for all groups
-    at once. A group's count is the sum over the three phases of the most
-    steps one of its cubes takes. The error raised is the one met first by
-    the first group, in order, that meets one.
+    With Phi(t*) = 1, an n-cell cube's root s* = log(max|f| / lambda*) lies in
+    [log t*, log t* + log(n)/p], as the largest of the n terms of mean Phi = 1
+    lies in [1, n]. Newton starts at log t* - log(mean (|f|/max|f|)^p) / p,
+    exact for a = 0 or constant f.
     """
-    if not (0.0 < rel_tol <= 1e-3):
-        raise ValueError("rel_tol must be in (0, 1e-3]")
     cells = np.abs(np.asarray(cells, dtype=float))
-    t_star = young_inverse_at_one(phi)
-
-    # Cubes are numbered group after group; group g holds starts[g]:starts[g+1].
-    # Per cube: lambda_0 = max|f| and the band (lo_b, hi_b) around its root,
-    # NaN where no root is known.
-    starts = np.cumsum([0, *(len(g.i0) for g in groups)])
-    n_groups, n_cubes = len(groups), int(starts[-1])
-    lam0, lo_b, hi_b = np.zeros(n_cubes), np.full(n_cubes, np.nan), np.full(n_cubes, np.nan)
-    def group_of(k: np.ndarray) -> np.ndarray:
-        return np.searchsorted(starts, k, side="right") - 1
-
-    def evaluate(k: np.ndarray, lam: np.ndarray) -> np.ndarray:
-        """mean Phi(|f|/lam) <= 1 on cubes k, by evaluating Phi on their cells."""
-        out = np.empty(len(k), dtype=bool)
-        g = group_of(k)
-        for gi in set(g.tolist()):
-            e = np.flatnonzero(g == gi)
-            rows = groups[gi].i0[k[e] - starts[gi], None] + np.arange(groups[gi].n_cells)
-            out[e] = _phi_means(cells[rows], lam[e], phi) <= 1.0
-        return out
-
-    def feasible(lam: np.ndarray, among: np.ndarray) -> np.ndarray:
-        """mean Phi(|f|/lam) <= 1, per cube, for the cubes in the mask among:
-        by the root outside its band, by evaluating Phi inside it."""
-        out = lam >= hi_b
-        unsure = np.flatnonzero(among & ~(out | (lam <= lo_b)))
-        if len(unsure):
-            out[unsure] = evaluate(unsure, lam[unsure])
-        return out
-
-    def group_max(per_cube: np.ndarray) -> np.ndarray:
-        """Each group's largest value (0 for none); NaN if it holds one."""
-        return np.array([per_cube[a:b].max(initial=0) for a, b in zip(starts, starts[1:])])
-
-    failure = np.full(n_groups, _NONE)
-
-    def fail(code: int, in_group: np.ndarray) -> None:
-        np.minimum(failure, np.where(in_group, code, _NONE), out=failure)
-
-    with np.errstate(all="ignore"):  # for _roots and _phi_means, which leave numpy's warnings on
-        for group, start, end in zip(groups, starts, starts[1:]):
-            blocks = cells[group.rows()]
-            # down the columns of a contiguous transposed copy: numpy's reduction
-            # along short rows costs far more per element; max is exact either way
-            lam0[start:end] = np.ascontiguousarray(blocks.T).max(axis=0)
-            nonzero = lam0[start:end] > 0.0
-            if not np.all(nonzero):
-                blocks = blocks[nonzero]
-            root = _roots(blocks, phi, t_star)
-            lo, hi = root * (1.0 - ROOT_BAND), root * (1.0 + ROOT_BAND)
-            confirmed = (_phi_means(blocks, hi, phi) <= 1.0) & (_phi_means(blocks, lo, phi) > 1.0)
-            lo_b[start:end][nonzero] = np.where(confirmed, lo, np.nan)
-            hi_b[start:end][nonzero] = np.where(confirmed, hi, np.nan)
-        live = lam0 > 0.0
-        # Bracket [lo, hi], infeasible at lo and feasible at hi, from lambda_0:
-        # a feasible cube halves lambda (its hi) until infeasible, an
-        # infeasible one doubles it (its lo) until feasible. The cap refuses a
-        # cube's step 201.
-        halves = feasible(lam0, live)
-        lo = np.where(halves, np.nan, lam0)
-        hi = np.where(halves, lam0, np.nan)
-        steps = np.zeros(n_cubes, dtype=np.int16)
-        active = live.copy()
-        while np.any(active):
-            capped = active & (steps == MAX_ITERATIONS)
-            steps[capped] += 1
-            active &= ~capped
-            lam = np.where(halves, hi / 2.0, lo * 2.0)
-            steps += active
-            f = feasible(lam, active)
-            np.copyto(hi, lam, where=active & f)
-            np.copyto(lo, lam, where=active & ~f)
-            active &= f == halves
-        halving = group_max(np.where(halves, steps, 0)).astype(int)
-        doubling = group_max(np.where(halves, 0, steps)).astype(int)
-        # The smallest lambda a cube visits is lambda_0 or, once a halving
-        # cube stops, its lo; Phi overflows there if anywhere, and since Phi
-        # increases, in a group if at its largest |f| / lambda.
-        t_max = group_max(np.where(live, lam0 / np.fmin(lam0, lo), 0.0))
-        fail(_OVERFLOW, ~np.isfinite(_phi(t_max, phi)))
-        fail(_HALVING, halving > MAX_ITERATIONS)
-        fail(_DOUBLING, halving + doubling > MAX_ITERATIONS)
-
-        # Bisection, one step of every open cube per pass. A cube still open
-        # after MAX_ITERATIONS - 1 steps fails.
-        steps[:] = 0
-        is_open = (hi - lo) > rel_tol * hi
-        failed = np.flatnonzero(failure != _NONE)
-        if len(failed):  # the first failure raises below; groups after it do not run
-            is_open[starts[failed[0]]:] = False
-        mid = np.empty(n_cubes)
-        for step in range(MAX_ITERATIONS):
-            if not np.any(is_open):
-                break
-            if step == MAX_ITERATIONS - 1:
-                fail(_BISECTION, group_max(is_open) > 0)
-                break
-            np.add(lo, hi, out=mid)
-            mid *= 0.5
-            f = feasible(mid, is_open)
-            np.copyto(hi, mid, where=is_open & f)
-            np.copyto(lo, mid, where=is_open & ~f)
-            steps += is_open
-            is_open &= (hi - lo) > rel_tol * hi
-    if np.any(failure != _NONE):
-        error, message = _FAILURES[int(failure[failure != _NONE][0])]
-        raise error(message)
-
-    hi[~live] = lo[~live] = 0.0
-    return hi, halving + doubling + group_max(steps).astype(int), lo
+    log_t_star = np.log(young_inverse_at_one(phi))
+    values, counts, lowers = [np.zeros(0)], [], [np.zeros(0)]
+    for group in groups:
+        blocks = cells[group.rows()]
+        # down the columns of a contiguous transposed copy: numpy's reduction
+        # along short rows costs far more per element; max is exact either way
+        top = np.ascontiguousarray(blocks.T).max(axis=0)
+        live = top > 0.0
+        value, lower, top = np.zeros(len(top)), np.zeros(len(top)), top[live]
+        r = blocks[live] / top[:, None]
+        r_p = r**phi.p
+        lo = np.full(len(top), log_t_star)
+        s = lo - np.log(np.einsum("ij->i", r_p) / group.n_cells) / phi.p
+        value[live], lower[live], _, count = _certified_roots(
+            r, r_p, top, s, lo, lo + np.log(group.n_cells) / phi.p, phi)
+        values.append(value)
+        lowers.append(lower)
+        counts.append(count)
+    return np.concatenate(values), np.array(counts, dtype=int), np.concatenate(lowers)
 
 
-def orlicz_average(f: GridFunction, cube: Cube, phi: YoungFunction,
-                   rel_tol: float = DEFAULT_REL_TOL) -> OrliczAverage:
-    """Orlicz average of f over one cube.
-
-    The result lambda satisfies avg_Q Phi(|f|/lambda) <= 1 while
-    lambda*(1 - rel_tol) is infeasible, so the bracket pins the infimum to
-    relative width rel_tol.
+def orlicz_average(f: GridFunction, cube: Cube, phi: YoungFunction) -> OrliczAverage:
+    """Orlicz average of f over one cube, with its bracket (lower, value),
+    ROOT_BAND wide: avg_Q Phi(|f|/lambda) <= 1 at the value and > 1 at the
+    lower end, as F evaluates them; one end sits within rounding of the root.
     """
     cube.check(f.grid)
     group = LengthGroup(cube.n_cells, np.array([cube.i0]))
-    vals, iters, los = orlicz_average_groups(f.values, [group], phi, rel_tol)
+    vals, iters, los = orlicz_average_groups(f.values, [group], phi)
     return OrliczAverage(float(vals[0]), int(iters[0]), (float(los[0]), float(vals[0])))
 
 

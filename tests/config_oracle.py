@@ -50,7 +50,6 @@ CONFIG_SCHEMA = {
                 "p": {"type": "number", "exclusiveMinimum": 1},
                 "a": {"type": "number", "minimum": 0},
                 "cube": {"type": "string"},
-                "rel_tol": {"type": "number", "exclusiveMinimum": 0},
             },
         },
         "cubes": {"enum": ["dyadic", "dyadic+shifted"]},

@@ -2,8 +2,9 @@
 the cube families as lists of `Cube`.
 
 Each evaluator walks the cube family one cube at a time and reduces that
-cube's block with `grid.average` or the reference bisection in
-`orlicz_oracle`. This is how `bmo_norm` computed its norm before every
+cube's block with `grid.average` or the package's single-cube
+`orlicz_average` (whose root `test_orlicz_oracle` checks against the
+reference bisection). This is how `bmo_norm` computed its norm before every
 constant went through the grouped gather `grid.per_cube`; the property tests
 compare the grouped path against these loops. The family builders are the
 list-building loops `grid.cube_family` ran before families became index
@@ -14,7 +15,7 @@ from __future__ import annotations
 
 import numpy as np
 
-import orlicz_oracle
+from bumplab import orlicz
 from bumplab.grid import Cube, Grid, GridFunction, average
 from bumplab.orlicz import YoungFunction
 from bumplab.weights import BumpSpec, WeightPair
@@ -46,10 +47,8 @@ def cube_family(grid: Grid, name: str) -> list[Cube]:
     return dyadic_cubes(grid) + shifted_dyadic_cubes(grid)
 
 
-def orlicz_average(f: GridFunction, cube: Cube, phi: YoungFunction,
-                   rel_tol: float = 1e-10) -> float:
-    block = np.abs(f.values[cube.i0 : cube.i0 + cube.n_cells])
-    return float(orlicz_oracle.orlicz_average_values(block[None, :], phi, rel_tol)[0][0])
+def orlicz_average(f: GridFunction, cube: Cube, phi: YoungFunction) -> float:
+    return orlicz.orlicz_average(f, cube, phi).value
 
 
 def bmo_norm(b: GridFunction, cubes: list[Cube]) -> float:
@@ -71,8 +70,7 @@ def ap_per_cube(u: GridFunction, v: GridFunction, p: float, cubes: list[Cube]) -
     return np.array([average(u, q) * average(dual, q) ** (p - 1.0) for q in cubes])
 
 
-def bump_per_cube(pair: WeightPair, spec: BumpSpec, cubes: list[Cube],
-                  rel_tol: float = 1e-10) -> np.ndarray:
+def bump_per_cube(pair: WeightPair, spec: BumpSpec, cubes: list[Cube]) -> np.ndarray:
     """F_left(Q) * F_right(Q) for every cube, one Orlicz average at a time."""
     p = spec.p
     grid = pair.u.grid
@@ -81,10 +79,10 @@ def bump_per_cube(pair: WeightPair, spec: BumpSpec, cubes: list[Cube],
     phi_right = YoungFunction(p / (p - 1.0), spec.a_right)
     out = []
     for q in cubes:
-        right = orlicz_average(v_root, q, phi_right, rel_tol)
+        right = orlicz_average(v_root, q, phi_right)
         if spec.a_left is None:
             left = average(pair.u, q)
         else:
-            left = orlicz_average(u_root, q, YoungFunction(p, spec.a_left), rel_tol)
+            left = orlicz_average(u_root, q, YoungFunction(p, spec.a_left))
         out.append(left * right)
     return np.array(out)

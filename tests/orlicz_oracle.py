@@ -2,22 +2,26 @@
 evaluation of every open row per step.
 
 This is how bumplab computed every Orlicz average, one block of
-same-length cubes at a time, before it located the root by Newton and replayed this arithmetic on per-row
-scalars. The property tests require the fast path to return the same values,
-lower bracket ends and iteration counts, and to raise the same errors.
+same-length cubes at a time, before it found each root by Newton in log space
+and certified it. The bisection stops at relative width REL_TOL on the
+feasible side of the root, so where it returns, the package's values must lie
+within REL_TOL + 2 ROOT_BAND (relative) of its values. Phi is evaluated in its
+product form, which overflows (PhiOverflow) where the package's log-space
+form does not.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from bumplab.orlicz import (
-    DEFAULT_REL_TOL,
-    MAX_ITERATIONS,
-    OrliczConvergenceError,
-    OrliczOverflowError,
-    YoungFunction,
-)
+from bumplab.orlicz import OrliczConvergenceError, YoungFunction
+
+REL_TOL = 1e-10
+MAX_ITERATIONS = 200
+
+
+class PhiOverflow(FloatingPointError):
+    """Phi(|f|/lambda) left the float range in its product form."""
 
 
 def _phi_means(blocks: np.ndarray, lam: np.ndarray, phi: YoungFunction) -> np.ndarray:
@@ -26,14 +30,14 @@ def _phi_means(blocks: np.ndarray, lam: np.ndarray, phi: YoungFunction) -> np.nd
         t = blocks / lam[:, None]
         vals = t**phi.p * np.log(np.e + t) ** phi.a
     if not np.all(np.isfinite(vals)):
-        raise OrliczOverflowError(
+        raise PhiOverflow(
             "Phi(|f|/lambda) overflowed during bracketing; rescale f"
         )
     return vals.mean(axis=1)
 
 
 def orlicz_average_values(blocks: np.ndarray, phi: YoungFunction,
-                          rel_tol: float = DEFAULT_REL_TOL,
+                          rel_tol: float = REL_TOL,
                           ) -> tuple[np.ndarray, int, np.ndarray]:
     """Luxemburg averages for many same-length cubes at once.
 
@@ -111,7 +115,7 @@ def orlicz_average_values(blocks: np.ndarray, phi: YoungFunction,
 
 
 def orlicz_average_groups(cells: np.ndarray, groups, phi: YoungFunction,
-                          rel_tol: float = DEFAULT_REL_TOL,
+                          rel_tol: float = REL_TOL,
                           ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """`orlicz.orlicz_average_groups` by the reference: each length group's
     block in turn, the first error raised."""
@@ -121,3 +125,28 @@ def orlicz_average_groups(cells: np.ndarray, groups, phi: YoungFunction,
         return np.zeros(0), np.zeros(0, dtype=int), np.zeros(0)
     return (np.concatenate([r[0] for r in runs]), np.array([r[1] for r in runs]),
             np.concatenate([r[2] for r in runs]))
+
+
+def log_mean_phi_exact(row, lam: float, phi: YoungFunction, digits: int = 50) -> float:
+    """log mean Phi(|row| / lam) at `digits` significant digits (mpmath), in
+    the product form, which mpmath's exponent range keeps finite."""
+    import mpmath
+
+    with mpmath.workdps(digits):
+        p, a, lam = mpmath.mpf(phi.p), mpmath.mpf(phi.a), mpmath.mpf(lam)
+        total = mpmath.mpf(0)
+        for x in np.abs(np.asarray(row, dtype=float)):
+            if x:
+                t = mpmath.mpf(x) / lam
+                total += t**p * mpmath.log(mpmath.e + t) ** a
+        return float(mpmath.log(total / len(row)))
+
+
+def rounding_allowance(row, value: float, phi: YoungFunction) -> float:
+    """The rounding error allowed one float evaluation of log mean Phi at
+    lambda = value: 16 eps times its first-order terms, from p s (with
+    s = log(max|f| / lambda)) and the p-th powers of |f| / max|f|, the a-th
+    powers of the log factor, and the row sum. The worst error seen on 3,600
+    random rows (p up to 3000, a up to 6000) was under 3 eps (p + a)."""
+    s = np.log(np.max(np.abs(row)) / value)
+    return 16 * np.finfo(float).eps * (phi.p * (1 + abs(s)) + phi.a + len(row))

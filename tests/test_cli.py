@@ -16,7 +16,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import bumplab
-from bumplab import GridFunction, cli, compactness, iterate_maximal, make_grid, operators
+from bumplab import GridFunction, cli, compactness, iterate_maximal, make_grid, operators, orlicz
 from bumplab.cli import _COMMANDS, _command_options, main, parse_function_spec, validate_config
 from config_oracle import CONFIG_SCHEMA
 
@@ -251,10 +251,80 @@ def test_non_finite_config_value_exits_2(tmp_path, capsys, text):
     assert not out.exists()
 
 
-def test_nonconvergence_exits_3(tmp_path):
-    rc = run(["orlicz", "--f", "const:0.0001+indicator:0,0.5", "--p", "1200",
-              "--a", "0", "--L", "1", "--m", "16", "--out", tmp_path])
+def test_nonconvergence_exits_3(tmp_path, monkeypatch, capsys):
+    """An Orlicz root that cannot be certified (here an evaluation that never
+    reaches the root) exits 3 with one error line and no report."""
+    def never_one(r, r_p, s, phi, slope=False):
+        f = np.ones_like(s)
+        return (f, np.full_like(s, phi.p)) if slope else f
+
+    monkeypatch.setattr(orlicz, "_log_mean_phi", never_one)
+    rc = run(["orlicz", "--f", "const:1", "--L", "1", "--m", "16", "--out", tmp_path / "out"])
     assert rc == 3
+    assert capsys.readouterr().err.splitlines() == [
+        "error: numerical non-convergence: the bracket of an Orlicz root can no longer halve, "
+        "and its band check fails"]
+    assert not (tmp_path / "out").exists()
+
+
+def test_orlicz_where_phi_overflows_exits_0(tmp_path):
+    """1.0001^1200 on 4 of 16 cells, where Phi's product form overflows: the
+    log-space search returns the closed form (mean f^p)^(1/p) =
+    1.0001 (1/4)^(1/1200), since the other 12 cells' 1e-4^1200 underflows."""
+    assert run(["orlicz", "--f", "const:0.0001+indicator:0,0.5", "--p", "1200",
+                "--a", "0", "--L", "1", "--m", "16", "--out", tmp_path]) == 0
+    result = json.loads((tmp_path / "orlicz.json").read_text())["result"]
+    assert result["value"] == pytest.approx(1.0001 * 0.25 ** (1 / 1200), rel=1e-10)
+    assert result["bracket"][0] < result["bracket"][1] == result["value"]
+
+
+@pytest.mark.parametrize("argv", [
+    ["--p", "3000", "--u", "const:1", "--v", "const:1"],
+    ["--p", "1500", "--u", "const:1", "--v", "const:1"],
+    ["--preset", "custom", "--a-left", "0.5", "--a-right", "0.5", "--p", "1e6",
+     "--u", "const:1+gaussian:0,0.3", "--v", "const:1"],
+], ids=["comm-p3000", "comm-p1500", "custom-p1e6"])
+def test_bump_with_large_exponents_exits_0(tmp_path, argv):
+    """Phi's product form overflows at t = 1 from a = 2604 and at t = 2 from
+    p = 1024. For constant weights the constant is 1 / (t*_left t*_right),
+    with Phi(t*) = 1 for each Young function."""
+    assert run(["bump", *argv, "--L", "1", "--m", "64", "--out", tmp_path]) == 0
+    report = json.loads((tmp_path / "bump.json").read_text())
+    constant = report["result"]["constant"]
+    assert np.isfinite(constant)
+    if "custom" not in argv:
+        p = float(argv[1])
+        pc = p / (p - 1.0)
+        t_left = orlicz.young_inverse_at_one(orlicz.YoungFunction(p, 2 * p))
+        t_right = orlicz.young_inverse_at_one(orlicz.YoungFunction(pc, 2 * pc))
+        assert constant == pytest.approx(1.0 / (t_left * t_right), rel=1e-10)
+
+
+def test_orlicz_rel_tol_is_gone(tmp_path, capsys):
+    assert run(["orlicz", "--f", "const:1", "--rel-tol", "1e-10", "--L", "1", "--m", "16",
+                "--out", tmp_path]) == 1
+    assert "unrecognized arguments: --rel-tol" in capsys.readouterr().err
+
+
+# the config block of an `orlicz` report written while the command still took
+# --rel-tol; its value was 1.927756598603949, the feasible end of a bisection
+_OLD_ORLICZ_CONFIG = {
+    "function": {"f": "const:1+gaussian:0,0.3"},
+    "grid": {"L": 1.0, "m": 16},
+    "orlicz": {"a": 1.0, "cube": "4,8", "p": 2.0, "rel_tol": 1e-10},
+    "output": {"dir": "po"},
+}
+
+
+def test_old_orlicz_report_runs_as_config(tmp_path):
+    """orlicz.rel_tol names no option any more, and config keys that name no
+    option are ignored, so the report still runs and gives its value."""
+    cfg = tmp_path / "old.json"
+    cfg.write_text(json.dumps({"config": _OLD_ORLICZ_CONFIG, "kind": "orlicz_average"}))
+    assert run(["--config", cfg, "orlicz", "--out", tmp_path / "out"]) == 0
+    report = json.loads((tmp_path / "out" / "orlicz.json").read_text())
+    assert "rel_tol" not in report["config"]["orlicz"]
+    assert report["result"]["value"] == pytest.approx(1.927756598603949, rel=1e-10 + 2e-12)
 
 
 def test_bump_constant_weight_calibration(tmp_path):

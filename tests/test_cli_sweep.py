@@ -80,8 +80,6 @@ def _value(opt, hostile: bool):
         return st.lists(_SMALL_INTS, min_size=1, max_size=3).map(",".join)
     if opt.name == "a_left":
         return st.one_of(st.just("avg"), numbers)
-    if opt.name == "rel_tol" and not hostile:
-        return st.sampled_from(["1e-3", "1e-10", "1e-14"])
     if opt.type == "integer":
         return _SMALL_INTS if hostile else st.integers(max(int(bound), 1), 40).map(str)
     if opt.type == "integer[]":
