@@ -89,9 +89,6 @@ def _log_mean_phi(r: np.ndarray, r_p: np.ndarray, s: np.ndarray, phi: YoungFunct
     Rows sum by einsum, whose sum for a row does not depend on the others.
     """
     p, a, n = phi.p, phi.a, r.shape[1]
-    if a == 0.0:
-        f = p * s + np.log(np.einsum("ij->i", r_p) / n)
-        return (f, np.full(len(s), p)) if slope else f
     e_s = np.exp(s)
     t = r * e_s[:, None]
     log_e_t, log_1 = np.log(np.e + t), np.log(np.e + e_s)
