@@ -17,13 +17,11 @@ __all__ = [
     "GridFunction",
     "Cube",
     "CubeFamily",
-    "LengthGroup",
     "make_grid",
     "dyadic_cubes",
     "shifted_dyadic_cubes",
     "cube_family",
     "per_cube",
-    "gather_rows",
     "average",
     "lp_norm_weighted",
     "shift",
@@ -233,47 +231,30 @@ def cube_family(grid: Grid, name: str) -> CubeFamily:
     raise ValueError(f"unknown cube family {name!r}")
 
 
-@dataclass(frozen=True)
-class LengthGroup:
-    """The cubes of one length: left ends i0, each n_cells long."""
-
-    n_cells: int
-    i0: np.ndarray
-
-    def rows(self) -> np.ndarray:
-        """(len(i0), n_cells) cell indices, one row per cube."""
-        return self.i0[:, None] + np.arange(self.n_cells)
-
-
 def per_cube(fn: Callable[..., np.ndarray], grid: Grid, cubes: Sequence[Cube],
              *arrays: np.ndarray) -> np.ndarray:
     """fn's per-row values for every cube of the family, in family order.
 
     The family (a CubeFamily or a list of Cube) is split into length groups,
     in order of first appearance, each holding its cubes in family order.
-    fn(groups, *arrays) gets every group at once, with the arrays (one value
-    per grid cell), and returns one value per cube, group after group.
-    Raises FloatingPointError if any value is not finite.
+    fn(*blocks) runs once per group: each array (one value per grid cell) is
+    gathered into an (n_cubes, n_cells) block, one row per cube, and fn
+    returns one value per row. Raises FloatingPointError if any value is not
+    finite.
     """
     fam = _checked_family(cubes, grid)
     order = np.argsort(fam.n_cells, kind="stable")
     runs = np.split(order, np.flatnonzero(np.diff(fam.n_cells[order])) + 1)
     runs.sort(key=lambda pos: pos[0])  # one run of family positions per length
-    groups = [LengthGroup(int(fam.n_cells[pos[0]]), fam.i0[pos]) for pos in runs]
     out = np.empty(len(fam))
     with np.errstate(over="ignore", invalid="ignore"):
-        out[np.concatenate(runs)] = fn(groups, *arrays)
+        for pos in runs:
+            rows = fam.i0[pos, None] + np.arange(fam.n_cells[pos[0]])
+            out[pos] = fn(*(a[rows] for a in arrays))
     if not np.all(np.isfinite(out)):
         raise FloatingPointError(
             "a per-cube value is not finite (the reduction overflowed); rescale the input")
     return out
-
-
-def gather_rows(fn: Callable[..., np.ndarray], groups: list[LengthGroup],
-                *arrays: np.ndarray) -> np.ndarray:
-    """fn(*blocks) of every length group, concatenated: each array (one value
-    per grid cell) is gathered into an (n_cubes, n_cells) block per group."""
-    return np.concatenate([fn(*(a[g.rows()] for a in arrays)) for g in groups])
 
 
 def average(f: GridFunction, cube: Cube) -> float:

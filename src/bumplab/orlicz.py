@@ -13,10 +13,11 @@ from __future__ import annotations
 
 from collections.abc import Sequence
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
-from .grid import Cube, GridFunction, LengthGroup, gather_rows, per_cube
+from .grid import Cube, GridFunction, per_cube
 
 __all__ = [
     "YoungFunction",
@@ -25,7 +26,7 @@ __all__ = [
     "young_eval",
     "young_inverse_at_one",
     "orlicz_average",
-    "orlicz_average_groups",
+    "orlicz_average_rows",
     "bmo_norm",
 ]
 
@@ -49,6 +50,11 @@ class YoungFunction:
             raise ValueError(f"Young exponent p must be > 1 and finite, got {self.p!r}")
         if not 0 <= self.a < np.inf:
             raise ValueError(f"log exponent a must be >= 0 and finite, got {self.a!r}")
+
+    @cached_property
+    def log_t_star(self) -> float:
+        """log t*, where Phi(t*) = 1: solved once per YoungFunction."""
+        return float(np.log(young_inverse_at_one(self)))
 
 
 @dataclass(frozen=True)
@@ -116,7 +122,8 @@ def _certified_roots(r: np.ndarray, r_p: np.ndarray, top: np.ndarray, s: np.ndar
     lambda (1 - ROOT_BAND), the lower end, must be infeasible; if not, lambda
     is the lower end and the value lambda (1 + ROOT_BAND) must be feasible,
     as F' >= p shows, or else F. A row that fails searches on, or raises
-    OrliczConvergenceError once its bracket can no longer halve.
+    OrliczConvergenceError once its bracket can no longer halve (ValueError
+    if lambda is subnormal there, where floats lie more than a band apart).
     """
     p, a, rows = phi.p, phi.a, len(s)
     value, lower, last = np.empty(rows), np.empty(rows), np.full(rows, np.inf)
@@ -160,7 +167,13 @@ def _certified_roots(r: np.ndarray, r_p: np.ndarray, top: np.ndarray, s: np.ndar
             if len(unsure):
                 f[unsure] = evaluate(k[unsure], at_other[unsure])
             certified = np.where(feasible, f > 0.0, f <= 0.0)
-            if not np.all(certified | halves(k)):
+            stuck = ~(certified | halves(k))
+            if np.any(lam[stuck] < np.finfo(float).tiny):
+                raise ValueError(
+                    f"an Orlicz average lies below the smallest normal float "
+                    f"({np.finfo(float).tiny:.3g}), where no bracket {ROOT_BAND:g} wide exists; "
+                    f"scale f by a power of two, as the average scales with it")
+            if np.any(stuck):
                 raise OrliczConvergenceError(
                     "the bracket of an Orlicz root can no longer halve, and its band check fails")
             value[k], lower[k] = np.where(feasible, lam, other), np.where(feasible, other, lam)
@@ -169,40 +182,34 @@ def _certified_roots(r: np.ndarray, r_p: np.ndarray, top: np.ndarray, s: np.ndar
     return value, lower, s, steps
 
 
-def orlicz_average_groups(cells: np.ndarray, groups: list[LengthGroup], phi: YoungFunction,
-                          ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Luxemburg averages of |cells| over every cube of every length group.
+def orlicz_average_rows(blocks: np.ndarray, phi: YoungFunction,
+                        ) -> tuple[np.ndarray, int, np.ndarray]:
+    """Luxemburg averages of |f| over cubes of one length, one per row of blocks.
 
-    cells holds one value per grid cell; groups are the length groups
-    `grid.per_cube` passes. Returns the per-cube average (the feasible end of
-    its certified bracket), each group's Newton step count, and the per-cube
-    infeasible lower end, cubes group after group; 0 where f vanishes.
+    blocks is (n_cubes, n_cells), as `grid.per_cube` gathers it. Returns the
+    per-row average (the feasible end of its certified bracket), the Newton
+    step count of the slowest row, and the per-row infeasible lower end; 0
+    where f vanishes.
 
     With Phi(t*) = 1, an n-cell cube's root s* = log(max|f| / lambda*) lies in
     [log t*, log t* + log(n)/p], as the largest of the n terms of mean Phi = 1
     lies in [1, n]. Newton starts at log t* - log(mean (|f|/max|f|)^p) / p,
     exact for a = 0 or constant f.
     """
-    cells = np.abs(np.asarray(cells, dtype=float))
-    log_t_star = np.log(young_inverse_at_one(phi))
-    values, counts, lowers = [np.zeros(0)], [], [np.zeros(0)]
-    for group in groups:
-        blocks = cells[group.rows()]
-        # down the columns of a contiguous transposed copy: numpy's reduction
-        # along short rows costs far more per element; max is exact either way
-        top = np.ascontiguousarray(blocks.T).max(axis=0)
-        live = top > 0.0
-        value, lower, top = np.zeros(len(top)), np.zeros(len(top)), top[live]
-        r = blocks[live] / top[:, None]
-        r_p = r**phi.p
-        lo = np.full(len(top), log_t_star)
-        s = lo - np.log(np.einsum("ij->i", r_p) / group.n_cells) / phi.p
-        value[live], lower[live], _, count = _certified_roots(
-            r, r_p, top, s, lo, lo + np.log(group.n_cells) / phi.p, phi)
-        values.append(value)
-        lowers.append(lower)
-        counts.append(count)
-    return np.concatenate(values), np.array(counts, dtype=int), np.concatenate(lowers)
+    blocks = np.abs(np.asarray(blocks, dtype=float))
+    n = blocks.shape[1]
+    # down the columns of a contiguous transposed copy: numpy's reduction
+    # along short rows costs far more per element; max is exact either way
+    top = np.ascontiguousarray(blocks.T).max(axis=0)
+    live = top > 0.0
+    value, lower, top = np.zeros(len(top)), np.zeros(len(top)), top[live]
+    r = blocks[live] / top[:, None]
+    r_p = r**phi.p
+    lo = np.full(len(top), phi.log_t_star)
+    s = lo - np.log(np.einsum("ij->i", r_p) / n) / phi.p
+    value[live], lower[live], _, steps = _certified_roots(
+        r, r_p, top, s, lo, lo + np.log(n) / phi.p, phi)
+    return value, steps, lower
 
 
 def orlicz_average(f: GridFunction, cube: Cube, phi: YoungFunction) -> OrliczAverage:
@@ -211,9 +218,8 @@ def orlicz_average(f: GridFunction, cube: Cube, phi: YoungFunction) -> OrliczAve
     lower end, as F evaluates them; one end sits within rounding of the root.
     """
     cube.check(f.grid)
-    group = LengthGroup(cube.n_cells, np.array([cube.i0]))
-    vals, iters, los = orlicz_average_groups(f.values, [group], phi)
-    return OrliczAverage(float(vals[0]), int(iters[0]), (float(los[0]), float(vals[0])))
+    vals, steps, los = orlicz_average_rows(f.values[None, cube.i0:cube.i0 + cube.n_cells], phi)
+    return OrliczAverage(float(vals[0]), steps, (float(los[0]), float(vals[0])))
 
 
 def bmo_norm(b: GridFunction, cubes: Sequence[Cube]) -> float:
@@ -223,5 +229,4 @@ def bmo_norm(b: GridFunction, cubes: Sequence[Cube]) -> float:
         means = np.sum(blocks, axis=1) / blocks.shape[1]
         return np.mean(np.abs(blocks - means[:, None]), axis=1)
 
-    return float(np.max(per_cube(lambda groups, values: gather_rows(oscillation, groups, values),
-                                 b.grid, cubes, b.values)))
+    return float(np.max(per_cube(oscillation, b.grid, cubes, b.values)))

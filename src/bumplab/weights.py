@@ -13,9 +13,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .grid import Cube, GridFunction, _check_weights, gather_rows, per_cube
+from .grid import Cube, GridFunction, _check_weights, per_cube
 from .operators import MAXIMAL_CELL_CAP, maximal_fn
-from .orlicz import YoungFunction, orlicz_average_groups
+from .orlicz import YoungFunction, orlicz_average_rows
 
 __all__ = [
     "WeightPair",
@@ -139,8 +139,7 @@ def _ap_values(u: GridFunction, v: GridFunction, p: float, cubes: Sequence[Cube]
     with np.errstate(over="ignore", divide="ignore"):  # a non-finite per-cube value is reported
         w = np.ldexp(v.values, -e_v) ** (1.0 - pc)
         scaled_u = np.ldexp(u.values, -e_u)
-    return per_cube(lambda groups, *cells: gather_rows(product, groups, *cells),
-                    u.grid, cubes, scaled_u, w)
+    return per_cube(product, u.grid, cubes, scaled_u, w)
 
 
 def ap_constant(w: GridFunction, p: float, cubes: Sequence[Cube]) -> BumpReport:
@@ -160,11 +159,11 @@ def _bump_values(pair: WeightPair, spec: BumpSpec, cubes: Sequence[Cube]) -> np.
     phi_right = YoungFunction(_dual(p), spec.a_right)
     phi_left = None if spec.a_left is None else YoungFunction(p, spec.a_left)
 
-    def product(groups, cells_l: np.ndarray, cells_r: np.ndarray) -> np.ndarray:
-        right, _, _ = orlicz_average_groups(cells_r, groups, phi_right)
+    def product(blocks_l: np.ndarray, blocks_r: np.ndarray) -> np.ndarray:
+        right, _, _ = orlicz_average_rows(blocks_r, phi_right)
         if phi_left is None:
-            return gather_rows(lambda blocks: blocks.mean(axis=1), groups, cells_l) * right
-        left, _, _ = orlicz_average_groups(cells_l, groups, phi_left)
+            return blocks_l.mean(axis=1) * right
+        left, _, _ = orlicz_average_rows(blocks_l, phi_left)
         return left * right
 
     left_values = pair.u.values if phi_left is None else pair.u.values ** (1.0 / p)

@@ -5,8 +5,9 @@ Each evaluator walks the cube family one cube at a time and reduces that
 cube's block with `grid.average` or the package's single-cube
 `orlicz_average` (whose root `test_orlicz_oracle` checks against the
 reference bisection). This is how `bmo_norm` computed its norm before every
-constant went through the grouped gather `grid.per_cube`; the property tests
-compare the grouped path against these loops. The family builders are the
+constant went through `grid.per_cube`, which reduces one block of
+same-length cubes at a time; the property tests compare it against these
+loops. The family builders are the
 list-building loops `grid.cube_family` ran before families became index
 arrays.
 """

@@ -114,19 +114,6 @@ def orlicz_average_values(blocks: np.ndarray, phi: YoungFunction,
     return out, iterations, out_lo
 
 
-def orlicz_average_groups(cells: np.ndarray, groups, phi: YoungFunction,
-                          rel_tol: float = REL_TOL,
-                          ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """`orlicz.orlicz_average_groups` by the reference: each length group's
-    block in turn, the first error raised."""
-    cells = np.asarray(cells, dtype=float)
-    runs = [orlicz_average_values(cells[g.rows()], phi, rel_tol) for g in groups]
-    if not runs:
-        return np.zeros(0), np.zeros(0, dtype=int), np.zeros(0)
-    return (np.concatenate([r[0] for r in runs]), np.array([r[1] for r in runs]),
-            np.concatenate([r[2] for r in runs]))
-
-
 def log_mean_phi_exact(row, lam: float, phi: YoungFunction, digits: int = 50) -> float:
     """log mean Phi(|row| / lam) at `digits` significant digits (mpmath), in
     the product form, which mpmath's exponent range keeps finite."""

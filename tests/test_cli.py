@@ -278,6 +278,24 @@ def test_orlicz_where_phi_overflows_exits_0(tmp_path):
     assert result["bracket"][0] < result["bracket"][1] == result["value"]
 
 
+def test_subnormal_orlicz_average_exits_2(tmp_path, capsys):
+    """The average of const:1e-320 is subnormal, where adjacent floats lie
+    more than ROOT_BAND apart: an input to rescale, not a non-convergence."""
+    assert run(["orlicz", "--f", "const:1e-320", "--a", "1", "--L", "1", "--m", "16",
+                "--out", tmp_path / "out"]) == 2
+    assert capsys.readouterr().err.splitlines() == [
+        "error: an Orlicz average lies below the smallest normal float (2.23e-308), where no "
+        "bracket 1e-12 wide exists; scale f by a power of two, as the average scales with it"]
+    assert not (tmp_path / "out").exists()
+
+
+def test_tiny_normal_orlicz_average_exits_0(tmp_path):
+    assert run(["orlicz", "--f", "const:1e-300", "--a", "1", "--L", "1", "--m", "16",
+                "--out", tmp_path]) == 0
+    result = json.loads((tmp_path / "orlicz.json").read_text())["result"]
+    assert result["bracket"][0] < result["bracket"][1] == result["value"] > 0
+
+
 @pytest.mark.parametrize("argv", [
     ["--p", "3000", "--u", "const:1", "--v", "const:1"],
     ["--p", "1500", "--u", "const:1", "--v", "const:1"],

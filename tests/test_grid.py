@@ -240,12 +240,12 @@ def test_per_cube_hands_length_groups_in_order_of_first_appearance():
     cubes = [Cube(0, 4), Cube(0, 1), Cube(4, 4), Cube(1, 1)]
     seen = []
 
-    def first_cell(groups, values):
-        seen.extend((group.n_cells, group.i0.tolist()) for group in groups)
-        return np.concatenate([values[group.i0] for group in groups])
+    def first_cell(blocks):
+        seen.append((blocks.shape, blocks[:, 0].tolist()))
+        return blocks[:, 0]
 
     out = per_cube(first_cell, g, cubes, np.arange(8.0))
-    assert seen == [(4, [0, 4]), (1, [0, 1])]
+    assert seen == [((2, 4), [0.0, 4.0]), ((2, 1), [0.0, 1.0])]
     assert out.tolist() == [0.0, 0.0, 4.0, 1.0]  # back in family order
     with pytest.raises(FloatingPointError, match="not finite"):
         per_cube(first_cell, g, cubes, np.full(8, np.inf))

@@ -1,14 +1,13 @@
 """The Orlicz averages against the reference bisection in `orlicz_oracle`.
 
-`orlicz_average_groups` finds each cube's root by Newton in log space and
+`orlicz_average_rows` finds each cube's root by Newton in log space and
 certifies a bracket [lower, value] ROOT_BAND wide around it. Wherever the
 reference returns, the values must lie within its rel_tol plus 2 ROOT_BAND
 (relative) of the reference's; where the reference's product form of Phi
 overflows, the package must still return a certified bracket. The
 certificate itself is checked at 50 digits with mpmath: the end at the
 Newton root up to the rounding of one float evaluation, the far end
-strictly. `average_values` runs the package on one block of same-length
-rows. The last test runs two `bump` commands end to end with the
+strictly. The last test runs two `bump` commands end to end with the
 reference swapped in and compares the reports.
 """
 
@@ -22,28 +21,15 @@ from hypothesis import example, given, settings, strategies as st
 import orlicz_oracle as oracle
 from bumplab import orlicz, weights
 from bumplab.cli import main
-from bumplab.grid import LengthGroup, cube_family, make_grid, per_cube
-from bumplab.orlicz import (
-    ROOT_BAND,
-    OrliczConvergenceError,
-    YoungFunction,
-    orlicz_average_groups,
-)
+from bumplab.grid import cube_family, make_grid, per_cube
+from bumplab.orlicz import ROOT_BAND, OrliczConvergenceError, YoungFunction
+from bumplab.orlicz import orlicz_average_rows as average_values
 
 profile = settings(max_examples=150, deadline=None)
 exponents = st.floats(1.0, 6.0, exclude_min=True)
 log_exponents = st.sampled_from((0.0, 0.5, 2.0, 4.0))
 tolerances = st.sampled_from((1e-3, 1e-10, 1e-14))
 HAVE_MPMATH = importlib.util.find_spec("mpmath") is not None
-
-
-def average_values(blocks, phi):
-    """The Orlicz averages of the rows of blocks, as one length group: per-row
-    values, the Newton step count and per-row lower bracket ends."""
-    rows, n = blocks.shape
-    values, iterations, lower = orlicz_average_groups(
-        blocks.reshape(-1), [LengthGroup(n, np.arange(rows) * n)], phi)
-    return values, int(iterations[0]), lower
 
 
 def assert_bracket(values, lower):
@@ -123,12 +109,12 @@ def test_groups_equal_reference_group_by_group(level, seed, p, a, rel_tol):
     phi = YoungFunction(p, a)
     cubes = list(cube_family(grid, "dyadic+shifted"))
     rng.shuffle(cubes)
-    seen = []
-    per_cube(lambda groups, _: seen.append(groups) or np.ones(len(cubes)), grid, cubes, cells)
-    groups = seen[0]
-    got = orlicz_average_groups(cells, groups, phi)
-    assert_agrees(got, oracle.orlicz_average_groups(cells, groups, phi, rel_tol), rel_tol)
-    assert len(got[1]) == len(groups)
+    blocks = []
+    per_cube(lambda block: blocks.append(block) or np.ones(len(block)), grid, cubes, cells)
+    assert len(blocks) == level + 1
+    for block in blocks:
+        assert_agrees(average_values(block, phi),
+                      oracle.orlicz_average_values(block, phi, rel_tol), rel_tol)
 
 
 @pytest.mark.parametrize("rel_tol", [1e-3, 1e-10, 1e-14])
@@ -152,9 +138,10 @@ def test_decisions_inside_the_root_band(p, rel_tol):
 def test_unknown_or_misplaced_root(error, block, p, a):
     """A start lambda_0 (1 + error), off the usual one, still ends in a
     certified bracket around the same root. With no start (NaN) the search
-    has nothing to bracket, and raises instead of looping."""
+    has nothing to bracket, and raises instead of looping. Each run gets its
+    own YoungFunction, so the misplaced run solves log t* too."""
     phi = YoungFunction(p, a)
-    want = average_values(block, phi)
+    want = average_values(block, YoungFunction(p, a))
     real = orlicz._certified_roots
 
     def misplaced(r, r_p, top, s, lo, hi, phi):
@@ -228,7 +215,7 @@ BUMPS = [
 
 
 @pytest.mark.parametrize("argv", BUMPS, ids=["comm", "czo"])
-def test_bump_report_bytes_equal_with_reference_core(tmp_path, monkeypatch, argv):
+def test_bump_report_matches_reference_core(tmp_path, monkeypatch, argv):
     """With the reference swapped in, the report is the same apart from the
     constant: that agrees within twice the reference's REL_TOL plus 2
     ROOT_BAND (it is the product of two averages), at the same argmax cube.
@@ -237,7 +224,7 @@ def test_bump_report_bytes_equal_with_reference_core(tmp_path, monkeypatch, argv
     reports = []
     for run in ("fast", "reference"):
         if run == "reference":
-            monkeypatch.setattr(weights, "orlicz_average_groups", oracle.orlicz_average_groups)
+            monkeypatch.setattr(weights, "orlicz_average_rows", oracle.orlicz_average_values)
         (tmp_path / run).mkdir()
         monkeypatch.chdir(tmp_path / run)
         assert main(argv) == 0

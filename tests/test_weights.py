@@ -18,7 +18,7 @@ from bumplab import (
     power_weight,
     two_weight_ap,
 )
-from bumplab import weights
+from bumplab import orlicz, weights
 from bumplab.weights import _bump_values
 
 
@@ -194,6 +194,22 @@ def test_bump_report_metadata():
     values = _bump_values(pair, spec, cubes)
     assert len(values) == len(cubes) and rep.constant == np.max(values)
     assert cubes[int(np.argmax(values))] == rep.argmax_cube
+
+
+@pytest.mark.parametrize("preset, young_functions", [("comm", 2), ("max", 1)])
+def test_bump_constant_solves_t_star_once_per_young_function(monkeypatch, preset,
+                                                             young_functions):
+    """log t* (Phi(t*) = 1) is solved once per Young function, not once per
+    length group: the dyadic+shifted family at m = 256 has 9 lengths."""
+    real, solved = orlicz.young_inverse_at_one, []
+    monkeypatch.setattr(orlicz, "young_inverse_at_one",
+                        lambda phi: solved.append(phi) or real(phi))
+    g = make_grid(1.0, 256)
+    cubes = cube_family(g, "dyadic+shifted")
+    assert len(np.unique(cubes.n_cells)) == 9
+    pair = WeightPair(GridFunction(g, 1.0 + np.linspace(0.0, 1.0, 256)), constant(g, 2.0))
+    bump_constant(pair, BumpSpec.from_preset(preset, 2.0, 1.0), cubes)
+    assert len(solved) == young_functions
 
 
 def test_iterate_maximal_constant_and_monotone():
