@@ -123,7 +123,7 @@ def _certified_roots(r: np.ndarray, r_p: np.ndarray, top: np.ndarray, s: np.ndar
     is the lower end and the value lambda (1 + ROOT_BAND) must be feasible,
     as F' >= p shows, or else F. A row that fails searches on, or raises
     OrliczConvergenceError once its bracket can no longer halve (ValueError
-    if lambda is subnormal there, where floats lie more than a band apart).
+    if lambda is subnormal, where floats may lie more than a band apart).
     """
     p, a, rows = phi.p, phi.a, len(s)
     value, lower, last = np.empty(rows), np.empty(rows), np.full(rows, np.inf)
@@ -170,8 +170,8 @@ def _certified_roots(r: np.ndarray, r_p: np.ndarray, top: np.ndarray, s: np.ndar
             stuck = ~(certified | halves(k))
             if np.any(lam[stuck] < np.finfo(float).tiny):
                 raise ValueError(
-                    f"an Orlicz average lies below the smallest normal float "
-                    f"({np.finfo(float).tiny:.3g}), where no bracket {ROOT_BAND:g} wide exists; "
+                    f"an Orlicz average is subnormal (below {np.finfo(float).tiny:.3g}), where "
+                    f"floats lie too far apart for a bracket {ROOT_BAND:g} wide at its magnitude; "
                     f"scale f by a power of two, as the average scales with it")
             if np.any(stuck):
                 raise OrliczConvergenceError(

@@ -284,8 +284,9 @@ def test_subnormal_orlicz_average_exits_2(tmp_path, capsys):
     assert run(["orlicz", "--f", "const:1e-320", "--a", "1", "--L", "1", "--m", "16",
                 "--out", tmp_path / "out"]) == 2
     assert capsys.readouterr().err.splitlines() == [
-        "error: an Orlicz average lies below the smallest normal float (2.23e-308), where no "
-        "bracket 1e-12 wide exists; scale f by a power of two, as the average scales with it"]
+        "error: an Orlicz average is subnormal (below 2.23e-308), where floats lie too far "
+        "apart for a bracket 1e-12 wide at its magnitude; scale f by a power of two, as the "
+        "average scales with it"]
     assert not (tmp_path / "out").exists()
 
 
