@@ -168,12 +168,12 @@ def _certified_roots(r: np.ndarray, r_p: np.ndarray, top: np.ndarray, s: np.ndar
                 f[unsure] = evaluate(k[unsure], at_other[unsure])
             certified = np.where(feasible, f > 0.0, f <= 0.0)
             stuck = ~(certified | halves(k))
-            if np.any(lam[stuck] < np.finfo(float).tiny):
-                raise ValueError(
-                    f"an Orlicz average is subnormal (below {np.finfo(float).tiny:.3g}), where "
-                    f"floats lie too far apart for a bracket {ROOT_BAND:g} wide at its magnitude; "
-                    f"scale f by a power of two, as the average scales with it")
             if np.any(stuck):
+                if np.any(lam[stuck] < np.finfo(float).tiny):
+                    raise ValueError(
+                        f"an Orlicz average is subnormal (below {np.finfo(float).tiny:.3g}), "
+                        f"where floats lie too far apart for a bracket {ROOT_BAND:g} wide at its "
+                        f"magnitude; scale f by a power of two, as the average scales with it")
                 raise OrliczConvergenceError(
                     "the bracket of an Orlicz root can no longer halve, and its band check fails")
             value[k], lower[k] = np.where(feasible, lam, other), np.where(feasible, other, lam)
@@ -186,7 +186,8 @@ def orlicz_average_rows(blocks: np.ndarray, phi: YoungFunction,
                         ) -> tuple[np.ndarray, int, np.ndarray]:
     """Luxemburg averages of |f| over cubes of one length, one per row of blocks.
 
-    blocks is (n_cubes, n_cells), as `grid.per_cube` gathers it. Returns the
+    blocks is (n_cubes, n_cells), as `grid.per_cube` gathers it, and holds
+    |f| (callers pass nonnegative values; no copy takes |.|). Returns the
     per-row average (the feasible end of its certified bracket), the Newton
     step count of the slowest row, and the per-row infeasible lower end; 0
     where f vanishes.
@@ -196,7 +197,7 @@ def orlicz_average_rows(blocks: np.ndarray, phi: YoungFunction,
     lies in [1, n]. Newton starts at log t* - log(mean (|f|/max|f|)^p) / p,
     exact for a = 0 or constant f.
     """
-    blocks = np.abs(np.asarray(blocks, dtype=float))
+    blocks = np.asarray(blocks, dtype=float)
     n = blocks.shape[1]
     # down the columns of a contiguous transposed copy: numpy's reduction
     # along short rows costs far more per element; max is exact either way
@@ -218,7 +219,8 @@ def orlicz_average(f: GridFunction, cube: Cube, phi: YoungFunction) -> OrliczAve
     lower end, as F evaluates them; one end sits within rounding of the root.
     """
     cube.check(f.grid)
-    vals, steps, los = orlicz_average_rows(f.values[None, cube.i0:cube.i0 + cube.n_cells], phi)
+    cells = np.abs(f.values[None, cube.i0:cube.i0 + cube.n_cells])
+    vals, steps, los = orlicz_average_rows(cells, phi)
     return OrliczAverage(float(vals[0]), steps, (float(los[0]), float(vals[0])))
 
 
