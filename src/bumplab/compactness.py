@@ -339,43 +339,70 @@ def _operator_block(b: GridFunction, trunc: TruncationSpec, u: GridFunction, v: 
 _SPECTRUM_RTOL = 1e-12
 # Power iterations behind the lower bound on sigma_1 (two matvecs each)
 _POWER_STEPS = 8
+# The fewest rows of the kernel gather per chunk of the streamed pass (see _chunk_rows)
+_CHUNK_FLOOR = 4096
 
 
-def _sigma1_lower_bound(D_S: np.ndarray, D_restT: np.ndarray, B: np.ndarray, e: int) -> float:
+def _chunk_rows(s: int) -> int:
+    """Rows of the gather per chunk for a support of s cells. Folding a chunk of c
+    rows into an s x s R refactors R each time, so the QRs cost about
+    1 + 2s / (3c) times one QR of the whole arm (on a 2-core Xeon: 1.24 times
+    at c = 2s for the m = 32768 bump, 13.3 -> 16.5 s), while the fold holds
+    about 16 s^2 floats at c = 2s (D_S, the R factors, a chunk and the QR's
+    copies of the stack [R; chunk]), beside the 8 s^2 of the core and LAPACK's
+    copy of it. The floor keeps arms of up to 4096 rows, every benchmark input
+    up to m = 4096, in one chunk: the one-shot QR, bit for bit."""
+    return max(_CHUNK_FLOOR, 2 * s)
+
+
+def _power_start(n: int) -> np.ndarray:
+    """The fixed start of the power iterations: frac(k phi) - 1/2 for k = 1 ... n,
+    phi the golden ratio (a Weyl sequence), equidistributed and never periodic."""
+    return np.modf(np.arange(1, n + 1) * 0.6180339887498949)[0] - 0.5
+
+
+def _sigma1_lower_bound(n: int, matvec, rmatvec, e: int) -> float:
     """max ||2^-e A x|| over the unit vectors x of a few power iterations on
-    A^T A from a fixed start, each a lower bound on 2^-e sigma_1, for the arrow
-    A of _operator_split. Every product carries the 2^-e on its vector, so no
-    scaled copy of A is made."""
-    s = D_S.shape[1]
-    x = np.random.default_rng(0).standard_normal(s + D_restT.shape[0])
+    A^T A from a fixed start, each a lower bound on 2^-e sigma_1, for an A with
+    n columns given by its products matvec(x) = A x and rmatvec(y) = A^T y. Every
+    product carries the 2^-e on its vector, so no scaled copy of A is made."""
+    x = _power_start(n)
     best = 0.0
     for _ in range(_POWER_STEPS):
         nrm = float(np.linalg.norm(x))
         if nrm == 0.0:  # A^T A x reached 0: no better bound from this start
             break
-        x = np.ldexp(x / nrm, -e)
-        y_S, y_B = D_S @ x[:s] + x[s:] @ D_restT, B @ x[:s]
-        best = max(best, math.hypot(np.linalg.norm(y_S), np.linalg.norm(y_B)))
-        y_S, y_B = np.ldexp(y_S, -e), np.ldexp(y_B, -e)
-        x = np.concatenate([y_S @ D_S + y_B @ B, D_restT @ y_S])
+        y = matvec(np.ldexp(x / nrm, -e))
+        best = max(best, float(np.linalg.norm(y)))
+        x = rmatvec(np.ldexp(y, -e))
     return best
 
 
-def _operator_split(b: GridFunction, trunc: TruncationSpec, u: GridFunction,
-                    v: GridFunction) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+def _check_finite(X: np.ndarray) -> np.ndarray:
+    if not np.all(np.isfinite(X)):
+        raise ValueError("matrix entries must be finite")
+    return X
+
+
+def _operator_split(b: GridFunction, trunc: TruncationSpec, u: GridFunction, v: GridFunction):
     """The operator matrix A (see _operator_block) as the arrow the QRs take,
-    A = [[D_S, D_rest], [B, 0]] up to permutations, returned as (D_S, D_rest^T,
-    B) and partitioned from the inputs before any entry is evaluated. S is the
-    cells where b differs from its most common value b_0 (the smallest of
-    those that tie), and a row where u vanishes is zero and left out. D_S is
-    the live rows on S on the columns S, from _operator_block; B is the live
-    rows off S, and D_rest the live rows on S off S. Both arms come from one
-    gather G = K_eta[off S, S] times (b_0 - b_j) and then h: B takes
-    u_i^(1/2) and then v_j^(-1/2), D_rest^T u_j^(1/2) and then v_i^(-1/2).
-    K_eta and b_i - b_0 are odd bit for bit, so every entry is
-    _operator_block's float, up to the sign of D_rest's zeros. When B would
-    have no more rows than S has cells the split saves nothing: S becomes
-    every cell and both arms are empty."""
+    A = [[D_S, D_rest], [B, 0]] up to permutations, partitioned from the inputs
+    before any entry is evaluated, and returned as (D_S, chunks, matvec,
+    rmatvec) for _split_values. S is the cells where b differs from its most
+    common value b_0 (the smallest of those that tie), and a row where u
+    vanishes is zero and left out. D_S is the live rows on S on the columns S,
+    from _operator_block; B is the live rows off S, and D_rest the live rows on S
+    off S. Both arms come from one gather G = K_eta[off S, S] times (b_0 - b_j)
+    and then h, evaluated in chunks of _chunk_rows(s) rows of G, once each, as
+    the caller iterates: each chunk yields its rows of B (u_i^(1/2) and then
+    v_j^(-1/2)) and of D_rest^T (u_j^(1/2) and then v_i^(-1/2)). K_eta and
+    b_i - b_0 are odd bit for bit, so every entry is _operator_block's float,
+    up to the sign of D_rest's zeros. When B would have no more rows than S has
+    cells the split saves nothing: S becomes every cell and there is no chunk.
+    matvec and rmatvec are A's products on grid vectors by FFT (see
+    _operator_products). Raises ValueError, before D_S is evaluated, if the pass
+    would not fit in memory, and on the first block or chunk with an entry
+    that is not finite."""
     _check_weights(u, v, symbol=b)
     m = b.grid.cells
     values, counts = np.unique(b.values, return_counts=True)
@@ -386,85 +413,143 @@ def _operator_split(b: GridFunction, trunc: TruncationSpec, u: GridFunction,
     S, off, rows = np.flatnonzero(on_S), np.flatnonzero(~on_S), np.flatnonzero(live & on_S)
     d, s, r = rows.size, S.size, np.count_nonzero(live[off])
     side = (d + min(r, s), s + min(m - s, d))  # the core's
-    # D_S, unless it is the core; G, B and D_rest^T; the larger QR's working copies,
-    # numpy's and LAPACK's; the core and LAPACK's copy of it
-    arms = (m - s) * (s + d) + r * s
-    nbytes = 8 * (d * s * (arms > 0) + arms + 2 * max(r * s, (m - s) * d) + 2 * side[0] * side[1])
+    step = _chunk_rows(s)
+    c = min(step, m - s)  # rows of G per chunk
+    later = c < m - s  # a later chunk's rows are stacked under the R factors
+    # D_S; a chunk of G and its D_rest^T and B rows, with the R factors of a later
+    # chunk; the larger QR's stack [R; rows] (the first chunk's rows themselves),
+    # numpy's copy and LAPACK's. Then D_S beside the core and LAPACK's copy of it.
+    stack = max((later * s + min(c, r)) * s, (later * d + c) * d)
+    fold = d * s + c * (s + d) + min(c, r) * s + later * (s * s + d * d) + (2 + later) * stack
+    nbytes = 8 * max(fold, d * s * (m > s) + 2 * side[0] * side[1])
     check_dense_fits(nbytes, f"the SVD of the {m} x {m} matrix on a {side[0]} x {side[1]} core")
     with np.errstate(over="ignore"):  # reported just below
-        D_S = _operator_block(b, trunc, u, v, rows, S)
-        G = _toeplitz(kernel_offsets(b.grid, trunc))[np.ix_(off, S)]
-        G *= b0 - b.values[S]
-        G *= b.grid.h
-        B = G[live[off]]
-        B *= np.sqrt(u.values[off][live[off]])[:, None]
-        B *= (1.0 / np.sqrt(v.values[S]))[None, :]
-        D_restT = G if d == s else G[:, live[S]]
-        D_restT *= np.sqrt(u.values[rows])[None, :]
-        D_restT *= (1.0 / np.sqrt(v.values[off]))[:, None]
-    if not all(np.all(np.isfinite(X)) for X in (D_S, D_restT, B)):
-        raise ValueError("matrix entries must be finite")
-    return D_S, D_restT, B
+        D_S = _check_finite(_operator_block(b, trunc, u, v, rows, S))
+    K, h = _toeplitz(kernel_offsets(b.grid, trunc)), b.grid.h
+    scale_S, sqrt_u_rows = b0 - b.values[S], np.sqrt(u.values[rows])
+    inv_sqrt_v_S = 1.0 / np.sqrt(v.values[S])
+
+    def chunks():
+        for start in range(0, m - s, step):
+            i = off[start : start + step]
+            with np.errstate(over="ignore"):  # reported just below
+                G = K[np.ix_(i, S)]
+                G *= scale_S
+                G *= h
+                B = G[live[i]]
+                B *= np.sqrt(u.values[i][live[i]])[:, None]
+                B *= inv_sqrt_v_S[None, :]
+                D_restT = G if d == s else G[:, live[S]]
+                D_restT *= sqrt_u_rows[None, :]
+                D_restT *= (1.0 / np.sqrt(v.values[i]))[:, None]
+            yield _check_finite(B), _check_finite(D_restT)
+
+    return D_S, chunks(), *_operator_products(b, trunc, u, v)
 
 
-def _compressed(D_S: np.ndarray, D_restT: np.ndarray, B: np.ndarray) -> np.ndarray:
+def _operator_products(b: GridFunction, trunc: TruncationSpec, u: GridFunction,
+                       v: GridFunction):
+    """A x = u^(1/2) [b, T_eta](v^(-1/2) x) and A^T y = v^(-1/2) [b, T_eta](u^(1/2) y)
+    for the matrix A of _operator_block, on grid vectors, each one FFT product
+    with the kernel transformed once: [b, T_eta]'s matrix (b_i - b_j) K_eta h is
+    symmetric, since K_eta is odd."""
+    kernel = _kernel(b.grid, trunc)
+    sqrt_u, inv_sqrt_v = np.sqrt(u.values), 1.0 / np.sqrt(v.values)
+
+    def matvec(x):
+        return sqrt_u * _commutator_rows(b, (inv_sqrt_v * x)[None], kernel)[0]
+
+    def rmatvec(y):
+        return inv_sqrt_v * _commutator_rows(b, (sqrt_u * y)[None], kernel)[0]
+
+    return matvec, rmatvec
+
+
+def _fold(R: np.ndarray | None, X: np.ndarray) -> np.ndarray:
+    """The R factor of a QR of [R; X], or of X alone when R is None: one step of
+    the sequential TSQR (Demmel, Grigori, Hoemmen & Langou, SIAM J. Sci.
+    Comput. 34, 2012)."""
+    return np.linalg.qr(X if R is None else np.concatenate([R, X]), mode="r")
+
+
+def _scaled_square_sum(X: np.ndarray) -> tuple[float, int, float]:
+    """(max |x_ij|, its binary exponent e, ||2^-e X||_F^2): exact scaling, and no
+    square overflows while the entries are finite."""
+    peak = float(np.max(np.abs(X), initial=0.0))
+    e = int(np.frexp(peak)[1])
+    return peak, e, float(np.linalg.norm(np.ldexp(X, -e))) ** 2
+
+
+def _compressed(D_S: np.ndarray, chunks) -> tuple[np.ndarray, tuple[int, int], list]:
     """A square core C with the singular values of the arrow
     A = [[D_S, D_rest], [B, 0]] of _operator_split, up to the QRs' rounding;
-    D_S itself when both arms have no rows. A QR of B (R) turns A into
-    Z = [[D_S, D_rest], [R, 0]] with Z^T Z = A^T A, and a QR of D_rest^T
-    (D_rest = L^T Q^T) turns Z into C = [[D_S, L^T], [R, 0]] with C C^T = Z Z^T.
-    With D_S of d rows and s columns, a split that saves rows has more than s
-    rows in B and d + s < min(m, n), so C is (d + s) x (d + s), and just R
-    when d = 0."""
-    if not (B.shape[0] or D_restT.shape[0]):
-        return D_S
+    D_S itself when there are no arm rows. Each chunk (rows of B, rows of
+    D_rest^T) is folded into the running R factors of B (R) and of D_rest^T
+    (L), as it comes: R turns A into Z = [[D_S, D_rest], [R, 0]] with
+    Z^T Z = A^T A, and D_rest = L^T Q^T turns Z into C = [[D_S, L^T], [R, 0]]
+    with C C^T = Z Z^T. With D_S of d rows and s columns, a split that saves
+    rows has more than s rows in B and d + s < min(m, n), so C is
+    (d + s) x (d + s), and just R when d = 0. Also returns A's shape (m, n) and
+    _scaled_square_sum of D_S and of every chunk's two arrays, one at a time."""
     d, s = D_S.shape
-    R, L = np.linalg.qr(B, mode="r"), np.linalg.qr(D_restT, mode="r")
+    m, n = d, s  # A's shape, grown by each chunk's rows
+    R = L = None
+    sums = [_scaled_square_sum(D_S)]
+    for B, D_restT in chunks:
+        m, n = m + B.shape[0], n + D_restT.shape[0]
+        sums += [_scaled_square_sum(B), _scaled_square_sum(D_restT)]
+        R = _fold(R, B)
+        L = _fold(L, D_restT)
+    if R is None:
+        return D_S, (m, n), sums
     core = np.zeros((d + R.shape[0], s + L.shape[0]))
     core[:d, :s] = D_S
     core[:d, s:] = L.T
     core[d:, :s] = R
-    return core
+    return core, (m, n), sums
 
 
-def _split_values(D_S: np.ndarray, D_restT: np.ndarray, B: np.ndarray) -> np.ndarray:
+def _split_values(D_S: np.ndarray, chunks, matvec, rmatvec) -> np.ndarray:
     """All singular values, nonincreasing, of the m x n arrow
-    A = [[D_S, D_rest], [B, 0]] of _operator_split, without singular vectors:
-    the SVD of the core (see _compressed), whose side bounds the rank (at most
-    2s for a symbol constant off s cells), with every value past it an exact
-    0.0 up to min(m, n), not LAPACK's rounding noise of about eps * sigma_1.
+    A = [[D_S, D_rest], [B, 0]] of _operator_split, without singular vectors,
+    from D_S, the row chunks of its arms (B rows, D_rest^T rows) and A's
+    products matvec(x) = A x and rmatvec(y) = A^T y (in any fixed order of A's
+    rows and columns): the SVD of the core (see _compressed), whose side bounds
+    the rank (at most 2s for a symbol constant off s cells), with every value
+    past it an exact 0.0 up to min(m, n), not LAPACK's rounding noise of about
+    eps * sigma_1. Each chunk is read once, so the arms are never held whole.
 
     The QRs and LAPACK's values-only SVD (bidiagonal reduction, then dqds) are
     backward stable: the values are exact for some A + E with ||E|| a modest
     multiple of eps * ||A||, so each sigma_k is within about that of the true
     value, and values near eps * sigma_1 are rounding noise; the tests hold
-    them to 1e-13 * sigma_1 against the SVD with vectors and the compression
-    of the rows alone. Two checks on the three arrays, which hold every
-    nonzero of A, catch gross failure of the compression or the SVD, each to
-    1e-12 relative: sum(sigma^2) must match ||A||_F^2, and sigma_1 must not
-    fall below the best ||A x|| from a few power iterations. Both run on A
-    and the values times 2^-e, with max |a_ij| in [1/2, 1), one array or one
-    vector at a time: exact, and no square overflows while the entries are
-    finite. Neither certifies each sigma_k to a fixed fraction of sigma_1: an
-    error in a small sigma_k moves sum(sigma^2) by less than the round-off of
-    ||A||_F^2, and the power bound is loose when sigma_2 is close to sigma_1.
+    them to 1e-13 * sigma_1 against the whole-array path and the SVD with
+    vectors. Two checks on A itself catch gross failure of the compression or
+    the SVD, each to 1e-12 relative: sum(sigma^2) must match ||A||_F^2, summed
+    over D_S and every chunk, and sigma_1 must not fall below the best ||A x||
+    from a few power iterations on A's products. Both run on A and the values
+    times 2^-e, with max |a_ij| in [1/2, 1): each array's square sum is taken
+    times its own power of two and brought to 2^-2e by another, exactly, and no
+    square overflows while the entries are finite. Neither certifies each
+    sigma_k to a fixed fraction of sigma_1: an error in a small sigma_k moves
+    sum(sigma^2) by less than the round-off of ||A||_F^2, and the power bound is
+    loose when sigma_2 is close to sigma_1.
 
     Raises np.linalg.LinAlgError if the SVD fails to converge and
     FloatingPointError if either check fails.
     """
-    m, n = D_S.shape[0] + B.shape[0], D_S.shape[1] + D_restT.shape[0]
-    s = np.linalg.svd(_compressed(D_S, D_restT, B), compute_uv=False)
+    core, (m, n), sums = _compressed(D_S, chunks)
+    s = np.linalg.svd(core, compute_uv=False)
     s = np.concatenate([s, np.zeros(min(m, n) - s.size)])
     if s.size:
-        arrow = (D_S, D_restT, B)
-        e = int(np.frexp(max(np.max(np.abs(X), initial=0.0) for X in arrow))[1])
+        e = int(np.frexp(max(peak for peak, _, _ in sums))[1])
         t = np.ldexp(s, -e)
-        fro2 = sum(float(np.linalg.norm(np.ldexp(X, -e))) ** 2 for X in arrow)
+        fro2 = sum(math.ldexp(total, 2 * (e_X - e)) for _, e_X, total in sums)
         energy = float(np.sum(t**2))
         if not abs(energy - fro2) <= _SPECTRUM_RTOL * fro2:
             raise FloatingPointError(f"sum of sigma^2 {energy} differs from ||A||_F^2 {fro2} (both "
                                      f"times 2^{-2 * e}) by more than {_SPECTRUM_RTOL:g} relative")
-        bound = _sigma1_lower_bound(D_S, D_restT, B, e)
+        bound = _sigma1_lower_bound(n, matvec, rmatvec, e)
         if t[0] < (1.0 - _SPECTRUM_RTOL) * bound:
             raise FloatingPointError(f"sigma_1 {t[0]} is below the power-iteration "
                                      f"lower bound {bound} (both times 2^{-e})")
@@ -495,9 +580,10 @@ def operator_spectral_report(b: GridFunction, trunc: TruncationSpec, u: GridFunc
                              v: GridFunction, K_list: list[int]) -> SpectralReport:
     """The m singular values of [b, T_eta] : L^2(v) -> L^2(u) (see _operator_block),
     with sigma_K / sigma_1 and the energy share beyond the K-th value for each
-    K in K_list, from the operator's arrow blocks (see _operator_split): O(m s)
-    memory for a symbol equal to its most common value off s cells, where the
-    whole matrix takes m^2. Rows where u vanishes are never evaluated; their
+    K in K_list, from the operator's arrow blocks in one streamed pass (see
+    _operator_split): O(s^2 + c s) memory for a symbol equal to its most common
+    value off s cells, with c = _chunk_rows(s) rows per chunk, where the whole
+    matrix takes m^2. Rows where u vanishes are never evaluated; their
     exact zeros pad the spectrum to m. Raises ValueError if an entry is not
     finite or the arrays would not fit in memory, and the errors of
     _split_values."""

@@ -13,10 +13,14 @@ np.delete.
 operator_matrix and scan_split are the dense builder and the split of a
 matrix at hand that the package kept before its spectral probes took only
 the operator's arrow blocks. scan_split returns the arrow (D_S, D_rest^T, B)
-that compactness._operator_split returns, so the tests hold the package's
-split to scan_split(operator_matrix(...)) on the benchmark's inputs (D_rest^T
-by value, since its zeros carry the other sign, the rest bit for bit) and
-feed scan_split's output of any matrix to compactness._split_values.
+whole; compactness._operator_split streams the same arms in row chunks, so
+the tests hold the package's split, its chunks stacked, to
+scan_split(operator_matrix(...)) on the benchmark's inputs (D_rest^T by value,
+since its zeros carry the other sign, the rest bit for bit). streamed hands
+scan_split's arrow of any matrix to compactness._split_values in the form it
+takes: row chunks of the arms and the arrow's products. split_values is the
+whole-array values path the package took before it streamed the arms: one QR
+of each arm held whole, the same square core and its values-only SVD.
 """
 
 from __future__ import annotations
@@ -55,6 +59,41 @@ def row_compressed_values(D_S: np.ndarray, D_restT: np.ndarray, B: np.ndarray) -
     Z[d:, :s] = np.linalg.qr(B, mode="r")
     sigma = np.linalg.svd(Z, compute_uv=False)
     return np.concatenate([sigma, np.zeros(min(m, n) - sigma.size)])
+
+
+def split_values(D_S: np.ndarray, D_restT: np.ndarray, B: np.ndarray) -> np.ndarray:
+    """Singular values of the arrow A = [[D_S, D_rest], [B, 0]] as the package took
+    them before it streamed the arms: one QR of B (R) and one of D_rest^T (L),
+    each held whole, the core [[D_S, L^T], [R, 0]] (D_S itself when both arms
+    have no rows), its values-only SVD, and every value past the core's side an
+    exact 0.0 up to min(m, n). The gross-failure checks stay with the package."""
+    m, n = D_S.shape[0] + B.shape[0], D_S.shape[1] + D_restT.shape[0]
+    core = D_S
+    if B.shape[0] or D_restT.shape[0]:
+        (d, s), R, L = D_S.shape, np.linalg.qr(B, mode="r"), np.linalg.qr(D_restT, mode="r")
+        core = np.zeros((d + R.shape[0], s + L.shape[0]))
+        core[:d, :s], core[:d, s:], core[d:, :s] = D_S, L.T, R
+    sigma = np.linalg.svd(core, compute_uv=False)
+    return np.concatenate([sigma, np.zeros(min(m, n) - sigma.size)])
+
+
+def streamed(D_S: np.ndarray, D_restT: np.ndarray, B: np.ndarray, rows: int | None = None):
+    """The arrow (D_S, D_rest^T, B) as compactness._split_values takes it: D_S,
+    the arms in chunks of `rows` rows each (B's and D_rest^T's i-th chunks
+    together; both whole in one chunk by default, none when both are empty),
+    and the arrow's products A x and A^T y with x ordered as [columns S; the
+    rest] and y as [the rows of D_S; the rows of B]."""
+    (d, s), k = D_S.shape, max(B.shape[0], D_restT.shape[0])
+    step = rows or max(k, 1)
+    chunks = [(B[i : i + step], D_restT[i : i + step]) for i in range(0, k, step)]
+
+    def matvec(x):
+        return np.concatenate([D_S @ x[:s] + x[s:] @ D_restT, B @ x[:s]])
+
+    def rmatvec(y):
+        return np.concatenate([y[:d] @ D_S + y[d:] @ B, D_restT @ y[:d]])
+
+    return D_S, iter(chunks), matvec, rmatvec
 
 
 def dense_rows_values(b, trunc, u, v) -> np.ndarray:
@@ -98,8 +137,8 @@ def operator_matrix(b, trunc, u, v) -> np.ndarray:
 
 
 def scan_split(matrix: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """The arrow (D_S, D_rest^T, B) of a matrix at hand, in the format of
-    compactness._operator_split, by counting nonzeros: a row with at most
+    """The arrow (D_S, D_rest^T, B) of a matrix at hand, the format of
+    compactness._operator_split with its chunks stacked, by counting nonzeros: a row with at most
     n // 2 of them is sparse, S is the columns the sparse rows touch, D_S and
     D_rest are the dense rows on S and off it, and B is the sparse rows on S.
     With d dense rows and c = |S|, S is every column and both arms are empty

@@ -638,12 +638,25 @@ def test_cli_import_does_not_load_scipy():
 
 
 def test_cli_import_does_not_load_numpy_fft():
-    """numpy.fft loads on first use (about 2 ms), which the weights and spectral
-    commands never make."""
+    """numpy.fft loads on first use (about 2 ms), which the weights commands
+    never make."""
     code = "import sys, bumplab.cli; print('numpy.fft' in sys.modules)"
     out = subprocess.run([sys.executable, "-c", code], env=_env(), capture_output=True,
                          text=True, timeout=120, check=True)
     assert out.stdout.strip() == "False"
+
+
+def test_spectral_commands_do_not_load_numpy_random(tmp_path):
+    """numpy.random loads on first use (about 6 MB of RSS); the spectral probes
+    start their power bound from a fixed vector built in plain numpy."""
+    code = ("import json, sys; from bumplab.cli import main; "
+            "codes = [main([*argv, '--L', '4', '--m', '64', '--out', sys.argv[2]]) "
+            "for argv in json.loads(sys.argv[1])]; "
+            "print(codes, 'numpy.random' in sys.modules)")
+    argvs = [_ROUNDTRIP["probe-svd"], _ROUNDTRIP["compare"]]
+    out = subprocess.run([sys.executable, "-c", code, json.dumps(argvs), str(tmp_path)],
+                         env=_env(), capture_output=True, text=True, timeout=120, check=True)
+    assert out.stdout.strip().splitlines()[-1] == "[0, 0] False", out.stderr
 
 
 def test_every_subcommand_runs_without_scipy(tmp_path):
@@ -663,18 +676,19 @@ def test_every_subcommand_runs_without_scipy(tmp_path):
 def test_oversized_dense_run_exits_2_before_allocating(tmp_path):
     argv = ["probe", "svd", "--b", "bump:0,0.5", "--u", "const:1+gaussian:0,0.3",
             "--v", "const:2", "--L", "8", "--m", str(2**20), "--out", tmp_path]
+    # the child reports its own peak RSS: the ru_maxrss of wait4 would carry this
+    # process's high-water mark, which Linux passes to a child across exec
+    code = ("import sys; from bumplab.cli import main; code = main(); "
+            "print(next(l.split()[1] for l in open('/proc/self/status') "
+            "if l.startswith('VmHWM:'))); sys.exit(code)")
     start = time.perf_counter()
-    proc = subprocess.Popen(
-        [sys.executable, "-c", "import sys; from bumplab.cli import main; sys.exit(main())",
-         *map(str, argv)], env=_env(), stdin=subprocess.DEVNULL, stdout=subprocess.DEVNULL,
-        stderr=subprocess.PIPE, text=True)
-    err = proc.stderr.read()
-    proc.stderr.close()
-    _, status, usage = os.wait4(proc.pid, 0)
-    assert os.waitstatus_to_exitcode(status) == 2
-    assert "physical memory" in err and "Traceback" not in err
+    proc = subprocess.run([sys.executable, "-c", code, *map(str, argv)], env=_env(),
+                          stdin=subprocess.DEVNULL, capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 2
+    assert "physical memory" in proc.stderr and "Traceback" not in proc.stderr
     assert time.perf_counter() - start < 30.0
-    assert usage.ru_maxrss < 512 * 1024  # KiB: O(m) vectors only, no m x m array
+    peak_kib = int(proc.stdout.splitlines()[-1])
+    assert peak_kib < 512 * 1024  # O(m) vectors only, no m x m array
 
 
 def test_oversized_maximal_run_exits_2_quickly(tmp_path):

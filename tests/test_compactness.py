@@ -310,7 +310,7 @@ def test_operator_matrix_weighted_isometry(setup):
 
 
 def _values(A: np.ndarray) -> np.ndarray:
-    return compactness._split_values(*oracle.scan_split(A))
+    return compactness._split_values(*oracle.streamed(*oracle.scan_split(A)))
 
 
 def test_singular_values_small_cases():

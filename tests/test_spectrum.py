@@ -1,6 +1,10 @@
 """The compressed, values-only spectrum (compactness._split_values) against the
-with-vectors oracle and against the row-only compression it replaced, on any
-matrix through the oracle's split of it (svd_oracle.scan_split).
+with-vectors oracle, the row-only compression and the whole-array QRs it
+replaced, on any matrix through the oracle's split of it (svd_oracle.scan_split,
+handed over by svd_oracle.streamed in row chunks with the arrow's products).
+Folding the arms a few rows at a time agrees with the QRs of the whole arms
+(svd_oracle.split_values) to SIGMA_TOL * sigma_1, and is those floats when
+the arms come in one chunk.
 
 All three paths are backward stable, so they agree to a small multiple of
 eps * sigma_1 in absolute terms, not bit for bit. The stated tolerance is
@@ -9,10 +13,11 @@ to m = 1024, is 3e-15 * sigma_1 against the SVD with vectors and 2e-15 *
 sigma_1 against the row-only compression (6e-16 * sigma_1 on the operators).
 
 The commutator's split (compactness._operator_split) is read off the inputs
-and returned as the arrow A = [[D_S, D_rest], [B, 0]] in the form the QRs
-take, (D_S, D_rest^T, B): S is where the symbol differs from its most common
-value, D_S and D_rest are the live rows (u > 0) on S, on S and off it, and B
-is the other live rows on the columns S. Both arms come from one kernel
+and returned as the arrow A = [[D_S, D_rest], [B, 0]]: D_S, then the row
+chunks of the arms (B, D_rest^T) as they are evaluated, which the tests stack
+into the oracle's (D_S, D_rest^T, B). S is where the symbol differs from its
+most common value, D_S and D_rest are the live rows (u > 0) on S, on S and
+off it, and B is the other live rows on the columns S. Both arms come from one kernel
 gather. On the benchmark's inputs the split is the oracle's nonzero-count
 split of the whole operator matrix, scan_split(operator_matrix(...)): D_S and
 B bit for bit, and D_rest^T by value, since its zeros carry the other sign;
@@ -26,8 +31,8 @@ Elsewhere the split and the nonzero-count split can differ
 (a symbol whose cell 0 is not its common value, rows where u vanishes, eta
 near L), and the values are held to the old path to SIGMA_TOL * sigma_1,
 with every value past the core's side an exact 0.0. The tests also count the
-kernel entries each spectrum gathers: D_S's and one gather for both arms,
-and no row where u vanishes is evaluated.
+kernel entries each spectrum gathers: D_S's and one gather for both arms, in
+row chunks that add up to it, and no row where u vanishes is evaluated.
 """
 
 import json
@@ -57,7 +62,32 @@ SIGMA_TOL = 1e-13
 
 def _values(A: np.ndarray) -> np.ndarray:
     """The package's spectrum of a matrix at hand, split by the oracle."""
-    return compactness._split_values(*oracle.scan_split(A))
+    return compactness._split_values(*oracle.streamed(*oracle.scan_split(A)))
+
+
+def _bound(A: np.ndarray) -> float:
+    """The package's power bound on sigma_1 of a matrix at hand, from the
+    products of the oracle's split of it."""
+    _, _, matvec, rmatvec = oracle.streamed(*oracle.scan_split(A))
+    return compactness._sigma1_lower_bound(A.shape[1], matvec, rmatvec, 0)
+
+
+def _core(D_S: np.ndarray, chunks) -> np.ndarray:
+    """The package's core from D_S and the arms' row chunks."""
+    return compactness._compressed(D_S, chunks)[0]
+
+
+def _oracle_core(split) -> np.ndarray:
+    return _core(*oracle.streamed(*split)[:2])
+
+
+def _stacked(b, trunc, u, v) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The package's split with its chunks stacked: the arrow (D_S, D_rest^T, B)
+    in the oracle's format."""
+    D_S, chunks, _, _ = compactness._operator_split(b, trunc, u, v)
+    chunks = list(chunks)
+    return (D_S, np.concatenate([D for _, D in chunks] or [np.zeros((0, D_S.shape[0]))]),
+            np.concatenate([B for B, _ in chunks] or [np.zeros((0, D_S.shape[1]))]))
 
 
 def _agree(got: np.ndarray, want: np.ndarray) -> None:
@@ -118,7 +148,7 @@ def test_values_match_oracle_on_random_matrices(kind, m, n, seed):
     A = _random_matrix(kind, m, n, np.random.default_rng(seed))
     want = oracle.singular_values(A)
     _agree(_values(A), want)
-    assert compactness._sigma1_lower_bound(*oracle.scan_split(A), 0) <= (1.0 + 1e-12) * want[0]
+    assert _bound(A) <= (1.0 + 1e-12) * want[0]
 
 
 @settings(max_examples=12, deadline=None)
@@ -150,11 +180,11 @@ def test_arrow_matrices_compress_and_match_oracle(m, n, dense, touched):
     split = oracle.scan_split(A)
     side = dense + min(m - dense, touched)
     if side < min(m, n):
-        assert compactness._compressed(*split).shape == (side, side)
+        assert _oracle_core(split).shape == (side, side)
         _agree(got, oracle.row_compressed_values(*split))
         assert np.all(got[side:] == 0.0)  # exact zeros, not rounding noise
     else:
-        assert compactness._compressed(*split) is A
+        assert _oracle_core(split) is A
 
 
 @settings(max_examples=60, deadline=None)
@@ -166,12 +196,32 @@ def test_core_matches_row_only_oracle_on_arrow_matrices(m, n, groups, seed):
     cols = rng.choice(n, size=int(rng.integers(0, n + 1)), replace=False)
     A = rng.permutation(_arrow(m, n, dense, cols, rng, groups))
     split = oracle.scan_split(A)
-    got = compactness._split_values(*split)
+    got = compactness._split_values(*oracle.streamed(*split))
     _agree(got, oracle.row_compressed_values(*split))
     _agree(got, oracle.singular_values(A))
     if split[2].shape[0]:  # the split saves rows: a square core
         side = sum(split[0].shape)
-        assert compactness._compressed(*split).shape == (side, side)
+        assert _oracle_core(split).shape == (side, side)
+        assert np.all(got[side:] == 0.0)
+
+
+@settings(max_examples=60, deadline=None)
+@given(m=st.integers(1, 64), n=st.integers(1, 64), groups=st.integers(1, 3),
+       rows=st.integers(1, 9), seed=st.integers(0, 2**32 - 1))
+def test_fold_of_row_chunks_matches_whole_array_oracle(m, n, groups, rows, seed):
+    # the arms folded a few rows at a time into the R factors give the values of
+    # the QRs of the whole arms, and the same floats when they come in one chunk
+    rng = np.random.default_rng(seed)
+    dense = int(rng.integers(0, m + 1))
+    cols = rng.choice(n, size=int(rng.integers(0, n + 1)), replace=False)
+    split = oracle.scan_split(rng.permutation(_arrow(m, n, dense, cols, rng, groups)))
+    want = oracle.split_values(*split)
+    assert compactness._split_values(*oracle.streamed(*split)).tobytes() == want.tobytes()
+    got = compactness._split_values(*oracle.streamed(*split, rows=rows))
+    _agree(got, want)
+    if split[2].shape[0]:  # the split saves rows: values past the core's side are exact zeros
+        side = sum(split[0].shape)
+        assert _core(*oracle.streamed(*split, rows=rows)[:2]).shape == (side, side)
         assert np.all(got[side:] == 0.0)
 
 
@@ -193,12 +243,12 @@ def test_core_values_match_both_oracles_on_bench_operators_at_1024(symbol):
     grid = make_grid(8.0, 1024)
     b, trunc = parse_function_spec(grid, symbol), TruncationSpec(16 * grid.h)
     u, v = _bench_weights(grid)
-    split = compactness._operator_split(b, trunc, u, v)
-    got = compactness._split_values(*split)
+    split = _stacked(b, trunc, u, v)
+    got = compactness._split_values(*compactness._operator_split(b, trunc, u, v))
     _agree(got, oracle.row_compressed_values(*split))
     _agree(got, oracle.singular_values(oracle.operator_matrix(b, trunc, u, v)))
     side = sum(split[0].shape)
-    assert compactness._compressed(*split).shape == (side, side)
+    assert _core(*compactness._operator_split(b, trunc, u, v)[:2]).shape == (side, side)
     assert np.all(got[side:] == 0.0)
 
 
@@ -307,14 +357,37 @@ def test_power_bound_flags_energy_preserving_sigma1_drop(monkeypatch):
 @pytest.mark.filterwarnings("error")  # a 0/0 normalisation warns before it gives NaN
 def test_power_bound_handles_a_vector_that_reaches_zero():
     # A = 0 sends the start to 0 after one step; the bound stays 0, not NaN
-    assert compactness._sigma1_lower_bound(*oracle.scan_split(np.zeros((5, 3))), 0) == 0.0
+    assert _bound(np.zeros((5, 3))) == 0.0
     assert np.array_equal(_values(np.zeros((5, 3))), np.zeros(3))
-    # a matrix that (up to rounding) annihilates the fixed start vector
-    x0 = np.random.default_rng(0).standard_normal(3)
+    # a matrix that (up to rounding) annihilates the package's fixed start vector;
+    # the oracle's split keeps its columns in order, as the rest of D_rest
+    x0 = compactness._power_start(3)
     A = np.array([[x0[1], -x0[0], 0.0], [0.0, 0.0, 0.0]])
-    bound = compactness._sigma1_lower_bound(*oracle.scan_split(A), 0)
+    assert oracle.scan_split(A)[0].shape == (1, 0)
+    bound = _bound(A)
     assert np.isfinite(bound) and bound <= np.hypot(x0[0], x0[1]) * (1.0 + 1e-12)
     assert _values(A)[0] == pytest.approx(np.hypot(x0[0], x0[1]), rel=1e-15)
+
+
+@pytest.mark.parametrize("symbol", ["bump:-0.15,0.5", "logspike:0.01", "indicator:-6,5"])
+@pytest.mark.parametrize("u_spec", ["const:1+gaussian:-0.30,0.3", "indicator:-4,2"])
+def test_operator_products_are_the_operator_matrix(symbol, u_spec):
+    # the power bound's FFT products A x and A^T y agree with the dense matrix
+    # to rounding (1e-17 of ||A||_F ||x|| seen), and the bound from them lies
+    # below sigma_1 and near it
+    m = 256
+    grid = make_grid(8.0, m)
+    b, trunc = parse_function_spec(grid, symbol), TruncationSpec(16 * grid.h)
+    u, v = parse_function_spec(grid, u_spec), _bench_weights(grid)[1]
+    A = oracle.operator_matrix(b, trunc, u, v)
+    _, _, matvec, rmatvec = compactness._operator_split(b, trunc, u, v)
+    x = np.random.default_rng(1).standard_normal(m)
+    scale = np.linalg.norm(A) * np.linalg.norm(x)
+    assert np.max(np.abs(matvec(x) - A @ x)) <= 1e-14 * scale
+    assert np.max(np.abs(rmatvec(x) - A.T @ x)) <= 1e-14 * scale
+    sigma_1 = oracle.singular_values(A)[0]
+    assert 0.99 * sigma_1 <= compactness._sigma1_lower_bound(m, matvec, rmatvec, 0)
+    assert compactness._sigma1_lower_bound(m, matvec, rmatvec, 0) <= (1.0 + 1e-12) * sigma_1
 
 
 def _symbol(kind: str, grid, rng: np.random.Generator) -> GridFunction:
@@ -350,13 +423,15 @@ def _weight(kind: str, grid) -> GridFunction:
 def _assert_block_path_is_dense_path(b, trunc, u, v) -> None:
     A = oracle.operator_matrix(b, trunc, u, v)
     want = oracle.scan_split(A)
-    got = compactness._operator_split(b, trunc, u, v)
+    got = _stacked(b, trunc, u, v)
     for g, w in zip(got, want):  # same split, same floats
         assert g.shape == w.shape and np.array_equal(g, w)
     # signed zeros included, but for D_rest^T: the gather's zeros carry the other sign
     assert got[0].tobytes() == want[0].tobytes() and got[2].tobytes() == want[2].tobytes()
-    assert np.array_equal(compactness._compressed(*got), compactness._compressed(*want))
-    assert np.array_equal(compactness._split_values(*got), compactness._split_values(*want))
+    assert np.array_equal(_core(*compactness._operator_split(b, trunc, u, v)[:2]),
+                          _oracle_core(want))
+    values = compactness._split_values(*compactness._operator_split(b, trunc, u, v))
+    assert values.tobytes() == _values(A).tobytes() == oracle.split_values(*want).tobytes()
 
 
 _SYMBOLS = ("bump", "indicator", "logspike", "const", "piecewise", "random", "odd_cell_0")
@@ -396,7 +471,7 @@ def test_block_path_with_eta_about_L_keeps_the_live_rows_on_S_dense(m):
     b = smooth_bump(grid, 0.0, 0.5)
     trunc = TruncationSpec(8.0)
     u, v = _weight("zero cells", grid), _weight("gaussian", grid)
-    D_S, D_restT, B = compactness._operator_split(b, trunc, u, v)
+    D_S, D_restT, B = _stacked(b, trunc, u, v)
     S, live = _support(b), np.flatnonzero(u.values > 0)
     off = np.setdiff1d(np.arange(m), S)
     on_S = np.intersect1d(live, S)
@@ -405,7 +480,7 @@ def test_block_path_with_eta_about_L_keeps_the_live_rows_on_S_dense(m):
         assert got.shape == want.shape and got.tobytes() == want.tobytes()
     # the gather's zeros carry the other sign, so D_rest^T matches by value
     assert np.array_equal(D_restT, compactness._operator_block(b, trunc, u, v, on_S, off).T)
-    _agree(compactness._split_values(D_S, D_restT, B),
+    _agree(compactness._split_values(*oracle.streamed(D_S, D_restT, B)),
            oracle.singular_values(oracle.operator_matrix(b, trunc, u, v))[: live.size])
 
 
@@ -445,6 +520,39 @@ def test_probe_svd_holds_no_m_by_m_array(tmp_path):
     finally:
         tracemalloc.stop()
     assert peak < 8 * m * m / 2
+
+
+def _whole_array_budget(m: int, d: int, s: int, r: int) -> int:
+    """The bytes _operator_split checked before the streamed pass: D_S, the gather,
+    B and D_rest^T held whole, the larger QR's copies and the core's two."""
+    side = (d + min(r, s), s + min(m - s, d))
+    arms = (m - s) * (s + d) + r * s
+    return 8 * (d * s * (arms > 0) + arms + 2 * max(r * s, (m - s) * d) + 2 * side[0] * side[1])
+
+
+@pytest.mark.parametrize("floor", [compactness._CHUNK_FLOOR, 512])  # one chunk, or several
+@pytest.mark.parametrize("symbol", ["bump:-0.15,0.5", "logspike:0.01"])
+def test_memory_budget_covers_the_traced_peak(monkeypatch, symbol, floor):
+    # the budget checked before any entry is evaluated is at least what the
+    # spectrum allocates through numpy (LAPACK's own copies are not traced), and
+    # at most what the whole arms took
+    m = 4096
+    monkeypatch.setattr(compactness, "_CHUNK_FLOOR", floor)
+    grid = make_grid(8.0, m)
+    b, trunc = parse_function_spec(grid, symbol), TruncationSpec(16 * grid.h)
+    u, v = _bench_weights(grid)
+    budgets, real = [], compactness.check_dense_fits
+    monkeypatch.setattr(compactness, "check_dense_fits",
+                        lambda nbytes, *args: budgets.append(nbytes) or real(nbytes, *args))
+    tracemalloc.start()
+    try:
+        compactness.operator_spectral_report(b, trunc, u, v, [64])
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    s = _support(b).size
+    assert (compactness._chunk_rows(s) < m - s) == (floor == 512)
+    assert peak <= budgets[0] <= _whole_array_budget(m, s, s, m - s)
 
 
 def test_left_edge_symbol_keeps_a_core_of_twice_its_support(monkeypatch):
@@ -509,19 +617,34 @@ def test_rows_where_u_vanishes_are_never_evaluated(monkeypatch, symbol):
     calls = _counting_block(monkeypatch)
     got = compactness.operator_spectral_report(b, trunc, u, v, [1]).singular_values
     assert calls and all(np.all(u.values[rows] > 0.0) for rows in calls)
-    D_S, _, B = compactness._operator_split(b, trunc, u, v)  # u's rows of A
+    D_S, _, B = _stacked(b, trunc, u, v)  # u's rows of A
     assert D_S.shape[0] + B.shape[0] == np.count_nonzero(u.values)
     assert got.size == grid.cells and np.all(got[np.count_nonzero(u.values):] == 0.0)
     _agree(got, want)
 
 
-@pytest.mark.parametrize("symbol", ["bump:-0.15,0.5", "logspike:0.01", "indicator:-8,-7.5",
-                                    "indicator:-6,5", "bump:0,5", "const:2"])
-@pytest.mark.parametrize("u_spec", ["const:1+gaussian:-0.30,0.3", "indicator:-4,2"])
+_EACH_ONCE = pytest.mark.parametrize("symbol", [
+    "bump:-0.15,0.5", "logspike:0.01", "indicator:-8,-7.5", "indicator:-6,5", "bump:0,5", "const:2"])
+_U_SPECS = pytest.mark.parametrize("u_spec", ["const:1+gaussian:-0.30,0.3", "indicator:-4,2"])
+
+
+@_EACH_ONCE
+@_U_SPECS
 def test_each_spectrum_evaluates_each_entry_once(monkeypatch, symbol, u_spec):
+    _assert_each_entry_evaluated_once(monkeypatch, symbol, u_spec)  # one chunk at m = 512
+
+
+@_EACH_ONCE
+@_U_SPECS
+def test_each_spectrum_evaluates_each_entry_once_in_chunks(monkeypatch, symbol, u_spec):
+    monkeypatch.setattr(compactness, "_CHUNK_FLOOR", 64)  # chunks of max(64, 2s) rows
+    _assert_each_entry_evaluated_once(monkeypatch, symbol, u_spec)
+
+
+def _assert_each_entry_evaluated_once(monkeypatch, symbol: str, u_spec: str) -> None:
     # |D_S| |S| entries from _operator_block, D_S the live rows on S, and one
-    # (m - s) x s gather for both arms; or live * m and an empty gather when
-    # the live rows are taken whole (S is every cell)
+    # (m - s) x s gather for both arms, in chunks of _chunk_rows(s) rows; or
+    # live * m and no gather when the live rows are taken whole (S is every cell)
     m = 512
     grid = make_grid(8.0, m)
     b, trunc = parse_function_spec(grid, symbol), TruncationSpec(16 * grid.h)
@@ -531,10 +654,16 @@ def test_each_spectrum_evaluates_each_entry_once(monkeypatch, symbol, u_spec):
     d, r, s = np.count_nonzero(live & on_S), np.count_nonzero(live & ~on_S), np.count_nonzero(on_S)
     if r <= s:  # the live rows whole: S is every cell
         d, r, s = np.count_nonzero(live), 0, m
+    c = compactness._chunk_rows(s)
+    chunks = [(min(c, m - s - i), s) for i in range(0, m - s, c)]
+    assert sum(rows for rows, _ in chunks) == m - s and (len(chunks) > 1) == (c < m - s)
     shapes = _counting_gathers(monkeypatch)
-    compactness.operator_spectral_report(b, trunc, u, v, [1])
-    assert shapes == [(d, s), (m - s, s)]
+    got = compactness.operator_spectral_report(b, trunc, u, v, [1]).singular_values
+    assert shapes == [(d, s), *chunks]
     shapes.clear()
-    D_S, D_restT, B = compactness._operator_split(b, trunc, u, v)
-    assert shapes == [(d, s), (m - s, s)]
+    D_S, D_restT, B = _stacked(b, trunc, u, v)
+    assert shapes == [(d, s), *chunks]
     assert (D_S.shape, D_restT.shape, B.shape) == ((d, s), (m - s, d), (r, s))
+    # the fold of several chunks agrees with the QRs of the whole arms
+    want = oracle.split_values(D_S, D_restT, B)
+    _agree(got, np.concatenate([want, np.zeros(m - want.size)]))
