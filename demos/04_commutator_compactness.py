@@ -40,8 +40,9 @@ write_curve_csv(outdir / "kr_modulus.csv", ("h", "modulus"), rep.modulus_curve)
 print(f"  curves written to {outdir}/kr_tail.csv and kr_modulus.csv")
 
 print("\n== far-field decay constant ==")
-tr = bl.tail_constant(b, trunc, v, 2.0, sample, N0=2.0)
-print(f"  sup |[b,T]f(x)| * |x| over |x| > {tr.N0:g}: {tr.C_bv:.5f}")
+N0 = 2.0
+tr = bl.tail_constant(b, trunc, v, 2.0, sample, N0=N0)
+print(f"  sup |[b,T]f(x)| * |x| over |x| > {N0:g}: {tr.C_bv:.5f}")
 print(f"  certificate (int_supp(b) v^(-p'/p))^(1/p'): {tr.v_certificate:.5f}")
 
 print("\n== shift decomposition at h = 2 cells ==")

@@ -14,7 +14,6 @@ from .grid import (
     CubeFamily,
     Grid,
     GridFunction,
-    average,
     constant,
     cube_family,
     dyadic_cubes,
@@ -48,7 +47,6 @@ from .weights import (
     two_weight_ap,
 )
 from .operators import (
-    KERNEL_CONSTANT,
     TruncationSpec,
     apply_truncated,
     commutator,

@@ -87,9 +87,7 @@ _BUILDERS = {
     "indicator": (indicator, 2),
     "gaussian": (gaussian, 2),
     "bump": (smooth_bump, 2),
-    "smooth_bump": (smooth_bump, 2),
     "logspike": (log_spike, 1),
-    "log_spike": (log_spike, 1),
     "power": (power_weight, 1),
     "haar": (lambda grid, i0, n: haar(grid, Cube(int(i0), int(n))), 2),  # integer arguments
 }
@@ -100,7 +98,7 @@ def parse_function_spec(grid: Grid, spec: str,
     """Builder mini-language: terms joined by '+'.
 
     Terms: const:c, indicator:a,b, gaussian:c,sigma, bump:c,r, logspike:eps,
-    power:alpha, haar:i0,n (the names and aliases of ``_BUILDERS``), or a bare
+    power:alpha, haar:i0,n (the names of ``_BUILDERS``), or a bare
     number. "M<k>:<spec>" applies the maximal operator k times; "M<k>:u"
     references the already-built u.
     """
@@ -147,10 +145,17 @@ def parse_function_spec(grid: Grid, spec: str,
 
 
 def _list_of(convert):
-    """Conversion of a JSON list, or of comma-separated text, to a list of ``convert``."""
+    """Conversion of a JSON list, or of comma-separated text, to a list of ``convert``;
+    an item it cannot convert is kept as it is, for ``Opt.check`` to name."""
+    def attempt(item):
+        try:
+            return convert(item)
+        except ValueError:
+            return item
+
     def to_list(val) -> list:
         items = val if isinstance(val, list) else [v for v in str(val).split(",") if v != ""]
-        return [convert(v) for v in items]
+        return [attempt(v) for v in items]
     return to_list
 
 
@@ -313,6 +318,7 @@ def _cmd_orlicz(res: Resolved) -> int:
     f = parse_function_spec(grid, res.get("f"))
     p, a, cube_arg = res.get("p"), res.get("a"), res.get("cube")
     bounds = _CONVERT["integer[]"](cube_arg)
+    Opt("orlicz.cube", "integer[]").check(bounds, "cube")
     if len(bounds) != 2:
         raise ValueError(f"--cube takes i0,n_cells (two integers), got {cube_arg!r}")
     result = orlicz.orlicz_average(f, Cube(*bounds), orlicz.YoungFunction(p, a))
@@ -331,7 +337,8 @@ def _cmd_ap(res: Resolved) -> int:
     grid = res.grid()
     w, p = parse_function_spec(grid, res.get("w")), res.get("p")
     _emit_sup(res, "ap", "ap_constant",
-              lambda cubes: io.bump_report_dict(weights.ap_constant(w, p, cubes), grid))
+              lambda cubes: io.bump_report_dict(weights.ap_constant(w, p, cubes), grid,
+                                                "ap", p, None))
     return 0
 
 
@@ -345,18 +352,22 @@ def _cmd_bump(res: Resolved) -> int:
             raise ValueError("explicit a_left/a_right require --preset custom")
         if a_right is None:
             raise ValueError("--preset custom requires --a-right")
-        left = None if a_left in (None, "avg") else float(a_left)
+        try:
+            left = None if a_left in (None, "avg") else float(a_left)
+        except ValueError:
+            raise ValueError(f"a_left must be number or 'avg', got {a_left!r}") from None
         if left is not None and not math.isfinite(left):
             raise ValueError(f"a_left must be finite, got {a_left!r}")
         res.record("a_left", left)
-        spec = weights.BumpSpec(p, delta, "custom", left, a_right)
+        spec = weights.BumpSpec(p, left, a_right)
     elif preset == "custom":
         raise ValueError("--preset custom requires --a-left and --a-right")
     else:
         spec = weights.BumpSpec.from_preset(preset, p, delta)
     pair = weights.WeightPair(u, v)
     _emit_sup(res, "bump", "bump_constant",
-              lambda cubes: io.bump_report_dict(weights.bump_constant(pair, spec, cubes), grid))
+              lambda cubes: io.bump_report_dict(weights.bump_constant(pair, spec, cubes), grid,
+                                                preset, p, delta))
     return 0
 
 
@@ -426,7 +437,7 @@ def _cmd_probe_svd(res: Resolved) -> int:
     trunc, K_list = _trunc_of(res, grid), res.get("K_list")
     report = compactness.operator_spectral_report(b, trunc, u, v, K_list)
     _write_sigma(res, "probe_svd_sigma.csv", report.singular_values)
-    _emit(res, "probe_svd", "spectral_probe", io.spectral_report_dict(report))
+    _emit(res, "probe_svd", "spectral_probe", io.spectral_report_dict(report, K_list))
     return 0
 
 
@@ -439,7 +450,7 @@ def _cmd_compare(res: Resolved) -> int:
     cmp = compactness.decay_compare(b_cmo, b_bmo, trunc, u, v, K_list)
     for tag, rep in (("smooth", cmp.smooth), ("spike", cmp.spike)):
         _write_sigma(res, f"compare_sigma_{tag}.csv", rep.singular_values)
-    _emit(res, "compare", "decay_compare", io.decay_comparison_dict(cmp))
+    _emit(res, "compare", "decay_compare", io.decay_comparison_dict(cmp, K_list))
     return 0
 
 

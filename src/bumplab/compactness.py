@@ -63,8 +63,6 @@ class UnitBallSample:
     """
 
     functions: list[GridFunction]
-    seed: int
-    tags: list[str]
     p: float
 
 
@@ -80,21 +78,17 @@ class KRReport:
 class ShiftDecomposition:
     Af: GridFunction
     Bf: GridFunction
-    shift: float
 
 
 @dataclass
 class TailReport:
     C_bv: float
-    N0: float
     v_certificate: float
 
 
 @dataclass
 class SpectralReport:
     singular_values: np.ndarray
-    grid_cells: int
-    K_list: list[int]
     sigma_ratios: list[float]
     energy_tails: list[float]
 
@@ -103,11 +97,10 @@ class SpectralReport:
 class DecayComparison:
     smooth: SpectralReport
     spike: SpectralReport
-    K_list: list[int]
     bmo_scale: float
 
 
-def _generate_member(v: GridFunction, p: float, seed: int, index: int) -> tuple[GridFunction, str]:
+def _generate_member(v: GridFunction, p: float, seed: int, index: int) -> GridFunction:
     grid = v.grid
     m = grid.cells
     rng = np.random.default_rng(np.random.SeedSequence(seed, spawn_key=(index,)))
@@ -135,7 +128,7 @@ def _generate_member(v: GridFunction, p: float, seed: int, index: int) -> tuple[
     if nrm == 0.0:  # measure-zero event for the piecewise generator
         f = GridFunction(grid, np.ones(m))
         nrm = lp_norm_weighted(f, v, p)
-    return GridFunction(grid, f.values / nrm), kind
+    return GridFunction(grid, f.values / nrm)
 
 
 def sample_unit_ball(v: GridFunction, p: float, count: int, seed: int) -> UnitBallSample:
@@ -150,13 +143,7 @@ def sample_unit_ball(v: GridFunction, p: float, count: int, seed: int) -> UnitBa
     check_dense_fits(6 * 8 * v.grid.cells * count,
                      f"a sample of {count} functions on {v.grid.cells} cells and its "
                      f"commutator images", "use a smaller grid or count")
-    members = [_generate_member(v, p, seed, i) for i in range(count)]
-    return UnitBallSample(
-        functions=[f for f, _ in members],
-        seed=seed,
-        tags=[tag for _, tag in members],
-        p=p,
-    )
+    return UnitBallSample([_generate_member(v, p, seed, i) for i in range(count)], p)
 
 
 def _check_shift(k: int, grid: Grid, trunc: TruncationSpec, allow_large_shifts: bool) -> None:
@@ -270,11 +257,7 @@ def shift_decomposition(b: GridFunction, f: GridFunction, trunc: TruncationSpec,
     # T(b'f) - T(b'f)(.+h) - (b(x+h) - b_0)(Tf - Tf(.+h)), so that a constant
     # symbol gives exact zeros
     B = (Tbf - shift(Tbf, k)).values - (b_sh.values - b.values[0]) * (Tf - shift(Tf, k)).values
-    return ShiftDecomposition(
-        Af=GridFunction(grid, A),
-        Bf=GridFunction(grid, B),
-        shift=k * grid.h,
-    )
+    return ShiftDecomposition(GridFunction(grid, A), GridFunction(grid, B))
 
 
 def tail_constant(b: GridFunction, trunc: TruncationSpec, v: GridFunction, p: float,
@@ -315,7 +298,7 @@ def tail_constant(b: GridFunction, trunc: TruncationSpec, v: GridFunction, p: fl
     if not np.any(far):
         raise ValueError("no grid cells beyond N0; enlarge the domain or reduce N0")
     C_bv = float(np.max(np.abs(G[far]) * np.abs(x[far])[:, None]))
-    return TailReport(C_bv=C_bv, N0=float(N0), v_certificate=cert)
+    return TailReport(C_bv=C_bv, v_certificate=cert)
 
 
 def _operator_block(b: GridFunction, trunc: TruncationSpec, u: GridFunction, v: GridFunction,
@@ -472,12 +455,11 @@ def _fold(R: np.ndarray | None, X: np.ndarray) -> np.ndarray:
     return np.linalg.qr(X if R is None else np.concatenate([R, X]), mode="r")
 
 
-def _scaled_square_sum(X: np.ndarray) -> tuple[float, int, float]:
-    """(max |x_ij|, its binary exponent e, ||2^-e X||_F^2): exact scaling, and no
-    square overflows while the entries are finite."""
-    peak = float(np.max(np.abs(X), initial=0.0))
-    e = int(np.frexp(peak)[1])
-    return peak, e, float(np.linalg.norm(np.ldexp(X, -e))) ** 2
+def _scaled_square_sum(X: np.ndarray) -> tuple[int, float]:
+    """(e, ||2^-e X||_F^2), e the binary exponent of max |x_ij|: exact scaling, and
+    no square overflows while the entries are finite."""
+    e = int(np.frexp(np.max(np.abs(X), initial=0.0))[1])
+    return e, float(np.linalg.norm(np.ldexp(X, -e))) ** 2
 
 
 def _compressed(D_S: np.ndarray, chunks) -> tuple[np.ndarray, tuple[int, int], list]:
@@ -542,21 +524,25 @@ def _split_values(D_S: np.ndarray, chunks, matvec, rmatvec) -> np.ndarray:
     s = np.linalg.svd(core, compute_uv=False)
     s = np.concatenate([s, np.zeros(min(m, n) - s.size)])
     if s.size:
-        e = int(np.frexp(max(peak for peak, _, _ in sums))[1])
+        # the exponent of the largest entry: frexp's exponent grows with |x| > 0, and
+        # an all-zero array (whose exponent reads 0) holds none
+        e = max((e_X for e_X, total in sums if total), default=0)
         t = np.ldexp(s, -e)
-        fro2 = sum(math.ldexp(total, 2 * (e_X - e)) for _, e_X, total in sums)
+        fro2 = sum(math.ldexp(total, 2 * (e_X - e)) for e_X, total in sums)
         energy = float(np.sum(t**2))
         if not abs(energy - fro2) <= _SPECTRUM_RTOL * fro2:
             raise FloatingPointError(f"sum of sigma^2 {energy} differs from ||A||_F^2 {fro2} (both "
                                      f"times 2^{-2 * e}) by more than {_SPECTRUM_RTOL:g} relative")
-        bound = _sigma1_lower_bound(n, matvec, rmatvec, e)
+        # fro2 = 0: A is exactly 0, and so is every value; the FFT products' rounding
+        # noise would be no lower bound on sigma_1
+        bound = _sigma1_lower_bound(n, matvec, rmatvec, e) if fro2 else 0.0
         if t[0] < (1.0 - _SPECTRUM_RTOL) * bound:
             raise FloatingPointError(f"sigma_1 {t[0]} is below the power-iteration "
                                      f"lower bound {bound} (both times 2^{-e})")
     return s
 
 
-def _report(s: np.ndarray, grid_cells: int, K_list: list[int]) -> SpectralReport:
+def _report(s: np.ndarray, K_list: list[int]) -> SpectralReport:
     # the energies of s times 2^-e, with s_1 in [1/2, 1), so that no square overflows
     t = np.ldexp(s, -np.frexp(np.max(s, initial=0.0))[1])
     total_energy = float(np.sum(t**2))
@@ -567,13 +553,7 @@ def _report(s: np.ndarray, grid_cells: int, K_list: list[int]) -> SpectralReport
         sigma_ratios.append(float(s[K - 1] / s[0]) if s[0] > 0 else 0.0)
         tail = float(np.sum(t[K:] ** 2))  # strictly beyond the K-th value
         energy_tails.append(tail / total_energy if total_energy > 0 else 0.0)
-    return SpectralReport(
-        singular_values=s,
-        grid_cells=grid_cells,
-        K_list=list(K_list),
-        sigma_ratios=sigma_ratios,
-        energy_tails=energy_tails,
-    )
+    return SpectralReport(singular_values=s, sigma_ratios=sigma_ratios, energy_tails=energy_tails)
 
 
 def operator_spectral_report(b: GridFunction, trunc: TruncationSpec, u: GridFunction,
@@ -588,8 +568,7 @@ def operator_spectral_report(b: GridFunction, trunc: TruncationSpec, u: GridFunc
     finite or the arrays would not fit in memory, and the errors of
     _split_values."""
     s = _split_values(*_operator_split(b, trunc, u, v))
-    m = b.grid.cells
-    return _report(np.concatenate([s, np.zeros(m - s.size)]), m, K_list)
+    return _report(np.concatenate([s, np.zeros(b.grid.cells - s.size)]), K_list)
 
 
 def decay_compare(b_cmo: GridFunction, b_bmo: GridFunction, trunc: TruncationSpec,
@@ -614,4 +593,4 @@ def decay_compare(b_cmo: GridFunction, b_bmo: GridFunction, trunc: TruncationSpe
     # one after the other: each SVD already runs on every core through BLAS
     return DecayComparison(smooth=operator_spectral_report(b_cmo, trunc, u, v, K_list),
                            spike=operator_spectral_report(b_spike, trunc, u, v, K_list),
-                           K_list=list(K_list), bmo_scale=scale)
+                           bmo_scale=scale)

@@ -22,7 +22,6 @@ __all__ = [
     "shifted_dyadic_cubes",
     "cube_family",
     "per_cube",
-    "average",
     "lp_norm_weighted",
     "shift",
     "constant",
@@ -255,13 +254,6 @@ def per_cube(fn: Callable[..., np.ndarray], grid: Grid, cubes: Sequence[Cube],
         raise FloatingPointError(
             "a per-cube value is not finite (the reduction overflowed); rescale the input")
     return out
-
-
-def average(f: GridFunction, cube: Cube) -> float:
-    """Mean of f over the cube; exact for piecewise-constant f."""
-    cube.check(f.grid)
-    block = f.values[cube.i0 : cube.i0 + cube.n_cells]
-    return float(np.sum(block) / cube.n_cells)
 
 
 def _check_weights(u: GridFunction | None = None, v: GridFunction | None = None,

@@ -74,14 +74,16 @@ def write_json(path: str | Path, obj: dict) -> None:
                                               allow_nan=False) + "\n")
 
 
-def bump_report_dict(report: BumpReport, grid: Grid) -> dict:
+def bump_report_dict(report: BumpReport, grid: Grid, preset: str, p: float,
+                     delta: float | None) -> dict:
+    """The constant and its argmax cube, labelled with the caller's preset, p and delta."""
     a, b = report.argmax_cube.endpoints(grid)
     return {
         "constant": float(report.constant),
         "argmax": {"a": a, "b": b},
-        "preset": report.preset,
-        "p": float(report.p),
-        "delta": None if report.delta is None else float(report.delta),
+        "preset": preset,
+        "p": float(p),
+        "delta": None if delta is None else float(delta),
     }
 
 
@@ -95,20 +97,21 @@ def kr_report_dict(report: KRReport) -> dict:
     }
 
 
-def spectral_report_dict(report: SpectralReport) -> dict:
+def spectral_report_dict(report: SpectralReport, K_list: list[int]) -> dict:
+    """The spectrum, labelled with its count (the grid's cells) and the caller's K_list."""
     return {
-        "grid_cells": int(report.grid_cells),
-        "K_list": [int(k) for k in report.K_list],
+        "grid_cells": len(report.singular_values),
+        "K_list": [int(k) for k in K_list],
         "sigma_ratios": [float(v) for v in report.sigma_ratios],
         "energy_tails": [float(v) for v in report.energy_tails],
         "singular_values": [float(v) for v in report.singular_values],
     }
 
 
-def decay_comparison_dict(cmp: DecayComparison) -> dict:
+def decay_comparison_dict(cmp: DecayComparison, K_list: list[int]) -> dict:
     return {
-        "K_list": [int(k) for k in cmp.K_list],
+        "K_list": [int(k) for k in K_list],
         "bmo_scale": float(cmp.bmo_scale),
-        "smooth": spectral_report_dict(cmp.smooth),
-        "spike": spectral_report_dict(cmp.spike),
+        "smooth": spectral_report_dict(cmp.smooth, K_list),
+        "spike": spectral_report_dict(cmp.spike, K_list),
     }

@@ -2,9 +2,9 @@
 integral operators, the maximal truncation, and commutators.
 
 The one kernel is the Hilbert kernel K(x, y) = 1/(pi (x - y)), evaluated
-through its offsets (below); KERNEL_CONSTANT = 1/pi is its size and
-smoothness constant. The smooth truncation multiplies K by psi(|x - y| / eta)
-where psi is a C^1 smoothstep ramp: the truncated kernel vanishes inside
+through its offsets (below); 1/pi is its size and smoothness constant. The
+smooth truncation multiplies K by psi(|x - y| / eta) where psi is a C^1
+smoothstep ramp: the truncated kernel vanishes inside
 radius eta, agrees with K outside radius 2*eta, and keeps the size and
 gradient bounds of K up to a fixed multiple. Every operator evaluated here
 stays away from the diagonal, so plain midpoint quadrature is adequate.
@@ -43,7 +43,6 @@ from numpy.lib.stride_tricks import sliding_window_view
 from .grid import Grid, GridFunction, _check_weights
 
 __all__ = [
-    "KERNEL_CONSTANT",
     "TruncationSpec",
     "cutoff_psi",
     "kernel_offsets",
@@ -54,11 +53,6 @@ __all__ = [
     "commutator",
     "check_dense_fits",
 ]
-
-
-# the Hilbert kernel's size and smoothness constant:
-# |K(x, y)| * |x - y| = |dK/dx (x, y)| * |x - y|^2 = 1/pi
-KERNEL_CONSTANT = 1.0 / math.pi
 
 
 def cutoff_psi(r):

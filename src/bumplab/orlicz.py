@@ -65,12 +65,16 @@ class OrliczAverage:
 
 
 def young_eval(phi: YoungFunction, t):
-    """Phi(t) elementwise, inf where it overflows; t must be nonnegative."""
+    """Phi(t) elementwise, inf where it overflows; t must be nonnegative.
+
+    Phi is evaluated as (t log(e+t)^(a/p))^p, so that where Phi is in range no
+    factor leaves the float range on its own (t^p underflowing to 0 while
+    log(e+t)^a overflows would give 0 * inf = NaN)."""
     t = np.asarray(t, dtype=float)
     if np.any(t < 0):
         raise ValueError("Young functions are evaluated at t >= 0")
     with np.errstate(all="ignore"):
-        out = t**phi.p * np.log(np.e + t) ** phi.a
+        out = (t * np.log(np.e + t) ** (phi.a / phi.p)) ** phi.p
     return float(out) if out.ndim == 0 else out
 
 

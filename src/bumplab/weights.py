@@ -57,20 +57,6 @@ def _dual(p: float) -> float:
     return p / (p - 1.0)
 
 
-def _preset_exponents(preset: str, p: float, delta: float) -> tuple[float | None, float]:
-    """(a_left, a_right) of a named preset; a_left None is the plain average of u."""
-    pc = _dual(p)
-    if preset not in ("max", "czo", "comm"):
-        raise ValueError(f"unknown preset {preset!r}")
-    if delta is None or delta <= 0:
-        raise ValueError("presets require delta > 0")
-    return {
-        "max": (None, pc - 1.0 + delta),
-        "czo": (p - 1.0 + delta, pc - 1.0 + delta),
-        "comm": (2.0 * p - 1.0 + delta, 2.0 * pc - 1.0 + delta),
-    }[preset]
-
-
 @dataclass(frozen=True)
 class BumpSpec:
     """Exponents of the bumped product norm.
@@ -81,36 +67,36 @@ class BumpSpec:
     """
 
     p: float
-    delta: float | None
-    preset: str
     a_left: float | None
     a_right: float
 
     def __post_init__(self) -> None:
-        if self.preset == "custom":
-            _dual(self.p)  # the p rule, which _preset_exponents keeps too
-        elif (self.a_left, self.a_right) != _preset_exponents(self.preset, self.p, self.delta):
-            raise ValueError(f"exponents {self.a_left, self.a_right} do not "
-                             f"match preset {self.preset!r}")
+        _dual(self.p)  # the p rule
 
     @classmethod
     def from_preset(cls, name: str, p: float, delta: float = 1.0) -> "BumpSpec":
         """The "max", "czo" or "comm" exponents at (p, delta)."""
-        return cls(p, delta, name, *_preset_exponents(name, p, delta))
+        pc = _dual(p)
+        if name not in ("max", "czo", "comm"):
+            raise ValueError(f"unknown preset {name!r}")
+        if delta is None or delta <= 0:
+            raise ValueError("presets require delta > 0")
+        return cls(p, *{
+            "max": (None, pc - 1.0 + delta),
+            "czo": (p - 1.0 + delta, pc - 1.0 + delta),
+            "comm": (2.0 * p - 1.0 + delta, 2.0 * pc - 1.0 + delta),
+        }[name])
 
 
 @dataclass
 class BumpReport:
     constant: float
     argmax_cube: Cube
-    p: float
-    preset: str | None = None
-    delta: float | None = None
 
 
-def _sup_report(values: np.ndarray, cubes: Sequence[Cube], p: float, **meta) -> BumpReport:
+def _sup_report(values: np.ndarray, cubes: Sequence[Cube]) -> BumpReport:
     k = int(np.argmax(values))
-    return BumpReport(constant=float(values[k]), argmax_cube=cubes[k], p=p, **meta)
+    return BumpReport(constant=float(values[k]), argmax_cube=cubes[k])
 
 
 def _mid_exponent(values: np.ndarray) -> int:
@@ -145,12 +131,12 @@ def _ap_values(u: GridFunction, v: GridFunction, p: float, cubes: Sequence[Cube]
 def ap_constant(w: GridFunction, p: float, cubes: Sequence[Cube]) -> BumpReport:
     """sup over cubes of (avg_Q w) (avg_Q w^(1-p')) ^ (p-1); w keeps v's rule, w > 0."""
     _check_weights(v=w)
-    return _sup_report(_ap_values(w, w, p, cubes), cubes, p, preset="ap")
+    return _sup_report(_ap_values(w, w, p, cubes), cubes)
 
 
 def two_weight_ap(pair: WeightPair, p: float, cubes: Sequence[Cube]) -> BumpReport:
     """sup over cubes of (avg_Q u) (avg_Q v^(1-p')) ^ (p-1)."""
-    return _sup_report(_ap_values(pair.u, pair.v, p, cubes), cubes, p, preset="two_weight_ap")
+    return _sup_report(_ap_values(pair.u, pair.v, p, cubes), cubes)
 
 
 def _bump_values(pair: WeightPair, spec: BumpSpec, cubes: Sequence[Cube]) -> np.ndarray:
@@ -177,8 +163,7 @@ def bump_constant(pair: WeightPair, spec: BumpSpec, cubes: Sequence[Cube]) -> Bu
     F_left is the plain average of u for the maximal preset, and otherwise
     the Orlicz average of u^(1/p) with exponents (p, a_left).
     """
-    return _sup_report(_bump_values(pair, spec, cubes), cubes, spec.p,
-                       preset=spec.preset, delta=spec.delta)
+    return _sup_report(_bump_values(pair, spec, cubes), cubes)
 
 
 def iterate_maximal(u: GridFunction, k: int) -> GridFunction:

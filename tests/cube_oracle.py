@@ -2,7 +2,7 @@
 the cube families as lists of `Cube`.
 
 Each evaluator walks the cube family one cube at a time and reduces that
-cube's block with `grid.average` or the package's single-cube
+cube's block with `average` (below) or the package's single-cube
 `orlicz_average` (whose root `test_orlicz_oracle` checks against the
 reference bisection). This is how `bmo_norm` computed its norm before every
 constant went through `grid.per_cube`, which reduces one block of
@@ -17,9 +17,16 @@ from __future__ import annotations
 import numpy as np
 
 from bumplab import orlicz
-from bumplab.grid import Cube, Grid, GridFunction, average
+from bumplab.grid import Cube, Grid, GridFunction
 from bumplab.orlicz import YoungFunction
 from bumplab.weights import BumpSpec, WeightPair
+
+
+def average(f: GridFunction, cube: Cube) -> float:
+    """Mean of f over the cube; exact for piecewise-constant f."""
+    cube.check(f.grid)
+    block = f.values[cube.i0 : cube.i0 + cube.n_cells]
+    return float(np.sum(block) / cube.n_cells)
 
 
 def dyadic_cubes(grid: Grid) -> list[Cube]:

@@ -22,6 +22,11 @@ from bumplab.grid import Grid, GridFunction
 from bumplab.operators import TruncationSpec, default_eta_grid, kernel_offsets
 
 
+# the Hilbert kernel's size and smoothness constant:
+# |K(x, y)| * |x - y| = |dK/dx (x, y)| * |x - y|^2 = 1/pi
+KERNEL_CONSTANT = 1.0 / math.pi
+
+
 def hilbert(x, y):
     """The Hilbert kernel 1/(pi (x - y)), pair by pair; never called with x == y."""
     return 1.0 / (math.pi * (x - y))

@@ -190,6 +190,35 @@ def test_non_finite_option_exits_2_without_report(tmp_path, capsys, argv):
     assert not list(tmp_path.iterdir())
 
 
+_UNCONVERTIBLE = {
+    "probe-svd-K-list": ([], ["probe", "svd", "--b", "bump:0,0.5", "--u", "const:1",
+                              "--v", "const:1", "--K-list", "8,x"],
+                         "K_list must be integer, got 'x'"),
+    "probe-kr-N-list": ([], [*_KR_UNIT, "--N-list", "0.1,abc"], "N_list must be number, got 'abc'"),
+    "probe-kr-shift-list": ([], [*_KR_UNIT, "--shift-list", "1.5"],
+                            "shift_list must be integer, got '1.5'"),
+    "bump-a-left": ([], [*_CUSTOM, "--a-left", "abc", "--a-right", "1"],
+                    "a_left must be number or 'avg', got 'abc'"),
+    "bump-a-left-config": ([{"bump": {"a_left": "abc"}}], [*_CUSTOM, "--a-right", "1"],
+                           "a_left must be number or 'avg', got 'abc'"),
+    "orlicz-cube": ([], ["orlicz", "--f", "const:1", "--cube", "0,x"],
+                    "cube must be integer, got 'x'"),
+}
+
+
+@pytest.mark.parametrize("config, argv, message", _UNCONVERTIBLE.values(),
+                         ids=_UNCONVERTIBLE.keys())
+def test_value_that_fails_conversion_names_its_option_exits_2(tmp_path, capsys, config, argv,
+                                                              message):
+    flags = []
+    for cfg in config:
+        (tmp_path / "cfg.json").write_text(json.dumps(cfg))
+        flags = ["--config", tmp_path / "cfg.json"]
+    assert run([*flags, *argv, "--L", "1", "--m", "16", "--out", tmp_path / "out"]) == 2
+    assert capsys.readouterr().err.splitlines() == [f"error: {message}"]
+    assert not (tmp_path / "out").exists()
+
+
 _NOT_FINITE = "error: grid function values must be finite"
 _OVERFLOWED = ("error: numerical non-convergence: a per-cube value is not finite (the "
                "reduction overflowed); rescale the input")
@@ -893,6 +922,36 @@ def test_sup_results_carry_the_cube_family(tmp_path, argv, family):
     assert run([*argv, "--cubes", family, "--L", "1", "--m", "16", "--out", tmp_path]) == 0
     report = json.loads((tmp_path / f"{argv[0]}.json").read_text())
     assert report["result"]["family"] == report["config"]["cubes"] == family
+
+
+_LABELS = {
+    "ap": (["ap", "--w", "power:0.5"], {"preset": "ap", "p": 2.0, "delta": None}),
+    "bump": (["bump", "--u", "const:1", "--v", "const:1", "--preset", "czo", "--p", "3",
+              "--delta", "0.5"], {"preset": "czo", "p": 3.0, "delta": 0.5}),
+    "bump-custom": ([*_CUSTOM, "--a-left", "1", "--a-right", "1"],
+                    {"preset": "custom", "p": 2.0, "delta": 1.0}),
+    "probe-svd": (["probe", "svd", "--b", "bump:0,0.5", "--u", "const:1", "--v", "const:1",
+                   "--K-list", "2,3"], {"grid_cells": 16, "K_list": [2, 3]}),
+}
+
+
+@pytest.mark.parametrize("argv, labels", _LABELS.values(), ids=_LABELS.keys())
+def test_results_carry_the_inputs_the_cli_resolved(tmp_path, argv, labels):
+    """The result types hold what was computed; the CLI labels each report's
+    result with the inputs it resolved, a custom preset's unused delta too."""
+    assert run([*argv, "--L", "1", "--m", "16", "--out", tmp_path]) == 0
+    (report,) = tmp_path.glob("*.json")
+    result = json.loads(report.read_text())["result"]
+    assert {key: result[key] for key in labels} == labels
+
+
+def test_compare_result_carries_its_K_list_three_times(tmp_path):
+    assert run(["compare", "--u", "const:1", "--v", "const:1", "--K-list", "2,3",
+                "--L", "1", "--m", "16", "--out", tmp_path]) == 0
+    result = json.loads((tmp_path / "compare.json").read_text())["result"]
+    assert result["K_list"] == [2, 3]
+    for tag in ("smooth", "spike"):
+        assert (result[tag]["grid_cells"], result[tag]["K_list"]) == (16, [2, 3])
 
 
 @pytest.mark.parametrize("flags, message", [

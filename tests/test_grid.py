@@ -6,7 +6,6 @@ from bumplab import (
     Cube,
     CubeFamily,
     GridFunction,
-    average,
     constant,
     cube_family,
     dyadic_cubes,
@@ -22,6 +21,7 @@ from bumplab import (
     smooth_bump,
 )
 from bumplab.grid import per_cube
+from cube_oracle import average
 
 
 def test_make_grid_basic():

@@ -4,7 +4,6 @@ import numpy as np
 import pytest
 
 from bumplab import (
-    KERNEL_CONSTANT,
     GridFunction,
     TruncationSpec,
     apply_truncated,
@@ -22,7 +21,7 @@ from bumplab import (
     smooth_bump,
 )
 from bumplab.operators import _toeplitz, kernel_offsets
-from kernel_oracle import hilbert, measured_regularity_constant
+from kernel_oracle import KERNEL_CONSTANT, hilbert, measured_regularity_constant
 
 
 def test_cutoff_psi_values():

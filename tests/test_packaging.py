@@ -52,17 +52,41 @@ def test_exports_resolve():
             assert not unlisted, f"bumplab.{node.module}.__all__ does not list {unlisted}"
 
 
+def _references(path: Path) -> set[str]:
+    """The names a file's code reads: names and attributes in load context,
+    and imported names. Docstrings and comments hold none, and neither does
+    a definition or an assignment."""
+    refs = set()
+    for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
+        if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+            refs.add(node.id)
+        elif isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load):
+            refs.add(node.attr)
+        elif isinstance(node, ast.alias):
+            refs.add(node.name.rpartition(".")[2])
+    return refs
+
+
+def _dotted_strings(path: Path) -> set[str]:
+    """The string constants of a file that are exactly "module.name", such as
+    the functions the bench traces by their dotted paths."""
+    return {node.value for node in ast.walk(ast.parse(path.read_text(), filename=str(path)))
+            if isinstance(node, ast.Constant) and isinstance(node.value, str)
+            and re.fullmatch(r"[A-Za-z_]\w*\.[A-Za-z_]\w*", node.value)}
+
+
 def test_every_export_has_a_caller_outside_the_tests():
-    """Every name in a module's __all__ appears in src/, demos/ or bench/
-    besides its definition, its __all__ entry and bumplab/__init__.py, so API
-    that only the tests call fails here. The search is by whole word in the
-    text, so a mention in a docstring counts, and so does a name the bench
-    traces by its dotted path, such as "grid.average"."""
+    """Every name in a module's __all__ is read by code in src/, demos/ or
+    bench/ other than bumplab/__init__.py, or traced by the bench by its
+    dotted path, such as "grid.cube_family", so API that only the tests call
+    fails here. Only code counts: a mention in a docstring or a comment does
+    not, nor does the name's own definition or its __all__ entry."""
     package = ROOT / "src" / "bumplab"
     modules = sorted(p for p in package.glob("*.py") if p.name != "__init__.py")
-    text = "\n".join(p.read_text() for p in [*modules, *(ROOT / "demos").glob("*.py"),
-                                             *(ROOT / "bench").rglob("*.py")])
+    callers = [*modules, *(ROOT / "demos").glob("*.py"), *(ROOT / "bench").rglob("*.py")]
+    read = set().union(*map(_references, callers))
+    traced = set().union(*map(_dotted_strings, (ROOT / "bench").rglob("*.py")))
     unused = [f"{path.stem}.{name}" for path in modules
               for name in getattr(importlib.import_module(f"bumplab.{path.stem}"), "__all__", ())
-              if len(re.findall(rf"\b{name}\b", text)) <= 2]  # the definition and __all__
+              if name not in read and f"{path.stem}.{name}" not in traced]
     assert not unused, f"exported, but called only by tests: {unused}"

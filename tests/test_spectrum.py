@@ -369,6 +369,20 @@ def test_power_bound_handles_a_vector_that_reaches_zero():
     assert _values(A)[0] == pytest.approx(np.hypot(x0[0], x0[1]), rel=1e-15)
 
 
+def test_operator_that_is_exactly_zero_has_a_zero_spectrum(tmp_path):
+    # b leaves its common value on cell 0 alone, where u vanishes, and the kernel
+    # vanishes between cell 0 and every live row: A = 0, while the FFT products'
+    # rounding gave a power bound of 1.7e-18, which failed the check on sigma_1 = 0
+    grid = make_grid(8.0, 8)
+    b = parse_function_spec(grid, "1+indicator:-8,-6")
+    u, v = indicator(grid, -4.0, 2.0), constant(grid, 1.0)
+    rep = compactness.operator_spectral_report(b, TruncationSpec(4 * grid.h), u, v, [1])
+    assert np.array_equal(rep.singular_values, np.zeros(8))
+    assert main(["probe", "svd", "--b", "1+indicator:-8,-6", "--u", "indicator:-4,2",
+                 "--v", "const:1", "--L", "8", "--m", "8", "--eta-cells", "4",
+                 "--out", str(tmp_path)]) == 0
+
+
 @pytest.mark.parametrize("symbol", ["bump:-0.15,0.5", "logspike:0.01", "indicator:-6,5"])
 @pytest.mark.parametrize("u_spec", ["const:1+gaussian:-0.30,0.3", "indicator:-4,2"])
 def test_operator_products_are_the_operator_matrix(symbol, u_spec):

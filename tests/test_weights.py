@@ -1,3 +1,5 @@
+import json
+
 import numpy as np
 import pytest
 
@@ -19,6 +21,7 @@ from bumplab import (
     two_weight_ap,
 )
 from bumplab import orlicz, weights
+from bumplab.cli import main as cli_main
 from bumplab.weights import _bump_values
 
 
@@ -58,11 +61,9 @@ def test_bump_spec_presets():
     spec = BumpSpec.from_preset("max", 2.0, 1.0)
     assert spec.a_left is None and spec.a_right == 2.0
     with pytest.raises(ValueError):
-        BumpSpec(2.0, 1.0, "comm", 3.0, 4.0)  # exponents must match the preset
-    with pytest.raises(ValueError):
         BumpSpec.from_preset("comm", 2.0, 0.0)
     with pytest.raises(ValueError):
-        BumpSpec(0.5, None, "custom", 0.0, 0.0)
+        BumpSpec(0.5, 0.0, 0.0)
 
 
 def test_ap_constant_trivial_weights():
@@ -132,7 +133,7 @@ def test_two_weight_ap():
 def test_bump_constant_constant_weights_a0():
     g = make_grid(1.0, 64)
     one = constant(g, 1.0)
-    spec = BumpSpec(2.0, None, "custom", 0.0, 0.0)
+    spec = BumpSpec(2.0, 0.0, 0.0)
     rep = bump_constant(WeightPair(one, one), spec, dyadic_cubes(g))
     assert rep.constant == 1.0
 
@@ -184,13 +185,18 @@ def test_bump_maximal_preset_uses_plain_average():
     assert rep.constant == pytest.approx(np.mean(u.values) * right, rel=1e-9)
 
 
-def test_bump_report_metadata():
+def test_bump_report_metadata(tmp_path):
     g = make_grid(1.0, 32)
     one = constant(g, 1.0)
     cubes = cube_family(g, "dyadic+shifted")
     pair, spec = WeightPair(one, one), BumpSpec.from_preset("comm", 2.0, 1.0)
     rep = bump_constant(pair, spec, cubes)
-    assert (rep.p, rep.preset, rep.delta) == (2.0, "comm", 1.0)
+    # the report file labels the constant with the inputs the CLI resolved
+    assert cli_main(["bump", "--u", "const:1", "--v", "const:1", "--L", "1", "--m", "32",
+                     "--out", str(tmp_path)]) == 0
+    result = json.loads((tmp_path / "bump.json").read_text())["result"]
+    assert (result["p"], result["preset"], result["delta"]) == (2.0, "comm", 1.0)
+    assert result["constant"] == rep.constant
     values = _bump_values(pair, spec, cubes)
     assert len(values) == len(cubes) and rep.constant == np.max(values)
     assert cubes[int(np.argmax(values))] == rep.argmax_cube
@@ -248,7 +254,7 @@ _P_CALLS = {
     "ap_constant": lambda p, w, cubes: ap_constant(w, p, cubes),
     "two_weight_ap": lambda p, w, cubes: two_weight_ap(WeightPair(w, w), p, cubes),
     "from_preset": lambda p, w, cubes: BumpSpec.from_preset("czo", p),
-    "custom": lambda p, w, cubes: BumpSpec(p, None, "custom", 1.0, 1.0),
+    "custom": lambda p, w, cubes: BumpSpec(p, 1.0, 1.0),
 }
 
 
