@@ -306,9 +306,10 @@ def _emit_sup(res: Resolved, name: str, kind: str, sup) -> None:
     _emit(res, name, kind, {**sup(cube_family(res.grid(), family)), "family": family})
 
 
-def _write_sigma(res: Resolved, name: str, singular_values) -> None:
+def _write_sigma(res: Resolved, name: str, singular_values: np.ndarray) -> None:
+    k = np.arange(1.0, singular_values.size + 1)
     io.write_curve_csv(Path(res.get("out")) / name, ("k", "sigma"),
-                       [(float(i + 1), float(s)) for i, s in enumerate(singular_values)])
+                       np.column_stack([k, singular_values]))
 
 
 # subcommands

@@ -17,9 +17,13 @@ trends across samples, radii, and grid refinements carry information):
 
 from __future__ import annotations
 
+import ctypes
+import functools
 import math
 from collections.abc import Sequence
+from contextlib import contextmanager
 from dataclasses import dataclass
+from pathlib import Path
 
 import numpy as np
 
@@ -448,11 +452,60 @@ def _operator_products(b: GridFunction, trunc: TruncationSpec, u: GridFunction,
     return matvec, rmatvec
 
 
+# The most columns of a matrix whose QR or values-only SVD runs on one BLAS thread
+# (see _one_blas_thread). On a 2-core Xeon, OpenBLAS's two threads against one
+# took 3.9 against 1.8 ms for the QR of a 960 x 64 matrix, 45 against 34 ms at
+# 2048 x 256, and 8.2 against 6.5 ms for the SVD of a 256 x 256 core, but 325
+# against 390 ms at 1024 x 1024. From 384 to 512 columns one thread won or lost
+# by a few per cent from run to run (the tables are in CHANGES.md).
+_ONE_THREAD_COLS = 256
+
+
+@functools.cache
+def _openblas_threads():
+    """(get, set) of the thread count of the OpenBLAS library in numpy's wheel, or
+    None when numpy ships none (MKL, Accelerate or a system BLAS)."""
+    for path in sorted((Path(np.__file__).parents[1] / "numpy.libs").glob("*openblas*")):
+        try:
+            lib = ctypes.CDLL(str(path))
+        except OSError:
+            continue
+        for prefix in ("scipy_openblas", "openblas"):
+            for suffix in ("64_", ""):
+                get = getattr(lib, f"{prefix}_get_num_threads{suffix}", None)
+                set_ = getattr(lib, f"{prefix}_set_num_threads{suffix}", None)
+                if get is not None and set_ is not None:
+                    get.restype, set_.argtypes, set_.restype = ctypes.c_int, [ctypes.c_int], None
+                    return get, set_
+    return None
+
+
+@contextmanager
+def _one_blas_thread(cols: int):
+    """Run the block on one OpenBLAS thread when its LAPACK call takes a matrix of
+    at most _ONE_THREAD_COLS columns: at those sizes the Householder panels are
+    BLAS-2 work, and a second thread only adds synchronisation. The count is
+    read on entry and restored on exit, also when the call raises; wider
+    calls, and builds without numpy's OpenBLAS, keep the count as it is. The
+    count is the process's, so spectra run at once in several Python threads
+    may see each other's cap."""
+    threads = _openblas_threads() if cols <= _ONE_THREAD_COLS else None
+    old = threads[0]() if threads is not None else 1
+    if old > 1:
+        threads[1](1)
+    try:
+        yield
+    finally:
+        if old > 1:
+            threads[1](old)
+
+
 def _fold(R: np.ndarray | None, X: np.ndarray) -> np.ndarray:
     """The R factor of a QR of [R; X], or of X alone when R is None: one step of
     the sequential TSQR (Demmel, Grigori, Hoemmen & Langou, SIAM J. Sci.
-    Comput. 34, 2012)."""
-    return np.linalg.qr(X if R is None else np.concatenate([R, X]), mode="r")
+    Comput. 34, 2012), on one BLAS thread when X is narrow (see _one_blas_thread)."""
+    with _one_blas_thread(X.shape[1]):
+        return np.linalg.qr(X if R is None else np.concatenate([R, X]), mode="r")
 
 
 def _scaled_square_sum(X: np.ndarray) -> tuple[int, float]:
@@ -500,6 +553,9 @@ def _split_values(D_S: np.ndarray, chunks, matvec, rmatvec) -> np.ndarray:
     the rank (at most 2s for a symbol constant off s cells), with every value
     past it an exact 0.0 up to min(m, n), not LAPACK's rounding noise of about
     eps * sigma_1. Each chunk is read once, so the arms are never held whole.
+    The QRs and the SVD each run on one BLAS thread when their matrix has at
+    most _ONE_THREAD_COLS columns (see _one_blas_thread), so a spectrum whose
+    calls are all that narrow is the same floats at any OpenBLAS thread count.
 
     The QRs and LAPACK's values-only SVD (bidiagonal reduction, then dqds) are
     backward stable: the values are exact for some A + E with ||E|| a modest
@@ -521,7 +577,8 @@ def _split_values(D_S: np.ndarray, chunks, matvec, rmatvec) -> np.ndarray:
     FloatingPointError if either check fails.
     """
     core, (m, n), sums = _compressed(D_S, chunks)
-    s = np.linalg.svd(core, compute_uv=False)
+    with _one_blas_thread(core.shape[1]):
+        s = np.linalg.svd(core, compute_uv=False)
     s = np.concatenate([s, np.zeros(min(m, n) - s.size)])
     if s.size:
         # the exponent of the largest entry: frexp's exponent grows with |x| > 0, and
@@ -590,7 +647,8 @@ def decay_compare(b_cmo: GridFunction, b_bmo: GridFunction, trunc: TruncationSpe
     scale = norm_cmo / norm_bmo
     b_spike = GridFunction(grid, b_bmo.values * scale)
 
-    # one after the other: each SVD already runs on every core through BLAS
+    # one after the other: a wide core's SVD runs on every core through BLAS, and a
+    # narrow spectrum's QRs and SVD gain nothing from a second thread
     return DecayComparison(smooth=operator_spectral_report(b_cmo, trunc, u, v, K_list),
                            spike=operator_spectral_report(b_spike, trunc, u, v, K_list),
                            bmo_scale=scale)

@@ -63,8 +63,9 @@ def write_grid_function_csv(f: GridFunction, path: str | Path) -> None:
 
 
 def write_curve_csv(path: str | Path, header: tuple[str, str],
-                    rows: list[tuple[float, float]]) -> None:
-    xs, ys = np.array(rows, dtype=float).reshape(len(rows), 2).T.tolist()
+                    rows: list[tuple[float, float]] | np.ndarray) -> None:
+    """One row per (x, y) pair of rows, a list of pairs or an (n, 2) array."""
+    xs, ys = np.asarray(rows, dtype=float).reshape(len(rows), 2).T.tolist()
     _atomic_write_text(Path(path), _csv_text(f"{header[0]},{header[1]}", xs, ys))
 
 
@@ -102,9 +103,9 @@ def spectral_report_dict(report: SpectralReport, K_list: list[int]) -> dict:
     return {
         "grid_cells": len(report.singular_values),
         "K_list": [int(k) for k in K_list],
-        "sigma_ratios": [float(v) for v in report.sigma_ratios],
-        "energy_tails": [float(v) for v in report.energy_tails],
-        "singular_values": [float(v) for v in report.singular_values],
+        "sigma_ratios": list(report.sigma_ratios),
+        "energy_tails": list(report.energy_tails),
+        "singular_values": report.singular_values.tolist(),
     }
 
 

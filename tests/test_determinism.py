@@ -1,18 +1,21 @@
 """What "deterministic" means for the reports, across BLAS thread counts.
 
 A report is byte-identical on rerun with the same numpy, BLAS build and BLAS
-thread count. Across thread counts the QRs and the SVD of a spectrum may
-round differently, so the spectral values agree to SIGMA_TOL * sigma_1 (the
-ratios and energy shares, which are normalised by sigma_1 and by the total
-energy, to 2 * SIGMA_TOL), and everything else is byte-identical: the rest
-of a spectral report, and every report and CSV of a command that calls no
-LAPACK.
+thread count. A spectrum's QRs and SVD run on one OpenBLAS thread when their
+matrix has at most compactness._ONE_THREAD_COLS columns, so at the
+benchmark's size (m = 1024), where every such call is that narrow, `probe
+svd` and `compare` write byte-identical files at any thread count. Above the
+cap a spectrum's LAPACK calls may round differently across thread counts, so
+the spectral values agree to SIGMA_TOL * sigma_1 (the ratios and energy
+shares, which are normalised by sigma_1 and by the total energy, to
+2 * SIGMA_TOL), and everything else is byte-identical: the rest of a
+spectral report, and every report and CSV of a command that calls no LAPACK.
 
 Each command runs in a fresh process, with OPENBLAS_NUM_THREADS set to 1 and
-then to 2, on the benchmark's first variant: `probe svd` at m = 4096,
-`compare` at m = 2048, `probe kr` at m = 2048 and `bump --v M5:u` at
-m = 4096. Each run has its own working directory and the same relative
---out, because reports embed --out.
+then to 2, on the benchmark's first variant: `probe svd` and `compare` at
+m = 1024, `probe svd` at m = 4096, `compare` at m = 2048, `probe kr` at
+m = 2048 and `bump --v M5:u` at m = 4096. Each run has its own working
+directory and the same relative --out, because reports embed --out.
 """
 
 import json
@@ -90,6 +93,15 @@ def test_compare_agrees_across_blas_thread_counts(tmp_path):
         _assert_sigma_csvs_agree(one[f"compare_sigma_{tag}.csv"],
                                  two[f"compare_sigma_{tag}.csv"])
     assert results[0] == results[1]  # K_list and bmo_scale
+
+
+@pytest.mark.parametrize("argv", [_bench_argv("spectral", 0, 1024),
+                                  _bench_argv("spectral", 1, 1024)],
+                         ids=["probe-svd", "compare"])
+def test_spectral_commands_at_bench_size_are_byte_identical_across_blas_thread_counts(tmp_path,
+                                                                                     argv):
+    one, two = _runs(tmp_path, argv)
+    assert len(one) > 1 and one == two
 
 
 @pytest.mark.parametrize("argv", [_bench_argv("kr", 4, 2048), _bench_argv("weights", 1, 4096)],

@@ -1,12 +1,14 @@
 import json
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from bumplab import GridFunction, constant, gaussian, make_grid
+from bumplab import GridFunction, cli, compactness, constant, gaussian, make_grid
 from bumplab.io import (
     _csv_text,
+    spectral_report_dict,
     write_curve_csv,
     write_grid_function_csv,
     write_json,
@@ -62,6 +64,23 @@ def test_csv_writers_match_the_per_value_loop(tmp_path):
     assert (tmp_path / "c.csv").read_bytes() == _loop_csv("k,sigma", rows)
     write_curve_csv(tmp_path / "e.csv", ("N", "tail"), [])
     assert (tmp_path / "e.csv").read_bytes() == b"N,tail\n"
+
+
+def test_spectrum_writers_match_the_per_value_conversions(tmp_path):
+    # 1024 values, nonincreasing, from 1e2 down through subnormals to exact zeros
+    s = np.concatenate([np.sort(10.0 ** np.random.default_rng(6).uniform(-320, 2, 1000))[::-1],
+                        np.zeros(24)])
+    cli._write_sigma(SimpleNamespace(get={"out": str(tmp_path)}.get), "sigma.csv", s)
+    pairs = [(float(i + 1), float(v)) for i, v in enumerate(s)]
+    assert (tmp_path / "sigma.csv").read_bytes() == _loop_csv("k,sigma", pairs)
+    report = compactness._report(s, [64, 256])
+    assert json.dumps(spectral_report_dict(report, [64, 256])) == json.dumps({
+        "grid_cells": 1024,
+        "K_list": [64, 256],
+        "sigma_ratios": [float(v) for v in report.sigma_ratios],
+        "energy_tails": [float(v) for v in report.energy_tails],
+        "singular_values": [float(v) for v in s],
+    })
 
 
 def _row_format_csv(header: str, xs, ys) -> str:

@@ -354,6 +354,57 @@ def test_power_bound_flags_energy_preserving_sigma1_drop(monkeypatch):
         _values(A)
 
 
+@pytest.fixture
+def two_blas_threads():
+    """OpenBLAS's thread count getter, with the count at 2 for the test and put
+    back after it, whatever the environment set."""
+    threads = compactness._openblas_threads()
+    if threads is None:
+        pytest.skip("this numpy ships no OpenBLAS")
+    get, set_ = threads
+    old = get()
+    set_(2)
+    yield get
+    set_(old)
+
+
+def _bench_spectrum(symbol: str) -> np.ndarray:
+    grid = make_grid(8.0, 1024)
+    u, v = _bench_weights(grid)
+    b, trunc = parse_function_spec(grid, symbol), TruncationSpec(16 * grid.h)
+    return compactness.operator_spectral_report(b, trunc, u, v, [64, 256]).singular_values
+
+
+def test_blas_thread_cap_holds_narrow_calls_only(two_blas_threads):
+    with compactness._one_blas_thread(compactness._ONE_THREAD_COLS):
+        assert two_blas_threads() == 1
+    assert two_blas_threads() == 2
+    with compactness._one_blas_thread(compactness._ONE_THREAD_COLS + 1):
+        assert two_blas_threads() == 2
+    with pytest.raises(ValueError, match="inside"):
+        with compactness._one_blas_thread(1):
+            raise ValueError("inside")
+    assert two_blas_threads() == 2
+
+
+def test_spectrum_restores_the_blas_thread_count(two_blas_threads, monkeypatch):
+    _bench_spectrum("bump:-0.15,0.5")
+    assert two_blas_threads() == 2
+    monkeypatch.setattr(compactness, "_sigma1_lower_bound", lambda *args: 1e300)
+    with pytest.raises(FloatingPointError, match="power-iteration"):
+        _bench_spectrum("bump:-0.15,0.5")
+    assert two_blas_threads() == 2
+
+
+@pytest.mark.parametrize("symbol", ["bump:-0.15,0.5", "logspike:0.01"])
+def test_values_without_openblas_agree_with_the_capped_values(two_blas_threads, monkeypatch,
+                                                              symbol):
+    capped = _bench_spectrum(symbol)
+    monkeypatch.setattr(compactness, "_openblas_threads", lambda: None)
+    _agree(_bench_spectrum(symbol), capped)
+    assert two_blas_threads() == 2
+
+
 @pytest.mark.filterwarnings("error")  # a 0/0 normalisation warns before it gives NaN
 def test_power_bound_handles_a_vector_that_reaches_zero():
     # A = 0 sends the start to 0 after one step; the bound stays 0, not NaN
