@@ -1,35 +1,15 @@
-"""Thread-pool sizing shared by the sample-parallel probes.
+"""The worker count the benchmark harness records.
 
-BUMPLAB_THREADS caps the worker count; results are always collected by index
-so parallel evaluation never changes any reported value.
+Nothing in the package imports this module: it stays only because ``bench/``
+imports it (``bench/run.py`` records ``max_workers()`` and ``bench/tracing.py``
+wraps the module's functions), and ROADMAP item 1a deletes it together with
+those uses.
 """
 
 from __future__ import annotations
 
 import os
-from concurrent.futures import ThreadPoolExecutor
-from typing import Callable, Sequence, TypeVar
-
-T = TypeVar("T")
 
 
 def max_workers() -> int:
-    env = os.environ.get("BUMPLAB_THREADS")
-    if env is not None:
-        try:
-            n = int(env)
-        except ValueError as exc:
-            raise ValueError(f"BUMPLAB_THREADS must be an integer, got {env!r}") from exc
-        if n < 1:
-            raise ValueError("BUMPLAB_THREADS must be >= 1")
-        return n
     return min(4, os.cpu_count() or 1)
-
-
-def parallel_map(fn: Callable[..., T], items: Sequence) -> list[T]:
-    """Order-preserving map; runs serially when one worker suffices."""
-    workers = min(max_workers(), len(items)) or 1
-    if workers == 1 or len(items) <= 1:
-        return [fn(item) for item in items]
-    with ThreadPoolExecutor(max_workers=workers) as pool:
-        return list(pool.map(fn, items))

@@ -8,8 +8,11 @@ so any run can be reproduced byte-for-byte from its own artifact.
 Every option is declared once, as an ``Opt`` in the table of the
 (sub)command that reads it (``_COMMANDS``). The tables generate the argparse
 flags, the config validator (``validate_config``) and the resolution of each
-option (``Resolved.get``). A subcommand's parser gets its flags when it first
-parses, so a call pays only for the flags of the command it runs.
+option (``Resolved.get``). Every action (``bump``, ``probe kr``, ``probe svd``,
+...) has its own parser, with the common flags and its own, so argparse
+rejects any other flag, a sibling action's included. A parser adds its flags,
+or a command its action parsers, when it first parses, so a call pays only
+for the parsers of the action it runs. Flags follow the action word.
 
 Exit codes: 0 success, 1 usage error, 2 validation error (including a run
 too large for memory), 3 numerical non-convergence.
@@ -534,17 +537,8 @@ _COMMANDS = {
 }
 
 
-def _command_options(actions: dict) -> list[Opt]:
-    """The common options, then each action's options, first declaration first."""
-    merged = {opt.name: opt for opt in _COMMON}
-    for _, options in actions.values():
-        for opt in options:
-            merged.setdefault(opt.name, opt)
-    return list(merged.values())
-
-
 _CONFIG_OPTIONS = {opt.path: opt for _, actions in _COMMANDS.values()
-                   for opt in _command_options(actions)}
+                   for _, options in actions.values() for opt in (*_COMMON, *options)}
 
 
 def validate_config(data) -> None:
@@ -579,11 +573,20 @@ def _load_config(path: str | None) -> dict:
     return data
 
 
-def _add_arguments(p: _Parser, actions: dict) -> None:
-    """A command's action word, if it takes one, and a flag per option that has one."""
+def _fill(p: _Parser, actions: dict, formatter) -> None:
+    """Add what a command's parser reads: a parser per action word, if the command
+    takes one; else a flag per option that has one, and the action's parser,
+    handler and options as defaults."""
     if None not in actions:
-        p.add_argument("action", choices=list(actions))
-    for opt in _command_options(actions):
+        sub = p.add_subparsers(dest="action", required=True)
+        for word, action in actions.items():
+            sub.add_parser(word, formatter_class=formatter, fill=functools.partial(
+                _fill, actions={None: action}, formatter=formatter))
+        return
+    func, options = actions[None]
+    options = (*_COMMON, *options)
+    p.set_defaults(command_parser=p, func=func, options=options)
+    for opt in options:
         if opt.help is not None:
             p.add_argument(opt.flag, dest=opt.name, help=opt.help or None,
                            type=_FLAG_TYPES.get(opt.type.split("|")[0]),
@@ -591,40 +594,26 @@ def _add_arguments(p: _Parser, actions: dict) -> None:
 
 
 def build_parser() -> _Parser:
-    """The top-level parser and one subparser per command, each of which adds its
-    arguments when it first parses."""
+    """The top-level parser and one parser per command, each of which adds its
+    arguments, or its action parsers, when it first parses (see _fill)."""
     # the width argparse would read from the terminal for every formatter it makes
     formatter = functools.partial(argparse.HelpFormatter,
                                   width=shutil.get_terminal_size().columns - 2)
     parser = _Parser(prog="bumplab", formatter_class=formatter,
                      description="Two-weight bump constants and compactness probes")
     parser.add_argument("--config", help="JSON config file (or a previous report)")
-    sub = parser.add_subparsers(dest="command")
+    sub = parser.add_subparsers(dest="command", required=True)
     for name, (help_text, actions) in _COMMANDS.items():
-        p = sub.add_parser(name, help=help_text, formatter_class=formatter,
-                           fill=functools.partial(_add_arguments, actions=actions))
-        p.set_defaults(command_parser=p)
+        sub.add_parser(name, help=help_text, formatter_class=formatter,
+                       fill=functools.partial(_fill, actions=actions, formatter=formatter))
     return parser
 
 
-def _action_of(args: argparse.Namespace):
-    """The handler and options of the parsed command; a flag it never reads is a usage error."""
-    actions = _COMMANDS[args.command][1]
-    action = getattr(args, "action", None)
-    func, options = actions[action]
-    for opt in _command_options(actions):
-        if opt not in (*_COMMON, *options) and getattr(args, opt.name) is not None:
-            args.command_parser.error(f"{args.command} {action} does not read {opt.flag}")
-    return func, (*_COMMON, *options)
-
-
 def main(argv: list[str] | None = None) -> int:
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
-        if args.command is None:
-            parser.error("a subcommand is required")
-        func, options = _action_of(args)
+        args, extras = build_parser().parse_known_args(argv)
+        if extras:  # reported under the usage of the action that was parsed
+            args.command_parser.error(f"unrecognized arguments: {' '.join(extras)}")
     except UsageError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return _USAGE_EXIT
@@ -638,9 +627,9 @@ def main(argv: list[str] | None = None) -> int:
         print(f"error: invalid config: {exc}", file=sys.stderr)
         return _VALIDATION_EXIT
 
-    res = Resolved(config, args, options)
+    res = Resolved(config, args, args.options)
     try:
-        return func(res)
+        return args.func(res)
     except UsageError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return _USAGE_EXIT

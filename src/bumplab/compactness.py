@@ -284,6 +284,10 @@ def tail_constant(b: GridFunction, trunc: TruncationSpec, v: GridFunction, p: fl
         radius = float(np.max(np.abs(grid.centers[supp])) + grid.h / 2.0)
     if N0 <= 2.0 * radius:
         raise ValueError(f"N0 = {N0} must exceed twice the symbol support radius {radius}")
+    x = grid.centers
+    far = np.abs(x) > N0
+    if not np.any(far):
+        raise ValueError("no grid cells beyond N0; enlarge the domain or reduce N0")
     if not np.any(supp):
         cert = 0.0
     elif p == 1.0:
@@ -297,10 +301,6 @@ def tail_constant(b: GridFunction, trunc: TruncationSpec, v: GridFunction, p: fl
         cert = W * float(np.sum((w / W) ** pc * grid.h) ** (1.0 / pc))
 
     G = _commutator_images(sample, b, trunc)
-    x = grid.centers
-    far = np.abs(x) > N0
-    if not np.any(far):
-        raise ValueError("no grid cells beyond N0; enlarge the domain or reduce N0")
     C_bv = float(np.max(np.abs(G[far]) * np.abs(x[far])[:, None]))
     return TailReport(C_bv=C_bv, v_certificate=cert)
 
@@ -508,6 +508,13 @@ def _fold(R: np.ndarray | None, X: np.ndarray) -> np.ndarray:
         return np.linalg.qr(X if R is None else np.concatenate([R, X]), mode="r")
 
 
+def _core_values(core: np.ndarray) -> np.ndarray:
+    """The singular values of core, without vectors, on one BLAS thread when core is
+    narrow (see _one_blas_thread)."""
+    with _one_blas_thread(core.shape[1]):
+        return np.linalg.svd(core, compute_uv=False)
+
+
 def _scaled_square_sum(X: np.ndarray) -> tuple[int, float]:
     """(e, ||2^-e X||_F^2), e the binary exponent of max |x_ij|: exact scaling, and
     no square overflows while the entries are finite."""
@@ -577,8 +584,7 @@ def _split_values(D_S: np.ndarray, chunks, matvec, rmatvec) -> np.ndarray:
     FloatingPointError if either check fails.
     """
     core, (m, n), sums = _compressed(D_S, chunks)
-    with _one_blas_thread(core.shape[1]):
-        s = np.linalg.svd(core, compute_uv=False)
+    s = _core_values(core)
     s = np.concatenate([s, np.zeros(min(m, n) - s.size)])
     if s.size:
         # the exponent of the largest entry: frexp's exponent grows with |x| > 0, and
@@ -599,14 +605,20 @@ def _split_values(D_S: np.ndarray, chunks, matvec, rmatvec) -> np.ndarray:
     return s
 
 
+def _check_K(K_list: list[int], n: int) -> None:
+    """Raise ValueError unless every K lies in 1..n-1, for a spectrum of n values."""
+    for K in K_list:
+        if K < 1 or K >= n:
+            raise ValueError(f"K = {K} out of range for {n} singular values")
+
+
 def _report(s: np.ndarray, K_list: list[int]) -> SpectralReport:
+    _check_K(K_list, s.size)
     # the energies of s times 2^-e, with s_1 in [1/2, 1), so that no square overflows
     t = np.ldexp(s, -np.frexp(np.max(s, initial=0.0))[1])
     total_energy = float(np.sum(t**2))
     sigma_ratios, energy_tails = [], []
     for K in K_list:
-        if K < 1 or K >= s.size:
-            raise ValueError(f"K = {K} out of range for {s.size} singular values")
         sigma_ratios.append(float(s[K - 1] / s[0]) if s[0] > 0 else 0.0)
         tail = float(np.sum(t[K:] ** 2))  # strictly beyond the K-th value
         energy_tails.append(tail / total_energy if total_energy > 0 else 0.0)
@@ -621,9 +633,11 @@ def operator_spectral_report(b: GridFunction, trunc: TruncationSpec, u: GridFunc
     _operator_split): O(s^2 + c s) memory for a symbol equal to its most common
     value off s cells, with c = _chunk_rows(s) rows per chunk, where the whole
     matrix takes m^2. Rows where u vanishes are never evaluated; their
-    exact zeros pad the spectrum to m. Raises ValueError if an entry is not
+    exact zeros pad the spectrum to m. Raises ValueError, before any operator
+    entry is evaluated, if a K is out of range, then if an entry is not
     finite or the arrays would not fit in memory, and the errors of
     _split_values."""
+    _check_K(K_list, b.grid.cells)
     s = _split_values(*_operator_split(b, trunc, u, v))
     return _report(np.concatenate([s, np.zeros(b.grid.cells - s.size)]), K_list)
 
@@ -638,6 +652,7 @@ def decay_compare(b_cmo: GridFunction, b_bmo: GridFunction, trunc: TruncationSpe
     the dyadic cubes of the grid.
     """
     grid = b_cmo.grid
+    _check_K(K_list, grid.cells)
     _check_weights(u, v, symbol=b_cmo, b_bmo=b_bmo)
     cubes = dyadic_cubes(grid)
     norm_cmo = bmo_norm(b_cmo, cubes)

@@ -21,9 +21,10 @@ scan_split's arrow of any matrix to compactness._split_values in the form it
 takes: row chunks of the arms and the arrow's products. split_values is the
 whole-array values path the package took before it streamed the arms: one QR
 of each arm held whole, the same square core and its values-only SVD. The
-values paths run each QR and SVD under the package's BLAS thread cap
-(compactness._one_blas_thread), as the package does, since OpenBLAS rounds
-differently at one thread and at two, and the tests hold them bit for bit.
+values paths take each QR from compactness._fold(None, X) and each SVD from
+compactness._core_values, so that they run under the package's BLAS thread
+cap as the package's own calls do, since OpenBLAS rounds differently at one
+thread and at two, and the tests hold them bit for bit.
 """
 
 from __future__ import annotations
@@ -59,10 +60,8 @@ def row_compressed_values(D_S: np.ndarray, D_restT: np.ndarray, B: np.ndarray) -
     m, n = d + B.shape[0], s + k
     Z = np.zeros((d + min(B.shape), n))
     Z[:d, :s], Z[:d, s:] = D_S, D_restT.T
-    with compactness._one_blas_thread(s):
-        Z[d:, :s] = np.linalg.qr(B, mode="r")
-    with compactness._one_blas_thread(n):
-        sigma = np.linalg.svd(Z, compute_uv=False)
+    Z[d:, :s] = compactness._fold(None, B)
+    sigma = compactness._core_values(Z)
     return np.concatenate([sigma, np.zeros(min(m, n) - sigma.size)])
 
 
@@ -76,14 +75,10 @@ def split_values(D_S: np.ndarray, D_restT: np.ndarray, B: np.ndarray) -> np.ndar
     core = D_S
     if B.shape[0] or D_restT.shape[0]:
         d, s = D_S.shape
-        with compactness._one_blas_thread(s):
-            R = np.linalg.qr(B, mode="r")
-        with compactness._one_blas_thread(d):
-            L = np.linalg.qr(D_restT, mode="r")
+        R, L = compactness._fold(None, B), compactness._fold(None, D_restT)
         core = np.zeros((d + R.shape[0], s + L.shape[0]))
         core[:d, :s], core[:d, s:], core[d:, :s] = D_S, L.T, R
-    with compactness._one_blas_thread(core.shape[1]):
-        sigma = np.linalg.svd(core, compute_uv=False)
+    sigma = compactness._core_values(core)
     return np.concatenate([sigma, np.zeros(min(m, n) - sigma.size)])
 
 
@@ -126,16 +121,13 @@ def dense_rows_values(b, trunc, u, v) -> np.ndarray:
     block = compactness._operator_block(b, trunc, u, v, block_rows, cols)
     if block.shape[0]:
         d = dense.shape[0]
-        with compactness._one_blas_thread(cols.size):
-            R = np.linalg.qr(block, mode="r")
-        with compactness._one_blas_thread(d):
-            L = np.linalg.qr(np.delete(dense, cols, axis=1).T, mode="r")
+        R = compactness._fold(None, block)
+        L = compactness._fold(None, np.delete(dense, cols, axis=1).T)
         core = np.zeros((d + R.shape[0], cols.size + L.shape[0]))
         core[:d, : cols.size], core[:d, cols.size:], core[d:, : cols.size] = dense[:, cols], L.T, R
     else:
         core = dense
-    with compactness._one_blas_thread(core.shape[1]):
-        s = np.linalg.svd(core, compute_uv=False)
+    s = compactness._core_values(core)
     return np.concatenate([s, np.zeros(np.count_nonzero(live) - s.size)])
 
 

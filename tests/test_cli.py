@@ -17,7 +17,7 @@ from hypothesis import given, settings, strategies as st
 
 import bumplab
 from bumplab import GridFunction, cli, compactness, iterate_maximal, make_grid, operators, orlicz
-from bumplab.cli import _COMMANDS, _command_options, main, parse_function_spec, validate_config
+from bumplab.cli import _COMMANDS, _COMMON, main, parse_function_spec, validate_config
 from config_oracle import CONFIG_SCHEMA
 
 
@@ -35,28 +35,42 @@ def test_unknown_subcommand_exits_1(capsys):
     assert "usage" in capsys.readouterr().err
     assert run(["bump", "--bogus"]) == 1
     err = capsys.readouterr().err
-    assert err.startswith("usage: bumplab ") and "unrecognized arguments: --bogus" in err
+    assert err.startswith("usage: bumplab bump ") and "unrecognized arguments: --bogus" in err
 
 
-_HELP = [[], *([name] if None in actions else [name, action]
-               for name, (_, actions) in _COMMANDS.items() for action in actions)]
+# the words of every parser: the top level, each command and each action word
+_HELP = [[], *([name] for name in _COMMANDS),
+         *([name, action] for name, (_, actions) in _COMMANDS.items() for action in actions
+           if action is not None)]
+
+
+def _names(out: str, flag: str) -> bool:
+    return re.search(rf"(?<![\w-]){re.escape(flag)}(?![\w-])", out) is not None
 
 
 @pytest.mark.parametrize("words", _HELP, ids=[" ".join(w) or "top" for w in _HELP])
 def test_help_names_every_flag(capsys, words):
+    """An action's help names its own flags and no flag that only a sibling action
+    reads; a command that takes an action word names its actions."""
     with pytest.raises(SystemExit) as exc:
         main([*words, "--help"])
     assert exc.value.code == 0
     out = capsys.readouterr().out
-    if words:
-        actions = _COMMANDS[words[0]][1]
-        flags = [opt.flag for opt in _command_options(actions) if opt.help is not None]
-        flags += [] if None in actions else list(actions)
-    else:
+    actions = _COMMANDS[words[0]][1] if words else {}
+    every = {opt.flag for _, options in actions.values() for opt in (*_COMMON, *options)
+             if opt.help is not None}
+    if not words:
         flags = ["--config", *_COMMANDS]
-    assert out.startswith(f"usage: bumplab {' '.join(words[:1])}".rstrip())
+    elif None in actions or len(words) == 2:
+        own = actions[words[1] if len(words) == 2 else None][1]
+        flags = [opt.flag for opt in (*_COMMON, *own) if opt.help is not None]
+    else:
+        flags = list(actions)
+    assert out.startswith(f"usage: bumplab {' '.join(words)}".rstrip())
     for flag in flags:
-        assert re.search(rf"(?<![\w-]){re.escape(flag)}(?![\w-])", out), flag
+        assert _names(out, flag), flag
+    for flag in every - set(flags):
+        assert not _names(out, flag), flag
 
 
 def test_help_wraps_to_the_terminal_width(capsys, monkeypatch):
@@ -83,6 +97,19 @@ def test_main_fills_only_the_invoked_subparser(tmp_path, monkeypatch):
     for name, p in sub.choices.items():
         dests = [a.dest for a in p._actions]
         assert dests == (["help", "L", "m", "out", "b", "cubes"] if name == "bmo" else ["help"])
+
+    # a probe kr call fills the probe parser's action words and the kr parser only
+    assert run([*_KR, "--out", tmp_path]) == 0
+    (sub,) = [a for a in built[-1]._actions if isinstance(a, argparse._SubParsersAction)]
+    probe = sub.choices.pop("probe")
+    (words,) = [a for a in probe._actions if isinstance(a, argparse._SubParsersAction)]
+    assert [a.dest for a in probe._actions] == ["help", "action"]
+    assert list(words.choices) == ["kr", "svd"]
+    assert [a.dest for a in words.choices["kr"]._actions] == [
+        "help", "L", "m", "out", "b", "u", "v", "p", "eta_cells", "count", "seed", "N_list",
+        "shift_list"]
+    assert [a.dest for a in words.choices["svd"]._actions] == ["help"]
+    assert all([a.dest for a in p._actions] == ["help"] for p in sub.choices.values())
 
 
 def test_validation_error_exits_2(tmp_path, capsys):
@@ -130,7 +157,9 @@ def test_out_of_bounds_exits_2_from_flag_or_config(tmp_path, flag, value, cfg):
 def test_probe_action_rejects_unread_flag_exits_1(tmp_path, capsys, action, flag, value):
     assert run(["probe", action, flag, value, "--b", "bump:0,0.5", "--u", "const:1",
                 "--v", "const:1", "--L", "1", "--m", "16", "--out", tmp_path]) == 1
-    assert f"probe {action} does not read {flag}" in capsys.readouterr().err
+    err = capsys.readouterr().err
+    assert err.startswith(f"usage: bumplab probe {action} ")
+    assert f"error: unrecognized arguments: {flag} {value}" in err
     assert not list(tmp_path.iterdir())
 
 

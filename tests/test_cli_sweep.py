@@ -20,7 +20,7 @@ import warnings
 
 from hypothesis import given, settings, strategies as st
 
-from bumplab.cli import _BUILDERS, _COMMANDS, _command_options, main
+from bumplab.cli import _BUILDERS, _COMMANDS, _COMMON, main
 
 # numbers as text: ordinary ones, and boundary, subnormal, huge and non-finite ones
 _EDGE_NUMBERS = st.sampled_from([
@@ -99,7 +99,9 @@ def _argv(draw) -> list[str]:
     argv = [command] + ([action] if action else [])
     own = {opt.name for opt in actions[action][1]} | {"L", "m"}
     hostile = draw(st.booleans())
-    for opt in _command_options(actions):
+    # every flag of the command's actions, the common ones first, each once
+    for opt in dict.fromkeys([*_COMMON, *(opt for _, options in actions.values()
+                                          for opt in options)]):
         if opt.help is None or opt.name == "out":
             continue
         # options with no default are passed more often

@@ -423,6 +423,33 @@ def test_kr_entry_points_check_inputs_before_any_commutator(setup, monkeypatch, 
     assert calls == []
 
 
+def _fail(*args):
+    raise AssertionError("reached past the input checks")
+
+
+_SPECTRAL = {
+    "operator_spectral_report": lambda b, trunc, u, v, K_list:
+        operator_spectral_report(b, trunc, u, v, K_list),
+    "decay_compare": lambda b, trunc, u, v, K_list: decay_compare(b, b, trunc, u, v, K_list),
+}
+
+
+@pytest.mark.parametrize("K", [0, 512])
+@pytest.mark.parametrize("probe", _SPECTRAL.values(), ids=_SPECTRAL.keys())
+def test_spectral_entry_points_check_K_before_the_spectral_pass(setup, monkeypatch, probe, K):
+    grid, u, v, b, trunc, sample = setup
+    monkeypatch.setattr(compactness, "_operator_split", _fail)
+    with pytest.raises(ValueError, match=f"K = {K} out of range for 512 singular values"):
+        probe(b, trunc, u, v, [1, K])
+
+
+def test_tail_constant_checks_N0_before_imaging_the_sample(setup, monkeypatch):
+    grid, u, v, b, trunc, sample = setup
+    monkeypatch.setattr(compactness, "_commutator_images", _fail)
+    with pytest.raises(ValueError, match="no grid cells beyond N0"):
+        tail_constant(b, trunc, v, 2.0, sample, N0=grid.half_width)
+
+
 def test_shift_decomposition_shares_the_kr_shift_message(setup):
     grid, u, v, b, trunc, sample = setup
     with pytest.raises(ValueError, match=r"eta/4.*allow_large_shifts=True"):

@@ -90,3 +90,17 @@ def test_every_export_has_a_caller_outside_the_tests():
               for name in getattr(importlib.import_module(f"bumplab.{path.stem}"), "__all__", ())
               if name not in read and f"{path.stem}.{name}" not in traced]
     assert not unused, f"exported, but called only by tests: {unused}"
+
+
+def test_every_module_the_bench_traces_imports():
+    """Each bumplab.<name> in bench/tracing.py's MODULES imports, so that no module
+    the bench wraps (``_threads`` included, which the package itself never
+    imports) is deleted while the bench still names it; the bench's own tests
+    are not part of this suite."""
+    tree = ast.parse((ROOT / "bench" / "tracing.py").read_text())
+    (names,) = [ast.literal_eval(node.value) for node in tree.body
+                if isinstance(node, ast.Assign)
+                and [getattr(t, "id", None) for t in node.targets] == ["MODULES"]]
+    assert names
+    for name in names:
+        importlib.import_module(f"bumplab.{name}")
