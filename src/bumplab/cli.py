@@ -3,7 +3,8 @@
 Configuration comes from an optional JSON file (--config) plus flags; flags
 win. Every report embeds the fully resolved configuration it ran with, and
 --config accepts a previously emitted report (the embedded config is used),
-so any run can be reproduced byte-for-byte from its own artifact.
+so any run can be reproduced byte-for-byte from its own artifact. Each
+handler builds its report's result dict; ``io`` only writes the files.
 
 Every option is declared once, as an ``Opt`` in the table of the
 (sub)command that reads it (``_COMMANDS``). The tables generate the argparse
@@ -309,6 +310,30 @@ def _emit_sup(res: Resolved, name: str, kind: str, sup) -> None:
     _emit(res, name, kind, {**sup(cube_family(res.grid(), family)), "family": family})
 
 
+def _bump_result(report: weights.BumpReport, grid: Grid, preset: str, p: float,
+                 delta: float | None) -> dict:
+    """The constant and its argmax cube, labelled with the caller's preset, p and delta."""
+    a, b = report.argmax_cube.endpoints(grid)
+    return {
+        "constant": float(report.constant),
+        "argmax": {"a": a, "b": b},
+        "preset": preset,
+        "p": float(p),
+        "delta": None if delta is None else float(delta),
+    }
+
+
+def _spectral_result(report: compactness.SpectralReport, K_list: list[int]) -> dict:
+    """The spectrum, labelled with its count (the grid's cells) and the caller's K_list."""
+    return {
+        "grid_cells": len(report.singular_values),
+        "K_list": [int(k) for k in K_list],
+        "sigma_ratios": list(report.sigma_ratios),
+        "energy_tails": list(report.energy_tails),
+        "singular_values": report.singular_values.tolist(),
+    }
+
+
 def _write_sigma(res: Resolved, name: str, singular_values: np.ndarray) -> None:
     k = np.arange(1.0, singular_values.size + 1)
     io.write_curve_csv(Path(res.get("out")) / name, ("k", "sigma"),
@@ -341,8 +366,7 @@ def _cmd_ap(res: Resolved) -> int:
     grid = res.grid()
     w, p = parse_function_spec(grid, res.get("w")), res.get("p")
     _emit_sup(res, "ap", "ap_constant",
-              lambda cubes: io.bump_report_dict(weights.ap_constant(w, p, cubes), grid,
-                                                "ap", p, None))
+              lambda cubes: _bump_result(weights.ap_constant(w, p, cubes), grid, "ap", p, None))
     return 0
 
 
@@ -370,8 +394,8 @@ def _cmd_bump(res: Resolved) -> int:
         spec = weights.BumpSpec.from_preset(preset, p, delta)
     pair = weights.WeightPair(u, v)
     _emit_sup(res, "bump", "bump_constant",
-              lambda cubes: io.bump_report_dict(weights.bump_constant(pair, spec, cubes), grid,
-                                                preset, p, delta))
+              lambda cubes: _bump_result(weights.bump_constant(pair, spec, cubes), grid,
+                                         preset, p, delta))
     return 0
 
 
@@ -430,7 +454,13 @@ def _cmd_probe_kr(res: Resolved) -> int:
     io.write_curve_csv(outdir / "probe_kr_tail.csv", ("N", "tail"), report.tail_curve)
     io.write_curve_csv(outdir / "probe_kr_modulus.csv", ("h", "modulus"),
                        report.modulus_curve)
-    _emit(res, "probe_kr", "kr_probe", io.kr_report_dict(report))
+    _emit(res, "probe_kr", "kr_probe", {
+        "bound_sup": float(report.bound_sup),
+        "tail_curve": [[float(n), float(v)] for n, v in report.tail_curve],
+        "modulus_curve": [[float(h), float(v)] for h, v in report.modulus_curve],
+        # NaN (fewer than two positive modulus points) is not JSON: write null
+        "slope": float(report.slope) if math.isfinite(report.slope) else None,
+    })
     return 0
 
 
@@ -441,7 +471,7 @@ def _cmd_probe_svd(res: Resolved) -> int:
     trunc, K_list = _trunc_of(res, grid), res.get("K_list")
     report = compactness.operator_spectral_report(b, trunc, u, v, K_list)
     _write_sigma(res, "probe_svd_sigma.csv", report.singular_values)
-    _emit(res, "probe_svd", "spectral_probe", io.spectral_report_dict(report, K_list))
+    _emit(res, "probe_svd", "spectral_probe", _spectral_result(report, K_list))
     return 0
 
 
@@ -454,7 +484,12 @@ def _cmd_compare(res: Resolved) -> int:
     cmp = compactness.decay_compare(b_cmo, b_bmo, trunc, u, v, K_list)
     for tag, rep in (("smooth", cmp.smooth), ("spike", cmp.spike)):
         _write_sigma(res, f"compare_sigma_{tag}.csv", rep.singular_values)
-    _emit(res, "compare", "decay_compare", io.decay_comparison_dict(cmp, K_list))
+    _emit(res, "compare", "decay_compare", {
+        "K_list": [int(k) for k in K_list],
+        "bmo_scale": float(cmp.bmo_scale),
+        "smooth": _spectral_result(cmp.smooth, K_list),
+        "spike": _spectral_result(cmp.spike, K_list),
+    })
     return 0
 
 

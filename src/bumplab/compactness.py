@@ -129,9 +129,12 @@ def _generate_member(v: GridFunction, p: float, seed: int, index: int) -> GridFu
         vals = np.repeat(rng.standard_normal(blocks), m // blocks)
     f = GridFunction(grid, vals)
     nrm = lp_norm_weighted(f, v, p)
-    if nrm == 0.0:  # measure-zero event for the piecewise generator
+    if nrm == 0.0 and not np.any(vals):  # measure-zero event for the piecewise generator
         f = GridFunction(grid, np.ones(m))
         nrm = lp_norm_weighted(f, v, p)
+    if not 0.0 < nrm < math.inf:  # |f|^p v h overflowed, or underflowed to 0
+        raise FloatingPointError(f"the L^p(v) norm of sample member {index} ({kind}) at p = {p:g} "
+                                 f"is {nrm}; rescale the input")
     return GridFunction(grid, f.values / nrm)
 
 
@@ -147,7 +150,8 @@ def sample_unit_ball(v: GridFunction, p: float, count: int, seed: int) -> UnitBa
     check_dense_fits(6 * 8 * v.grid.cells * count,
                      f"a sample of {count} functions on {v.grid.cells} cells and its "
                      f"commutator images", "use a smaller grid or count")
-    return UnitBallSample([_generate_member(v, p, seed, i) for i in range(count)], p)
+    with np.errstate(over="ignore"):  # _generate_member checks each norm
+        return UnitBallSample([_generate_member(v, p, seed, i) for i in range(count)], p)
 
 
 def _check_shift(k: int, grid: Grid, trunc: TruncationSpec, allow_large_shifts: bool) -> None:
@@ -185,15 +189,19 @@ def _commutator_images(sample: UnitBallSample, b: GridFunction,
     return G
 
 
-def _weighted_mass(columns: np.ndarray, u: GridFunction, p: float) -> np.ndarray:
-    """|g|^p u h per cell of each column g; a column's L^p(u) norm is the
-    p-th root of its sum."""
-    return np.abs(columns) ** p * (u.values * u.grid.h)[:, None]
-
-
-def _sup_norm(mass: np.ndarray, p: float) -> float:
-    """The largest L^p(u) norm over the columns whose weighted masses are ``mass``."""
-    return float(np.max(np.sum(mass, axis=0) ** (1.0 / p)))
+def _sup_norms(image: np.ndarray, u: GridFunction, p: float, rows: list) -> list[float]:
+    """For each row selection r of rows (a slice or a cell mask), the largest L^p(u)
+    norm over the columns g of image, (sum of |g|^p u h over r)^(1/p). Raises
+    FloatingPointError if one is not finite, or is 0 where g is not on a cell of u > 0."""
+    mass = np.abs(image) ** p * (u.values * u.grid.h)[:, None]
+    norms = []
+    for r in rows:
+        sums = np.sum(mass[r], axis=0)
+        norms.append(float(np.max(sums ** (1.0 / p))))
+        if not math.isfinite(norms[-1]) or np.any(image[:, sums == 0.0][r][u.values[r] > 0]):
+            raise FloatingPointError(f"a KR norm at p = {p:g} is not finite, or 0 for a nonzero "
+                                     f"image (|g|^p u h over- or underflowed); rescale the input")
+    return norms
 
 
 def kr_probe(sample: UnitBallSample, b: GridFunction, trunc: TruncationSpec, u: GridFunction,
@@ -222,13 +230,12 @@ def kr_probe(sample: UnitBallSample, b: GridFunction, trunc: TruncationSpec, u: 
     for k in shift_cells:
         _check_shift(k, grid, trunc, allow_large_shifts)
     G = _commutator_images(sample, b, trunc)
-    mass = _weighted_mass(G, u, p)
-    bound = _sup_norm(mass, p)
     x = grid.centers
-    tail = [(float(N), _sup_norm(mass[np.abs(x) > N], p)) for N in N_list]
-    del mass  # beside the modulus's arrays it would pass sample_unit_ball's budget of six
-    modulus = [(abs(k) * grid.h, _sup_norm(_weighted_mass(_shift_rows(G, k) - G, u, p), p))
-               for k in shift_cells]
+    with np.errstate(over="ignore", invalid="ignore"):  # reported by _sup_norms
+        bound, *tails = _sup_norms(G, u, p, [slice(None), *(np.abs(x) > N for N in N_list)])
+        modulus = [(abs(k) * grid.h, *_sup_norms(_shift_rows(G, k) - G, u, p, [slice(None)]))
+                   for k in shift_cells]
+    tail = list(zip(map(float, N_list), tails))
     positive = [(h, v) for h, v in modulus if h > 0 and v > 0]
     slope = float("nan")
     if len({h for h, _ in positive}) >= 2:
@@ -301,7 +308,10 @@ def tail_constant(b: GridFunction, trunc: TruncationSpec, v: GridFunction, p: fl
         cert = W * float(np.sum((w / W) ** pc * grid.h) ** (1.0 / pc))
 
     G = _commutator_images(sample, b, trunc)
-    C_bv = float(np.max(np.abs(G[far]) * np.abs(x[far])[:, None]))
+    with np.errstate(over="ignore"):  # checked below
+        C_bv = float(np.max(np.abs(G[far]) * np.abs(x[far])[:, None]))
+    if not math.isfinite(C_bv):
+        raise FloatingPointError("C_bv is not finite (|g| |x| overflowed); rescale the input")
     return TailReport(C_bv=C_bv, v_certificate=cert)
 
 

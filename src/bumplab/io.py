@@ -1,32 +1,26 @@
 """Serialization: grid functions and curves as CSV, reports as JSON.
 
-All writes are atomic (temp file + rename) so a failed probe never leaves a
-partial artifact, and all encodings are deterministic: re-running a probe
-with the same config must produce byte-identical files.
+The writers only write files; the layout of every report's result is built
+by the CLI. All writes are atomic (temp file + rename) so a failed write
+never leaves a partial file, and all encodings are deterministic:
+re-running a probe with the same config must produce byte-identical files.
 """
 
 from __future__ import annotations
 
 import json
-import math
 import os
 import tempfile
 from pathlib import Path
 
 import numpy as np
 
-from .compactness import DecayComparison, KRReport, SpectralReport
-from .grid import Grid, GridFunction
-from .weights import BumpReport
+from .grid import GridFunction
 
 __all__ = [
     "write_grid_function_csv",
     "write_curve_csv",
     "write_json",
-    "bump_report_dict",
-    "kr_report_dict",
-    "spectral_report_dict",
-    "decay_comparison_dict",
 ]
 
 
@@ -73,46 +67,3 @@ def write_json(path: str | Path, obj: dict) -> None:
     """Raises ValueError, before writing, if obj holds a NaN or an infinity."""
     _atomic_write_text(Path(path), json.dumps(obj, sort_keys=True, indent=2,
                                               allow_nan=False) + "\n")
-
-
-def bump_report_dict(report: BumpReport, grid: Grid, preset: str, p: float,
-                     delta: float | None) -> dict:
-    """The constant and its argmax cube, labelled with the caller's preset, p and delta."""
-    a, b = report.argmax_cube.endpoints(grid)
-    return {
-        "constant": float(report.constant),
-        "argmax": {"a": a, "b": b},
-        "preset": preset,
-        "p": float(p),
-        "delta": None if delta is None else float(delta),
-    }
-
-
-def kr_report_dict(report: KRReport) -> dict:
-    return {
-        "bound_sup": float(report.bound_sup),
-        "tail_curve": [[float(n), float(v)] for n, v in report.tail_curve],
-        "modulus_curve": [[float(h), float(v)] for h, v in report.modulus_curve],
-        # NaN (fewer than two positive modulus points) is not JSON: write null
-        "slope": float(report.slope) if math.isfinite(report.slope) else None,
-    }
-
-
-def spectral_report_dict(report: SpectralReport, K_list: list[int]) -> dict:
-    """The spectrum, labelled with its count (the grid's cells) and the caller's K_list."""
-    return {
-        "grid_cells": len(report.singular_values),
-        "K_list": [int(k) for k in K_list],
-        "sigma_ratios": list(report.sigma_ratios),
-        "energy_tails": list(report.energy_tails),
-        "singular_values": report.singular_values.tolist(),
-    }
-
-
-def decay_comparison_dict(cmp: DecayComparison, K_list: list[int]) -> dict:
-    return {
-        "K_list": [int(k) for k in K_list],
-        "bmo_scale": float(cmp.bmo_scale),
-        "smooth": spectral_report_dict(cmp.smooth, K_list),
-        "spike": spectral_report_dict(cmp.spike, K_list),
-    }

@@ -83,6 +83,9 @@ class TruncationSpec:
             raise ValueError(
                 f"eta = {self.eta} must be >= 2h = {2 * grid.h} to resolve the truncation"
             )
+        if math.isinf(1.0 / (math.pi * grid.h)):  # 1 / (pi h), the largest kernel value
+            raise ValueError(f"the kernel 1/(pi x) is not finite at the cell width h = "
+                             f"{grid.h}; use a larger grid half-width")
 
 
 # the cgroup v2 memory limit of the cgroup this process runs in

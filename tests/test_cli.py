@@ -871,13 +871,17 @@ def test_memory_guard_honours_cgroup_limit_and_counts_the_blocks(tmp_path, monke
 
 @pytest.mark.parametrize("argv", [["bmo", "--b", "const:1e308"], ["ap", "--w", "const:1e308"],
                                   ["op", "apply", "--op", "M", "--f", "const:1e308"],
-                                  ["weights", "gen", "--u", "const:1e308", "--k", "1"]],
-                         ids=["bmo", "ap", "op-apply-M", "weights-gen"])
+                                  ["weights", "gen", "--u", "const:1e308", "--k", "1"],
+                                  ["probe", "kr", "--b", "bump:0,0.5", "--u", "const:1e200",
+                                   "--v", "const:1e-300", "--eta-cells", "8", "--count", "2"]],
+                         ids=["bmo", "ap", "op-apply-M", "weights-gen", "probe-kr"])
 def test_non_finite_constant_exits_3_without_report(tmp_path, capsys, argv):
-    """A cube sum, or the maximal function's prefix sum, that overflows ends
-    the run with exit 3, not an Infinity in the report, and numpy warns of
-    nothing. A_p scales w by a power of two first, so its sums stay finite
-    and it reports 1 (it exited 3 here while it summed w unscaled)."""
+    """A cube sum, the maximal function's prefix sum, or a KR mass |g|^p u that
+    overflows ends the run with exit 3, not an Infinity in the report, and
+    numpy warns of nothing. A_p scales w by a power of two first, so its sums
+    stay finite and it reports 1 (it exited 3 here while it summed w
+    unscaled). probe kr wrote its two curves, holding inf, before the report
+    failed."""
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         rc = run([*argv, "--L", "1", "--m", "64", "--out", tmp_path])
@@ -888,6 +892,28 @@ def test_non_finite_constant_exits_3_without_report(tmp_path, capsys, argv):
         return
     assert rc == 3
     assert "not finite" in capsys.readouterr().err
+    assert not list(tmp_path.iterdir())
+
+
+def test_subnormal_cell_width_kernel_exits_2_without_report(tmp_path, capsys):
+    # h = 1.7e-310: 1 / (pi h) overflowed, numpy warned, and the run was no clean exit
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        rc = run(["op", "apply", "--op", "commutator", "--f", "const:1", "--b", "const:1",
+                  "--eta-cells", "2", "--L", "2.2250738585072014e-308", "--m", "256",
+                  "--out", tmp_path])
+    assert rc == 2
+    assert "kernel 1/(pi x) is not finite" in capsys.readouterr().err
+    assert not list(tmp_path.iterdir())
+
+
+def test_kr_mass_underflow_exits_3_without_report(tmp_path, capsys):
+    # |g|^2000 underflows to 0 on every cell: the run reported a bound, tails
+    # and moduli of 0.0 for images that are not zero
+    assert run(["probe", "kr", "--b", "bump:0,0.5", "--u", "const:1", "--v", "const:1",
+                "--p", "2000", "--count", "2", "--eta-cells", "8", "--L", "1", "--m", "64",
+                "--out", tmp_path]) == 3
+    assert "or 0 for a nonzero image" in capsys.readouterr().err
     assert not list(tmp_path.iterdir())
 
 

@@ -68,6 +68,15 @@ def test_sample_unit_ball_validation(setup):
         sample_unit_ball(constant(grid, 0.0), 2.0, 4, seed=1)
 
 
+def test_sample_unit_ball_rejects_a_norm_out_of_range():
+    # at p = 2000 the piecewise member 3's norm overflows: f / inf made it all zeros
+    v = constant(make_grid(8.0, 256), 1.0)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(FloatingPointError, match=r"member 3 \(piecewise\).*p = 2000"):
+            sample_unit_ball(v, 2000.0, 8, seed=0)
+
+
 def test_kr_bounded_constant_symbol_vanishes(setup):
     grid, u, v, b, trunc, sample = setup
     assert kr_probe(sample, constant(grid, 4.0), trunc, u, [], []).bound_sup == 0.0
@@ -448,6 +457,17 @@ def test_tail_constant_checks_N0_before_imaging_the_sample(setup, monkeypatch):
     monkeypatch.setattr(compactness, "_commutator_images", _fail)
     with pytest.raises(ValueError, match="no grid cells beyond N0"):
         tail_constant(b, trunc, v, 2.0, sample, N0=grid.half_width)
+
+
+def test_tail_constant_rejects_an_overflowing_C_bv(setup, monkeypatch):
+    # images of 1e308 beyond N0 = 2: |g| |x| overflowed to inf, with a warning
+    grid, u, v, b, trunc, sample = setup
+    monkeypatch.setattr(compactness, "_commutator_images",
+                        lambda sample, b, trunc: np.full((grid.cells, 16), 1e308))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(FloatingPointError, match="C_bv is not finite"):
+            tail_constant(b, trunc, v, 2.0, sample, N0=2.0)
 
 
 def test_shift_decomposition_shares_the_kr_shift_message(setup):

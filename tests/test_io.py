@@ -5,14 +5,9 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from bumplab import GridFunction, cli, compactness, constant, gaussian, make_grid
-from bumplab.io import (
-    _csv_text,
-    spectral_report_dict,
-    write_curve_csv,
-    write_grid_function_csv,
-    write_json,
-)
+from bumplab import (GridFunction, TruncationSpec, cli, compactness, constant, gaussian,
+                     make_grid, smooth_bump)
+from bumplab.io import _csv_text, write_curve_csv, write_grid_function_csv, write_json
 
 
 def test_grid_function_csv_roundtrip(tmp_path):
@@ -74,13 +69,50 @@ def test_spectrum_writers_match_the_per_value_conversions(tmp_path):
     pairs = [(float(i + 1), float(v)) for i, v in enumerate(s)]
     assert (tmp_path / "sigma.csv").read_bytes() == _loop_csv("k,sigma", pairs)
     report = compactness._report(s, [64, 256])
-    assert json.dumps(spectral_report_dict(report, [64, 256])) == json.dumps({
+    assert json.dumps(cli._spectral_result(report, [64, 256])) == json.dumps({
         "grid_cells": 1024,
         "K_list": [64, 256],
         "sigma_ratios": [float(v) for v in report.sigma_ratios],
         "energy_tails": [float(v) for v in report.energy_tails],
         "singular_values": [float(v) for v in s],
     })
+
+
+def _result_text(path) -> str:
+    """The report's result, re-encoded: json keeps 2 and 2.0 apart, where == does not."""
+    return json.dumps(json.loads(path.read_text())["result"], sort_keys=True)
+
+
+def test_ap_report_writes_its_labels(tmp_path):
+    # the ap preset, no delta (null) and p as a float, though --p is given as 2
+    assert cli.main(["ap", "--w", "const:1", "--p", "2", "--cubes", "dyadic", "--L", "1",
+                     "--m", "8", "--out", str(tmp_path)]) == 0
+    assert _result_text(tmp_path / "ap.json") == json.dumps({
+        "argmax": {"a": -1.0, "b": -0.75},  # the first of the cubes, all of ratio 1
+        "constant": 1.0,
+        "delta": None,
+        "family": "dyadic",
+        "p": 2.0,
+        "preset": "ap",
+    }, sort_keys=True)
+
+
+def test_kr_report_writes_a_null_slope(tmp_path):
+    # one shift leaves the slope NaN, which the report writes as null
+    argv = ["--b", "bump:0,0.5", "--u", "const:1", "--v", "const:1", "--count", "2",
+            "--N-list", "0.25", "--shift-list", "1", "--L", "1", "--m", "64"]
+    assert cli.main(["probe", "kr", *argv, "--out", str(tmp_path)]) == 0
+    grid = make_grid(1.0, 64)
+    one = constant(grid, 1.0)
+    report = compactness.kr_probe(compactness.sample_unit_ball(one, 2.0, 2, 0),
+                                  smooth_bump(grid, 0.0, 0.5), TruncationSpec(8 * grid.h),
+                                  one, [0.25], [1])
+    assert _result_text(tmp_path / "probe_kr.json") == json.dumps({
+        "bound_sup": report.bound_sup,
+        "modulus_curve": [[grid.h, report.modulus_curve[0][1]]],
+        "slope": None,
+        "tail_curve": [[0.25, report.tail_curve[0][1]]],
+    }, sort_keys=True)
 
 
 def _row_format_csv(header: str, xs, ys) -> str:

@@ -104,3 +104,12 @@ def test_every_module_the_bench_traces_imports():
     assert names
     for name in names:
         importlib.import_module(f"bumplab.{name}")
+
+
+def test_io_imports_from_the_package_only_grid():
+    """io.py only writes files: every report's layout is built in cli.py, so
+    io.py needs no result type of compactness or weights."""
+    tree = ast.parse((ROOT / "src" / "bumplab" / "io.py").read_text())
+    package = {node.module for node in ast.walk(tree)
+               if isinstance(node, ast.ImportFrom) and node.level > 0}
+    assert package == {"grid"}
