@@ -256,6 +256,25 @@ def per_cube(fn: Callable[..., np.ndarray], grid: Grid, cubes: Sequence[Cube],
     return out
 
 
+def _range_max(values: np.ndarray, cubes: CubeFamily) -> np.ndarray:
+    """max(values[i0 : i0 + n]) for every cube of the family, in family order.
+
+    A sparse table (Bentley, CMU-CS-80-109, 1980), built one level at a time in
+    O(m) memory: level j holds the max of every window of 2^j cells, and a cube
+    of n cells, 2^j <= n < 2^(j+1), is the max of two windows of level j, the
+    first and the last of its cells. O(m log n_max) work; exact."""
+    j = np.frexp(cubes.n_cells.astype(float))[1] - 1  # floor(log2 n)
+    out = np.empty(len(cubes))
+    level = values
+    for k in range(int(j.max()) + 1):
+        if k:
+            level = np.maximum(level[: -(1 << (k - 1))], level[1 << (k - 1):])
+        pos = np.flatnonzero(j == k)
+        i0 = cubes.i0[pos]
+        out[pos] = np.maximum(level[i0], level[i0 + cubes.n_cells[pos] - (1 << k)])
+    return out
+
+
 def _check_weights(u: GridFunction | None = None, v: GridFunction | None = None,
                    **functions: GridFunction) -> None:
     """The one rule for what a computation combines, else ValueError: u >= 0 and v > 0

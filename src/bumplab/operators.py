@@ -169,13 +169,36 @@ def _on_or_below(prefix: np.ndarray, a: np.ndarray, b: np.ndarray, c: np.ndarray
     return (h1 * n1 - h2 * n2) + ((l1 * n1 - l2 * n2) + (r1 * n1 - r2 * n2)) >= 0
 
 
-def _less(x: np.ndarray, y: np.ndarray, exact: Callable[[np.ndarray], np.ndarray]) -> np.ndarray:
+def _straight_breaks(prefix: np.ndarray) -> np.ndarray:
+    """breaks[i]: how many j < i have steps j and j + 1 of prefix (step j is
+    prefix[j + 1] - prefix[j]) other than one float s that is the exact
+    difference, and 0 or normal with its low 19 significand bits zero. Points
+    a ... c lie on one straight run where breaks[c - 1] == breaks[a]: there
+    P_c' - P_b' = (c' - b') s is a float for every a <= b' < c' <= c, as
+    c - a <= 2^18."""
+    step, residual = _two_diff(prefix[1:], prefix[:-1])
+    good = (residual == 0.0) & (step.view(np.int64) & ((1 << 19) - 1) == 0) & (
+        (step == 0.0) | (np.abs(step) >= np.finfo(float).tiny))
+    bent = ~(good[:-1] & good[1:] & (step[:-1] == step[1:]))
+    return np.concatenate(([0], np.cumsum(bent)))
+
+
+def _less(x: np.ndarray, y: np.ndarray, exact: Callable[[np.ndarray], np.ndarray],
+          straight: np.ndarray | int = 0) -> np.ndarray:
     """x < y for nonnegative slopes x and y (or -inf), each within two roundings of
     a true slope; where they are too close for that to decide, exact(flat indices)
-    decides instead."""
-    out = x < y
-    # nonnegative floats are ordered as their bit patterns, one step per ulp
-    near = np.flatnonzero(np.abs(x.view(np.int64) - y.view(np.int64)) <= 16)
+    decides instead.
+
+    straight is 1 where x and y belong to a node whose points lie on one
+    straight run (_straight_breaks), else 0, in x's shape or as a scalar. There
+    every slope is the run's float s exactly, or -inf, and on a tie
+    _on_or_below finds its determinant exactly 0 (the differences, their
+    Veltkamp halves and the halves' products by the cell counts are exact, and
+    the sums of the high and of the low products round to opposite floats):
+    x <= y gives its answer without the test."""
+    # nonnegative floats and -inf are ordered as their bit patterns, one step per ulp
+    d = x.view(np.int64) - y.view(np.int64)
+    out, near = d < straight, np.flatnonzero(np.abs(d) <= 16 - 17 * straight)
     if near.size:
         out.flat[near] = exact(near)
     return out
@@ -203,6 +226,9 @@ def maximal_fn(f: GridFunction) -> GridFunction:
     (Overmars & van Leeuwen 1981). O(m log^2 m) work in O(m) memory. Each step
     compares two float slopes and settles near-ties with an orientation test
     good to about 2^-80, so the hulls and tangents are those of the floats P.
+    Within a node whose points lie on one straight run of P (one exact step,
+    as where P adds a constant f without rounding) every tie is exactly on the
+    chord, and is settled so without the test.
     Each cell is the float (P[b] - P[a]) / (b - a) of one interval, so it never
     exceeds a scan over every interval; it can fall a few ulp below it where
     the best interval in exact arithmetic does not carry the largest rounded
@@ -226,27 +252,49 @@ def maximal_fn(f: GridFunction) -> GridFunction:
     # one row of k vertices per block of k points, padded with its last vertex: the
     # upper hulls of points c k + 1 ... c k + k of P, then of its mirror image
     hulls = np.concatenate((np.arange(1, m + 1), np.arange(m + 2, 2 * m + 2)))
-    k = 1
-    while k < m:  # nodes of 2k cells, one row each
-        rows = np.arange(2 * m // (2 * k))[:, None]
+    # straight runs need equal neighbours in |f| (or steps lost to P's rounding):
+    # where there are some, their ties skip the exact test
+    breaks = _straight_breaks(prefix) if np.any(af[1:] == af[:-1]) else None
+    slots = np.arange(2 * m)
+    # nodes of 2 cells: each child's hull is its one point, so the tangent from the
+    # node's first point is its last, and the merged hulls are the pairs they start as
+    lo = 2 * np.arange(m) + (2 * np.arange(m) >= m)
+    left = out.reshape(-1, 2)[:, 0]
+    np.maximum(left, (prefix[lo + 2] - prefix[lo]) / 2, out=left)
+    k = 2
+    # nodes of 2k cells, one row each. Row offsets are repeated into flat arrays, as
+    # numpy broadcasts a column over many short rows far more slowly
+    while k < m:
+        rows = np.arange(m // k)
         lo = rows * (2 * k) + (rows * (2 * k) >= m)
-        q = lo + np.arange(k + 1)  # tangents from lo ... lo + k to the right child's hull
+        # tangents from lo ... lo + k to the right child's hull
+        q = np.arange(len(rows) * (k + 1)) + np.repeat(lo - rows * (k + 1), k + 1)
+        q = q.reshape(-1, k + 1)
         qx, pq = q.astype(float), prefix[q]
         hx, hy = hulls.astype(float), prefix[hulls]
-        step = np.diff(hulls, append=hulls[-1])
-        step[k - 1::k] = 0
+        step, dy = np.empty_like(hulls), np.empty_like(hy)
+        np.subtract(hulls[1:], hulls[:-1], out=step[:-1])
+        np.subtract(hy[1:], hy[:-1], out=dy[:-1])
+        step[k - 1::k] = 0  # the last slot's too
         with np.errstate(all="ignore"):  # row ends, padding, and the seam of P and its mirror
-            edge = np.diff(hy, append=hy[-1]) / step  # the slope of each vertex's next edge
+            edge = dy / step  # the slope of each vertex's next edge
         edge[step == 0] = -np.inf
         right = rows * (2 * k) + k  # the right child's first slot in hulls
-        pos = np.repeat(right, k + 1, axis=1)
+        pos = np.repeat(right, k + 1).reshape(-1, k + 1)
+        straight = 0, 0
+        if breaks is not None and np.any(on := breaks[lo + 2 * k - 1] == breaks[lo]):
+            straight = [np.repeat(on.astype(np.int64), n).reshape(-1, n) for n in (k + 1, k)]
         half = k
         while half > 1:
             half //= 2
             at = pos + (half - 1)
             # step right where vertex at is on or below the chord from q to the next
-            go = _less((hy[at] - pq) / (hx[at] - qx), edge[at], lambda near: _on_or_below(
-                prefix, q.flat[near], hulls[at.flat[near]], hulls[at.flat[near] + 1]))
+            slope, run = hy[at], hx[at]
+            slope -= pq  # in place: at these sizes numpy's allocations cost about 10%
+            run -= qx
+            slope /= run
+            go = _less(slope, edge[at], lambda near: _on_or_below(
+                prefix, q.flat[near], hulls[at.flat[near]], hulls[at.flat[near] + 1]), straight[0])
             np.add(pos, half, out=pos, where=go)
         v = hulls[pos]
         best = (prefix[v] - pq) / (v - q)  # the same float as (P[b] - P[a]) / (b - a)
@@ -257,16 +305,18 @@ def maximal_fn(f: GridFunction) -> GridFunction:
         # merge: the bridge leaves the left child's hull at its first vertex w whose
         # next edge is no steeper than its tangent to the right child's hull, and
         # enters the right child's hull at that tangent's vertex
-        slot = right - k + np.arange(k)
-        w = hulls[slot]
-        at = w - lo + rows * (k + 1)  # w's query in best, pos and v
-        bridge = _less(edge[slot], best.ravel()[at], lambda near: _on_or_below(
-            prefix, w.flat[near], hulls[slot.flat[near] + 1], v.ravel()[at.flat[near]]))
-        i = bridge.argmax(axis=1)[:, None]
-        j = pos.ravel()[np.take_along_axis(at, i, axis=1)] - right
-        col = np.arange(2 * k)
-        col = np.where(col <= i, col, np.minimum(col + (k + j - i - 1), 2 * k - 1))
-        hulls = hulls[right - k + col].ravel()
+        node = hulls.reshape(-1, 2 * k)
+        w = node[:, :k]
+        at = w + np.repeat(rows * (k + 1) - lo, k).reshape(-1, k)  # w's query in best, pos and v
+        bridge = _less(edge.reshape(-1, 2 * k)[:, :k], best.ravel()[at], lambda near: _on_or_below(
+            prefix, w.flat[near], node[:, 1:k + 1].flat[near], v.ravel()[at.flat[near]]),
+            straight[1])
+        i = bridge.argmax(axis=1)
+        j = pos.ravel()[at.ravel()[rows * k + i]] - right
+        # each row keeps slots up to i of the left hull, then the right hull's from j
+        # on, padded with the row's last slot (2k is a power of two)
+        hulls = hulls[np.where(slots <= np.repeat(rows * (2 * k) + i, 2 * k), slots, np.minimum(
+            slots + np.repeat(k + j - i - 1, 2 * k), slots | (2 * k - 1)))]
         k *= 2
     return GridFunction(f.grid, np.maximum(out[0], out[1, ::-1]))
 
@@ -369,19 +419,23 @@ def maximal_truncation(f: GridFunction, eta_grid: list[float] | None = None) -> 
 def _truncated_pair(b: GridFunction, F: np.ndarray,
                     kernel: _Kernel) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """b' = b - b_0, then T_eta f and T_eta(b' f) for each row f of the (k, m)
-    array F, all 2k from one FFT product."""
+    array F, all 2k from one FFT product. Where b' f overflows, the products
+    are inf or NaN without a warning: every caller checks its output."""
     h = b.grid.h
-    bp = b.values - b.values[0]
-    T = _fft_product(kernel, _transform_rows(np.concatenate((F * h, bp * F * h))))
+    with np.errstate(over="ignore", invalid="ignore"):
+        bp = b.values - b.values[0]
+        T = _fft_product(kernel, _transform_rows(np.concatenate((F * h, bp * F * h))))
     return bp, T[: len(F)], T[len(F):]
 
 
 def _commutator_rows(b: GridFunction, F: np.ndarray, kernel: _Kernel) -> np.ndarray:
     """[b, T_eta] f for each row f of the (k, m) array F (see commutator); row i
-    is the same floats for any k."""
+    is the same floats for any k. Not finite, without a warning, where a product
+    overflows: every caller checks its output."""
     bp, Tf, Tbf = _truncated_pair(b, F, kernel)
     # + 0.0 turns the -0.0 of 0 * (negative Tf) into 0.0 and changes nothing else
-    return bp * Tf - Tbf + 0.0
+    with np.errstate(over="ignore", invalid="ignore"):
+        return bp * Tf - Tbf + 0.0
 
 
 def commutator(b: GridFunction, f: GridFunction, trunc: TruncationSpec) -> GridFunction:

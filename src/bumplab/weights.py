@@ -10,10 +10,12 @@ from __future__ import annotations
 
 from collections.abc import Sequence
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
-from .grid import Cube, GridFunction, _check_weights, per_cube
+from .grid import (Cube, CubeFamily, Grid, GridFunction, _check_weights, _checked_family,
+                   _range_max, per_cube)
 from .operators import MAXIMAL_CELL_CAP, maximal_fn
 from .orlicz import YoungFunction, orlicz_average_rows
 
@@ -139,21 +141,109 @@ def two_weight_ap(pair: WeightPair, p: float, cubes: Sequence[Cube]) -> BumpRepo
     return _sup_report(_ap_values(pair.u, pair.v, p, cubes), cubes)
 
 
+class _Bump(NamedTuple):
+    """A weight pair and bump spec, ready for per-cube values: F_left(Q) * F_right(Q)
+    is the average of left over Q (the Orlicz average under phi_left, or the plain
+    one where phi_left is None) times the Orlicz average of right under phi_right.
+    Each YoungFunction solves its t* once, for the bounds and the values alike."""
+
+    phi_left: YoungFunction | None
+    phi_right: YoungFunction
+    left: np.ndarray
+    right: np.ndarray
+
+    def values(self, grid: Grid, cubes: Sequence[Cube]) -> np.ndarray:
+        def product(blocks_l: np.ndarray, blocks_r: np.ndarray) -> np.ndarray:
+            right, _, _ = orlicz_average_rows(blocks_r, self.phi_right)
+            if self.phi_left is None:
+                return blocks_l.mean(axis=1) * right
+            left, _, _ = orlicz_average_rows(blocks_l, self.phi_left)
+            return left * right
+
+        return per_cube(product, grid, cubes, self.left, self.right)
+
+    def bounds(self, tops: Sequence[np.ndarray], grid: Grid | None = None,
+               cubes: CubeFamily | None = None) -> np.ndarray:
+        """An upper bound of F_left(Q) * F_right(Q) per cube, from the max of left and
+        of right over each cube (tops) or, given the cubes, a tighter one from their
+        gathered cells too: the plain average is at most its max, or itself, and the
+        Orlicz average is at most _orlicz_bound. NaN where it is in doubt."""
+        factors = []
+        for top, f, phi in zip(tops, (self.left, self.right), (self.phi_left, self.phi_right)):
+            if phi is None:
+                factors.append(top if cubes is None else
+                               per_cube(lambda blocks: blocks.mean(axis=1), grid, cubes, f))
+            else:
+                power = None if cubes is None else per_cube(
+                    lambda blocks, q=phi.p: _mean_power(blocks, q), grid, cubes, f)
+                factors.append(_orlicz_bound(top, power, phi))
+        return _bound_product(*factors)
+
+
+def _mean_power(blocks: np.ndarray, q: float) -> np.ndarray:
+    """mean((f / max f)^q) per row, in [1/n, 1]; 1 on a row of zeros."""
+    top = blocks.max(axis=1)
+    return np.mean((blocks / np.where(top > 0.0, top, 1.0)[:, None]) ** q, axis=1) + (top == 0.0)
+
+
+def _orlicz_bound(top: np.ndarray, power: np.ndarray | None, phi: YoungFunction) -> np.ndarray:
+    """An upper bound of the Orlicz average under Phi(t) = t^q log(e+t)^a of an f
+    with max M = top, and with mean (f / M)^q = power if that is given.
+
+    M / t* is one, as Phi(f / (M / t*)) <= Phi(t*) = 1. With lambda_q =
+    (mean f^q)^(1/q), for lambda >= lambda_q mean Phi(f/lambda) <= (lambda_q /
+    lambda)^q log(e + M/lambda)^a, so every lambda >= lambda_q log(e +
+    M/lambda)^(a/q) is one too: a bisection in log(lambda / M) over
+    [log(lambda_q / M), -log t*] keeps such a lambda as its upper end. Exact, up
+    to rounding, on a single cell; with power, also for a = 0 or constant f."""
+    hi = np.full(len(top), -phi.log_t_star)
+    if power is not None:
+        lo = floor = np.log(power) / phi.p  # log(lambda_q / M), at least -log(n) / q
+        ratio = phi.a / phi.p
+        for _ in range(BOUND_STEPS):
+            mid = 0.5 * (lo + hi)
+            feasible = mid >= floor + ratio * np.log(np.log(np.e + np.exp(-mid)))
+            hi, lo = np.where(feasible, mid, hi), np.where(feasible, lo, mid)
+    with np.errstate(over="ignore"):
+        return top * np.exp(hi)
+
+
+def _bound_product(left: np.ndarray, right: np.ndarray) -> np.ndarray:
+    """left * right, or NaN where that is not finite or a factor is subnormal, where
+    rounding may move it by far more than BOUND_MARGIN."""
+    tiny = np.finfo(float).tiny
+    with np.errstate(over="ignore", invalid="ignore"):
+        out = left * right
+    doubt = ~np.isfinite(out) | ((0.0 < left) & (left < tiny)) | ((0.0 < right) & (right < tiny))
+    return np.where(doubt, np.nan, out)
+
+
+def _bump(pair: WeightPair, spec: BumpSpec) -> _Bump:
+    p = spec.p
+    phi_left = None if spec.a_left is None else YoungFunction(p, spec.a_left)
+    return _Bump(phi_left, YoungFunction(_dual(p), spec.a_right),
+                 pair.u.values if phi_left is None else pair.u.values ** (1.0 / p),
+                 pair.v.values ** (-1.0 / p))
+
+
 def _bump_values(pair: WeightPair, spec: BumpSpec, cubes: Sequence[Cube]) -> np.ndarray:
     """F_left(Q) * F_right(Q) for every cube of the family (see bump_constant)."""
-    p = spec.p
-    phi_right = YoungFunction(_dual(p), spec.a_right)
-    phi_left = None if spec.a_left is None else YoungFunction(p, spec.a_left)
+    return _bump(pair, spec).values(pair.u.grid, cubes)
 
-    def product(blocks_l: np.ndarray, blocks_r: np.ndarray) -> np.ndarray:
-        right, _, _ = orlicz_average_rows(blocks_r, phi_right)
-        if phi_left is None:
-            return blocks_l.mean(axis=1) * right
-        left, _, _ = orlicz_average_rows(blocks_l, phi_left)
-        return left * right
 
-    left_values = pair.u.values if phi_left is None else pair.u.values ** (1.0 / p)
-    return per_cube(product, pair.u.grid, cubes, left_values, pair.v.values ** (-1.0 / p))
+# Bisection steps of _orlicz_bound: they narrow its bracket, at most about 10 wide in
+# log lambda, to 1e-5 of that, and any step leaves its upper end an upper bound.
+BOUND_STEPS = 20
+
+# The bounds are those of exact arithmetic: a cube is left out only if its bound
+# times BOUND_MARGIN is below the seed, a value of the family times SEED_MARGIN
+# or below. 2^-20 covers the Orlicz root's ROOT_BAND (1e-12 relative) and the
+# rounding of the bounds, of Phi and of t* by more than 1e5 times. A seed below
+# SEED_FLOOR, where floats are too sparse for that, prunes nothing.
+BOUND_MARGIN = 1.0 + 2.0**-20
+SEED_MARGIN = 1.0 - 2.0**-20
+SEED_FLOOR = 2.0**-1000
+SEED_CUBES = 8  # a family without single cells seeds from this many exact values
 
 
 def bump_constant(pair: WeightPair, spec: BumpSpec, cubes: Sequence[Cube]) -> BumpReport:
@@ -162,8 +252,42 @@ def bump_constant(pair: WeightPair, spec: BumpSpec, cubes: Sequence[Cube]) -> Bu
     F_right is the Orlicz average of v^(-1/p) with exponents (p', a_right).
     F_left is the plain average of u for the maximal preset, and otherwise
     the Orlicz average of u^(1/p) with exponents (p, a_left).
+
+    A branch and bound (Land & Doig, Econometrica 28, 1960) finds the sup and
+    its first cube in family order, bit for bit those of every cube's value:
+    the seed, a lower bound of the sup, is the best single cell's value, known
+    without a root search as c / t*, or else the largest exact value of the
+    SEED_CUBES cubes with the largest bounds. Every cube gets an upper bound
+    from its maxima (_Bump.bounds), those that reach the seed a tighter one
+    from their cells, and only those that still reach it, or whose bound is in
+    doubt, get their value. A left-out cube's value is below the sup, so it
+    never runs the Orlicz root search and cannot raise.
     """
-    return _sup_report(_bump_values(pair, spec, cubes), cubes)
+    bump, grid = _bump(pair, spec), pair.u.grid
+    fam = _checked_family(cubes, grid)
+    tops = (_range_max(bump.left, fam), _range_max(bump.right, fam))
+    bound = bump.bounds(tops)
+    values = np.full(len(fam), -np.inf)  # -inf: not evaluated
+    single = bound[fam.n_cells == 1]
+    seed = np.max(single, initial=0.0, where=~np.isnan(single)) * SEED_MARGIN
+    if not seed >= SEED_FLOOR:
+        top = np.argsort(-bound, kind="stable")[:SEED_CUBES]  # NaN last
+        values[top] = bump.values(grid, _subfamily(fam, top))
+        seed = np.max(values[top])
+    todo = np.flatnonzero(values == -np.inf)
+    if seed >= SEED_FLOOR:  # else prune nothing
+        below = seed / BOUND_MARGIN  # a bound below this is below the seed with its margin
+        todo = todo[~(bound[todo] < below)]
+        if len(todo):
+            tighter = bump.bounds([t[todo] for t in tops], grid, _subfamily(fam, todo))
+            todo = todo[~(tighter < below)]
+    if len(todo):
+        values[todo] = bump.values(grid, _subfamily(fam, todo))
+    return _sup_report(values, fam)
+
+
+def _subfamily(fam: CubeFamily, positions: np.ndarray) -> CubeFamily:
+    return CubeFamily(fam.i0[positions], fam.n_cells[positions])
 
 
 def iterate_maximal(u: GridFunction, k: int) -> GridFunction:
