@@ -170,7 +170,7 @@ class _Bump(NamedTuple):
         Orlicz average is at most _orlicz_bound. NaN where it is in doubt."""
         factors = []
         for top, f, phi in zip(tops, (self.left, self.right), (self.phi_left, self.phi_right)):
-            if phi is None:
+            if phi is None:  # a mean that overflows raises here as in values
                 factors.append(top if cubes is None else
                                per_cube(lambda blocks: blocks.mean(axis=1), grid, cubes, f))
             else:
@@ -181,9 +181,12 @@ class _Bump(NamedTuple):
 
 
 def _mean_power(blocks: np.ndarray, q: float) -> np.ndarray:
-    """mean((f / max f)^q) per row, in [1/n, 1]; 1 on a row of zeros."""
+    """mean((f / max f)^q) per row, in [1/n, 1]; 1 on a row of zeros, whose bound is
+    0, and on a row that holds inf, whose bound is in doubt (a NaN would raise)."""
     top = blocks.max(axis=1)
-    return np.mean((blocks / np.where(top > 0.0, top, 1.0)[:, None]) ** q, axis=1) + (top == 0.0)
+    scaled = (0.0 < top) & (top < np.inf)
+    power = np.mean((blocks / np.where(scaled, top, 1.0)[:, None]) ** q, axis=1)
+    return np.where(scaled, power, 1.0)
 
 
 def _orlicz_bound(top: np.ndarray, power: np.ndarray | None, phi: YoungFunction) -> np.ndarray:
@@ -231,8 +234,8 @@ def _bump_values(pair: WeightPair, spec: BumpSpec, cubes: Sequence[Cube]) -> np.
     return _bump(pair, spec).values(pair.u.grid, cubes)
 
 
-# Bisection steps of _orlicz_bound: they narrow its bracket, at most about 10 wide in
-# log lambda, to 1e-5 of that, and any step leaves its upper end an upper bound.
+# Bisection steps of _orlicz_bound: they narrow its bracket to 2^-20 of its width,
+# and any step leaves the bracket's upper end an upper bound.
 BOUND_STEPS = 20
 
 # The bounds are those of exact arithmetic: a cube is left out only if its bound

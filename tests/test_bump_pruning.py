@@ -129,6 +129,20 @@ def test_a_value_that_overflows_still_raises():
             run(pair, spec, cube_family(grid, "dyadic"))
 
 
+def test_an_infinite_cell_raises_what_the_full_pass_raises():
+    """v^(-1/p) is inf on a subnormal cell of v: every bound over it is in
+    doubt, and the tighter bound's mean power must not raise in its place."""
+    grid = make_grid(1.0, 16)
+    v = np.ones(16)
+    v[3] = 5e-324
+    pair = WeightPair(GridFunction(grid, np.ones(16)), GridFunction(grid, v))
+    spec = BumpSpec.from_preset("czo", 1.01)
+    with pytest.raises(OrliczConvergenceError), np.errstate(over="ignore"):
+        _bump_values(pair, spec, cube_family(grid, "dyadic"))
+    with pytest.raises(OrliczConvergenceError), np.errstate(over="ignore"):
+        bump_constant(pair, spec, cube_family(grid, "dyadic"))
+
+
 # the bench's variant-3 weights: u, and v = M^5 u for comm or a closed form for czo
 _BENCH_U = "const:1+gaussian:0.30,0.3"
 _BENCH_V = {"comm": "M5:u", "czo": "const:1+gaussian:-0.30,0.6"}
