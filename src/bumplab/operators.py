@@ -13,7 +13,7 @@ The maximal function maximises over every grid-aligned interval: a dyadic
 divide and conquer over prefix-sum slopes, in numpy alone, whose best slopes
 are tangents to convex hulls merged level by level, in O(m log^2 m) work. Each
 value is one interval's average, so it is never above a scan over every width
-and offset, and at most a few ulp below it where slopes nearly tie.
+and offset, and at most 4 ulp below it where rounded slopes nearly tie.
 
 On the uniform grid x_i - x_j = (i - j) h, so the m x m kernel matrix is the
 Toeplitz matrix of one vector of 2m - 1 offsets (``kernel_offsets``). T_eta,
@@ -134,74 +134,9 @@ def _toeplitz(kvec: np.ndarray) -> np.ndarray:
     return sliding_window_view(kvec, m)[:, ::-1]
 
 
-# maximal_fn does O(m log^2 m) work: about 2 s and 120 MB per call at the cap on a
-# 2-core Xeon
+# maximal_fn does O(m log^2 m) work: about 0.8 s per call at the cap, in a process
+# that peaks at about 120 MB, on a 2-core Xeon
 MAXIMAL_CELL_CAP = 1 << 18
-
-
-def _two_diff(a: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """a - b as s + r, two floats with s = fl(a - b), exactly (Knuth's TwoSum)."""
-    s = a - b
-    bb = s - a
-    return s, (a - (s - bb)) - (b + bb)
-
-
-def _veltkamp(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """x = hi + lo with hi of 35 significant bits and lo of 17 (Veltkamp), so that
-    each times an integer below 2^18 is exact."""
-    c = x * (2.0**18 + 1.0)
-    hi = c - (c - x)
-    return hi, x - hi
-
-
-def _on_or_below(prefix: np.ndarray, a: np.ndarray, b: np.ndarray, c: np.ndarray) -> np.ndarray:
-    """Whether point b, (b, prefix[b]), lies on or below the chord from point a to
-    point c (a < b < c), with prefix nondecreasing: the sign of
-    (P_c - P_b)(b - a) - (P_b - P_a)(c - b), from error-free differences and
-    products brought near 1 by a power of two, so that only parts below about
-    2^-80 of the products are rounded."""
-    d1, r1 = _two_diff(prefix[c], prefix[b])
-    d2, r2 = _two_diff(prefix[b], prefix[a])
-    e = np.frexp(np.maximum(d1, d2))[1]
-    d1, r1, d2, r2 = (np.ldexp(x, -e) for x in (d1, r1, d2, r2))
-    n1, n2 = (b - a).astype(float), (c - b).astype(float)
-    (h1, l1), (h2, l2) = _veltkamp(d1), _veltkamp(d2)
-    return (h1 * n1 - h2 * n2) + ((l1 * n1 - l2 * n2) + (r1 * n1 - r2 * n2)) >= 0
-
-
-def _straight_breaks(prefix: np.ndarray) -> np.ndarray:
-    """breaks[i]: how many j < i have steps j and j + 1 of prefix (step j is
-    prefix[j + 1] - prefix[j]) other than one float s that is the exact
-    difference, and 0 or normal with its low 19 significand bits zero. Points
-    a ... c lie on one straight run where breaks[c - 1] == breaks[a]: there
-    P_c' - P_b' = (c' - b') s is a float for every a <= b' < c' <= c, as
-    c - a <= 2^18."""
-    step, residual = _two_diff(prefix[1:], prefix[:-1])
-    good = (residual == 0.0) & (step.view(np.int64) & ((1 << 19) - 1) == 0) & (
-        (step == 0.0) | (np.abs(step) >= np.finfo(float).tiny))
-    bent = ~(good[:-1] & good[1:] & (step[:-1] == step[1:]))
-    return np.concatenate(([0], np.cumsum(bent)))
-
-
-def _less(x: np.ndarray, y: np.ndarray, exact: Callable[[np.ndarray], np.ndarray],
-          straight: np.ndarray | int = 0) -> np.ndarray:
-    """x < y for nonnegative slopes x and y (or -inf), each within two roundings of
-    a true slope; where they are too close for that to decide, exact(flat indices)
-    decides instead.
-
-    straight is 1 where x and y belong to a node whose points lie on one
-    straight run (_straight_breaks), else 0, in x's shape or as a scalar. There
-    every slope is the run's float s exactly, or -inf, and on a tie
-    _on_or_below finds its determinant exactly 0 (the differences, their
-    Veltkamp halves and the halves' products by the cell counts are exact, and
-    the sums of the high and of the low products round to opposite floats):
-    x <= y gives its answer without the test."""
-    # nonnegative floats and -inf are ordered as their bit patterns, one step per ulp
-    d = x.view(np.int64) - y.view(np.int64)
-    out, near = d < straight, np.flatnonzero(np.abs(d) <= 16 - 17 * straight)
-    if near.size:
-        out.flat[near] = exact(near)
-    return out
 
 
 def maximal_fn(f: GridFunction) -> GridFunction:
@@ -221,18 +156,13 @@ def maximal_fn(f: GridFunction) -> GridFunction:
     hull of the node's end points: a binary search, all of a level's in one
     vectorised pass (Preparata & Hong 1977). The next level's hulls merge
     sibling hulls at their bridge, which leaves the left hull at the first
-    vertex whose tangent to the right hull is no shallower than its next edge;
+    vertex whose tangent to the right hull is steeper than its next edge;
     the same pass takes those tangents, from every point of the left child
     (Overmars & van Leeuwen 1981). O(m log^2 m) work in O(m) memory. Each step
-    compares two float slopes and settles near-ties with an orientation test
-    good to about 2^-80, so the hulls and tangents are those of the floats P.
-    Within a node whose points lie on one straight run of P (one exact step,
-    as where P adds a constant f without rounding) every tie is exactly on the
-    chord, and is settled so without the test.
+    is a plain comparison of two float slopes.
     Each cell is the float (P[b] - P[a]) / (b - a) of one interval, so it never
-    exceeds a scan over every interval; it can fall a few ulp below it where
-    the best interval in exact arithmetic does not carry the largest rounded
-    slope.
+    exceeds a scan over every interval; it can fall a few ulp (at most 4) below
+    it where rounded slopes nearly tie and a comparison picks the smaller.
 
     More than MAXIMAL_CELL_CAP cells raise ValueError, and prefix sums that
     overflow raise FloatingPointError, both before any of the work.
@@ -252,9 +182,6 @@ def maximal_fn(f: GridFunction) -> GridFunction:
     # one row of k vertices per block of k points, padded with its last vertex: the
     # upper hulls of points c k + 1 ... c k + k of P, then of its mirror image
     hulls = np.concatenate((np.arange(1, m + 1), np.arange(m + 2, 2 * m + 2)))
-    # straight runs need equal neighbours in |f| (or steps lost to P's rounding):
-    # where there are some, their ties skip the exact test
-    breaks = _straight_breaks(prefix) if np.any(af[1:] == af[:-1]) else None
     slots = np.arange(2 * m)
     # nodes of 2 cells: each child's hull is its one point, so the tangent from the
     # node's first point is its last, and the merged hulls are the pairs they start as
@@ -281,20 +208,16 @@ def maximal_fn(f: GridFunction) -> GridFunction:
         edge[step == 0] = -np.inf
         right = rows * (2 * k) + k  # the right child's first slot in hulls
         pos = np.repeat(right, k + 1).reshape(-1, k + 1)
-        straight = 0, 0
-        if breaks is not None and np.any(on := breaks[lo + 2 * k - 1] == breaks[lo]):
-            straight = [np.repeat(on.astype(np.int64), n).reshape(-1, n) for n in (k + 1, k)]
         half = k
         while half > 1:
             half //= 2
             at = pos + (half - 1)
-            # step right where vertex at is on or below the chord from q to the next
+            # step right where vertex at is below the chord from q to the next
             slope, run = hy[at], hx[at]
             slope -= pq  # in place: at these sizes numpy's allocations cost about 10%
             run -= qx
             slope /= run
-            go = _less(slope, edge[at], lambda near: _on_or_below(
-                prefix, q.flat[near], hulls[at.flat[near]], hulls[at.flat[near] + 1]), straight[0])
+            go = slope < edge[at]
             np.add(pos, half, out=pos, where=go)
         v = hulls[pos]
         best = (prefix[v] - pq) / (v - q)  # the same float as (P[b] - P[a]) / (b - a)
@@ -303,14 +226,11 @@ def maximal_fn(f: GridFunction) -> GridFunction:
         if 2 * k == m:
             break
         # merge: the bridge leaves the left child's hull at its first vertex w whose
-        # next edge is no steeper than its tangent to the right child's hull, and
+        # next edge is shallower than its tangent to the right child's hull, and
         # enters the right child's hull at that tangent's vertex
-        node = hulls.reshape(-1, 2 * k)
-        w = node[:, :k]
+        w = hulls.reshape(-1, 2 * k)[:, :k]
         at = w + np.repeat(rows * (k + 1) - lo, k).reshape(-1, k)  # w's query in best, pos and v
-        bridge = _less(edge.reshape(-1, 2 * k)[:, :k], best.ravel()[at], lambda near: _on_or_below(
-            prefix, w.flat[near], node[:, 1:k + 1].flat[near], v.ravel()[at.flat[near]]),
-            straight[1])
+        bridge = edge.reshape(-1, 2 * k)[:, :k] < best.ravel()[at]
         i = bridge.argmax(axis=1)
         j = pos.ravel()[at.ravel()[rows * k + i]] - right
         # each row keeps slots up to i of the left hull, then the right hull's from j

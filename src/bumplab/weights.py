@@ -34,8 +34,8 @@ __all__ = [
 P_MINUS_ONE_CAP = 2.0**22
 
 # iterate_maximal's work budget: k calls on m cells count k * max(m, 1024) cells, as
-# below 1024 cells a call's log2 m numpy passes dominate (2-core Xeon: 1.9 ms at
-# m = 64, 6.6 ms at 1024, 1.4 s at MAXIMAL_CELL_CAP), so no k runs past about 15 s.
+# below 1024 cells a call's log2 m numpy passes dominate (2-core Xeon: 0.7 ms at
+# m = 64, 1.5 ms at 1024, 0.8 s at MAXIMAL_CELL_CAP), so no k runs past about 7 s.
 MAXIMAL_WORK_CELLS = 8 * MAXIMAL_CELL_CAP
 
 
@@ -154,6 +154,9 @@ class _Bump(NamedTuple):
 
     def values(self, grid: Grid, cubes: Sequence[Cube]) -> np.ndarray:
         def product(blocks_l: np.ndarray, blocks_r: np.ndarray) -> np.ndarray:
+            if np.isinf(blocks_r).any():
+                raise FloatingPointError("v^(-1/p) overflowed to inf on a cell of a cube "
+                                         "whose value is needed; rescale v")
             right, _, _ = orlicz_average_rows(blocks_r, self.phi_right)
             if self.phi_left is None:
                 return blocks_l.mean(axis=1) * right
@@ -224,9 +227,10 @@ def _bound_product(left: np.ndarray, right: np.ndarray) -> np.ndarray:
 def _bump(pair: WeightPair, spec: BumpSpec) -> _Bump:
     p = spec.p
     phi_left = None if spec.a_left is None else YoungFunction(p, spec.a_left)
+    with np.errstate(over="ignore"):  # an inf raises only in a cube whose value is needed
+        right = pair.v.values ** (-1.0 / p)
     return _Bump(phi_left, YoungFunction(_dual(p), spec.a_right),
-                 pair.u.values if phi_left is None else pair.u.values ** (1.0 / p),
-                 pair.v.values ** (-1.0 / p))
+                 pair.u.values if phi_left is None else pair.u.values ** (1.0 / p), right)
 
 
 def _bump_values(pair: WeightPair, spec: BumpSpec, cubes: Sequence[Cube]) -> np.ndarray:

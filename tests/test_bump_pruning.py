@@ -129,18 +129,23 @@ def test_a_value_that_overflows_still_raises():
             run(pair, spec, cube_family(grid, "dyadic"))
 
 
+@pytest.mark.filterwarnings("error")
 def test_an_infinite_cell_raises_what_the_full_pass_raises():
     """v^(-1/p) is inf on a subnormal cell of v: every bound over it is in
-    doubt, and the tighter bound's mean power must not raise in its place."""
+    doubt, and the tighter bound's mean power must not raise in its place.
+    Both passes name the overflow, and cubes that avoid the cell still run."""
     grid = make_grid(1.0, 16)
     v = np.ones(16)
     v[3] = 5e-324
     pair = WeightPair(GridFunction(grid, np.ones(16)), GridFunction(grid, v))
     spec = BumpSpec.from_preset("czo", 1.01)
-    with pytest.raises(OrliczConvergenceError), np.errstate(over="ignore"):
-        _bump_values(pair, spec, cube_family(grid, "dyadic"))
-    with pytest.raises(OrliczConvergenceError), np.errstate(over="ignore"):
-        bump_constant(pair, spec, cube_family(grid, "dyadic"))
+    for run in (_bump_values, bump_constant):
+        with pytest.raises(FloatingPointError, match=r"v\^\(-1/p\) overflowed"):
+            run(pair, spec, cube_family(grid, "dyadic"))
+    away = [Cube(i0, n) for i0, n in ((4, 4), (8, 8), (0, 2), (5, 1))]
+    values = _bump_values(pair, spec, away)
+    report = bump_constant(pair, spec, away)
+    assert report.constant == values.max() and report.argmax_cube == away[values.argmax()]
 
 
 # the bench's variant-3 weights: u, and v = M^5 u for comm or a closed form for czo

@@ -264,9 +264,15 @@ _OVERFLOWED = ("error: numerical non-convergence: a per-cube value is not finite
     # A_p is scale-free: w is scaled by a power of two before the powers (this
     # exited 3 while w^(1 - p') overflowed)
     (["ap", "--w", "const:1e-320"], 0, []),
+    # v^(-1/p) is inf on every cell: the error names that overflow, not the Orlicz
+    # root search it would stop
+    (["bump", "--preset", "czo", "--p", "1.01", "--u", "const:1", "--v", "const:5e-324",
+      "--cubes", "dyadic"], 3,
+     ["error: numerical non-convergence: v^(-1/p) overflowed to inf on a cell of a cube whose "
+      "value is needed; rescale v"]),
 ], ids=["gaussian-subnormal-width", "power-overflow", "spec-sum-overflow",
         "number-sum-overflow", "number-sum-inf-minus-inf", "ap-power-overflow",
-        "ap-subnormal-constant"])
+        "ap-subnormal-constant", "bump-v-power-overflow"])
 def test_overflow_in_numpy_exits_on_the_finiteness_check(tmp_path, capsys, argv, code, err):
     # with warnings as errors: an overflow numpy would warn about is left to
     # the finiteness checks, which decide the exit

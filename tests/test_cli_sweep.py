@@ -3,7 +3,7 @@
 Each example draws a command from the option tables (`cli._COMMANDS`), flags
 from each option's type, and function specs from a grammar that covers every
 builder term, sums and `M<k>:` forms, with boundary, subnormal, huge and
-non-finite numbers. It runs `cli.main` in-process, with warnings as errors,
+non-finite numbers, and p near 1 as well as the other numbers. It runs `cli.main` in-process, with warnings as errors,
 in its own directory. Whatever the input, the run must exit 0, 1, 2 or 3;
 a failed run prints one error line (after argparse's usage, for exit 1) and
 writes no file; a run that succeeds prints nothing and writes strict JSON.
@@ -72,6 +72,8 @@ def _value(opt, hostile: bool):
         return st.sampled_from([*opt.choices, *(["bogus"] if hostile else [])])
     if opt.name == "m":
         return st.sampled_from(["4", "8", "16", "64", "256", *(["0", "3", "100"] * hostile)])
+    if opt.name == "p":  # near 1 too, where powers of subnormal and huge weights overflow
+        return st.one_of(st.sampled_from(["1.01", "1.0001", "1.000001"]), numbers)
     if opt.name == "L":
         return st.one_of(st.sampled_from(["1", "8"]), numbers)
     if opt.name in ("k", "count"):

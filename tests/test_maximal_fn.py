@@ -16,7 +16,7 @@ import maximal_oracle as oracle
 from bumplab import GridFunction, make_grid, maximal_fn
 from bumplab.cli import parse_function_spec
 
-KINDS = ("random", "sparse", "piecewise", "smooth", "constant", "many")
+KINDS = ("random", "sparse", "piecewise", "smooth", "constant", "many", "nudged", "steps")
 
 
 def _values(kind: str, m: int, rng: np.random.Generator) -> np.ndarray:
@@ -33,6 +33,15 @@ def _values(kind: str, m: int, rng: np.random.Generator) -> np.ndarray:
                                                                        append=m))
     if kind == "constant":  # prefix sums that round at almost every cell
         return np.full(m, rng.uniform(-3, 3) * 10.0 ** rng.uniform(-3, 3))
+    if kind == "nudged":  # 1/3 with a few cells 1 to 3 ulp off: slopes that nearly tie
+        out = np.full(m, 1.0 / 3.0)
+        at = rng.integers(0, m, rng.integers(1, 5))
+        out[at] += rng.choice([-3, -2, -1, 1, 2, 3], at.size) * np.spacing(1.0 / 3.0)
+        return out
+    if kind == "steps":  # steps of j/3 or j/10, whose prefix sums round at every cell
+        edges = np.sort(rng.integers(0, m, rng.integers(1, 6)))
+        heights = rng.integers(1, 10, edges.size + 1) / rng.choice([3.0, 10.0])
+        return np.repeat(heights, np.diff(edges, prepend=0, append=m))
     x = np.linspace(-1.0, 1.0, m)  # smooth positive
     return 1.0 + rng.uniform(0, 3) * np.exp(-(x - rng.uniform(-1, 1)) ** 2 / 0.1)
 
