@@ -623,7 +623,7 @@ def _check_K(K_list: list[int], n: int) -> None:
 
 
 def _report(s: np.ndarray, K_list: list[int]) -> SpectralReport:
-    _check_K(K_list, s.size)
+    """The report on the spectrum s for a K_list its caller has checked."""
     # the energies of s times 2^-e, with s_1 in [1/2, 1), so that no square overflows
     t = np.ldexp(s, -np.frexp(np.max(s, initial=0.0))[1])
     total_energy = float(np.sum(t**2))

@@ -2,7 +2,8 @@
 
 Everything downstream works with piecewise-constant functions on a uniform
 grid over [-L, L] with a power-of-two number of cells, so dyadic cubes align
-exactly with cell boundaries and all cell centers avoid the origin.
+exactly with cell boundaries and all cell centers avoid the origin (but for
+a subnormal cell width, where the centers nearest it may round to 0.0).
 """
 
 from __future__ import annotations
@@ -375,8 +376,10 @@ def haar(grid: Grid, cube: Cube) -> GridFunction:
 
 def power_weight(grid: Grid, alpha: float) -> GridFunction:
     """|x|^alpha at cell centers; centers sit at odd multiples of h/2, so
-    the value is finite for any alpha."""
+    the value is finite for any alpha unless it overflows, or unless h is
+    subnormal, where a center may round to 0.0 and 0^alpha is inf for
+    alpha < 0."""
     if not np.isfinite(alpha):
         raise ValueError("alpha must be finite")
-    with np.errstate(over="ignore"):  # GridFunction rejects the inf
+    with np.errstate(over="ignore", divide="ignore"):  # GridFunction rejects the inf
         return GridFunction(grid, np.abs(grid.centers) ** alpha)

@@ -3,7 +3,7 @@ and BMO norms.
 
 The Orlicz average of f over a cube Q is the infimum lambda* of the lambda > 0
 with avg_Q Phi(|f|/lambda) <= 1, where that average, decreasing in lambda,
-equals 1. Safeguarded Newton finds it in s = log(max|f| / lambda), on
+equals 1. A bisection finds it in s = log(max|f| / lambda), on
 F(s) = log avg_Q Phi(|f|/lambda) factored about the cube's largest cell, which
 overflows for no p and a; a band check certifies it: the value is feasible
 (F <= 0), and the lower end, ROOT_BAND below it (relative), is not.
@@ -31,7 +31,6 @@ __all__ = [
 ]
 
 ROOT_BAND = 1e-12  # relative width of the certified bracket [lower, value]
-NEWTON_TOL = 1e-7  # a step in s this small ends the search, if the band check confirms it
 
 
 class OrliczConvergenceError(RuntimeError):
@@ -87,28 +86,21 @@ def young_inverse_at_one(phi: YoungFunction) -> float:
 
 
 def _log_mean_phi(r: np.ndarray, r_p: np.ndarray, s: np.ndarray, phi: YoungFunction,
-                  slope: bool = False):
-    """Per row, F(s) = log mean Phi(r e^s), and with slope=True also F'(s).
+                  ) -> np.ndarray:
+    """Per row, F(s) = log mean Phi(r e^s).
 
     r holds |f| / max|f| per row (so each row's largest entry is 1) and
     r_p = r**p. With L = log(e + r e^s) and L_1 = log(e + e^s), F(s) =
     p s + a log L_1 + log mean(r^p (L / L_1)^a): a log-sum-exp shifted by its
     largest term (Blanchard, Higham & Higham, IMA J. Numer. Anal. 41, 2021),
-    which Phi's monotonicity names in advance, so no term exceeds 1. F' is the
-    Phi-weighted mean of t Phi'(t)/Phi(t) = p + a t / ((e+t) L), in [p, p+a].
-    Rows sum by einsum, whose sum for a row does not depend on the others.
+    which Phi's monotonicity names in advance, so no term exceeds 1. Rows sum
+    by einsum, whose sum for a row does not depend on the others.
     """
     p, a, n = phi.p, phi.a, r.shape[1]
     e_s = np.exp(s)
-    t = r * e_s[:, None]
-    log_e_t, log_1 = np.log(np.e + t), np.log(np.e + e_s)
-    terms = r_p * (log_e_t / log_1[:, None]) ** a
-    total = np.einsum("ij->i", terms)
-    f = p * s + a * np.log(log_1) + np.log(total / n)
-    if not slope:
-        return f
-    t /= (np.e + t) * log_e_t
-    return f, p + a * np.einsum("ij,ij->i", terms, t) / total
+    log_1 = np.log(np.e + e_s)
+    terms = r_p * (np.log(np.e + r * e_s[:, None]) / log_1[:, None]) ** a
+    return p * s + a * np.log(log_1) + np.log(np.einsum("ij->i", terms) / n)
 
 
 def _certified_roots(r: np.ndarray, r_p: np.ndarray, top: np.ndarray, s: np.ndarray,
@@ -117,47 +109,37 @@ def _certified_roots(r: np.ndarray, r_p: np.ndarray, top: np.ndarray, s: np.ndar
     """Per row of |f| = top * r (r_p = r**p): the certified bracket's value and
     lower end, the root s = log(top / lambda*), and the most steps a row took.
 
-    Safeguarded Newton (Press et al., Numerical Recipes, 3rd ed., 9.4) runs
-    from s inside [lo, hi], which must hold the root; as F' lies in [p, p+a],
-    each evaluation narrows it. A step out of it, or not under half the row's
-    last, bisects it instead, unless under NEWTON_TOL. After such a step, or
-    one to the middle of a bracket that can no longer halve, the band check
-    evaluates F at lambda = top e^-s. If feasible, lambda is the value and
-    lambda (1 - ROOT_BAND), the lower end, must be infeasible; if not, lambda
-    is the lower end and the value lambda (1 + ROOT_BAND) must be feasible,
-    as F' >= p shows, or else F. A row that fails searches on, or raises
-    OrliczConvergenceError once its bracket can no longer halve (ValueError
-    if lambda is subnormal, where floats may lie more than a band apart).
+    A bisection runs from s inside [lo, hi], which must hold the root. Each
+    step evaluates F at the row's s and narrows the bracket by it, as F' lies
+    in [p, p+a] (F' is the Phi-weighted mean of t Phi'(t)/Phi(t) =
+    p + a t / ((e+t) L)), then moves s to the middle. Where the bracket can no
+    longer halve, the band check evaluates F at lambda = top e^-s. If
+    feasible, lambda is the value and lambda (1 - ROOT_BAND), the lower end,
+    must be infeasible; if not, lambda is the lower end and the value
+    lambda (1 + ROOT_BAND) must be feasible, as F' >= p shows, or else F. A
+    row that fails raises OrliczConvergenceError (ValueError if lambda is
+    subnormal, where floats may lie more than a band apart, or if lambda or
+    its band end overflows).
     """
-    p, a, rows = phi.p, phi.a, len(s)
-    value, lower, last = np.empty(rows), np.empty(rows), np.full(rows, np.inf)
-    is_open, todo, steps = np.ones(rows, dtype=bool), np.arange(rows), 0
+    p, a = phi.p, phi.a
+    value, lower, todo, steps = np.empty(len(s)), np.empty(len(s)), np.arange(len(s)), 0
 
-    def evaluate(k: np.ndarray, at: np.ndarray, slope: bool = False):
-        """F (and F') at s = at on rows k, narrowing their brackets."""
-        out = _log_mean_phi(*((r, r_p) if len(k) == rows else (r[k], r_p[k])), at, phi, slope)
-        f = out[0] if slope else out
+    def evaluate(k: np.ndarray, at: np.ndarray) -> np.ndarray:
+        """F at s = at on rows k, narrowing their brackets."""
+        f = _log_mean_phi(*((r, r_p) if len(k) == len(s) else (r[k], r_p[k])), at, phi)
         ends = (at - f / p, at - f / (p + a))
         lo[k] = np.maximum(lo[k], np.minimum(*ends))
         hi[k] = np.minimum(hi[k], np.maximum(*ends))
-        return out
-
-    def halves(k: np.ndarray) -> np.ndarray:
-        return (lo[k] < 0.5 * (lo[k] + hi[k])) & (0.5 * (lo[k] + hi[k]) < hi[k])
+        return f
 
     with np.errstate(all="ignore"):  # a NaN or inf is an evaluation gone wrong: it raises below
         while len(todo):
             steps += 1
-            at = s[todo]
-            f, slope = evaluate(todo, at, slope=True)
-            step = -f / slope
-            newton = (np.abs(step) < 0.5 * last[todo]) & (
-                (np.abs(step) < NEWTON_TOL) | ((lo[todo] <= at + step) & (at + step <= hi[todo])))
-            step = np.where(newton, step, 0.5 * (lo[todo] + hi[todo]) - at)
-            s[todo] = at + step
-            last[todo] = np.abs(step)
-
-            k = todo[~(last[todo] >= NEWTON_TOL) | ~halves(todo)]  # a NaN step too: it raises
+            evaluate(todo, s[todo])
+            mid = 0.5 * (lo[todo] + hi[todo])
+            s[todo] = mid
+            halves = (lo[todo] < mid) & (mid < hi[todo])  # a NaN bracket too: it raises
+            k, todo = todo[~halves], todo[halves]
             if not len(k):
                 continue
             lam = top[k] * np.exp(-s[k])
@@ -165,15 +147,18 @@ def _certified_roots(r: np.ndarray, r_p: np.ndarray, top: np.ndarray, s: np.ndar
             f = evaluate(k, at)
             feasible = f <= 0.0
             other = lam * np.where(feasible, 1.0 - ROOT_BAND, 1.0 + ROOT_BAND)
+            if np.any(other == np.inf):
+                raise ValueError(
+                    f"an Orlicz average overflows (above {np.finfo(float).max:.3g}); scale f "
+                    f"by a power of two, as the average scales with it")
             at_other = np.log(top[k] / other)
             f += p * (at_other - at)  # as F' >= p, F at the other end is past this bound
             unsure = np.flatnonzero(np.where(feasible, f <= 0.0, f > 0.0))
             if len(unsure):
                 f[unsure] = evaluate(k[unsure], at_other[unsure])
             certified = np.where(feasible, f > 0.0, f <= 0.0)
-            stuck = ~(certified | halves(k))
-            if np.any(stuck):
-                if np.any(lam[stuck] < np.finfo(float).tiny):
+            if not np.all(certified):
+                if np.any(lam[~certified] < np.finfo(float).tiny):
                     raise ValueError(
                         f"an Orlicz average is subnormal (below {np.finfo(float).tiny:.3g}), "
                         f"where floats lie too far apart for a bracket {ROOT_BAND:g} wide at its "
@@ -181,8 +166,6 @@ def _certified_roots(r: np.ndarray, r_p: np.ndarray, top: np.ndarray, s: np.ndar
                 raise OrliczConvergenceError(
                     "the bracket of an Orlicz root can no longer halve, and its band check fails")
             value[k], lower[k] = np.where(feasible, lam, other), np.where(feasible, other, lam)
-            is_open[k[certified]] = False
-            todo = np.flatnonzero(is_open)
     return value, lower, s, steps
 
 
@@ -192,14 +175,14 @@ def orlicz_average_rows(blocks: np.ndarray, phi: YoungFunction,
 
     blocks is (n_cubes, n_cells), as `grid.per_cube` gathers it, and holds
     |f| (callers pass nonnegative values; no copy takes |.|). Returns the
-    per-row average (the feasible end of its certified bracket), the Newton
-    step count of the slowest row, and the per-row infeasible lower end; 0
-    where f vanishes.
+    per-row average (the feasible end of its certified bracket), the step
+    count of the slowest row's bisection, and the per-row infeasible lower
+    end; 0 where f vanishes.
 
     With Phi(t*) = 1, an n-cell cube's root s* = log(max|f| / lambda*) lies in
     [log t*, log t* + log(n)/p], as the largest of the n terms of mean Phi = 1
-    lies in [1, n]. Newton starts at log t* - log(mean (|f|/max|f|)^p) / p,
-    exact for a = 0 or constant f.
+    lies in [1, n]. The bisection starts at log t* - log(mean (|f|/max|f|)^p) / p,
+    exact for a = 0 or constant f; at a = 0 it ends after one step.
     """
     blocks = np.asarray(blocks, dtype=float)
     n = blocks.shape[1]

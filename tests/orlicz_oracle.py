@@ -2,7 +2,7 @@
 evaluation of every open row per step.
 
 This is how bumplab computed every Orlicz average, one block of
-same-length cubes at a time, before it found each root by Newton in log space
+same-length cubes at a time, before it bisected for each root in log space
 and certified it. The bisection stops at relative width REL_TOL on the
 feasible side of the root, so where it returns, the package's values must lie
 within REL_TOL + 2 ROOT_BAND (relative) of its values. Phi is evaluated in its

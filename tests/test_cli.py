@@ -251,6 +251,8 @@ def test_value_that_fails_conversion_names_its_option_exits_2(tmp_path, capsys, 
 _NOT_FINITE = "error: grid function values must be finite"
 _OVERFLOWED = ("error: numerical non-convergence: a per-cube value is not finite (the "
                "reduction overflowed); rescale the input")
+_AVERAGE_OVERFLOWS = ("error: an Orlicz average overflows (above 1.8e+308); scale f by a power "
+                      "of two, as the average scales with it")
 
 
 @pytest.mark.filterwarnings("error")
@@ -270,9 +272,16 @@ _OVERFLOWED = ("error: numerical non-convergence: a per-cube value is not finite
       "--cubes", "dyadic"], 3,
      ["error: numerical non-convergence: v^(-1/p) overflowed to inf on a cell of a cube whose "
       "value is needed; rescale v"]),
+    # c / t* > c on a constant c at the float maximum: the Orlicz average itself
+    # overflows, and the error names that, not the root search
+    (["orlicz", "--f", "const:1.7976931348623157e308", "--p", "1.01", "--a", "1"], 2,
+     [_AVERAGE_OVERFLOWS]),
+    (["bump", "--preset", "comm", "--p", "1.0001", "--u", "const:1.7976931348623157e308",
+      "--v", "const:1"], 2, [_AVERAGE_OVERFLOWS]),
 ], ids=["gaussian-subnormal-width", "power-overflow", "spec-sum-overflow",
         "number-sum-overflow", "number-sum-inf-minus-inf", "ap-power-overflow",
-        "ap-subnormal-constant", "bump-v-power-overflow"])
+        "ap-subnormal-constant", "bump-v-power-overflow", "orlicz-average-overflow",
+        "bump-average-overflow"])
 def test_overflow_in_numpy_exits_on_the_finiteness_check(tmp_path, capsys, argv, code, err):
     # with warnings as errors: an overflow numpy would warn about is left to
     # the finiteness checks, which decide the exit
@@ -318,9 +327,8 @@ def test_non_finite_config_value_exits_2(tmp_path, capsys, text):
 def test_nonconvergence_exits_3(tmp_path, monkeypatch, capsys):
     """An Orlicz root that cannot be certified (here an evaluation that never
     reaches the root) exits 3 with one error line and no report."""
-    def never_one(r, r_p, s, phi, slope=False):
-        f = np.ones_like(s)
-        return (f, np.full_like(s, phi.p)) if slope else f
+    def never_one(r, r_p, s, phi):
+        return np.ones_like(s)
 
     monkeypatch.setattr(orlicz, "_log_mean_phi", never_one)
     rc = run(["orlicz", "--f", "const:1", "--L", "1", "--m", "16", "--out", tmp_path / "out"])

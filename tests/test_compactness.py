@@ -349,8 +349,9 @@ def test_spectral_report_contents():
     # the energies of values whose squares overflow
     huge = compactness._report(2.0**1000 * rep.singular_values, [1, 2])
     assert huge.energy_tails == rep.energy_tails
-    with pytest.raises(ValueError):
-        compactness._report(_values(A), [4])
+    # the K range is checked once, at the public entries, before _report
+    with pytest.raises(ValueError, match="K = 4 out of range for 4 singular values"):
+        compactness._check_K([1, 4], 4)
 
 
 def test_decay_compare_identical_symbols(setup):
